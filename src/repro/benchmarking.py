@@ -349,17 +349,22 @@ def _eid_workload(
 ) -> Workload:
     """EID(D) — the E8 acceptance composite — on one engine backend.
 
-    Mixed-dispatch under ``backend="vector"``: the ℓ-DTG measurement
-    phases fall back to the scalar engine (adaptive walks) while the RR
-    Broadcast phases ride the fast path; the committed pair documents
-    the fallback cost next to the all-eligible chain's speedup.
+    Under ``backend="vector"`` every phase — the lockstep ℓ-DTG plans and
+    RR Broadcast — rides the fast path; the run fails if any phase fell
+    back to the scalar engine.
     """
 
     def run() -> dict[str, Any]:
+        from repro.protocols.base import PhaseRunner
         from repro.protocols.eid import run_eid
 
         graph = _vector_bench_graph(n, avg_degree, 8)
-        report = run_eid(graph, diameter=diameter, seed=0, backend=backend)
+        runner = PhaseRunner(graph, backend=backend)
+        report = run_eid(graph, diameter=diameter, seed=0, runner=runner)
+        if backend == "vector" and any(runner.phase_fallbacks):
+            raise AssertionError(
+                f"vector EID fell back to the scalar engine: {runner.phase_fallbacks}"
+            )
         return {
             "rounds": report.rounds,
             "exchanges": report.exchanges,
@@ -387,9 +392,8 @@ def _ldtg_workload(
 ) -> Workload:
     """ℓ-DTG — the E13 acceptance workload — on one engine backend.
 
-    ℓ-DTG is adaptive, so the vector leg measures the scalar-fallback
-    dispatch overhead (expected ≈ 1x), pinning that composites without
-    vector-eligible phases do not regress under ``--backend vector``.
+    In a plain run the vector leg replays the phase as a lockstep ℓ-DTG
+    plan on the array fast path; the pair is its speedup point.
     """
 
     def run() -> dict[str, Any]:
@@ -485,8 +489,10 @@ def engine_vector_microbenchmarks(profile: str) -> list[Workload]:
     scalar engine cannot reach in benchmark-friendly time.  The composite
     rows: the all-vector-eligible phase chain at ``n = 10^4`` (the
     composite-dispatch speedup point), the EID and ℓ-DTG acceptance
-    composites (mixed and all-fallback dispatch), and the recorder-on
-    mirror-path pair (batched vs forced-sequential).
+    composites, and the recorder-on mirror-path pair (batched vs
+    forced-sequential).  Both profiles share ``eid_vector_er_n2000`` (an
+    all-vector EID run), so the regression gate always has a workload to
+    compare against the committed baseline.
     """
     from repro.experiments.harness import validate_profile
 
@@ -501,6 +507,7 @@ def engine_vector_microbenchmarks(profile: str) -> list[Workload]:
             _mirror_pushpull_workload(
                 "sequential", n=2000, avg_degree=16.0, repeats=3
             ),
+            _eid_workload("vector", n=2000, avg_degree=8.0, diameter=2, repeats=1),
         ]
     return [
         _backend_pushpull_workload("scalar", n=10_000, avg_degree=16.0, repeats=1),
@@ -517,6 +524,7 @@ def engine_vector_microbenchmarks(profile: str) -> list[Workload]:
         _composite_chain_workload("vector", n=10_000, avg_degree=16.0, repeats=3),
         _eid_workload("scalar", n=400, avg_degree=16.0, diameter=8, repeats=1),
         _eid_workload("vector", n=400, avg_degree=16.0, diameter=8, repeats=1),
+        _eid_workload("vector", n=2000, avg_degree=8.0, diameter=2, repeats=1),
         _ldtg_workload("scalar", n=1000, avg_degree=16.0, max_latency=2, repeats=3),
         _ldtg_workload("vector", n=1000, avg_degree=16.0, max_latency=2, repeats=3),
         _mirror_pushpull_workload("batched", n=10_000, avg_degree=16.0, repeats=3),

@@ -36,6 +36,7 @@ covers the sink) and :func:`reset_metrics` clears it for tests.
 
 from __future__ import annotations
 
+import bisect
 import itertools
 import json
 import re
@@ -146,6 +147,11 @@ class Gauge(_Metric):
     window" apart from "left over from before" — a gauge re-set to the
     same value is still work done since the snapshot, while an untouched
     cell in a long-lived pool worker must not leak into later deltas.
+
+    Running-peak cells (written by :meth:`set_max`) also remember enough
+    of their write history to answer "the peak written after stamp
+    ``s``" (:meth:`peak_since`), so a window's delta reports the peak
+    reached *inside* the window, not a larger one left from before it.
     """
 
     type_name = "gauge"
@@ -153,32 +159,53 @@ class Gauge(_Metric):
     def __init__(self, name: str, help: str = "") -> None:
         super().__init__(name, help)
         self._stamps: dict[LabelKey, int] = {}
+        #: Per running-peak cell, the ``(stamp, value)`` writes no later
+        #: write has matched or exceeded: values strictly decrease as
+        #: stamps grow, so the first entry past a stamp is the peak since.
+        self._peaks: dict[LabelKey, list[tuple[int, Number]]] = {}
 
-    def _touch(self, key: LabelKey) -> None:
-        self._stamps[key] = next(_GAUGE_TOUCH)
+    def _touch(self, key: LabelKey) -> int:
+        stamp = self._stamps[key] = next(_GAUGE_TOUCH)
+        return stamp
 
     def set(self, value: Number, **labels: Any) -> None:
         key = _label_key(labels)
         self._cells[key] = value
         self._touch(key)
+        self._peaks.pop(key, None)
 
     def inc(self, amount: Number = 1, **labels: Any) -> None:
         key = _label_key(labels)
         self._cells[key] = self._cells.get(key, 0) + amount
         self._touch(key)
+        self._peaks.pop(key, None)
 
     def dec(self, amount: Number = 1, **labels: Any) -> None:
         self.inc(-amount, **labels)
 
     def set_max(self, value: Number, **labels: Any) -> None:
         """Raise the cell to ``value`` if larger (running-peak gauges)."""
-        key = _label_key(labels)
+        self._raise(_label_key(labels), value)
+
+    def _raise(self, key: LabelKey, value: Number) -> None:
         if key not in self._cells or value > self._cells[key]:
             self._cells[key] = value
-        self._touch(key)
+        stamp = self._touch(key)
+        peaks = self._peaks.setdefault(key, [])
+        while peaks and peaks[-1][1] <= value:
+            peaks.pop()
+        peaks.append((stamp, value))
 
     def value(self, **labels: Any) -> Number:
         return self._cells.get(_label_key(labels), 0)
+
+    def peak_since(self, key: LabelKey, stamp: int) -> Optional[Number]:
+        """The largest :meth:`set_max` value written to cell ``key`` after
+        touch stamp ``stamp`` — ``None`` when there is none, or when a
+        plain ``set``/``inc`` since made the cell a point reading again."""
+        peaks = self._peaks.get(key, ())
+        i = bisect.bisect_right(peaks, stamp, key=lambda entry: entry[0])
+        return peaks[i][1] if i < len(peaks) else None
 
 
 class Histogram(_Metric):
@@ -376,7 +403,8 @@ class MetricsRegistry:
 
         Counters and histogram cells subtract; gauges report their
         current value (a point-in-time reading has no meaningful
-        difference), but only cells *touched* since the snapshot — an
+        difference) — or, for running-peak cells, the peak written since
+        the snapshot — but only cells *touched* since the snapshot: an
         untouched gauge is not work done in the window, and long-lived
         pool workers would otherwise leak stale cells into every later
         delta.  Suitable for :func:`merge_metrics` in another process —
@@ -393,7 +421,8 @@ class MetricsRegistry:
                     stamp = entry.get("stamps", {}).get(key, 0)
                     base_stamp = base.get("stamps", {}).get(key, 0)
                     if before is None or stamp > base_stamp:
-                        cells[key] = cell
+                        peak = self._metrics[name].peak_since(key, base_stamp)
+                        cells[key] = cell if peak is None else peak
                 elif entry["type"] == "histogram":
                     if before is None:
                         changed = list(cell)
@@ -429,9 +458,7 @@ class MetricsRegistry:
             elif kind == "gauge":
                 metric = self.gauge(name, entry.get("help", ""))
                 for key, value in entry["cells"].items():
-                    if key not in metric._cells or value > metric._cells[key]:
-                        metric._cells[key] = value
-                    metric._touch(key)
+                    metric._raise(key, value)
             elif kind == "histogram":
                 metric = self.histogram(
                     name, entry.get("help", ""), buckets=entry.get("buckets")

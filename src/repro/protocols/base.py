@@ -19,11 +19,12 @@ a probe protocol instance is asked
   rumor state stays in its :class:`~repro.sim.vector.VectorState` layout
   between phases (re-picked via ``to_layout()`` when a scalar phase grew
   the rumor universe), never densifying back to a scalar state;
-* ineligible phases (adaptive protocols like ℓ-DTG's measurement walks)
-  fall back to the scalar :class:`~repro.sim.engine.Engine` *over the
-  same layout state*, which implements the full
-  :class:`~repro.sim.state.NetworkState` API — the handoff is
-  bit-identical in both directions.
+* ineligible phases (ping-only latency discovery, or an ℓ-DTG phase in a
+  run whose recorder, checkers, failure model or incoming cap rule out
+  its lockstep plan) fall back to the scalar
+  :class:`~repro.sim.engine.Engine` *over the same layout state*, which
+  implements the full :class:`~repro.sim.state.NetworkState` API — the
+  handoff is bit-identical in both directions.
 
 Every phase's backend is attributed in :attr:`PhaseRunner.phases`
 (``PhaseTiming.backend``), :attr:`PhaseRunner.phase_fallbacks`, and the
@@ -80,6 +81,10 @@ def _fallback_slug(reason: Optional[str]) -> str:
         return "on-deliver-callback"
     if "is_done" in reason:
         return "adaptive-termination"
+    if "links neighbors at random" in reason:
+        return "dtg-random-selection"
+    if "ℓ-DTG plan" in reason:
+        return "dtg-plan-run"
     return "ineligible"
 
 
@@ -162,6 +167,13 @@ class PhaseRunner:
         if watch is not None and watch(self.state):
             self.first_complete_round = 0
 
+    def _engine_extra(self) -> dict:
+        """Keyword arguments every phase's engine gets beyond the basics."""
+        extra = dict(self.engine_kwargs)
+        if self.recorder is not None:
+            extra["recorder"] = self.recorder
+        return extra
+
     def _dispatch_phase(
         self, protocol_factory: Callable[[Node], NodeProtocol]
     ) -> tuple[Callable[..., Any], str, Optional[str]]:
@@ -169,8 +181,9 @@ class PhaseRunner:
 
         A single probe instance (never ``setup()``-ed, never run) answers
         the same eligibility questions the vector engine would raise on —
-        so ineligible phases fall back to the scalar engine instead of
-        aborting the composite run.
+        given this runner's state and engine options — so ineligible
+        phases fall back to the scalar engine instead of aborting the
+        composite run.
         """
         if not self._dispatch:
             label = (
@@ -180,7 +193,9 @@ class PhaseRunner:
         nodes = self.graph.nodes()
         if not nodes:
             return VectorEngine, "vector", None
-        reason = vector_ineligibility(protocol_factory(nodes[0]))
+        reason = vector_ineligibility(
+            protocol_factory(nodes[0]), self.state, **self._engine_extra()
+        )
         if reason is None:
             return VectorEngine, "vector", None
         return Engine, "scalar-fallback", reason
@@ -210,9 +225,7 @@ class PhaseRunner:
             # past what this layout was picked for: re-pick (no-op when
             # the layout is already right, a words-matrix copy otherwise).
             self.state = self.state.to_layout()
-        extra = dict(self.engine_kwargs)
-        if self.recorder is not None:
-            extra["recorder"] = self.recorder
+        extra = self._engine_extra()
         engine = factory(
             self.graph,
             protocol_factory,

@@ -33,6 +33,7 @@ from repro.sim.metrics import DisseminationResult
 from repro.sim.programs import Command, ProgramProtocol, contact_and_wait
 from repro.sim.runner import local_broadcast_complete
 from repro.sim.state import NetworkState
+from repro.sim.vector import VectorProgram
 from repro.protocols.base import PhaseRunner, per_node_rng_factory
 
 __all__ = ["LDTGProtocol", "ldtg_factory", "run_ldtg"]
@@ -68,6 +69,13 @@ class LDTGProtocol(ProgramProtocol):
         "any new neighbor"; the ablation benchmark compares them.
     rng:
         Randomness for ``selection="random"``.
+
+    Backends: in a plain run (no recorder, checkers, failure model,
+    incoming cap, fresh snapshots, blocking or note boards) every
+    exchange delivers within its ``ℓ``-round step, so all nodes stay in
+    lockstep and :meth:`vector_program` lets the vector backend replay
+    the phase as whole-round array ops.  Any other run, and
+    ``selection="random"``, falls back to the scalar engine.
     """
 
     def __init__(
@@ -100,6 +108,23 @@ class LDTGProtocol(ProgramProtocol):
         # taken of this node already carry it.
         ctx.state.add_rumor(ctx.node, self._token(ctx.node))
         super().setup(ctx)
+
+    def vector_program(self) -> VectorProgram:
+        """The lockstep ℓ-DTG plan: period ``ℓ``, this run's token tag and
+        the explicit fast-neighbor list (``None``: read from the graph).
+        Random linking carries its rng, which makes the program
+        ineligible."""
+        return VectorProgram(
+            kind="dtg",
+            period=self._ell,
+            tag=self._run_tag,
+            targets=(
+                tuple(self._fast_neighbors)
+                if self._fast_neighbors is not None
+                else None
+            ),
+            rng=self._rng if self._selection == "random" else None,
+        )
 
     def program(self, ctx: NodeContext) -> Iterator[Command]:
         ell = self._ell
@@ -212,10 +237,10 @@ def run_ldtg(
 
     Returns a result whose ``rounds`` is the phase length (all nodes
     terminated); completeness is checked against the ℓ-local broadcast
-    predicate.  ℓ-DTG is adaptive (its walks react to deliveries), so a
-    ``backend="vector"`` run dispatches the phase to the scalar engine —
-    the knob exists so composite callers can thread one backend choice
-    through uniformly.
+    predicate.  ``backend="vector"`` runs the phase on the vector
+    backend's lockstep ℓ-DTG plan (bit-identical to the scalar engine);
+    runs the plan cannot replay fall back to the scalar engine (see
+    :class:`LDTGProtocol`).
     """
     runner = PhaseRunner(
         graph, state=state, engine_factory=engine_factory, backend=backend

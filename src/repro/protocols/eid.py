@@ -207,9 +207,11 @@ def run_eid(
         instead).
     backend:
         Engine backend name for the phases (ignored when ``runner`` or
-        ``engine_factory`` is given); under ``"vector"`` the ℓ-DTG
-        measurement phases fall back to the scalar engine while the
-        RR Broadcast phases ride the array fast path.
+        ``engine_factory`` is given); under ``"vector"`` both the ℓ-DTG
+        phases and the RR Broadcast phase ride the array fast path in a
+        plain run, and fall back to the scalar engine when a recorder,
+        checkers, a failure model or an incoming cap rule the ℓ-DTG plan
+        out.
     """
     if diameter < 1:
         raise ProtocolError(f"diameter must be >= 1, got {diameter}")

@@ -54,6 +54,10 @@ eligibility by returning a :class:`VectorProgram` from a
 declare its fixed round budget via :attr:`VectorProgram.duration`
 (RR Broadcast does), anything else is rejected with a
 :class:`~repro.errors.SimulationError` naming the offending protocol.
+The one adaptive protocol replayed is ℓ-DTG (``kind="dtg"``): in a plain
+run it is in lockstep, so it adapts only at iteration boundaries shared
+by every node, and the engine replays it as a per-iteration plan
+(:class:`_LDTGPlan`).
 
 Exactness contract: for the same graph, seeds, and engine options, a
 ``VectorEngine`` run is **field-identical** to the scalar ``Engine`` run —
@@ -111,6 +115,7 @@ from repro.sim.engine import (
 from repro.sim.failures import FailureModel
 from repro.sim.invariants import DeliveryView, ExchangeView, InvariantChecker
 from repro.sim.metrics import EngineMetrics
+from repro.sim.programs import ProgramProtocol
 from repro.sim.state import NetworkState, Note, Payload, _RumorSpace
 
 __all__ = [
@@ -313,9 +318,15 @@ class VectorProgram:
     ----------
     kind:
         ``"random"`` — contact a uniform random neighbor (push--pull and
-        its gated push/pull variants) — or ``"round_robin"`` — cycle the
+        its gated push/pull variants) — ``"round_robin"`` — cycle the
         repr-sorted neighbor list (flooding) or the explicit ``targets``
-        list (RR Broadcast) deterministically.
+        list (RR Broadcast) deterministically — or ``"dtg"`` — the
+        lockstep ℓ-DTG plan (Algorithm 5): at each iteration boundary the
+        node stops once it knows the token of every fast neighbor, else
+        links its first unheard one, then runs 4·i exchanges spaced
+        ``period`` rounds apart over its linked list.  The engine
+        replays a ``"dtg"`` program only in plain runs (see
+        :func:`vector_ineligibility`).
     rng:
         For ``kind="random"``: the protocol's own per-node
         :class:`random.Random`.  The backend consumes it exactly as
@@ -333,10 +344,13 @@ class VectorProgram:
     targets:
         ``None`` (cycle the repr-sorted full neighbor list) or an
         explicit tuple of neighbor nodes to cycle instead — the directed
-        spanner out-edges of RR Broadcast.  Only ``kind="round_robin"``
-        supports targets; every target must be a graph neighbor of the
-        node (validated at engine construction, where the scalar engine
-        would have raised on first contact).
+        spanner out-edges of RR Broadcast.  For ``kind="dtg"`` it is the
+        node's fast-neighbor list (``None``: the graph neighbors over
+        edges of latency at most ``period``, which needs
+        ``latencies_known``).  ``"random"`` programs take no targets;
+        every target must be a graph neighbor of the node (validated at
+        engine construction, where the scalar engine would have raised on
+        first contact).
     duration:
         ``None`` (the protocol never terminates locally — classic
         oblivious gossip) or the number of rounds the node initiates
@@ -344,6 +358,11 @@ class VectorProgram:
         protocol overriding ``is_done()`` must declare a duration to be
         vector-eligible; the engine is then all-done once every node's
         budget has elapsed, exactly like the scalar parking scheduler.
+    period:
+        For ``kind="dtg"``: the ``ℓ`` rounds every exchange step waits.
+    tag:
+        For ``kind="dtg"``: the run tag of the node's tokens — neighbor
+        ``v``'s token is ``v`` itself when ``None``, else ``(tag, v)``.
     """
 
     kind: str
@@ -352,6 +371,8 @@ class VectorProgram:
     start: int = 0
     targets: Optional[tuple[Node, ...]] = None
     duration: Optional[int] = None
+    period: Optional[int] = None
+    tag: Optional[Hashable] = None
 
 
 # ----------------------------------------------------------------------
@@ -823,6 +844,16 @@ class VectorState:
             return np.zeros(rows.shape[0], dtype=bool)
         return (self._bits[rows, word] & np.uint64(1 << offset)) != 0
 
+    def _k_knows_pairs(self, rows: np.ndarray, bits: np.ndarray) -> np.ndarray:
+        """Boolean array: whether state row ``rows[k]`` has bit ``bits[k]``
+        set (``False`` for bit ``-1``, a rumor never interned)."""
+        out = np.zeros(rows.shape[0], dtype=bool)
+        ok = bits >= 0
+        bit = bits[ok]
+        words = self._bits[rows[ok], bit >> 6]
+        out[ok] = (words >> (bit & 63).astype(np.uint64)) & np.uint64(1) != 0
+        return out
+
 
 class BroadcastVectorState(VectorState):
     """Broadcast layout: one uint8 column per rumor — O(n·k) bytes.
@@ -954,6 +985,12 @@ class BroadcastVectorState(VectorState):
         if bit is None or bit >= self._cols.shape[1]:
             return np.zeros(rows.shape[0], dtype=bool)
         return self._cols[rows, bit] != 0
+
+    def _k_knows_pairs(self, rows: np.ndarray, bits: np.ndarray) -> np.ndarray:
+        out = np.zeros(rows.shape[0], dtype=bool)
+        ok = bits >= 0
+        out[ok] = self._cols[rows[ok], bits[ok]] != 0
+        return out
 
 
 class ChunkedVectorState(VectorState):
@@ -1197,6 +1234,23 @@ class ChunkedVectorState(VectorState):
         b, w = self._block_of(word)
         return (self._blocks[b][rows, w] & np.uint64(1 << offset)) != 0
 
+    def _k_knows_pairs(self, rows: np.ndarray, bits: np.ndarray) -> np.ndarray:
+        out = np.zeros(rows.shape[0], dtype=bool)
+        offsets = np.asarray(self._block_offsets, dtype=np.int64)
+        ok = bits >= 0
+        bit = bits[ok]
+        rows = rows[ok]
+        words = bit >> 6
+        block_of = np.searchsorted(offsets, words, side="right") - 1
+        values = np.zeros(bit.shape[0], dtype=np.uint64)
+        # Streamed per block, like every other chunked kernel.
+        for b, block in enumerate(self._blocks):
+            pick = np.flatnonzero(block_of == b)
+            if pick.shape[0]:
+                values[pick] = block[rows[pick], words[pick] - offsets[b]]
+        out[ok] = (values >> (bit & 63).astype(np.uint64)) & np.uint64(1) != 0
+        return out
+
 
 #: Broadcast-layout cutoff: with ``k <= 8`` rumor columns the uint8
 #: layout never uses more bytes than one dense uint64 word per node.
@@ -1218,17 +1272,11 @@ STATE_LAYOUTS: dict[str, type] = {
 # the scalar engine instead of aborting the composite run.
 def _class_ineligibility(protocol_cls: type) -> Optional[str]:
     """Why a protocol *class* cannot run on the vector backend (or None)."""
-    name = protocol_cls.__name__
     if getattr(protocol_cls, "vector_program", None) is None:
         return (
-            f"protocol {name} is not vector-backend eligible: it declares "
-            "no vector_program() (only oblivious protocols can run on the "
-            "vector backend; see docs/MODEL.md §8)"
-        )
-    if protocol_cls.on_deliver is not NodeProtocol.on_deliver:
-        return (
-            f"protocol {name} overrides on_deliver(); the vector backend "
-            "cannot replay per-delivery protocol callbacks"
+            f"protocol {protocol_cls.__name__} is not vector-backend "
+            "eligible: it declares no vector_program() (only oblivious "
+            "protocols can run on the vector backend; see docs/MODEL.md §8)"
         )
     return None
 
@@ -1243,8 +1291,30 @@ def _program_ineligibility(
             f"{name}.vector_program() must return a VectorProgram, got "
             f"{type(program).__name__}"
         )
-    if program.kind not in ("random", "round_robin"):
+    if program.kind not in ("random", "round_robin", "dtg"):
         return f"unknown vector program kind {program.kind!r} from {name}"
+    # An ℓ-DTG plan replays ProgramProtocol's own latency bookkeeping (and
+    # its own termination rule); no other per-delivery callback replays.
+    replayed = (NodeProtocol.on_deliver,) + (
+        (ProgramProtocol.on_deliver,) if program.kind == "dtg" else ()
+    )
+    if protocol_cls.on_deliver not in replayed:
+        return (
+            f"protocol {name} overrides on_deliver(); the vector backend "
+            "cannot replay per-delivery protocol callbacks"
+        )
+    if program.kind == "dtg":
+        if program.rng is not None:
+            return (
+                f"protocol {name} links neighbors at random "
+                "(selection='random'); only the deterministic rotated "
+                "order replays as a vector ℓ-DTG plan"
+            )
+        if program.period is None or program.period < 1:
+            return f"{name} declares kind='dtg' without a period >= 1"
+        if program.gate is not None or program.duration is not None:
+            return f"{name} declares kind='dtg' with a gate or a duration"
+        return None
     if program.kind == "random" and program.rng is None:
         return f"{name} declares kind='random' but carries no rng"
     if program.gate is not None and program.gate[0] not in (
@@ -1271,6 +1341,63 @@ def _program_ineligibility(
     return None
 
 
+def _resolve_checkers(
+    checkers: Optional[Sequence[InvariantChecker]],
+) -> tuple[InvariantChecker, ...]:
+    """``checkers`` as given, or the engine default for ``None`` (the
+    ambient :func:`repro.sim.invariants.checked` scope)."""
+    if checkers is None:
+        checkers = (
+            _invariants.default_checkers() if _invariants.checking_enabled() else ()
+        )
+    return tuple(checkers)
+
+
+def _run_blockers(
+    state: Any,
+    checkers: Sequence[InvariantChecker],
+    recorder: Optional[Recorder],
+    failure_model: Optional[FailureModel],
+    fresh_snapshots: bool,
+    enforce_blocking: bool,
+) -> list[str]:
+    """Labels of the run features that observe or perturb single exchanges.
+
+    Any of them moves the engine off the array fast path (a recorder
+    alone takes the batched mirror path, anything else the sequential
+    one), and any of them — or an incoming cap — rules out ℓ-DTG plans.
+    """
+    return [
+        label
+        for label, present in (
+            ("invariant checkers", bool(checkers)),
+            ("a recorder", recorder is not None),
+            ("a failure model", failure_model is not None),
+            ("fresh snapshots", fresh_snapshots),
+            ("blocking enforcement", enforce_blocking),
+            ("note boards", state is not None and any(state._notes)),
+        )
+        if present
+    ]
+
+
+def _plan_refusal(protocol_name: str, blockers: list[str]) -> Optional[str]:
+    """Why a run with ``blockers`` cannot replay an ℓ-DTG plan (or None).
+
+    The plan relies on lockstep: every exchange of iteration ``i``
+    delivers before iteration ``i + 1`` starts.  Anything that can
+    reject, lose or observe single exchanges breaks that or needs the
+    per-exchange paths, which replay no plans.
+    """
+    if not blockers:
+        return None
+    return (
+        f"protocol {protocol_name} runs an adaptive ℓ-DTG plan, which the "
+        f"vector backend replays only in plain runs (this run has "
+        f"{', '.join(blockers)}; see docs/MODEL.md §8)"
+    )
+
+
 def _payload_ineligibility(protocol: Any) -> Optional[str]:
     """Why a protocol *instance*'s payload mode is ineligible (or None)."""
     if not getattr(protocol, "sends_payload", True):
@@ -1282,26 +1409,46 @@ def _payload_ineligibility(protocol: Any) -> Optional[str]:
     return None
 
 
-def _instance_ineligibility(protocol: Any) -> Optional[str]:
-    """Instance-level checks, assuming the class already passed."""
-    reason = _payload_ineligibility(protocol)
-    if reason is not None:
-        return reason
-    return _program_ineligibility(type(protocol), protocol.vector_program())
-
-
-def vector_ineligibility(protocol: Any) -> Optional[str]:
+def vector_ineligibility(
+    protocol: Any,
+    state: Any = None,
+    *,
+    checkers: Optional[Sequence[InvariantChecker]] = None,
+    recorder: Optional[Recorder] = None,
+    failure_model: Optional[FailureModel] = None,
+    max_incoming_per_round: Optional[int] = None,
+    fresh_snapshots: bool = False,
+    enforce_blocking: bool = False,
+) -> Optional[str]:
     """Why ``protocol`` cannot run on the vector backend — or ``None``.
 
     The non-raising twin of the engine's construction-time validation
     (identical checks, identical wording), used by
     :class:`~repro.protocols.base.PhaseRunner` to decide per-phase
-    backend dispatch from a single probe instance.
+    backend dispatch from a single probe instance.  ``state`` and the
+    keyword arguments (as a :class:`VectorEngine` would get them)
+    describe the run: an ℓ-DTG plan is eligible only in a plain one.
     """
-    reason = _class_ineligibility(type(protocol))
+    reason = _class_ineligibility(type(protocol)) or _payload_ineligibility(
+        protocol
+    )
     if reason is not None:
         return reason
-    return _instance_ineligibility(protocol)
+    program = protocol.vector_program()
+    reason = _program_ineligibility(type(protocol), program)
+    if reason is None and program.kind == "dtg":
+        blockers = _run_blockers(
+            state,
+            _resolve_checkers(checkers),
+            recorder,
+            failure_model,
+            fresh_snapshots,
+            enforce_blocking,
+        )
+        if max_incoming_per_round is not None:
+            blockers.append("an incoming cap")
+        reason = _plan_refusal(type(protocol).__name__, blockers)
+    return reason
 
 
 # ----------------------------------------------------------------------
@@ -1321,6 +1468,175 @@ class _Batch:
     initiator_payloads: Any
     responder_payloads: Any
     initiated_at: int = -1
+
+
+def _segment_slots(starts: np.ndarray, counts: np.ndarray) -> np.ndarray:
+    """``concat(arange(s, s + c) for s, c in zip(starts, counts))``."""
+    total = int(counts.sum())
+    shift = starts - np.cumsum(counts) + counts
+    return np.repeat(shift, counts) + np.arange(total, dtype=np.int64)
+
+
+class _LDTGPlan:
+    """One ℓ-DTG selection cohort, replayed iteration by iteration.
+
+    In a plain run ℓ-DTG is in lockstep: every member starts iteration
+    ``i`` at round ``T_i = 2ℓ·i·(i-1)``.  At that boundary one column test
+    on the rumor bitsets decides, for every member at once, whether it
+    stops (it knows the token of every fast neighbor) or links its first
+    unheard one.  Its ``4·i`` exchanges are then fixed: one every ``ℓ``
+    rounds over the linked list, in Algorithm 5's push/pull/pull/push
+    order — the same column of the linked-slot matrix for every member.
+
+    Slots are the members' fast lists flattened in member order, each
+    list repr-sorted and rotated past the member's own id exactly as
+    :class:`~repro.protocols.dtg.LDTGProtocol` orders it; ``linked[p, j]``
+    is the slot member ``p`` linked in iteration ``j + 1``.
+    """
+
+    def __init__(self, engine: "VectorEngine", members: list[int], ell: int) -> None:
+        self.ell = ell
+        self.ids = np.asarray(members, dtype=np.int64)
+        self.order = order = engine._order
+        index = engine.state._space.index
+        index_of = engine.graph.index_of
+        owner: list[int] = []
+        nbrs: list[int] = []
+        bits: list[int] = []
+        for p, i in enumerate(members):
+            node = order[i]
+            program = engine._programs[i]
+            if program.targets is not None:
+                fast = sorted(program.targets, key=repr)
+            else:
+                if not engine.latencies_known:
+                    raise ProtocolError("edge latencies are unknown in this model")
+                fast = sorted(
+                    (
+                        v
+                        for v, latency in engine.graph.neighbor_latencies(node).items()
+                        if latency <= ell
+                    ),
+                    key=repr,
+                )
+            own = repr(node)
+            pivot = next((k for k, v in enumerate(fast) if repr(v) > own), 0)
+            tag = program.tag
+            for v in fast[pivot:] + fast[:pivot]:
+                try:
+                    nbrs.append(index_of(v))
+                except Exception:
+                    raise ProtocolError(
+                        f"node {node!r} tried to contact non-neighbor {v!r}"
+                    ) from None
+                owner.append(p)
+                bits.append(index.get(v if tag is None else (tag, v), -1))
+        m = len(members)
+        self.owner = np.asarray(owner, dtype=np.int64)
+        self.nbr = np.asarray(nbrs, dtype=np.int64)
+        self.bits = np.asarray(bits, dtype=np.int64)
+        self.eid, self.lat = engine._edge_ids(self.ids[self.owner], self.nbr)
+        self.rows = engine._row_of[self.ids[self.owner]]
+        self.deg = np.bincount(self.owner, minlength=m)
+        self.off = np.zeros(m + 1, dtype=np.int64)
+        np.cumsum(self.deg, out=self.off[1:])
+        self.linked = np.zeros((m, max(1, int(self.deg.max(initial=0)))), dtype=np.int64)
+        #: Links per member so far — its ``iterations_used``.
+        self.count = np.zeros(m, dtype=np.int64)
+        #: Member positions still running; every member until round 0.
+        self.active = np.arange(m, dtype=np.int64)
+        self.iteration = 0
+        self.start = 0
+        self.next_boundary = 0
+
+    def select(self, rnd: int, state: VectorState) -> Optional[tuple]:
+        """This round's ``(initiators, responders, latencies, edge_ids)``
+        from the cohort, or ``None`` when it initiates nothing."""
+        if rnd == self.next_boundary:
+            self._boundary(rnd, state)
+        if not self.active.shape[0]:
+            return None
+        step, offset = divmod(rnd - self.start, self.ell)
+        if offset:
+            return None
+        i = self.iteration
+        # PUSH j = i..1, PULL j = 1..i, PULL j = 1..i, PUSH j = i..1.
+        if step < i:
+            column = i - 1 - step
+        elif step < 3 * i:
+            column = (step - i) % i
+        else:
+            column = 4 * i - 1 - step
+        slots = self.linked[self.active, column]
+        return self.ids[self.active], self.nbr[slots], self.lat[slots], self.eid[slots]
+
+    def _boundary(self, rnd: int, state: VectorState) -> None:
+        """Iteration boundary: stop or link, for every active member."""
+        active = self.active
+        slots = _segment_slots(self.off[active], self.deg[active])
+        known = state._k_knows_pairs(self.rows[slots], self.bits[slots])
+        unheard = slots[~known]
+        # Slots are grouped by member, so each member's first unheard slot
+        # starts a run of equal owners.
+        first = np.ones(unheard.shape[0], dtype=bool)
+        first[1:] = self.owner[unheard[1:]] != self.owner[unheard[:-1]]
+        going = self.owner[unheard[first]]
+        self.active = going
+        if not going.shape[0]:
+            return
+        i = self.iteration
+        if i:
+            # Lockstep invariant: every linked neighbor was heard from
+            # during the iteration that linked it.  A missing token means
+            # an exchange outran its ℓ-round step, and the scalar protocol
+            # would re-walk its linked list instead of linking a new one.
+            heard = np.zeros(self.nbr.shape[0], dtype=bool)
+            heard[slots[known]] = True
+            missing = ~heard[self.linked[going, :i]]
+            if missing.any():
+                p, j = (int(x[0]) for x in np.nonzero(missing))
+                slot = int(self.linked[going[p], j])
+                order = self.order
+                raise SimulationError(
+                    f"ℓ-DTG lockstep broken at round {rnd}: node "
+                    f"{order[int(self.ids[going[p]])]!r} has not heard from "
+                    f"its linked neighbor {order[int(self.nbr[slot])]!r} "
+                    f"(an edge slower than ℓ={self.ell} in its fast list?)"
+                )
+        self.linked[going, i] = unheard[first]
+        self.count[going] = i + 1
+        self.iteration = i + 1
+        self.start = rnd
+        self.next_boundary = rnd + 4 * (i + 1) * self.ell
+
+    def write_back(self, engine: "VectorEngine") -> None:
+        """Set each member protocol's ``iterations_used``,
+        ``measured_latencies`` and done flag as the scalar run would have
+        them by now.
+
+        Member ``p`` first contacts its ``j``-th link (0-based) at round
+        ``2ℓ·j·(j+1)``; that exchange's delivery, if it has happened,
+        recorded the edge latency — in delivery order, ties by initiation.
+        """
+        order = self.order
+        delivered_by = engine.round - 1
+        running = np.zeros(self.ids.shape[0], dtype=bool)
+        running[self.active] = True
+        for p, i in enumerate(self.ids.tolist()):
+            protocol = engine._protocols[order[i]]
+            count = int(self.count[p])
+            protocol.iterations_used = count
+            protocol._finished = not running[p]
+            heard = []
+            for j, slot in enumerate(self.linked[p, :count].tolist()):
+                sent = 2 * self.ell * j * (j + 1)
+                latency = int(self.lat[slot])
+                if sent + latency <= delivered_by:
+                    heard.append((sent + latency, sent, int(self.nbr[slot]), latency))
+            heard.sort()
+            protocol.measured_latencies = {
+                order[v]: latency for _, _, v, latency in heard
+            }
 
 
 class VectorEngine:
@@ -1409,9 +1725,14 @@ class VectorEngine:
         custom = self._build_target_tables(n)
 
         # Selection cohorts: nodes sharing (kind, gate, duration, custom
-        # targets?) advance together over one slot table.
+        # targets?) advance together over one slot table; ℓ-DTG nodes
+        # sharing ℓ advance together through one plan.
         cohorts: dict[tuple, list[int]] = {}
+        plan_members: dict[int, list[int]] = {}
         for i, program in enumerate(self._programs):
+            if program.kind == "dtg":
+                plan_members.setdefault(program.period, []).append(i)
+                continue
             fan_out = (
                 len(program.targets) if program.targets is not None else deg[i]
             )
@@ -1469,21 +1790,16 @@ class VectorEngine:
         self._rr_next = np.fromiter(
             (program.start for program in self._programs), dtype=np.int64, count=n
         )
-        durations = [program.duration for program in self._programs]
-        self._all_durations = bool(durations) and all(
-            d is not None for d in durations
-        )
+        # ℓ-DTG members stop when their plan says so (see all_done), so
+        # only the other programs' budgets count here — vacuously all of
+        # them in an engine of ℓ-DTG members only.
+        durations = [p.duration for p in self._programs if p.kind != "dtg"]
+        self._all_durations = all(d is not None for d in durations)
         self._max_duration = max(
             (d for d in durations if d is not None), default=0
         )
 
-        if checkers is None:
-            checkers = (
-                _invariants.default_checkers()
-                if _invariants.checking_enabled()
-                else ()
-            )
-        self._checkers: tuple[InvariantChecker, ...] = tuple(checkers)
+        self._checkers: tuple[InvariantChecker, ...] = _resolve_checkers(checkers)
         self._checker_log: collections.deque[str] = collections.deque(
             maxlen=_CHECKER_LOG_SIZE
         )
@@ -1495,26 +1811,34 @@ class VectorEngine:
         # with the array kernels and the byte-identical event stream is
         # emitted from the precomputed buckets (REPRO_VECTOR_MIRROR=
         # sequential forces the per-exchange replay instead).
-        notes_present = any(self.state._notes)
-        wants_sequential = bool(
-            self._checkers
-            or recorder is not None
-            or failure_model is not None
-            or fresh_snapshots
-            or enforce_blocking
-            or notes_present
+        blockers = _run_blockers(
+            self.state,
+            self._checkers,
+            recorder,
+            failure_model,
+            fresh_snapshots,
+            enforce_blocking,
         )
         self._mirror = (
-            recorder is not None
-            and not self._checkers
-            and failure_model is None
-            and not fresh_snapshots
-            and not enforce_blocking
-            and not notes_present
+            blockers == ["a recorder"]
             and os.environ.get("REPRO_VECTOR_MIRROR", "").strip().lower()
             != "sequential"
         )
-        self._sequential = wants_sequential and not self._mirror
+        self._sequential = bool(blockers) and not self._mirror
+        self._plans: list[_LDTGPlan] = []
+        if plan_members:
+            if max_incoming_per_round is not None:
+                blockers.append("an incoming cap")
+            first = self._order[next(iter(plan_members.values()))[0]]
+            reason = _plan_refusal(type(self._protocols[first]).__name__, blockers)
+            if reason is not None:
+                raise SimulationError(reason)
+            self._plans = [
+                _LDTGPlan(self, members, ell)
+                for ell, members in plan_members.items()
+            ]
+        #: Engine round at which the plans last wrote protocol state back.
+        self._written_back = -1
         if self._mirror:
             # Done-node parking replayed as a pure function: a node whose
             # program declares duration d parks at round d's scan, so it is
@@ -1581,15 +1905,16 @@ class VectorEngine:
         :class:`~repro.errors.ProtocolError` on first contact; the
         vector backend front-loads that check to construction.
         """
-        if not any(p.targets is not None for p in self._programs):
+        if not any(
+            p.targets is not None and p.kind == "round_robin" for p in self._programs
+        ):
             return None
-        graph = self.graph
-        index_of = graph.index_of
+        index_of = self.graph.index_of
         tdeg = np.zeros(n, dtype=np.int64)
         flat: list[int] = []
         srcs: list[int] = []
         for i, program in enumerate(self._programs):
-            if program.targets is None:
+            if program.targets is None or program.kind != "round_robin":
                 continue
             tdeg[i] = len(program.targets)
             for target in program.targets:
@@ -1605,14 +1930,23 @@ class VectorEngine:
         toff = np.zeros(n + 1, dtype=np.int64)
         np.cumsum(tdeg, out=toff[1:])
         tnbr = np.asarray(flat, dtype=np.int64)
-        src = np.asarray(srcs, dtype=np.int64)
-        us, vs, edge_lats = graph.edge_arrays()
+        teid, tlat = self._edge_ids(np.asarray(srcs, dtype=np.int64), tnbr)
+        return tdeg, toff, tnbr, tlat, teid
+
+    def _edge_ids(
+        self, src: np.ndarray, dst: np.ndarray
+    ) -> tuple[np.ndarray, np.ndarray]:
+        """Edge ids and latencies of the dense-id pairs ``(src[k], dst[k])``.
+
+        Raises :class:`~repro.errors.ProtocolError` naming the first pair
+        that is not an edge (the scalar engine's contact-time error).
+        """
+        n = len(self._order)
+        us, vs, edge_lats = self.graph.edge_arrays()
         keys = us * n + vs
         key_order = np.argsort(keys, kind="stable")
         sorted_keys = keys[key_order]
-        lo = np.minimum(src, tnbr)
-        hi = np.maximum(src, tnbr)
-        want = lo * n + hi
+        want = np.minimum(src, dst) * n + np.maximum(src, dst)
         pos = np.searchsorted(sorted_keys, want)
         valid = pos < sorted_keys.shape[0]
         valid[valid] = sorted_keys[pos[valid]] == want[valid]
@@ -1620,11 +1954,10 @@ class VectorEngine:
             bad = int(np.flatnonzero(~valid)[0])
             raise ProtocolError(
                 f"node {self._order[int(src[bad])]!r} tried to contact "
-                f"non-neighbor {self._order[int(tnbr[bad])]!r}"
+                f"non-neighbor {self._order[int(dst[bad])]!r}"
             )
-        teid = key_order[pos]
-        tlat = np.asarray(edge_lats, dtype=np.int64)[teid]
-        return tdeg, toff, tnbr, tlat, teid
+        eid = key_order[pos]
+        return eid, np.asarray(edge_lats, dtype=np.int64)[eid]
 
     # -- Engine-compatible surface --------------------------------------
     @property
@@ -1652,7 +1985,16 @@ class VectorEngine:
         return self._last_list
 
     def protocol(self, node: Node) -> NodeProtocol:
-        """The protocol instance for ``node`` (for post-run inspection)."""
+        """The protocol instance for ``node`` (for post-run inspection).
+
+        ℓ-DTG instances never run on this engine; their plan writes the
+        inspectable state (``iterations_used``, ``measured_latencies``)
+        back first, so it reads as after the scalar run of these rounds.
+        """
+        if self._written_back != self.round:
+            for plan in self._plans:
+                plan.write_back(self)
+            self._written_back = self.round
         return self._protocols[node]
 
     def all_done(self) -> bool:
@@ -1660,8 +2002,9 @@ class VectorEngine:
 
         On the fast path a protocol is done exactly when its declared
         ``duration`` has elapsed (programs without a duration never
-        terminate); the sequential path queries ``is_done()`` like the
-        scalar engine does, honoring parked and crashed nodes.
+        terminate) and an ℓ-DTG member once its plan stopped it; the
+        sequential path queries ``is_done()`` like the scalar engine does,
+        honoring parked and crashed nodes.
         """
         if self._sequential:
             parked = self._parked
@@ -1677,6 +2020,8 @@ class VectorEngine:
             return True
         if not self._order:
             return True
+        if any(plan.active.shape[0] for plan in self._plans):
+            return False
         if self._all_durations:
             return self.round >= self._max_duration
         if self.failure_model is None:
@@ -1852,6 +2197,10 @@ class VectorEngine:
                     cohort["eid"][slots],
                 )
             )
+        for plan in self._plans:
+            picked = plan.select(self.round, self.state)
+            if picked is not None:
+                chosen.append(picked)
 
         if chosen:
             initiators = np.concatenate([c[0] for c in chosen])

@@ -351,19 +351,21 @@ class TestVectorBackendCLI:
         # The "not vector-backend eligible" diagnostic now fires only for
         # protocols that truly cannot run vectorized (adaptive/ping-only),
         # never for composite algorithms, which dispatch per phase.
+        from repro.protocols.discovery import LatencyDiscoveryProtocol
         from repro.protocols.dtg import LDTGProtocol
         from repro.protocols.push_pull import PushPullProtocol
         from repro.sim.vector import vector_ineligibility
 
-        reason = vector_ineligibility(LDTGProtocol(2))
+        reason = vector_ineligibility(LatencyDiscoveryProtocol(2))
         assert reason == (
-            "protocol LDTGProtocol is not vector-backend eligible: it "
+            "protocol LatencyDiscoveryProtocol is not vector-backend eligible: it "
             "declares no vector_program() (only oblivious protocols can "
             "run on the vector backend; see docs/MODEL.md §8)"
         )
         import random
 
         assert vector_ineligibility(PushPullProtocol(random.Random(0))) is None
+        assert vector_ineligibility(LDTGProtocol(2)) is None
 
     def test_unknown_backend_is_parse_error(self):
         with pytest.raises(SystemExit):

@@ -2,17 +2,18 @@
 
 A ``backend="vector"`` :class:`~repro.protocols.base.PhaseRunner`
 dispatches each phase of a composite algorithm independently: eligible
-phases (RR Broadcast) ride :class:`~repro.sim.vector.VectorEngine`,
-adaptive phases (ℓ-DTG) fall back to the scalar engine over the *same*
-shared state.  The composite run must therefore be field-identical to
+phases (RR Broadcast, and ℓ-DTG's lockstep plan in plain runs) ride
+:class:`~repro.sim.vector.VectorEngine`, while ℓ-DTG phases in runs with
+crashes, caps or a recorder fall back to the scalar engine over the
+*same* shared state.  The composite run must therefore be field-identical to
 the all-scalar run — same per-phase rounds and exchanges, same totals,
 same final per-node knowledge — for EID, a chained ℓ-DTG schedule, and
 Path Discovery's ``T(k)`` sequence, crossed with crash schedules,
 incoming caps, and every rumor-state layout the vector leg can start
 from.
 
-The mirror-path golden leg records one composite EID run (mixed
-vector/scalar phases) and pins the event stream byte for byte: the
+The mirror-path golden leg records one composite EID run (recorded, so
+mixed vector/scalar phases) and pins the event stream byte for byte: the
 scalar run blesses the file, and the vector run — batched mirror by
 default, per-exchange sequential mirror under
 ``REPRO_VECTOR_MIRROR=sequential`` — must reproduce it exactly
@@ -158,19 +159,25 @@ class TestCompositeMatrix:
     @given(connected_latency_graphs(min_nodes=4, max_nodes=9), seeds(100))
     @settings(max_examples=5, deadline=None)
     def test_eid_mixes_backends(self, graph, seed):
-        """The vector EID run really is mixed: RR Broadcast phases ride
-        the fast path while the adaptive ℓ-DTG phases fall back."""
-        runner = run_composite("eid", graph, backend="vector")
-        backends = {p.backend for p in runner.phases}
-        assert "vector" in backends
-        assert "scalar-fallback" in backends
-        # Fallback reasons are recorded only for fallen-back phases.
-        assert any(r is not None for r in runner.phase_fallbacks)
-        assert any(
-            r is None
-            for r, p in zip(runner.phase_fallbacks, runner.phases)
-            if p.backend == "vector"
+        """A plain vector EID run is vector end to end; under an incoming
+        cap it really is mixed: RR Broadcast keeps the fast path while
+        the ℓ-DTG phases, whose lockstep plan a cap can break, fall back."""
+        plain = run_composite("eid", graph, backend="vector")
+        assert {p.backend for p in plain.phases} == {"vector"}
+        assert all(r is None for r in plain.phase_fallbacks)
+        capped = run_composite(
+            "eid",
+            graph,
+            backend="vector",
+            engine_kwargs={"max_incoming_per_round": 1 + seed % 3},
         )
+        for phase, reason in zip(capped.phases, capped.phase_fallbacks):
+            if "DTG" in phase.name:
+                assert phase.backend == "scalar-fallback"
+                assert "an incoming cap" in reason
+            else:
+                assert phase.backend == "vector"
+                assert reason is None
 
 
 def _composite_trace(backend, mirror=None) -> str:

@@ -138,6 +138,17 @@ class TestHarness:
         assert "conclusion: held" in text
 
 
+class TestTableMetricsIgnoreRunOrder:
+    def test_e5_table_bytes_unchanged_by_an_earlier_e6(self):
+        # E6 raises the process-global sim_state_bytes peak above E5's;
+        # E5's table must still report the peak reached in its own run.
+        from repro.experiments.sharding import table_to_json
+
+        alone = table_to_json(run_experiment("E5", "quick"))
+        run_experiment("E6", "quick")
+        assert table_to_json(run_experiment("E5", "quick")) == alone
+
+
 class TestFastExperimentsRun:
     """Smoke-run the cheap experiments end to end (quick profile)."""
 

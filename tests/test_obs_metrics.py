@@ -193,6 +193,39 @@ class TestMergeProtocol:
         assert target.gauge("peak").value() == 9  # existing peak is larger
         assert target.histogram("h").count() == 2
 
+    def test_running_peak_delta_is_the_peak_inside_the_window(self):
+        # A larger peak left from before the snapshot must not leak into
+        # the window's delta; the window reports its own peak.
+        registry = MetricsRegistry()
+        registry.gauge("peak").set_max(256, layout="dense")
+        snap = registry.snapshot()
+        registry.gauge("peak").set_max(64, layout="dense")
+        registry.gauge("peak").set_max(128, layout="dense")
+        registry.gauge("peak").set_max(32, layout="dense")
+        assert registry.gauge("peak").value(layout="dense") == 256
+        assert registry.since(snap)["peak"]["cells"] == {(("layout", "dense"),): 128}
+        assert registry.since({})["peak"]["cells"] == {(("layout", "dense"),): 256}
+
+    def test_merged_peaks_count_toward_the_window_peak(self):
+        # Pool-worker deltas arrive through merge(): they must feed the
+        # parent's window peak exactly like a local set_max.
+        target = MetricsRegistry()
+        target.gauge("peak").set_max(256)
+        snap = target.snapshot()
+        worker = MetricsRegistry()
+        worker.gauge("peak").set_max(128)
+        target.merge(worker.since({}))
+        assert target.gauge("peak").value() == 256
+        assert target.since(snap)["peak"]["cells"] == {(): 128}
+
+    def test_plain_write_ends_the_running_peak(self):
+        registry = MetricsRegistry()
+        registry.gauge("g").set_max(9)
+        snap = registry.snapshot()
+        registry.gauge("g").set_max(4)
+        registry.gauge("g").set(2)
+        assert registry.since(snap)["g"]["cells"] == {(): 2}
+
     def test_merge_creates_unknown_metrics_with_metadata(self):
         source = MetricsRegistry()
         source.counter("c_total", "the help").inc()

@@ -5,10 +5,14 @@ import pytest
 from repro.errors import SimulationError
 from repro.graphs import generators
 from repro.obs.metrics import default_registry, reset_metrics
+from repro.obs.recorder import Recorder
 from repro.protocols.base import PhaseRunner, per_node_rng_factory
+from repro.protocols.discovery import LatencyDiscoveryProtocol
 from repro.protocols.dtg import ldtg_factory
 from repro.protocols.push_pull import PushPullProtocol
 from repro.sim.engine import Engine
+from repro.sim.failures import CrashSchedule
+from repro.sim.invariants import default_checkers
 from repro.sim.runner import min_rumors_complete
 from repro.sim.state import NetworkState
 from repro.sim.vector import BroadcastVectorState, VectorState
@@ -126,12 +130,62 @@ class TestBackendDispatch:
         assert isinstance(runner.state, VectorState)
 
     def test_adaptive_phase_falls_back(self):
+        # A plain rotating ℓ-DTG phase rides the vector plan; ping-only
+        # latency discovery and random-linking ℓ-DTG stay ineligible.
         g = generators.clique(6)
         runner = PhaseRunner(g, backend="vector")
         runner.run_phase(ldtg_factory(g, 1), latencies_known=True)
+        runner.run_phase(
+            ldtg_factory(g, 1, run_tag="r", selection="random"),
+            latencies_known=True,
+        )
+        runner.run_phase(
+            lambda node: LatencyDiscoveryProtocol(2), latencies_known=False
+        )
+        assert [p.backend for p in runner.phases] == [
+            "vector",
+            "scalar-fallback",
+            "scalar-fallback",
+        ]
+        assert runner.phase_fallbacks[0] is None
+        assert "at random" in runner.phase_fallbacks[1]
+        assert "no vector_program" in runner.phase_fallbacks[2]
+
+    @pytest.mark.parametrize(
+        "engine_kwargs, label",
+        [
+            ({"max_incoming_per_round": 2}, "an incoming cap"),
+            ({"failure_model": CrashSchedule({})}, "a failure model"),
+            ({"checkers": default_checkers()}, "invariant checkers"),
+            ({"fresh_snapshots": True}, "fresh snapshots"),
+            ({"enforce_blocking": True}, "blocking enforcement"),
+            ({"recorder": "recorder"}, "a recorder"),
+        ],
+    )
+    def test_dtg_plan_blockers_fall_back(self, engine_kwargs, label):
+        g = generators.clique(6)
+        recorder = None
+        if engine_kwargs.get("recorder"):
+            recorder, engine_kwargs = Recorder.in_memory(), {}
+        runner = PhaseRunner(
+            g, backend="vector", recorder=recorder, engine_kwargs=engine_kwargs
+        )
+        runner.run_phase(ldtg_factory(g, 1), latencies_known=True)
         assert runner.phases[-1].backend == "scalar-fallback"
-        assert runner.phase_fallbacks[-1] is not None
-        assert "no vector_program" in runner.phase_fallbacks[-1]
+        assert label in runner.phase_fallbacks[-1]
+        counter = default_registry().counter("sim_phase_backend")
+        assert (
+            counter.value(
+                backend="scalar-fallback",
+                protocol="LDTGProtocol",
+                reason="dtg-plan-run",
+            )
+            == 1
+        )
+        plain = PhaseRunner(g)
+        plain.run_phase(ldtg_factory(g, 1), latencies_known=True)
+        assert runner.total_rounds == plain.total_rounds
+        assert runner.total_exchanges == plain.total_exchanges
 
     def test_explicit_factory_disables_dispatch(self):
         g = generators.clique(6)
@@ -149,6 +203,13 @@ class TestBackendDispatch:
             name="gossip",
         )
         runner.run_phase(ldtg_factory(g, 1), latencies_known=True)
+        runner.run_phase(
+            ldtg_factory(g, 1, run_tag="r", selection="random"),
+            latencies_known=True,
+        )
+        runner.run_phase(
+            lambda node: LatencyDiscoveryProtocol(2), latencies_known=False
+        )
         counter = default_registry().counter("sim_phase_backend")
         assert (
             counter.value(
@@ -157,9 +218,21 @@ class TestBackendDispatch:
             == 1
         )
         assert (
+            counter.value(backend="vector", protocol="LDTGProtocol", reason="eligible")
+            == 1
+        )
+        assert (
             counter.value(
                 backend="scalar-fallback",
                 protocol="LDTGProtocol",
+                reason="dtg-random-selection",
+            )
+            == 1
+        )
+        assert (
+            counter.value(
+                backend="scalar-fallback",
+                protocol="LatencyDiscoveryProtocol",
                 reason="no-vector-program",
             )
             == 1
@@ -190,7 +263,8 @@ class TestBackendDispatch:
         )
         assert isinstance(runner.state, VectorState)
         runner.run_phase(
-            ldtg_factory(g, 1, run_tag="grow"), latencies_known=True
+            ldtg_factory(g, 1, run_tag="grow", selection="random"),
+            latencies_known=True,
         )
         runner.run_phase(
             _push_pull_factory(2),
