@@ -41,6 +41,8 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import functools
+import hashlib
+import io
 import json
 import pathlib
 import platform
@@ -479,6 +481,51 @@ def _mirror_pushpull_workload(
     )
 
 
+def _jsonl_pushpull_workload(n: int, avg_degree: float, repeats: int) -> Workload:
+    """Recorder-attached vector broadcast streaming canonical JSONL.
+
+    The mirror workloads count events with a ``CounterSink``, so they
+    never reach the event encoder; this one writes every event through
+    ``JsonlSink`` (one :func:`~repro.obs.events.event_to_json` line each)
+    into an in-memory stream, so no disk time is in the number.  The
+    stream's digest pins the bytes across revisions.
+    """
+
+    def run() -> dict[str, Any]:
+        from repro.obs.recorder import JsonlSink, Recorder
+        from repro.protocols.push_pull import run_push_pull
+
+        graph = _vector_bench_graph(n, avg_degree, 8)
+        stream = io.StringIO()
+        sink = JsonlSink(stream)
+        with Recorder(sink) as recorder:
+            result = run_push_pull(
+                graph, mode="broadcast", seed=0, backend="vector", recorder=recorder
+            )
+        return {
+            "rounds": result.rounds,
+            "exchanges": result.exchanges,
+            "n": n,
+            "backend": "vector",
+            "events": sink.lines_written,
+            "events_blake2b": hashlib.blake2b(
+                stream.getvalue().encode("ascii"), digest_size=16
+            ).hexdigest(),
+        }
+
+    return Workload(
+        name=f"pushpull_broadcast_jsonl_n{n}",
+        description=(
+            f"recorder-attached push--pull broadcast on the vector backend "
+            f"streaming canonical JSONL (JsonlSink into an in-memory stream) "
+            f"over fast-sampled Erdős–Rényi G({n}, {avg_degree}/n), "
+            f"latencies 1..8, seed 0"
+        ),
+        run=run,
+        repeats=repeats,
+    )
+
+
 def engine_vector_microbenchmarks(profile: str) -> list[Workload]:
     """The engine-backend comparison suite (scalar vs vector).
 
@@ -491,7 +538,8 @@ def engine_vector_microbenchmarks(profile: str) -> list[Workload]:
     composite-dispatch speedup point), the EID and ℓ-DTG acceptance
     composites, and the recorder-on mirror-path pair (batched vs
     forced-sequential).  Both profiles share ``eid_vector_er_n2000`` (an
-    all-vector EID run), so the regression gate always has a workload to
+    all-vector EID run) and ``pushpull_broadcast_jsonl_n2000`` (the JSONL
+    event-encoding path), so the regression gate always has workloads to
     compare against the committed baseline.
     """
     from repro.experiments.harness import validate_profile
@@ -508,6 +556,7 @@ def engine_vector_microbenchmarks(profile: str) -> list[Workload]:
                 "sequential", n=2000, avg_degree=16.0, repeats=3
             ),
             _eid_workload("vector", n=2000, avg_degree=8.0, diameter=2, repeats=1),
+            _jsonl_pushpull_workload(n=2000, avg_degree=16.0, repeats=3),
         ]
     return [
         _backend_pushpull_workload("scalar", n=10_000, avg_degree=16.0, repeats=1),
@@ -531,6 +580,7 @@ def engine_vector_microbenchmarks(profile: str) -> list[Workload]:
         _mirror_pushpull_workload(
             "sequential", n=10_000, avg_degree=16.0, repeats=1
         ),
+        _jsonl_pushpull_workload(n=2000, avg_degree=16.0, repeats=3),
     ]
 
 

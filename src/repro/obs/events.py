@@ -16,12 +16,15 @@ round      end-of-round summary: counts and in-flight backlog
 ========== ==========================================================
 
 Events are plain frozen dataclasses — cheap to build, hashable, and
-order-stable.  :func:`event_to_dict` / :func:`events_to_jsonl` define the
-**canonical wire form** used by the golden-trace regression suite and the
-``repro trace --jsonl`` exporter: keys sorted, compact separators, node
-identities rendered via :func:`node_key`.  Any change to this format or
-to the engine's event semantics makes the committed golden streams drift
-and fails the suite loudly — which is the point.
+order-stable.  :func:`event_to_dict` plus a sorted, compact, ASCII
+``json.dumps`` is the **canonical wire form** used by the golden-trace
+regression suite and the ``repro trace --jsonl`` exporter: keys sorted,
+compact separators, node identities rendered via :func:`node_key`.
+:func:`event_to_json` is its compiled form — one generated formatter per
+event class, byte-identical to the spec (``tests/test_obs_encoding.py``
+pins that).  Any change to this format or to the engine's event semantics
+makes the committed golden streams drift and fails the suite loudly —
+which is the point.
 
 Nothing here imports from :mod:`repro.sim`; the observability layer sits
 below the engine so the engine can depend on it without cycles.
@@ -31,7 +34,7 @@ from __future__ import annotations
 
 import dataclasses
 import json
-from typing import Any, Hashable, Iterable, Union
+from typing import Any, Callable, Hashable, Iterable, Union
 
 __all__ = [
     "Event",
@@ -56,14 +59,13 @@ NodeId = Hashable
 def node_key(node: NodeId) -> Union[int, str]:
     """A JSON-safe, deterministic identity for a node.
 
-    Integers and strings pass through; any other hashable (tuples, frozen
+    Integers and strings pass through — bools too, being ints, so they
+    serialize as ``true`` / ``false``; any other hashable (tuples, frozen
     dataclasses, ...) is rendered via ``repr``, which the library keeps
     deterministic (node reprs are part of per-node RNG seeding already).
     """
     if isinstance(node, (int, str)):
         return node
-    if isinstance(node, bool):  # pragma: no cover - bool is an int subtype
-        return int(node)
     return repr(node)
 
 
@@ -188,11 +190,68 @@ def event_to_dict(event: Event) -> dict[str, Any]:
     return record
 
 
-def event_to_json(event: Event) -> str:
-    """One canonical JSON line: sorted keys, compact separators, ASCII."""
-    return json.dumps(
-        event_to_dict(event), sort_keys=True, separators=(",", ":"), ensure_ascii=True
+def _value_json(value: Any) -> str:
+    """One value as the spec's ``json.dumps`` renders it."""
+    return json.dumps(value, sort_keys=True, separators=(",", ":"), ensure_ascii=True)
+
+
+#: Generated formatters by event class (filled on first use).
+_FORMATTERS: dict[type, Callable[[Event], str]] = {}
+
+
+def _compile_formatter(cls: type) -> Callable[[Event], str]:
+    """Generate the one-line JSON formatter of an event class.
+
+    The sorted key order (``kind`` included) and the key text are baked
+    into a ``%``-template once; per event the formatter only reads the
+    fields and renders each value the way :func:`event_to_dict` plus
+    ``json.dumps`` would — bools and plain ints inline, node fields
+    through :func:`node_key`, everything else through :func:`_value_json`.
+    """
+    fields = {field.name for field in dataclasses.fields(cls)}
+    kind = cls.kind
+    keys, reads, renders = [], [], []
+    for i, name in enumerate(sorted(fields | {"kind"})):
+        keys.append(json.dumps(name, ensure_ascii=True).replace("%", "%%") + ":%s")
+        # Reading ``event.kind`` keeps a ``kind`` field's override, as in the spec.
+        reads.append(f"    v{i} = event.{name}")
+        value = f"_node_key(v{i})" if name in _NODE_FIELDS else f"v{i}"
+        render = (
+            f'"true" if v{i} is True else "false" if v{i} is False'
+            f" else _int_repr(v{i}) if v{i}.__class__ is _int else _value_json({value})"
+        )
+        if name not in fields:
+            # The class discriminator: its text is rendered once, here.
+            render = f"_kind_text if v{i} is _kind else {render}"
+        renders.append(render)
+    source = "def format_event(event):\n{}\n    return _template % ({},)\n".format(
+        "\n".join(reads), ", ".join(renders)
     )
+    namespace = {
+        "_template": "{" + ",".join(keys) + "}",
+        "_int": int,
+        "_int_repr": int.__repr__,
+        "_node_key": node_key,
+        "_value_json": _value_json,
+        "_kind": kind,
+        "_kind_text": _value_json(kind),
+    }
+    exec(source, namespace)
+    return namespace["format_event"]
+
+
+def event_to_json(event: Event) -> str:
+    """One canonical JSON line: sorted keys, compact separators, ASCII.
+
+    Byte-identical to ``json.dumps(event_to_dict(event), sort_keys=True,
+    separators=(",", ":"), ensure_ascii=True)``, through the event class's
+    generated formatter (built on first use, so any ``Event`` subclass
+    works without registration).
+    """
+    formatter = _FORMATTERS.get(event.__class__)
+    if formatter is None:
+        formatter = _FORMATTERS[event.__class__] = _compile_formatter(event.__class__)
+    return formatter(event)
 
 
 def events_to_jsonl(events: Iterable[Event]) -> str:

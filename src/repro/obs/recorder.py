@@ -99,8 +99,7 @@ class JsonlSink:
         self.lines_written = 0
 
     def write(self, event: Event) -> None:
-        self._file.write(event_to_json(event))
-        self._file.write("\n")
+        self._file.write(event_to_json(event) + "\n")
         self.lines_written += 1
 
     def close(self) -> None:
