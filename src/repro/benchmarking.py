@@ -423,57 +423,37 @@ def _ldtg_workload(
     )
 
 
-def _mirror_pushpull_workload(
-    mirror: str, n: int, avg_degree: float, repeats: int
-) -> Workload:
-    """Recorder-attached vector broadcast under one mirror-path mode.
+def _mirror_pushpull_workload(n: int, avg_degree: float, repeats: int) -> Workload:
+    """Recorder-attached vector broadcast on the batched mirror path.
 
-    ``mirror="batched"`` is the default event-mirror path (rounds are
-    computed with the array kernels, events emitted from the precomputed
-    buckets); ``mirror="sequential"`` forces the per-exchange replay via
-    ``REPRO_VECTOR_MIRROR`` — the PR-7 behavior — so the committed pair
-    is the mirror-path before/after table.
+    Rounds are computed with the array kernels and the events emitted
+    from the precomputed buckets; a ``CounterSink`` keeps the event
+    encoder out of the number.
     """
-    if mirror not in ("batched", "sequential"):
-        raise ValueError(f"mirror must be 'batched' or 'sequential', not {mirror!r}")
 
     def run() -> dict[str, Any]:
-        import os
-
         from repro.obs.recorder import CounterSink, Recorder
         from repro.protocols.push_pull import run_push_pull
 
         graph = _vector_bench_graph(n, avg_degree, 8)
         sink = CounterSink()
-        recorder = Recorder(sink)
-        previous = os.environ.get("REPRO_VECTOR_MIRROR")
-        os.environ["REPRO_VECTOR_MIRROR"] = (
-            "sequential" if mirror == "sequential" else ""
+        result = run_push_pull(
+            graph, mode="broadcast", seed=0, backend="vector", recorder=Recorder(sink)
         )
-        try:
-            result = run_push_pull(
-                graph, mode="broadcast", seed=0, backend="vector",
-                recorder=recorder,
-            )
-        finally:
-            if previous is None:
-                del os.environ["REPRO_VECTOR_MIRROR"]
-            else:
-                os.environ["REPRO_VECTOR_MIRROR"] = previous
         return {
             "rounds": result.rounds,
             "exchanges": result.exchanges,
             "n": n,
             "backend": "vector",
-            "mirror": mirror,
+            "mirror": "batched",
             "events": sum(sink.by_kind.values()),
         }
 
     return Workload(
-        name=f"pushpull_broadcast_mirror_{mirror}_er_n{n}",
+        name=f"pushpull_broadcast_mirror_batched_er_n{n}",
         description=(
             f"recorder-attached push--pull broadcast on the vector backend "
-            f"({mirror} mirror path) over fast-sampled Erdős–Rényi "
+            f"(batched mirror path) over fast-sampled Erdős–Rényi "
             f"G({n}, {avg_degree}/n), latencies 1..8, seed 0"
         ),
         run=run,
@@ -484,8 +464,8 @@ def _mirror_pushpull_workload(
 def _jsonl_pushpull_workload(n: int, avg_degree: float, repeats: int) -> Workload:
     """Recorder-attached vector broadcast streaming canonical JSONL.
 
-    The mirror workloads count events with a ``CounterSink``, so they
-    never reach the event encoder; this one writes every event through
+    The mirror workload counts events with a ``CounterSink``, so it
+    never reaches the event encoder; this one writes every event through
     ``JsonlSink`` (one :func:`~repro.obs.events.event_to_json` line each)
     into an in-memory stream, so no disk time is in the number.  The
     stream's digest pins the bytes across revisions.
@@ -536,11 +516,11 @@ def engine_vector_microbenchmarks(profile: str) -> list[Workload]:
     scalar engine cannot reach in benchmark-friendly time.  The composite
     rows: the all-vector-eligible phase chain at ``n = 10^4`` (the
     composite-dispatch speedup point), the EID and ℓ-DTG acceptance
-    composites, and the recorder-on mirror-path pair (batched vs
-    forced-sequential).  Both profiles share ``eid_vector_er_n2000`` (an
-    all-vector EID run) and ``pushpull_broadcast_jsonl_n2000`` (the JSONL
-    event-encoding path), so the regression gate always has workloads to
-    compare against the committed baseline.
+    composites, and the recorder-on batched mirror path.  Both profiles
+    share ``eid_vector_er_n2000`` (an all-vector EID run) and
+    ``pushpull_broadcast_jsonl_n2000`` (the JSONL event-encoding path),
+    so the regression gate always has workloads to compare against the
+    committed baseline.
     """
     from repro.experiments.harness import validate_profile
 
@@ -551,10 +531,7 @@ def engine_vector_microbenchmarks(profile: str) -> list[Workload]:
             _backend_pushpull_workload("vector", n=2000, avg_degree=16.0, repeats=3),
             _backend_pushpull_workload("vector", n=20_000, avg_degree=16.0, repeats=1),
             _composite_chain_workload("vector", n=2000, avg_degree=16.0, repeats=3),
-            _mirror_pushpull_workload("batched", n=2000, avg_degree=16.0, repeats=3),
-            _mirror_pushpull_workload(
-                "sequential", n=2000, avg_degree=16.0, repeats=3
-            ),
+            _mirror_pushpull_workload(n=2000, avg_degree=16.0, repeats=3),
             _eid_workload("vector", n=2000, avg_degree=8.0, diameter=2, repeats=1),
             _jsonl_pushpull_workload(n=2000, avg_degree=16.0, repeats=3),
         ]
@@ -576,10 +553,7 @@ def engine_vector_microbenchmarks(profile: str) -> list[Workload]:
         _eid_workload("vector", n=2000, avg_degree=8.0, diameter=2, repeats=1),
         _ldtg_workload("scalar", n=1000, avg_degree=16.0, max_latency=2, repeats=3),
         _ldtg_workload("vector", n=1000, avg_degree=16.0, max_latency=2, repeats=3),
-        _mirror_pushpull_workload("batched", n=10_000, avg_degree=16.0, repeats=3),
-        _mirror_pushpull_workload(
-            "sequential", n=10_000, avg_degree=16.0, repeats=1
-        ),
+        _mirror_pushpull_workload(n=10_000, avg_degree=16.0, repeats=3),
         _jsonl_pushpull_workload(n=2000, avg_degree=16.0, repeats=3),
     ]
 

@@ -6,9 +6,9 @@ non-blocking latency model.  This module turns the prose of
 ``docs/MODEL.md`` into executable checks: an :class:`InvariantChecker`
 plugs into either engine backend — the scalar
 :class:`~repro.sim.engine.Engine` or the
-:class:`~repro.sim.vector.VectorEngine` (which drops to its sequential
-mirror path whenever checkers are attached, so I1–I5 observe the exact
-same per-exchange event stream on both backends) — opt-in via
+:class:`~repro.sim.vector.VectorEngine` (which runs the scalar engine's
+own per-exchange ``step()`` whenever checkers are attached, so I1–I5
+observe the exact same event stream on both backends) — opt-in via
 ``Engine(..., checkers=default_checkers())``, and observes every round,
 initiation, and delivery.  A violation raises
 :class:`~repro.errors.SimulationError` carrying a round-stamped excerpt of
@@ -121,8 +121,8 @@ class InvariantChecker:
     and call :meth:`fail` on a violation.  One instance observes one
     engine run.  The ``engine`` the hooks receive is duck-typed: any
     backend exposing ``graph``/``state``/``round``/``failure_model`` and
-    ``recent_checker_events()`` works (the scalar ``Engine`` and the
-    ``VectorEngine`` sequential path both do).
+    ``recent_checker_events()`` works (the scalar ``Engine`` and its
+    ``VectorEngine`` subclass both do).
     """
 
     #: Short name used in violation messages.

@@ -67,13 +67,14 @@ completion round — in every layout.  The differential suites
 the golden-trace parity suite enforce this.
 
 When a run needs observability or model features the array path cannot
-replay in order (invariant checkers, a recorder, a failure model,
+replay in order (invariant checkers, a failure model,
 ``fresh_snapshots``, ``enforce_blocking``, or note boards carried in from
-a previous phase), the engine transparently drops to a **sequential
-path** — a faithful per-exchange mirror of the scalar engine (including
-its done-node parking and delivery wake-ups) operating on the layout
-state — so event streams stay byte-identical to the scalar backend's at
-small ``n``, and a recorder-off run keeps the zero-cost array fast path.
+a previous phase), :class:`VectorEngine` — an :class:`Engine` subclass —
+runs the scalar engine's own per-exchange ``step()`` (done-node parking
+and delivery wake-ups included) over the layout state, so event streams
+stay byte-identical to the scalar backend's.  A recorder alone takes the
+**batched mirror**: array-kernel rounds that emit the scalar event
+stream; a recorder-off run keeps the zero-cost array fast path.
 """
 
 from __future__ import annotations
@@ -92,20 +93,16 @@ import numpy as np
 from repro.errors import ProtocolError, SimulationError
 from repro.graphs.latency_graph import LatencyGraph, Node
 from repro.obs.events import (
-    BlockedInitiationEvent,
     DeliveryEvent,
     InitiationEvent,
     RejectedInitiationEvent,
     RoundEvent,
-    VoidExchangeEvent,
     WakeupEvent,
 )
 from repro.obs.recorder import Recorder
 from repro.sim import invariants as _invariants
 from repro.sim.engine import (
     _CHECKER_LOG_SIZE,
-    _EMPTY_PAYLOAD,
-    Delivery,
     Engine,
     NodeContext,
     NodeProtocol,
@@ -113,7 +110,7 @@ from repro.sim.engine import (
     _InFlight,
 )
 from repro.sim.failures import FailureModel
-from repro.sim.invariants import DeliveryView, ExchangeView, InvariantChecker
+from repro.sim.invariants import InvariantChecker
 from repro.sim.metrics import EngineMetrics
 from repro.sim.programs import ProgramProtocol
 from repro.sim.state import NetworkState, Note, Payload, _RumorSpace
@@ -383,8 +380,8 @@ class VectorState:
     (rumors, coverage, note boards, snapshot/merge interop via
     :class:`~repro.sim.state.Payload`) over an ``n × words`` uint64
     matrix, so the vector engine's array kernels and every scalar
-    consumer (completion predicates, invariant checkers, the sequential
-    mirror path) read the same storage.
+    consumer (completion predicates, invariant checkers, the scalar
+    engine's per-exchange step) read the same storage.
 
     This class is both the **dense** layout and the base of the
     specialized layouts (:class:`BroadcastVectorState`,
@@ -422,8 +419,8 @@ class VectorState:
         self._notes: list[dict[Node, Note]] = [{} for _ in range(n)]
         # Copy-on-write caches, invalidated per node on change (the
         # NetworkState pattern): reused Payload snapshots and Python-int
-        # row masks, so the sequential mirror path's snapshot/merge
-        # hotspots stop re-packing unchanged rows.
+        # row masks, so the per-exchange path's snapshot/merge hotspots
+        # stop re-packing unchanged rows.
         self._snapshots: list[Optional[Payload]] = [None] * n
         self._masks_cache: list[Optional[int]] = [None] * n
         self._cache_filled = False
@@ -1364,8 +1361,9 @@ def _run_blockers(
     """Labels of the run features that observe or perturb single exchanges.
 
     Any of them moves the engine off the array fast path (a recorder
-    alone takes the batched mirror path, anything else the sequential
-    one), and any of them — or an incoming cap — rules out ℓ-DTG plans.
+    alone takes the batched mirror path; anything else runs the scalar
+    engine's per-exchange ``step()`` over the layout state), and any of
+    them — or an incoming cap — rules out ℓ-DTG plans.
     """
     return [
         label
@@ -1387,7 +1385,7 @@ def _plan_refusal(protocol_name: str, blockers: list[str]) -> Optional[str]:
     The plan relies on lockstep: every exchange of iteration ``i``
     delivers before iteration ``i + 1`` starts.  Anything that can
     reject, lose or observe single exchanges breaks that or needs the
-    per-exchange paths, which replay no plans.
+    mirror or per-exchange path, neither of which replays plans.
     """
     if not blockers:
         return None
@@ -1639,17 +1637,20 @@ class _LDTGPlan:
             }
 
 
-class VectorEngine:
+class VectorEngine(Engine):
     """Array-ops drop-in for :class:`~repro.sim.engine.Engine`.
 
     Accepts the same constructor arguments and exposes the same run-facing
-    surface (``step``/``run``/``metrics``/``last_initiations``/
-    ``pending_exchanges``/``all_done``/``protocol``/``finish_checks``),
-    but requires every protocol instance to export a
+    surface, but requires every protocol instance to export a
     :class:`VectorProgram` (oblivious protocols only — see module
-    docstring).  Runs with checkers, a recorder, a failure model,
-    ``fresh_snapshots``, ``enforce_blocking``, or inherited note boards
-    take the sequential mirror path; plain runs take the array fast path.
+    docstring).  Plain runs take the array fast path and a run whose
+    only observer is a recorder takes the batched mirror path.  Runs
+    with checkers, a failure model, ``fresh_snapshots``,
+    ``enforce_blocking`` or inherited note boards execute the scalar
+    engine's own :meth:`~repro.sim.engine.Engine.step` and
+    :meth:`~repro.sim.engine.Engine.all_done` over the layout state.
+    ``__init__`` is this class's own: it builds the scalar scheduler
+    state only for those per-exchange runs.
     """
 
     def __init__(
@@ -1809,8 +1810,8 @@ class VectorEngine:
         # boards all observe (or perturb) individual exchanges.  A recorder
         # *alone* takes the batched mirror path: deliveries are computed
         # with the array kernels and the byte-identical event stream is
-        # emitted from the precomputed buckets (REPRO_VECTOR_MIRROR=
-        # sequential forces the per-exchange replay instead).
+        # emitted from the precomputed buckets.  Anything else runs the
+        # scalar engine's own step over this engine's state.
         blockers = _run_blockers(
             self.state,
             self._checkers,
@@ -1819,11 +1820,7 @@ class VectorEngine:
             fresh_snapshots,
             enforce_blocking,
         )
-        self._mirror = (
-            blockers == ["a recorder"]
-            and os.environ.get("REPRO_VECTOR_MIRROR", "").strip().lower()
-            != "sequential"
-        )
+        self._mirror = blockers == ["a recorder"]
         self._sequential = bool(blockers) and not self._mirror
         self._plans: list[_LDTGPlan] = []
         if plan_members:
@@ -1851,12 +1848,12 @@ class VectorEngine:
                 (d for d in self._duration_list if d >= 0), default=None
             )
         if self._sequential:
-            # The scalar engine's active-set scheduler, mirrored exactly:
-            # done nodes park, deliveries wake them (dense-id merge order).
+            # The scalar engine's active-set scheduler, which its step()
+            # and all_done() drive: done nodes park, deliveries wake them.
             self._active: list[Node] = list(self._order)
             self._parked: set[Node] = set()
             self._woken: list[Node] = []
-            self._seq_index = {node: i for i, node in enumerate(self._order)}
+            self._node_index = {node: i for i, node in enumerate(self._order)}
         self._fingerprint = self.state._k_width()
         self._in_flight: dict[int, list[_InFlight]] = {}
         self._buckets: dict[int, list[_Batch]] = {}
@@ -1984,6 +1981,10 @@ class VectorEngine:
             ]
         return self._last_list
 
+    @last_initiations.setter
+    def last_initiations(self, pairs: list[tuple[Node, Node]]) -> None:
+        self._last_pairs, self._last_list = None, pairs
+
     def protocol(self, node: Node) -> NodeProtocol:
         """The protocol instance for ``node`` (for post-run inspection).
 
@@ -1998,77 +1999,24 @@ class VectorEngine:
         return self._protocols[node]
 
     def all_done(self) -> bool:
-        """Local-termination check, mirroring the scalar parking scheduler.
+        """Local-termination check.
 
-        On the fast path a protocol is done exactly when its declared
-        ``duration`` has elapsed (programs without a duration never
-        terminate) and an ℓ-DTG member once its plan stopped it; the
-        sequential path queries ``is_done()`` like the scalar engine does,
-        honoring parked and crashed nodes.
+        On the fast and mirror paths a protocol is done exactly when its
+        declared ``duration`` has elapsed (programs without a duration
+        never terminate) and an ℓ-DTG member once its plan stopped it;
+        per-exchange runs use the scalar engine's check, which queries
+        ``is_done()`` and honors parked and crashed nodes.
         """
         if self._sequential:
-            parked = self._parked
-            for node in self._order:
-                if node in parked:
-                    continue
-                if self.failure_model is not None and self.failure_model.node_crashed(
-                    node, self.round
-                ):
-                    continue
-                if not self._protocols[node].is_done(self._contexts[node]):
-                    return False
-            return True
-        if not self._order:
-            return True
+            return super().all_done()
         if any(plan.active.shape[0] for plan in self._plans):
             return False
-        if self._all_durations:
-            return self.round >= self._max_duration
-        if self.failure_model is None:
-            return False
-        return all(
-            self.failure_model.node_crashed(node, self.round)
-            for node in self._order
-        )
-
-    def pending_exchanges(self) -> int:
-        """Number of exchanges still in flight."""
-        return self._pending_count
-
-    def recent_checker_events(self) -> list[str]:
-        """The most recent logged events (the violation trace excerpt)."""
-        return list(self._checker_log)
-
-    def _log_event(self, event: str) -> None:
-        if self._checkers:
-            self._checker_log.append(event)
-
-    def run(
-        self,
-        until: Optional[Callable[["VectorEngine"], bool]] = None,
-        max_rounds: int = 1_000_000,
-    ) -> int:
-        """Run until ``until(engine)`` is true (checked before each round)."""
-        predicate = until if until is not None else (lambda engine: engine.all_done())
-        while not predicate(self):
-            if self.round >= max_rounds:
-                raise SimulationError(
-                    f"simulation exceeded max_rounds={max_rounds} "
-                    f"(round={self.round}, pending={self._pending_count})"
-                )
-            self.step()
-        self.finish_checks()
-        return self.round
-
-    def finish_checks(self) -> None:
-        """Give every attached invariant checker a final end-of-run look."""
-        for checker in self._checkers:
-            checker.on_run_end(self)
+        return self._all_durations and self.round >= self._max_duration
 
     def step(self) -> None:
         """Execute one round: deliver due exchanges, then collect initiations."""
         if self._sequential:
-            self._step_sequential()
+            super().step()
         elif self._mirror:
             self._step_mirror()
         else:
@@ -2450,302 +2398,6 @@ class VectorEngine:
                         woken.add(x)
                         record(WakeupEvent(r, nodes[x]))
         return delivered
-
-    # -- sequential path: the scalar engine's semantics, exchange by
-    # -- exchange, over the layout state (checkers/recorder/failures) ----
-    def _step_sequential(self) -> None:
-        self._last_list = []
-        self._last_pairs = None
-        for checker in self._checkers:
-            checker.on_round_start(self)
-        delivered = self._deliver_due()
-        if self._woken:
-            self._wake_parked()
-        recorder = self.recorder
-        incoming: dict[Node, int] = {}
-        failure_model = self.failure_model
-        protocols = self._protocols
-        contexts = self._contexts
-        graph_adj = self.graph.adjacency_view()
-        survivors: list[Node] = []
-        keep = survivors.append
-        for node in self._active:
-            if failure_model is not None and failure_model.node_crashed(
-                node, self.round
-            ):
-                keep(node)  # crashes are observed, never cached
-                continue
-            protocol = protocols[node]
-            ctx = contexts[node]
-            if protocol.is_done(ctx):
-                self._parked.add(node)  # leaves the active set until a delivery
-                continue
-            keep(node)
-            target = protocol.on_round(ctx)
-            if target is None:
-                continue
-            if target not in graph_adj.get(node, ()):
-                raise ProtocolError(
-                    f"node {node!r} tried to contact non-neighbor {target!r}"
-                )
-            if self.max_incoming_per_round is not None:
-                accepted = incoming.get(target, 0)
-                if accepted >= self.max_incoming_per_round:
-                    self._metrics.rejected_initiations += 1
-                    if recorder is not None:
-                        recorder.record(
-                            RejectedInitiationEvent(
-                                round=self.round, initiator=node, responder=target
-                            )
-                        )
-                    continue
-                incoming[target] = accepted + 1
-            self._initiate(node, target)
-        self._active = survivors
-        for checker in self._checkers:
-            checker.on_round_end(self)
-        if recorder is not None:
-            recorder.record(
-                RoundEvent(
-                    round=self.round,
-                    initiations=len(self._last_list),
-                    deliveries=delivered,
-                    in_flight=self._pending_count,
-                )
-            )
-        self.round += 1
-        self._metrics.rounds = self.round
-
-    def _wake_parked(self) -> None:
-        """Merge nodes re-activated by a delivery back in dense-id order."""
-        index = self._seq_index
-        woken = sorted(set(self._woken), key=index.__getitem__)
-        self._woken = []
-        merged: list[Node] = []
-        active = self._active
-        i = j = 0
-        while i < len(active) and j < len(woken):
-            if index[active[i]] <= index[woken[j]]:
-                merged.append(active[i])
-                i += 1
-            else:
-                merged.append(woken[j])
-                j += 1
-        merged.extend(active[i:])
-        merged.extend(woken[j:])
-        self._active = merged
-
-    def _initiate(self, initiator: Node, responder: Node) -> None:
-        latency = self.graph.latency(initiator, responder)
-        if self.enforce_blocking and self._in_flight_initiations.get(initiator, 0):
-            self._metrics.blocked_initiations += 1
-            if self.recorder is not None:
-                self.recorder.record(
-                    BlockedInitiationEvent(
-                        round=self.round, initiator=initiator, responder=responder
-                    )
-                )
-            raise ProtocolError(
-                f"blocking violation: node {initiator!r} initiated while a "
-                "previous exchange of its own is still in flight"
-            )
-        lost = self.failure_model is not None and self.failure_model.exchange_lost(
-            initiator, responder, self.round
-        )
-        if self.recorder is not None:
-            self.recorder.record(
-                InitiationEvent(
-                    round=self.round,
-                    initiator=initiator,
-                    responder=responder,
-                    latency=latency,
-                    ping=False,
-                    lost=lost,
-                )
-            )
-        if self._checkers:
-            self._log_event(
-                f"round {self.round}: {initiator!r} -> {responder!r} initiate "
-                f"(latency {latency}" + (", lost" if lost else "") + ")"
-            )
-            view = ExchangeView(
-                initiator=initiator,
-                responder=responder,
-                round=self.round,
-                latency=latency,
-                ping_only=False,
-                lost=lost,
-            )
-            for checker in self._checkers:
-                checker.on_initiation(self, view)
-        if lost:
-            self._metrics.lost_exchanges += 1
-            return
-        self._sequence += 1
-        if self.fresh_snapshots:
-            initiator_payload = responder_payload = _EMPTY_PAYLOAD
-        else:
-            initiator_payload = self.state.snapshot(initiator)
-            responder_payload = self.state.snapshot(responder)
-        exchange = _InFlight(
-            delivers_at=self.round + latency,
-            sequence=self._sequence,
-            initiator=initiator,
-            responder=responder,
-            initiated_at=self.round,
-            initiator_payload=initiator_payload,
-            responder_payload=responder_payload,
-            ping_only=False,
-        )
-        bucket = self._in_flight.get(exchange.delivers_at)
-        if bucket is None:
-            bucket = self._in_flight[exchange.delivers_at] = []
-        bucket.append(exchange)
-        self._pending_count += 1
-        if self.enforce_blocking:
-            self._in_flight_initiations[initiator] = (
-                self._in_flight_initiations.get(initiator, 0) + 1
-            )
-        self._last_list.append((initiator, responder))
-        if not self.fresh_snapshots:
-            self._account_payloads(initiator_payload, responder_payload)
-        self._metrics.exchanges += 1
-        self._metrics.messages += 2
-        self._metrics.activated_edges.add(
-            self.graph.canonical_edge(initiator, responder)
-        )
-
-    def _account_payloads(
-        self, initiator_payload: Payload, responder_payload: Payload
-    ) -> None:
-        sent = initiator_payload.rumor_count
-        received = responder_payload.rumor_count
-        self._metrics.rumor_tokens_sent += sent + received
-        if sent < received:
-            sent = received
-        if sent > self._metrics.max_payload_rumors:
-            self._metrics.max_payload_rumors = sent
-
-    def _deliver_due(self) -> int:
-        bucket = self._in_flight.pop(self.round, None)
-        if bucket is None:
-            return 0
-        self._pending_count -= len(bucket)
-        for exchange in bucket:
-            self._deliver(exchange)
-        return len(bucket)
-
-    def _deliver(self, exchange: _InFlight) -> None:
-        if self.enforce_blocking:
-            remaining = self._in_flight_initiations[exchange.initiator] - 1
-            if remaining:
-                self._in_flight_initiations[exchange.initiator] = remaining
-            else:
-                del self._in_flight_initiations[exchange.initiator]
-        initiator_alive = responder_alive = True
-        if self.failure_model is not None:
-            initiator_alive = not self.failure_model.node_crashed(
-                exchange.initiator, self.round
-            )
-            responder_alive = not self.failure_model.node_crashed(
-                exchange.responder, self.round
-            )
-        if self._checkers:
-            delivery_view = DeliveryView(
-                initiator=exchange.initiator,
-                responder=exchange.responder,
-                initiated_at=exchange.initiated_at,
-                delivered_at=self.round,
-                ping_only=False,
-                initiator_alive=initiator_alive,
-            )
-        if not responder_alive:
-            self._metrics.lost_exchanges += 1
-            if self.recorder is not None:
-                self.recorder.record(
-                    VoidExchangeEvent(
-                        round=self.round,
-                        initiator=exchange.initiator,
-                        responder=exchange.responder,
-                        initiated_at=exchange.initiated_at,
-                    )
-                )
-            if self._checkers:
-                self._log_event(
-                    f"round {self.round}: exchange {exchange.initiator!r} -> "
-                    f"{exchange.responder!r} (from round "
-                    f"{exchange.initiated_at}) void: responder crashed"
-                )
-                for checker in self._checkers:
-                    checker.on_exchange_void(self, delivery_view)
-            return
-        if self.fresh_snapshots:
-            initiator_payload = self.state.snapshot(exchange.initiator)
-            responder_payload = self.state.snapshot(exchange.responder)
-            self._account_payloads(initiator_payload, responder_payload)
-        else:
-            initiator_payload = exchange.initiator_payload
-            responder_payload = exchange.responder_payload
-        recorder = self.recorder
-        if recorder is not None:
-            before_responder = self.state.rumor_count(exchange.responder)
-            before_initiator = (
-                self.state.rumor_count(exchange.initiator) if initiator_alive else 0
-            )
-        self.state.merge(exchange.responder, initiator_payload)
-        if initiator_alive:
-            self.state.merge(exchange.initiator, responder_payload)
-        if recorder is not None:
-            recorder.record(
-                DeliveryEvent(
-                    round=self.round,
-                    initiator=exchange.initiator,
-                    responder=exchange.responder,
-                    initiated_at=exchange.initiated_at,
-                    ping=False,
-                    initiator_alive=initiator_alive,
-                    learned_by_initiator=(
-                        self.state.rumor_count(exchange.initiator) - before_initiator
-                        if initiator_alive
-                        else 0
-                    ),
-                    learned_by_responder=(
-                        self.state.rumor_count(exchange.responder) - before_responder
-                    ),
-                )
-            )
-        if self._checkers:
-            self._log_event(
-                f"round {self.round}: {exchange.initiator!r} <-> "
-                f"{exchange.responder!r} deliver (initiated at "
-                f"{exchange.initiated_at}"
-                + ("" if initiator_alive else ", initiator crashed")
-                + ")"
-            )
-            for checker in self._checkers:
-                checker.on_delivery(self, delivery_view)
-        endpoints = [(exchange.responder, False)]
-        if initiator_alive:
-            endpoints.insert(0, (exchange.initiator, True))
-        parked = self._parked
-        for node, by_me in endpoints:
-            peer = exchange.responder if by_me else exchange.initiator
-            self._protocols[node].on_deliver(
-                self._contexts[node],
-                Delivery(
-                    peer=peer,
-                    initiated_at=exchange.initiated_at,
-                    delivered_at=self.round,
-                    initiated_by_me=by_me,
-                ),
-            )
-            if node in parked:
-                # The delivery may have changed the node's mind about being
-                # done: re-activate it for this round's scan.
-                parked.discard(node)
-                self._woken.append(node)
-                if recorder is not None:
-                    recorder.record(WakeupEvent(round=self.round, node=node))
 
 
 # ----------------------------------------------------------------------

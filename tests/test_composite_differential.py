@@ -12,15 +12,16 @@ Path Discovery's ``T(k)`` sequence, crossed with crash schedules,
 incoming caps, and every rumor-state layout the vector leg can start
 from.
 
-The mirror-path golden leg records one composite EID run (recorded, so
-mixed vector/scalar phases) and pins the event stream byte for byte: the
-scalar run blesses the file, and the vector run — batched mirror by
-default, per-exchange sequential mirror under
-``REPRO_VECTOR_MIRROR=sequential`` — must reproduce it exactly
-(re-bless with ``REPRO_UPDATE_GOLDEN=1`` after a deliberate semantic
-change).
+The golden leg records one composite EID run and pins the event stream
+byte for byte: the scalar run blesses the file, and the vector run must
+reproduce it exactly — once with the recorder alone (RR Broadcast on the
+batched mirror path) and once inside ``checked()`` (RR Broadcast on the
+scalar engine's per-exchange step over the layout state, the ℓ-DTG
+phases on the scalar fallback).  Re-bless with ``REPRO_UPDATE_GOLDEN=1``
+after a deliberate semantic change.
 """
 
+import contextlib
 import os
 import pathlib
 import random
@@ -36,6 +37,7 @@ from repro.protocols.base import PhaseRunner
 from repro.protocols.dtg import ldtg_factory
 from repro.protocols.eid import run_eid
 from repro.protocols.path_discovery import run_t_sequence
+from repro.sim import invariants
 from repro.sim.state import NetworkState
 from repro.sim.vector import VectorState
 from repro.testing import (
@@ -180,29 +182,18 @@ class TestCompositeMatrix:
                 assert reason is None
 
 
-def _composite_trace(backend, mirror=None) -> str:
-    """A recorded composite EID run's event stream as canonical JSONL.
+def _composite_trace(backend) -> tuple[str, PhaseRunner]:
+    """A recorded composite EID run's event stream as canonical JSONL,
+    with the runner that produced it.
 
-    The recorder forces every vector-dispatched phase onto its mirror
-    path (batched by default, per-exchange under
-    ``REPRO_VECTOR_MIRROR=sequential``), which must replay the scalar
-    engine's canonical stream byte for byte across phase boundaries.
+    Every vector-dispatched phase must replay the scalar engine's
+    canonical stream byte for byte across phase boundaries.
     """
     graph = ring_of_cliques(3, 4, inter_latency=2, rng=random.Random(2))
     recorder = Recorder.in_memory()
-    previous = os.environ.get("REPRO_VECTOR_MIRROR")
-    if mirror is not None:
-        os.environ["REPRO_VECTOR_MIRROR"] = mirror
-    try:
-        runner = PhaseRunner(graph, recorder=recorder, backend=backend)
-        run_eid(graph, diameter=3, seed=4, runner=runner)
-    finally:
-        if mirror is not None:
-            if previous is None:
-                os.environ.pop("REPRO_VECTOR_MIRROR", None)
-            else:
-                os.environ["REPRO_VECTOR_MIRROR"] = previous
-    return events_to_jsonl(recorder.events)
+    runner = PhaseRunner(graph, recorder=recorder, backend=backend)
+    run_eid(graph, diameter=3, seed=4, runner=runner)
+    return events_to_jsonl(recorder.events), runner
 
 
 GOLDEN_FILE = "eid_composite_mirror.jsonl"
@@ -210,7 +201,7 @@ GOLDEN_FILE = "eid_composite_mirror.jsonl"
 
 class TestCompositeGoldenTrace:
     def test_scalar_golden_committed(self):
-        generated = _composite_trace(None)
+        generated, _ = _composite_trace(None)
         path = GOLDEN_DIR / GOLDEN_FILE
         if os.environ.get("REPRO_UPDATE_GOLDEN"):
             GOLDEN_DIR.mkdir(exist_ok=True)
@@ -224,15 +215,23 @@ class TestCompositeGoldenTrace:
             "intentional, re-bless with REPRO_UPDATE_GOLDEN=1 and review"
         )
 
-    @pytest.mark.parametrize("mirror", ["", "sequential"])
-    def test_mirror_paths_reproduce_committed_bytes(self, mirror):
+    @pytest.mark.parametrize("leg", ["batched", "checked"])
+    def test_mirror_paths_reproduce_committed_bytes(self, leg):
         path = GOLDEN_DIR / GOLDEN_FILE
         assert path.exists(), (
             f"missing golden file {path}; generate with REPRO_UPDATE_GOLDEN=1"
         )
-        generated = _composite_trace("vector", mirror=mirror)
+        scope = invariants.checked() if leg == "checked" else contextlib.nullcontext()
+        with scope:
+            generated, runner = _composite_trace("vector")
+        # RR Broadcast really ran on the vector engine (batched mirror or,
+        # under the checkers, the inherited per-exchange step); the ℓ-DTG
+        # phases, whose plan needs a plain run, fell back.
+        for phase in runner.phases:
+            expected = "scalar-fallback" if "DTG" in phase.name else "vector"
+            assert phase.backend == expected, (phase.name, phase.backend)
         assert path.read_bytes() == generated.encode("ascii"), (
-            f"mirror={mirror or 'batched'!r} diverged from the committed "
-            "composite stream — the mirror path must replay the scalar "
-            "engine byte for byte across phases"
+            f"the {leg} vector leg diverged from the committed composite "
+            "stream — every vector path must replay the scalar engine "
+            "byte for byte across phases"
         )

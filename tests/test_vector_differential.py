@@ -6,9 +6,9 @@ the production scalar :class:`~repro.sim.engine.Engine` and the naive
 same completion rounds, same per-node knowledge, same metrics (including
 activated edges), under random graphs, seeds, engine configs, crash
 schedules, and responder caps.  Protocols that are not oblivious must be
-rejected loudly at construction, and the invariant checkers (which force
-the vector backend onto its sequential mirror path) must keep their
-teeth.
+rejected loudly at construction, and the invariant checkers (which put
+the vector backend on the scalar engine's per-exchange step) must keep
+their teeth.
 """
 
 import random
@@ -17,7 +17,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.errors import SimulationError
+from repro.errors import ProtocolError, SimulationError
 from repro.graphs.generators import erdos_renyi, ring_of_cliques
 from repro.graphs.latency_models import uniform_latency
 from repro.protocols.base import per_node_rng_factory
@@ -152,27 +152,70 @@ class TestVectorVsScalar:
         assert_engines_agree(report)
         assert report.rounds is not None
 
+    @pytest.mark.parametrize("extra", ["plain", "enforce_blocking", "note_boards"])
     @given(connected_latency_graphs(max_nodes=12), seeds(), engine_configs())
     @settings(max_examples=15, deadline=None)
-    def test_fresh_snapshots_and_cap_agree(self, graph, seed, config):
-        rumor, make_state = broadcast_setup(graph)
+    def test_fresh_snapshots_and_cap_agree(self, extra, graph, seed, config):
+        """Engine configs, plus the two per-exchange triggers no other leg
+        drives: blocking enforcement (push--pull must raise the same
+        violation in the same round on both engines) and an inherited
+        note board (notes must travel identically)."""
+        rumor, seeded_state = broadcast_setup(graph)
+        blocking = extra == "enforce_blocking"
+
+        def make_state():
+            state = seeded_state()
+            if extra == "note_boards":
+                state.publish_note(graph.nodes()[-1], hops=0)
+            return state
 
         def make_factory():
             make_rng = per_node_rng_factory(seed)
             return lambda node: PushPullProtocol(make_rng(node))
 
-        report = run_differential(
-            graph,
-            make_factory=make_factory,
-            make_state=make_state,
-            predicate=broadcast_complete(rumor),
-            fresh_snapshots=config["fresh_snapshots"],
-            max_incoming_per_round=config["max_incoming_per_round"],
-            max_rounds=5_000,
-            backend="vector",
-            reference_cls=Engine,
-        )
-        assert_engines_agree(report)
+        if not blocking:
+            report = run_differential(
+                graph,
+                make_factory=make_factory,
+                make_state=make_state,
+                predicate=broadcast_complete(rumor),
+                fresh_snapshots=config["fresh_snapshots"],
+                max_incoming_per_round=config["max_incoming_per_round"],
+                max_rounds=5_000,
+                backend="vector",
+                reference_cls=Engine,
+            )
+            assert_engines_agree(report)
+
+        complete = broadcast_complete(rumor)
+
+        def run(engine_cls):
+            engine = engine_cls(
+                graph,
+                make_factory(),
+                state=make_state(),
+                enforce_blocking=blocking,
+                **config,
+            )
+            try:
+                # A capped broadcast may never complete: stop at a budget.
+                engine.run(until=lambda e: e.round >= 200 or complete(e))
+            except ProtocolError as exc:
+                return engine, str(exc)
+            return engine, None
+
+        (vector, vector_error), (scalar, scalar_error) = run(VectorEngine), run(Engine)
+        assert vector_error == scalar_error
+        if scalar_error is not None:
+            assert scalar.metrics.blocked_initiations == 1
+        assert (vector.round, vector.metrics) == (scalar.round, scalar.metrics)
+        for node in graph.nodes():
+            assert vector.state.rumors(node) == scalar.state.rumors(node)
+            vector_notes, scalar_notes = (
+                {o: state.note_of(node, o) for o in state.known_note_origins(node)}
+                for state in (vector.state, scalar.state)
+            )
+            assert vector_notes == scalar_notes
 
     @given(large_dense_graphs(min_nodes=8, max_nodes=16), seeds(100), st.data())
     @settings(max_examples=8, deadline=None)

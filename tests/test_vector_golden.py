@@ -1,8 +1,9 @@
 """Golden-trace parity for the vector engine backend.
 
-With a :class:`~repro.obs.Recorder` attached the vector engine takes its
-sequential mirror path, which must replay the scalar engine's event
-stream **byte for byte**.  The first two traces regenerate runs whose
+With a :class:`~repro.obs.Recorder` as its only observer the vector
+engine takes its batched mirror path (array-kernel rounds that emit the
+events from the precomputed delivery buckets), which must replay the
+scalar engine's event stream **byte for byte**.  The first two traces regenerate runs whose
 canonical JSONL streams are already committed for the scalar engine
 (``tests/test_obs_golden.py`` owns them); this suite re-derives them with
 ``backend="vector"`` and asserts identity with the committed bytes — so
@@ -98,7 +99,7 @@ def test_vector_backend_matches_committed_golden(filename):
     assert path.exists(), f"missing golden file {path} (owned by test_obs_golden.py)"
     assert path.read_bytes() == generated.encode("ascii"), (
         f"the vector backend's event stream for {filename} diverged from "
-        "the committed scalar golden — the sequential mirror path must be "
+        "the committed scalar golden — the batched mirror path must be "
         "byte-identical to the scalar engine"
     )
 

@@ -7,8 +7,10 @@ memory-specialized layouts — ``dense`` (bitset matrix), ``broadcast``
 layout is a *representation* choice, so every layout must be
 bit-identical to the scalar :class:`~repro.sim.engine.Engine`: same
 completion rounds, same per-node knowledge, same metrics, for every
-oblivious protocol, under crash schedules and responder caps.  This
-suite pins that with a hypothesis matrix over
+oblivious protocol, under crash schedules and responder caps (a crash
+schedule runs the scalar engine's own per-exchange step over the layout
+state, so those legs pin that path per layout).  This suite pins that
+with a hypothesis matrix over
 layouts x {push--pull, push, pull, flooding} x engine configs, plus
 deterministic legs for layout auto-selection, multi-block chunked runs,
 RR Broadcast on custom target tables, and a committed golden event
@@ -325,9 +327,9 @@ class TestRRBroadcastVector:
 def _bucketed_trace(backend, layout=None) -> str:
     """Push--pull broadcast over latencies 1..5, recorded event stream.
 
-    The recorder forces the vector engine onto its sequential mirror
-    path, which must replay the scalar engine's canonical stream byte
-    for byte whatever the storage layout underneath.
+    The recorder puts the vector engine on its batched mirror path,
+    which must replay the scalar engine's canonical stream byte for
+    byte whatever the storage layout underneath.
     """
     graph = generators.erdos_renyi(
         16, 0.3, latency_model=uniform_latency(1, 5), rng=random.Random(3)
