@@ -152,12 +152,34 @@ class TestVectorVsScalar:
         assert_engines_agree(report)
         assert report.rounds is not None
 
-    @pytest.mark.parametrize("extra", ["plain", "enforce_blocking", "note_boards"])
     @given(connected_latency_graphs(max_nodes=12), seeds(), engine_configs())
     @settings(max_examples=15, deadline=None)
-    def test_fresh_snapshots_and_cap_agree(self, extra, graph, seed, config):
-        """Engine configs, plus the two per-exchange triggers no other leg
-        drives: blocking enforcement (push--pull must raise the same
+    def test_fresh_snapshots_and_cap_agree(self, graph, seed, config):
+        rumor, make_state = broadcast_setup(graph)
+
+        def make_factory():
+            make_rng = per_node_rng_factory(seed)
+            return lambda node: PushPullProtocol(make_rng(node))
+
+        report = run_differential(
+            graph,
+            make_factory=make_factory,
+            make_state=make_state,
+            predicate=broadcast_complete(rumor),
+            fresh_snapshots=config["fresh_snapshots"],
+            max_incoming_per_round=config["max_incoming_per_round"],
+            max_rounds=5_000,
+            backend="vector",
+            reference_cls=Engine,
+        )
+        assert_engines_agree(report)
+
+    @pytest.mark.parametrize("extra", ["enforce_blocking", "note_boards"])
+    @given(connected_latency_graphs(max_nodes=12), seeds(), engine_configs())
+    @settings(max_examples=15, deadline=None)
+    def test_blocking_and_note_boards_agree(self, extra, graph, seed, config):
+        """The two per-exchange triggers no other leg drives, under every
+        engine config: blocking enforcement (push--pull must raise the same
         violation in the same round on both engines) and an inherited
         note board (notes must travel identically)."""
         rumor, seeded_state = broadcast_setup(graph)
