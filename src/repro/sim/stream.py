@@ -14,9 +14,9 @@ round number, never of the rumor state.  That makes the run separable by
    run), extended lazily to whatever round the replay needs.
 2. **Replay the schedule per rumor block.**  The rumor universe is split
    into blocks of ``B`` rumors sized to the state-memory budget; each
-   block replays the same schedule over a chunked-layout state holding
-   only its own ``n x B`` bit slice, using the layout's array kernels
-   (gather payload rows at initiation, OR-scatter them at delivery).
+   block replays the same schedule over a word matrix holding only its
+   own ``n x B`` bit slice (gather payload rows at initiation,
+   OR-scatter them at delivery).
 3. **Combine.**  Knowledge is a monotone OR, so the full run's state at
    any round is exactly the disjoint union of the block states, and the
    completion round of the monolithic run is the max over blocks.  The
@@ -52,12 +52,11 @@ from repro.obs.metrics import default_registry
 from repro.obs.telemetry import PhaseTiming
 from repro.sim.metrics import DisseminationResult
 from repro.sim.vector import (
-    ChunkedVectorState,
     VectorEngine,
     VectorState,
+    _merge_by_row,
     _popcount_rows,
     current_max_state_bytes,
-    state_budget,
 )
 
 __all__ = ["StreamReport", "run_streamed_all_to_all"]
@@ -161,42 +160,37 @@ def _pick_block_rumors(
 class _BlockReplay:
     """One rumor block: the schedule replayed over an ``n x B`` bit slice.
 
-    The replay drives the block's word matrix directly instead of going
-    through the layout kernels: the state is private to the replay (no
-    scalar consumer reads it mid-run), so the kernels' copy-on-write
-    cache invalidation is dead weight, and fusing the duplicate-safe
-    scatter with the saturation popcount lets the freshly merged rows be
-    counted in place of a second gather.
+    The replay owns its block's ``(n, words)`` uint64 matrix instead of
+    going through a :class:`~repro.sim.vector.VectorState`: the state is
+    private to the replay (no scalar consumer reads it mid-run), so the
+    kernels' copy-on-write cache invalidation is dead weight, and fusing
+    the duplicate-safe scatter with the saturation popcount lets the
+    freshly merged rows be counted in place of a second gather.  Rows
+    are in node order, so row index == the dense node id the schedule
+    speaks, and block rumor ``j`` (node ``lo + j``'s own id) is bit
+    ``j``.
     """
 
     #: Bucket-entry payload marker: "every source row was saturated, the
     #: payload is the all-ones row" (no gather was taken).
     _SATURATED = None
 
-    def __init__(self, graph: LatencyGraph, lo: int, hi: int) -> None:
-        nodes = graph.nodes()
-        n = len(nodes)
-        # Chunked layout holding this block's slice.  Rows are in node
-        # order, so row index == the dense node id the schedule speaks.
-        # The block's rumor universe is interned up front and the
-        # storage allocated once at its exact width as a single column
-        # part: one-at-a-time ``add_rumor`` would grow the layout
-        # geometrically into many narrow parts, each charging its own
-        # fancy-indexing pass per kernel call.
-        state = ChunkedVectorState(nodes)
-        for node in nodes[lo:hi]:
-            state._space.intern(node)
-        words = (hi - lo + 63) // 64
-        state._init_storage(n, hi - lo, max_state_bytes=n * words * 8)
-        for node in nodes[lo:hi]:
-            state.add_rumor(node, node)
-        self.state = state
+    def __init__(self, n: int, lo: int, hi: int) -> None:
         self.m = hi - lo
-        self._words = state._blocks[0]  # the single (n, words) part
+        self._words = np.zeros((n, (self.m + 63) // 64), dtype=np.uint64)
+        own = np.arange(self.m, dtype=np.int64)
+        self._words[lo + own, own >> 6] = np.uint64(1) << (own & 63).astype(
+            np.uint64
+        )
         popcounts = _popcount_rows(self._words)
         self._saturated = popcounts >= self.m
         self._nonzero = popcounts > 0
         self._full_row = None  # lazily: one copy of a saturated row
+
+    @property
+    def nbytes(self) -> int:
+        """Resident bytes of the block's bit slice."""
+        return int(self._words.nbytes)
 
     def _fill_full(self, rows: np.ndarray) -> None:
         """Set ``rows`` to the all-ones row (delivery from saturated sources)."""
@@ -211,18 +205,7 @@ class _BlockReplay:
         """OR payload rows into ``rows``, duplicate-safe, and mark any row
         that reached all ``m`` block rumors as saturated — counting the
         freshly merged rows instead of re-gathering the state."""
-        order = np.argsort(rows, kind="stable")
-        sorted_rows = rows[order]
-        starts = np.flatnonzero(np.r_[True, sorted_rows[1:] != sorted_rows[:-1]])
-        if starts.shape[0] == rows.shape[0]:
-            targets, merged = rows, pack
-        else:
-            targets = sorted_rows[starts]
-            sizes = np.diff(np.r_[starts, sorted_rows.shape[0]])
-            merged = pack[order[starts]]
-            for rank in range(1, int(sizes.max())):
-                deep = np.flatnonzero(sizes > rank)
-                merged[deep] |= pack[order[starts[deep] + rank]]
+        targets, (merged,) = _merge_by_row(rows, (pack,))
         words = self._words
         updated = words[targets]
         np.bitwise_or(updated, merged, out=updated)
@@ -319,8 +302,8 @@ def run_streamed_all_to_all(
         Round budget, enforced per block like
         :func:`~repro.sim.runner.run_until_complete`.
     max_state_bytes:
-        Memory budget steering both the block size and the chunked
-        layout's column blocks; ``None`` defers to the ambient
+        Memory budget steering the block size (a block's bit slice
+        plus its in-flight payloads); ``None`` defers to the ambient
         :func:`~repro.sim.vector.state_budget` scope.
     block_rumors:
         Explicit rumors-per-block override (tests use a tiny value to
@@ -353,31 +336,29 @@ def run_streamed_all_to_all(
     phases: list[PhaseTiming] = []
     rounds = 0
     peak_state = 0
-    with state_budget(budget):
-        for index, lo in enumerate(range(0, n, block)):
-            hi = min(lo + block, n)
-            started = time.perf_counter()
-            replay = _BlockReplay(graph, lo, hi)
-            block_rounds = replay.run(schedule, max_rounds)
-            state_bytes = replay.state.state_nbytes()
-            peak_state = max(peak_state, state_bytes)
-            registry.gauge(
-                "sim_state_bytes", "peak rumor-state storage bytes per layout"
-            ).set_max(
-                state_bytes,
-                layout=replay.state.layout,
-                protocol="streamed-push-pull[all_to_all]",
+    for index, lo in enumerate(range(0, n, block)):
+        hi = min(lo + block, n)
+        started = time.perf_counter()
+        replay = _BlockReplay(n, lo, hi)
+        block_rounds = replay.run(schedule, max_rounds)
+        peak_state = max(peak_state, replay.nbytes)
+        registry.gauge(
+            "sim_state_bytes", "peak rumor-state storage bytes per layout"
+        ).set_max(
+            replay.nbytes,
+            layout="chunked",
+            protocol="streamed-push-pull[all_to_all]",
+        )
+        phases.append(
+            PhaseTiming(
+                name=f"rumor block {index} [{lo}:{hi})",
+                rounds=block_rounds,
+                exchanges=schedule.exchanges_before(block_rounds),
+                seconds=time.perf_counter() - started,
+                backend="vector",
             )
-            phases.append(
-                PhaseTiming(
-                    name=f"rumor block {index} [{lo}:{hi})",
-                    rounds=block_rounds,
-                    exchanges=schedule.exchanges_before(block_rounds),
-                    seconds=time.perf_counter() - started,
-                    backend="vector",
-                )
-            )
-            rounds = max(rounds, block_rounds)
+        )
+        rounds = max(rounds, block_rounds)
     registry.gauge(
         "sim_state_layout", "state layouts used, 1 per (layout, protocol)"
     ).set(1, layout="chunked", protocol="streamed-push-pull[all_to_all]")

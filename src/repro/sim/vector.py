@@ -5,9 +5,9 @@ calls each round, which caps experiments near ``n ≈ 10⁴``.  This module
 provides a second backend, :class:`VectorEngine`, that advances an entire
 round as a handful of numpy array operations:
 
-* **State** lives in one of a family of memory-specialized layouts behind
-  the :class:`VectorState` API (see below), so merging all of a round's
-  deliveries is one duplicate-safe segmented OR (:func:`_scatter_or`)
+* **State** lives in one of two storage classes behind the
+  :class:`VectorState` API (see below), so merging all of a round's
+  deliveries is one duplicate-safe segmented OR (:func:`_merge_by_row`)
   instead of per-exchange Python merges.
 * **Partner selection** reads a CSR layout built from
   :meth:`~repro.graphs.latency_graph.LatencyGraph.adjacency_arrays`, with
@@ -28,22 +28,25 @@ State layouts (the ``n = 10⁶`` memory story)
 --------------------------------------------
 A dense ``n × ceil(B/64)`` uint64 bitset matrix (``B`` = rumor-space
 size) is ~125 GB at ``n = 10⁶`` all-to-all — memory, not compute, binds
-the fast backend at mega-scale.  Three layouts share the full
+the fast backend at mega-scale.  Two storage classes share the full
 :class:`~repro.sim.state.NetworkState` API and produce bit-identical
 runs; :meth:`VectorState.from_network_state` picks one automatically from
-the *observed* rumor universe and the ambient :func:`state_budget`:
+the *observed* rumor universe:
 
-* **dense** (:class:`VectorState`) — the packed uint64 matrix; default
-  for small states and the only layout that can grow its rumor space.
+* **bitset** (:class:`VectorState`) — the packed uint64 matrix, stored
+  as column parts each at most ``max_state_bytes`` big (the ambient
+  :func:`state_budget`).  Parts stay within the budget under growth
+  too: the last part doubles its width while it fits, and a new part is
+  appended only once it is full, so a matrix within the budget is
+  always exactly one part.  Its layout label is derived from the part
+  count — ``"dense"`` for one part, ``"chunked"`` for several — and the
+  round update streams part by part, so the largest single allocation
+  (and each per-part scatter/gather transient) is budget-bounded.  The
+  *sum* of the parts and the initiation-time payload snapshots in
+  flight are inherent to the model and not bounded by the budget.
 * **broadcast** (:class:`BroadcastVectorState`) — one uint8 column per
   rumor, chosen for small universes (``k <= 8``): O(n·k) bytes, which
   covers every broadcast-style run at ~1 byte/node.
-* **chunked** (:class:`ChunkedVectorState`) — the bitset matrix split
-  into column blocks each at most ``max_state_bytes`` big, streamed
-  through the round update so the largest single allocation (and each
-  per-block scatter/gather transient) is budget-bounded.  The *sum* of
-  resident blocks and the initiation-time payload snapshots in flight
-  are inherent to the model and not bounded by the budget.
 
 Backend eligibility (see ``docs/MODEL.md`` §8): only **oblivious**
 protocols — whose partner choice does not depend on delivered knowledge
@@ -119,7 +122,6 @@ __all__ = [
     "VectorProgram",
     "VectorState",
     "BroadcastVectorState",
-    "ChunkedVectorState",
     "STATE_LAYOUTS",
     "VectorEngine",
     "ENGINE_BACKENDS",
@@ -151,32 +153,41 @@ else:  # pragma: no cover - exercised only on numpy < 2.0
         return _POPCOUNT_LUT[matrix.view(np.uint8)].sum(axis=-1, dtype=np.int64)
 
 
-def _scatter_or(bits: np.ndarray, rows: np.ndarray, payloads: np.ndarray) -> None:
-    """OR each payload row into ``bits[row]``, duplicate-safe.
+def _merge_by_row(
+    rows: np.ndarray, payloads: Sequence[np.ndarray]
+) -> tuple[np.ndarray, list[np.ndarray]]:
+    """``(targets, merged)``: the distinct ``rows`` and, per payload array,
+    each target's payload rows OR-ed together — so one fancy ``|=`` per
+    array applies every update (duplicate-safe).
 
     Plain fancy-index assignment (``bits[rows] |= payloads``) silently
     keeps only one update per duplicated row index; a round's deliveries
     routinely hit the same responder many times.  Duplicate-free calls
-    (the common case under random partner selection) take the plain
-    fancy read-modify-write directly; otherwise duplicated segments are
-    pre-merged rank by rank — the deepest pile-up on one row is small
-    (Poisson in-degree), so a few bulk ``|=`` passes beat a segmented
+    (the common case under random partner selection) get their inputs
+    back unchanged; otherwise duplicated segments are pre-merged rank by
+    rank — the deepest pile-up on one row is small (Poisson in-degree),
+    so a few bulk ``|=`` passes beat a segmented
     ``np.bitwise_or.reduceat``, which degenerates to per-segment loops.
+    ``payloads`` are parallel arrays sharing the row order (a bitset
+    state's column parts), so the sort is paid once for all of them.
     """
     if rows.shape[0] == 0:
-        return
+        return rows, list(payloads)
     order = np.argsort(rows, kind="stable")
     sorted_rows = rows[order]
     starts = np.flatnonzero(np.r_[True, sorted_rows[1:] != sorted_rows[:-1]])
     if starts.shape[0] == rows.shape[0]:
-        bits[rows] |= payloads
-        return
+        return rows, list(payloads)
     sizes = np.diff(np.r_[starts, sorted_rows.shape[0]])
-    merged = payloads[order[starts]]
-    for rank in range(1, int(sizes.max())):
-        deep = np.flatnonzero(sizes > rank)
-        merged[deep] |= payloads[order[starts[deep] + rank]]
-    bits[sorted_rows[starts]] |= merged
+    first = order[starts]
+    ranks = [np.flatnonzero(sizes > rank) for rank in range(1, int(sizes.max()))]
+    merged = []
+    for payload in payloads:
+        out = payload[first]
+        for rank, deep in enumerate(ranks, start=1):
+            out[deep] |= payload[order[starts[deep] + rank]]
+        merged.append(out)
+    return sorted_rows[starts], merged
 
 
 def _randbelow_of(rng: random.Random) -> Callable[[int], int]:
@@ -191,8 +202,8 @@ def _randbelow_of(rng: random.Random) -> Callable[[int], int]:
 
 # ----------------------------------------------------------------------
 # State-memory budget scope: how many bytes the largest single state
-# allocation may use.  ``from_network_state`` consults this when picking
-# a layout; the chunked layout sizes its column blocks from it.
+# allocation may use.  The bitset storage sizes its column parts from
+# it, at construction and under growth.
 DEFAULT_MAX_STATE_BYTES = 1 << 30  # 1 GiB
 
 _STATE_BUDGET_STACK: list[int] = []
@@ -383,29 +394,40 @@ class VectorState:
     consumer (completion predicates, invariant checkers, the scalar
     engine's per-exchange step) read the same storage.
 
-    This class is both the **dense** layout and the base of the
-    specialized layouts (:class:`BroadcastVectorState`,
-    :class:`ChunkedVectorState`): subclasses replace only the storage
-    primitives (``_init_storage``/``_ensure_bit``/``_set_bit``/
-    ``_mask_of_row``/``_or_row_storage``) and the array kernels the fast
-    path drives (``_k_*``); the shared API layer — snapshots with a
-    copy-on-write cache, merges over cached Python-int row masks, note
-    boards — is layout-agnostic.
+    The matrix is stored as a list of column **parts**, each at most
+    ``max_state_bytes`` big (at least one word wide), so no single
+    allocation — nor the per-part transient a gather or scatter creates
+    — outgrows the budget.  Growth keeps that bound: the last part
+    doubles its width while it fits the part budget, and a new part is
+    appended only once the last one is full.  A matrix that fits the
+    budget is therefore always exactly one part; :attr:`layout` reads
+    ``"dense"`` then and ``"chunked"`` once the state spans several
+    parts.  The parts' *sum* (the whole matrix) and the payload
+    snapshots held by in-flight exchanges are inherent to the model and
+    are not bounded by the budget.  Word ``w`` of the logical matrix
+    lives in the part whose ``_offsets`` span contains ``w``.
+
+    :class:`BroadcastVectorState` subclasses this with another storage
+    (uint8 columns): it replaces the storage primitives
+    (``_init_storage``/``_ensure_bit``/``_set_bit``/``_mask_of_row``/
+    ``_or_row_storage``) and the array kernels the fast path drives
+    (``_k_*``); the shared API layer — snapshots with a copy-on-write
+    cache, merges over cached Python-int row masks, note boards — is
+    storage-agnostic.
     """
 
     __slots__ = (
         "_node_index",
         "_node_list",
         "_space",
-        "_bits",
+        "_parts",
+        "_offsets",
+        "_part_words",
         "_notes",
         "_snapshots",
         "_masks_cache",
         "_cache_filled",
     )
-
-    #: Layout name surfaced in metrics/manifests (``sim_state_layout``).
-    layout = "dense"
 
     def __init__(self, nodes: Iterable[Node]) -> None:
         self._node_index: dict[Node, int] = {}
@@ -426,6 +448,11 @@ class VectorState:
         self._cache_filled = False
         self._init_storage(n, 0)
 
+    @property
+    def layout(self) -> str:
+        """Layout name surfaced in metrics/manifests (``sim_state_layout``)."""
+        return "dense" if len(self._parts) == 1 else "chunked"
+
     @classmethod
     def from_network_state(
         cls,
@@ -436,52 +463,20 @@ class VectorState:
     ) -> "VectorState":
         """A bitset copy of a scalar state (same tokens, same bit indices).
 
-        The layout is picked from the **observed** rumor universe: a
+        The storage is picked from the **observed** rumor universe: a
         small universe (``k <= 8`` tokens — every broadcast-style run)
-        gets the O(n·k)-byte broadcast layout, a universe whose dense
-        matrix fits ``max_state_bytes`` (default: the ambient
-        :func:`state_budget` scope, the ``REPRO_MAX_STATE_BYTES`` env
-        var, or 1 GiB) stays dense, and anything larger is chunked into
-        budget-bounded column blocks.  ``layout`` forces a specific
-        layout (``"dense"``/``"broadcast"``/``"chunked"``); calling this
-        on a subclass keeps that subclass's layout.
+        gets the O(n·k)-byte broadcast layout, anything else the bitset
+        matrix, split into parts of at most ``max_state_bytes`` (default:
+        the ambient :func:`state_budget` scope, the
+        ``REPRO_MAX_STATE_BYTES`` env var, or 1 GiB).  ``layout`` forces
+        the storage (``"dense"`` for the bitset matrix, ``"broadcast"``);
+        calling this on a subclass keeps that subclass's layout.
         """
-        tokens = len(state._space.tokens)
-        n = len(state._node_list)
-        if layout is not None:
-            try:
-                chosen = STATE_LAYOUTS[layout]
-            except KeyError:
-                raise SimulationError(
-                    f"unknown state layout {layout!r}; available: "
-                    + ", ".join(sorted(STATE_LAYOUTS))
-                ) from None
-        elif cls is not VectorState:
+        if layout is None and cls is not VectorState:
             chosen = cls
         else:
-            budget = (
-                max_state_bytes
-                if max_state_bytes is not None
-                else current_max_state_bytes()
-            )
-            words = max(1, (tokens + 63) // 64)
-            if 0 < tokens <= _BROADCAST_MAX_RUMORS:
-                chosen = BroadcastVectorState
-            elif n * words * 8 <= budget:
-                chosen = VectorState
-            else:
-                chosen = ChunkedVectorState
-        out = chosen.__new__(chosen)
-        out._node_index = dict(state._node_index)
-        out._node_list = list(state._node_list)
-        out._space = _RumorSpace()
-        out._space.index = dict(state._space.index)
-        out._space.tokens = list(state._space.tokens)
-        out._notes = [dict(board) for board in state._notes]
-        out._snapshots = [None] * n
-        out._masks_cache = [None] * n
-        out._cache_filled = False
-        out._init_storage(n, tokens, max_state_bytes)
+            chosen = _pick_storage(state, layout)
+        out = _empty_copy(state, chosen, max_state_bytes)
         out._load_masks(state._masks)
         return out
 
@@ -500,91 +495,96 @@ class VectorState:
         ``layout=None`` re-picks automatically with the same rule as
         :meth:`from_network_state`; the conversion is a whole-matrix
         array transform (no per-row Python masks).  Returns ``self``
-        unchanged when the chosen layout is already this one.
+        unchanged when the chosen storage is already this one (a bitset
+        state keeps its parts: growth already respects their budget).
         """
-        tokens = len(self._space.tokens)
-        n = len(self._node_list)
-        if layout is not None:
-            try:
-                chosen = STATE_LAYOUTS[layout]
-            except KeyError:
-                raise SimulationError(
-                    f"unknown state layout {layout!r}; available: "
-                    + ", ".join(sorted(STATE_LAYOUTS))
-                ) from None
-        else:
-            budget = (
-                max_state_bytes
-                if max_state_bytes is not None
-                else current_max_state_bytes()
-            )
-            words = max(1, (tokens + 63) // 64)
-            if 0 < tokens <= _BROADCAST_MAX_RUMORS:
-                chosen = BroadcastVectorState
-            elif n * words * 8 <= budget:
-                chosen = VectorState
-            else:
-                chosen = ChunkedVectorState
+        chosen = _pick_storage(self, layout)
         if chosen is type(self):
             return self
-        out = chosen.__new__(chosen)
-        out._node_index = dict(self._node_index)
-        out._node_list = list(self._node_list)
-        out._space = _RumorSpace()
-        out._space.index = dict(self._space.index)
-        out._space.tokens = list(self._space.tokens)
-        out._notes = [dict(board) for board in self._notes]
-        out._snapshots = [None] * n
-        out._masks_cache = [None] * n
-        out._cache_filled = False
-        out._init_storage(n, tokens, max_state_bytes)
+        out = _empty_copy(self, chosen, max_state_bytes)
         out._load_words(self._words_matrix())
         return out
 
-    # -- storage primitives (overridden per layout) ----------------------
+    # -- storage primitives (overridden by BroadcastVectorState) ---------
     def _init_storage(
         self, n: int, bits: int, max_state_bytes: Optional[int] = None
     ) -> None:
-        """Allocate zeroed storage addressing bit indices ``0..bits-1``."""
+        """Allocate zeroed storage addressing bit indices ``0..bits-1``:
+        full-budget parts in order, then the remainder (at least one
+        word), so a matrix within the budget is one part."""
+        budget = (
+            max_state_bytes
+            if max_state_bytes is not None
+            else current_max_state_bytes()
+        )
+        self._part_words = max(1, budget // (max(n, 1) * 8))
         words = max(1, (bits + 63) // 64)
-        self._bits = np.zeros((n, words), dtype=np.uint64)
+        self._parts: list[np.ndarray] = []
+        self._offsets: list[int] = [0]
+        while self._offsets[-1] < words:
+            width = min(self._part_words, words - self._offsets[-1])
+            self._parts.append(np.zeros((n, width), dtype=np.uint64))
+            self._offsets.append(self._offsets[-1] + width)
 
     def _ensure_bit(self, bit: int) -> None:
-        """Grow the matrix (doubling words) until ``bit`` is addressable."""
-        words = self._bits.shape[1]
-        if bit < words * 64:
-            return
-        grown_words = words
-        while bit >= grown_words * 64:
-            grown_words *= 2
-        grown = np.zeros((self._bits.shape[0], grown_words), dtype=np.uint64)
-        grown[:, :words] = self._bits
-        self._bits = grown
+        """Grow until ``bit`` is addressable: double the last part's width
+        while it fits the part budget, append a new part once it is full."""
+        needed = bit // 64 + 1
+        offsets = self._offsets
+        parts = self._parts
+        cap = self._part_words
+        while offsets[-1] < needed:
+            last = parts[-1]
+            width = last.shape[1]
+            if width < cap:
+                grown = width
+                while offsets[-2] + grown < needed and grown < cap:
+                    grown *= 2
+                grown = min(grown, cap)
+                wider = np.zeros((last.shape[0], grown), dtype=np.uint64)
+                wider[:, :width] = last
+                parts[-1] = wider
+                offsets[-1] = offsets[-2] + grown
+            else:
+                width = min(cap, needed - offsets[-1])
+                parts.append(np.zeros((last.shape[0], width), dtype=np.uint64))
+                offsets.append(offsets[-1] + width)
+
+    def _part_of(self, word: int) -> tuple[int, int]:
+        """``(part, column)`` holding logical word ``word``."""
+        b = bisect.bisect_right(self._offsets, word) - 1
+        return b, word - self._offsets[b]
 
     def _set_bit(self, i: int, bit: int) -> None:
         """Set one addressable bit in row ``i`` (no growth, no caches)."""
         word, offset = divmod(bit, 64)
-        self._bits[i, word] |= np.uint64(1 << offset)
+        b, w = self._part_of(word)
+        self._parts[b][i, w] |= np.uint64(1 << offset)
 
     def _mask_of_row(self, i: int) -> int:
         """Recompute row ``i`` as an arbitrary-precision Python-int bitmask."""
-        return int.from_bytes(self._bits[i].tobytes(), "little")
+        return int.from_bytes(
+            b"".join(part[i].tobytes() for part in self._parts), "little"
+        )
 
     def _or_row_storage(self, i: int, mask: int) -> None:
         """OR an addressable ``mask`` into row ``i`` (no growth, no caches)."""
-        words = self._bits.shape[1]
-        self._bits[i] |= np.frombuffer(
-            mask.to_bytes(words * 8, "little"), dtype=np.uint64
+        offsets = self._offsets
+        data = np.frombuffer(
+            mask.to_bytes(offsets[-1] * 8, "little"), dtype=np.uint64
         )
+        for b, part in enumerate(self._parts):
+            part[i] |= data[offsets[b] : offsets[b + 1]]
 
     def _load_masks(self, masks: Sequence[int]) -> None:
         """Bulk-load per-node masks into fresh zeroed storage."""
-        words = self._bits.shape[1]
+        spans = list(zip(self._parts, self._offsets, self._offsets[1:]))
+        size = self._offsets[-1] * 8
         for i, mask in enumerate(masks):
             if mask:
-                self._bits[i] = np.frombuffer(
-                    mask.to_bytes(words * 8, "little"), dtype=np.uint64
-                )
+                data = np.frombuffer(mask.to_bytes(size, "little"), dtype=np.uint64)
+                for part, lo, hi in spans:
+                    part[i] = data[lo:hi]
 
     # -- layout conversion (``to_layout``) -------------------------------
     # Conversions move whole matrices: every layout can export its storage
@@ -593,7 +593,9 @@ class VectorState:
     # instead of n Python-int round-trips.
     def _words_matrix(self) -> np.ndarray:
         """Storage as the canonical dense uint64 word matrix (a view/copy)."""
-        return self._bits
+        if len(self._parts) == 1:
+            return self._parts[0]
+        return np.hstack(self._parts)
 
     def _load_words(self, words: np.ndarray) -> None:
         """Bulk-load a dense word matrix into fresh zeroed storage.
@@ -601,8 +603,11 @@ class VectorState:
         Width mismatches are benign: any extra source columns are padding
         beyond the interned rumor universe and therefore all-zero.
         """
-        width = min(self._bits.shape[1], words.shape[1])
-        self._bits[:, :width] = words[:, :width]
+        offsets = self._offsets
+        for b, part in enumerate(self._parts):
+            lo = min(offsets[b], words.shape[1])
+            hi = min(offsets[b + 1], words.shape[1])
+            part[:, : hi - lo] = words[:, lo:hi]
 
     # -- packed-row plumbing --------------------------------------------
     def _row_mask(self, i: int) -> int:
@@ -634,10 +639,20 @@ class VectorState:
             snapshots[i] = None
             masks[i] = None
 
+    def _bit_location(self, rumor: Hashable) -> Optional[tuple[int, int, np.uint64]]:
+        """``(part, column, bit mask)`` of ``rumor``, or ``None`` when it
+        was never interned or lies beyond the storage."""
+        bit = self._space.index.get(rumor)
+        if bit is None or bit >= self._offsets[-1] * 64:
+            return None
+        word, offset = divmod(bit, 64)
+        b, w = self._part_of(word)
+        return b, w, np.uint64(1 << offset)
+
     # -- memory accounting ----------------------------------------------
     def state_nbytes(self) -> int:
-        """Resident bytes of the rumor-state storage (the layout's matrix)."""
-        return int(self._bits.nbytes)
+        """Resident bytes of the rumor-state storage (all parts)."""
+        return int(sum(part.nbytes for part in self._parts))
 
     # -- NetworkState API -----------------------------------------------
     def nodes(self) -> list[Node]:
@@ -665,62 +680,65 @@ class VectorState:
         return self._space.unpack(self._row_mask(self._node_index[node]))
 
     def rumor_count(self, node: Node) -> int:
-        """How many rumors ``node`` knows (one vectorized popcount)."""
-        return int(_popcount_rows(self._bits[self._node_index[node]]))
+        """How many rumors ``node`` knows (one vectorized popcount per part)."""
+        i = self._node_index[node]
+        return sum(int(_popcount_rows(part[i])) for part in self._parts)
 
     def min_rumor_count(self) -> int:
-        """The smallest per-node rumor count (one matrix popcount).
+        """The smallest per-node rumor count (one matrix popcount per part).
 
         Multi-rumor phase gates ("every node knows >= m rumors") reduce to
         ``min_rumor_count() >= m``; see
         :func:`~repro.sim.runner.min_rumors_complete`.
         """
-        if self._bits.shape[0] == 0:
+        if not self._node_list:
             return 0
-        return int(_popcount_rows(self._bits).min())
+        return int(self._k_row_popcounts(slice(None)).min())
 
     def knows(self, node: Node, rumor: Hashable) -> bool:
         """Whether ``node`` knows ``rumor``."""
-        bit = self._space.index.get(rumor)
-        if bit is None:
+        at = self._bit_location(rumor)
+        if at is None:
             return False
-        word, offset = divmod(bit, 64)
-        if word >= self._bits.shape[1]:
-            return False
-        return bool(self._bits[self._node_index[node], word] & np.uint64(1 << offset))
+        b, w, bit = at
+        return bool(self._parts[b][self._node_index[node], w] & bit)
 
     def count_knowing(self, rumor: Hashable) -> int:
         """How many nodes know ``rumor`` (one column reduction)."""
-        bit = self._space.index.get(rumor)
-        if bit is None:
+        at = self._bit_location(rumor)
+        if at is None:
             return 0
-        word, offset = divmod(bit, 64)
-        if word >= self._bits.shape[1]:
-            return 0
-        return int(
-            np.count_nonzero(self._bits[:, word] & np.uint64(1 << offset))
-        )
+        b, w, bit = at
+        return int(np.count_nonzero(self._parts[b][:, w] & bit))
 
     def knows_every(
         self, nodes: Iterable[Node], rumors: Iterable[Hashable]
     ) -> bool:
         """Whether every node in ``nodes`` knows every rumor in ``rumors``.
 
-        One vectorized mask comparison over the packed rows instead of
-        materializing per-node rumor frozensets (which is O(n²) on an
-        all-to-all completeness check).
+        One vectorized mask comparison per part over the packed rows
+        instead of materializing per-node rumor frozensets (which is
+        O(n²) on an all-to-all completeness check); each pass copies at
+        most one budget-bounded ``len(nodes) × part`` slice.
         """
         index = self._space.index
-        words = self._bits.shape[1]
-        required = np.zeros(words, dtype=np.uint64)
+        offsets = self._offsets
+        required = np.zeros(offsets[-1], dtype=np.uint64)
         for rumor in rumors:
             bit = index.get(rumor)
-            if bit is None or bit >= words * 64:
+            if bit is None or bit >= offsets[-1] * 64:
                 return False
             word, offset = divmod(bit, 64)
             required[word] |= np.uint64(1 << offset)
-        rows = self._bits[[self._node_index[node] for node in nodes]]
-        return bool(((rows & required) == required).all())
+        picks = [self._node_index[node] for node in nodes]
+        for b, part in enumerate(self._parts):
+            need = required[offsets[b] : offsets[b + 1]]
+            if not need.any():
+                continue
+            rows = part[picks]
+            if not ((rows & need) == need).all():
+                return False
+        return True
 
     # -- notes ----------------------------------------------------------
     def publish_note(self, origin: Node, **data: Any) -> None:
@@ -797,49 +815,52 @@ class VectorState:
 
     # -- array kernels (the vector fast path) ----------------------------
     # A "pack" is the layout's opaque payload representation for a batch
-    # of rows: a 2-D array for dense/broadcast, a list of per-block 2-D
-    # arrays for chunked.  The engine only moves packs between kernels.
+    # of rows: a list of per-part 2-D arrays here, one 2-D array for the
+    # broadcast layout.  The engine only moves packs between kernels.
     def _k_width(self) -> tuple:
         """Storage-shape fingerprint; a mid-run change means the rumor
         space grew, which the fast path forbids."""
-        return ("dense", self._bits.shape[1])
+        return ("bits", tuple(self._offsets))
 
     def _k_gather(self, rows: np.ndarray) -> Any:
         """Payload pack: a copy of the given state rows."""
-        return self._bits[rows]
+        return [part[rows] for part in self._parts]
 
-    def _k_popcounts(self, pack: Any, count: int) -> np.ndarray:
-        """Per-row rumor counts of a pack of ``count`` rows."""
-        return _popcount_rows(pack)
+    def _k_popcounts(self, pack: Any) -> np.ndarray:
+        """Per-row rumor counts of a pack."""
+        total = _popcount_rows(pack[0])
+        for part in pack[1:]:
+            total += _popcount_rows(part)
+        return total
 
     def _k_select(self, pack: Any, pick: Any) -> Any:
         """Subset/reorder of a pack (boolean mask, int indices, or
         ``slice(None)``)."""
-        return pack[pick]
+        return [part[pick] for part in pack]
 
     def _k_vstack(self, packs: list) -> Any:
         """Concatenate packs row-wise, preserving order."""
-        return np.vstack(packs)
+        return [np.vstack(parts) for parts in zip(*packs)]
 
     def _k_scatter(self, rows: np.ndarray, pack: Any) -> None:
         """OR a pack into the given state rows, duplicate-safe."""
-        _scatter_or(self._bits, rows, pack)
-        self._invalidate_rows(rows)
+        targets, merged = _merge_by_row(rows, pack)
+        for part, payload in zip(self._parts, merged):
+            part[targets] |= payload
+        self._invalidate_rows(targets)
 
-    def _k_row_popcounts(self, rows: np.ndarray) -> np.ndarray:
+    def _k_row_popcounts(self, rows: Any) -> np.ndarray:
         """Per-row rumor counts of the given *state* rows (the mirror
         path's learned-count probe)."""
-        return _popcount_rows(self._bits[rows])
+        return self._k_popcounts([part[rows] for part in self._parts])
 
     def _k_knows_column(self, rows: np.ndarray, rumor: Hashable) -> np.ndarray:
         """Boolean array: whether each given state row knows ``rumor``."""
-        bit = self._space.index.get(rumor)
-        if bit is None:
+        at = self._bit_location(rumor)
+        if at is None:
             return np.zeros(rows.shape[0], dtype=bool)
-        word, offset = divmod(bit, 64)
-        if word >= self._bits.shape[1]:
-            return np.zeros(rows.shape[0], dtype=bool)
-        return (self._bits[rows, word] & np.uint64(1 << offset)) != 0
+        b, w, bit = at
+        return (self._parts[b][rows, w] & bit) != 0
 
     def _k_knows_pairs(self, rows: np.ndarray, bits: np.ndarray) -> np.ndarray:
         """Boolean array: whether state row ``rows[k]`` has bit ``bits[k]``
@@ -847,8 +868,15 @@ class VectorState:
         out = np.zeros(rows.shape[0], dtype=bool)
         ok = bits >= 0
         bit = bits[ok]
-        words = self._bits[rows[ok], bit >> 6]
-        out[ok] = (words >> (bit & 63).astype(np.uint64)) & np.uint64(1) != 0
+        rows = rows[ok]
+        words = bit >> 6
+        offsets = np.asarray(self._offsets, dtype=np.int64)
+        part_of = np.searchsorted(offsets, words, side="right") - 1
+        values = np.zeros(bit.shape[0], dtype=np.uint64)
+        for b, part in enumerate(self._parts):
+            pick = np.flatnonzero(part_of == b)
+            values[pick] = part[rows[pick], words[pick] - offsets[b]]
+        out[ok] = (values >> (bit & 63).astype(np.uint64)) & np.uint64(1) != 0
         return out
 
 
@@ -967,12 +995,19 @@ class BroadcastVectorState(VectorState):
     def _k_gather(self, rows: np.ndarray) -> Any:
         return self._cols[rows]
 
-    def _k_popcounts(self, pack: Any, count: int) -> np.ndarray:
+    def _k_popcounts(self, pack: Any) -> np.ndarray:
         return pack.sum(axis=1, dtype=np.int64)
 
+    def _k_select(self, pack: Any, pick: Any) -> Any:
+        return pack[pick]
+
+    def _k_vstack(self, packs: list) -> Any:
+        return np.vstack(packs)
+
     def _k_scatter(self, rows: np.ndarray, pack: Any) -> None:
-        _scatter_or(self._cols, rows, pack)
-        self._invalidate_rows(rows)
+        targets, (merged,) = _merge_by_row(rows, (pack,))
+        self._cols[targets] |= merged
+        self._invalidate_rows(targets)
 
     def _k_row_popcounts(self, rows: np.ndarray) -> np.ndarray:
         return self._cols[rows].sum(axis=1, dtype=np.int64)
@@ -990,276 +1025,52 @@ class BroadcastVectorState(VectorState):
         return out
 
 
-class ChunkedVectorState(VectorState):
-    """Chunked layout: the uint64 matrix split into column blocks.
-
-    Each block is at most ``max_state_bytes`` big, so the largest single
-    allocation — and the per-block transient each scatter/gather pass
-    creates — is budget-bounded; the round update streams block by
-    block.  The blocks' *sum* (the whole matrix) and the payload
-    snapshots held by in-flight exchanges are inherent to the model and
-    are not bounded by the budget.
-
-    Blocks grow append-only (geometrically up to the per-block word
-    budget), so interning rumors one at a time never re-copies earlier
-    blocks.  Word ``w`` of the logical matrix lives in the block whose
-    ``_block_offsets`` span contains ``w``.
-    """
-
-    __slots__ = ("_blocks", "_block_words", "_block_offsets")
-
-    layout = "chunked"
-
-    def _init_storage(
-        self, n: int, bits: int, max_state_bytes: Optional[int] = None
-    ) -> None:
-        budget = (
-            max_state_bytes
-            if max_state_bytes is not None
-            else current_max_state_bytes()
-        )
-        self._block_words = max(1, budget // (max(n, 1) * 8))
-        self._blocks: list[np.ndarray] = []
-        self._block_offsets: list[int] = [0]
-        if bits:
-            words = (bits + 63) // 64
-            start = 0
-            while start < words:
-                width = min(self._block_words, words - start)
-                self._blocks.append(np.zeros((n, width), dtype=np.uint64))
-                start += width
-                self._block_offsets.append(start)
-
-    def _ensure_bit(self, bit: int) -> None:
-        needed = bit // 64 + 1
-        have = self._block_offsets[-1]
-        if needed <= have:
-            return
-        n = len(self._node_list)
-        while have < needed:
-            # Geometric growth bounded by the per-block budget: appending
-            # (never reallocating) keeps one-at-a-time interning amortized
-            # O(1) per word without ever exceeding max_state_bytes in a
-            # single allocation.
-            width = min(self._block_words, max(needed - have, have, 1))
-            self._blocks.append(np.zeros((n, width), dtype=np.uint64))
-            have += width
-            self._block_offsets.append(have)
-
-    def _block_of(self, word: int) -> tuple[int, int]:
-        b = bisect.bisect_right(self._block_offsets, word) - 1
-        return b, word - self._block_offsets[b]
-
-    def _set_bit(self, i: int, bit: int) -> None:
-        word, offset = divmod(bit, 64)
-        b, w = self._block_of(word)
-        self._blocks[b][i, w] |= np.uint64(1 << offset)
-
-    def _mask_of_row(self, i: int) -> int:
-        if not self._blocks:
-            return 0
-        return int.from_bytes(
-            b"".join(block[i].tobytes() for block in self._blocks), "little"
-        )
-
-    def _or_row_storage(self, i: int, mask: int) -> None:
-        offsets = self._block_offsets
-        data = np.frombuffer(
-            mask.to_bytes(offsets[-1] * 8, "little"), dtype=np.uint64
-        )
-        for b, block in enumerate(self._blocks):
-            segment = data[offsets[b] : offsets[b + 1]]
-            if segment.any():
-                block[i] |= segment
-
-    def _load_masks(self, masks: Sequence[int]) -> None:
-        for i, mask in enumerate(masks):
-            if not mask:
-                continue
-            if mask.bit_count() <= 64:
-                bits = mask
-                while bits:
-                    low = bits & -bits
-                    self._set_bit(i, low.bit_length() - 1)
-                    bits ^= low
-            else:
-                self._or_row_storage(i, mask)
-
-    def _words_matrix(self) -> np.ndarray:
-        if not self._blocks:
-            return np.zeros((len(self._node_list), 1), dtype=np.uint64)
-        if len(self._blocks) == 1:
-            return self._blocks[0]
-        return np.hstack(self._blocks)
-
-    def _load_words(self, words: np.ndarray) -> None:
-        offsets = self._block_offsets
-        for b, block in enumerate(self._blocks):
-            lo = min(offsets[b], words.shape[1])
-            hi = min(offsets[b + 1], words.shape[1])
-            if hi > lo:
-                block[:, : hi - lo] = words[:, lo:hi]
-
-    def state_nbytes(self) -> int:
-        return int(sum(block.nbytes for block in self._blocks))
-
-    def rumor_count(self, node: Node) -> int:
-        i = self._node_index[node]
-        return int(
-            sum(int(_popcount_rows(block[i])) for block in self._blocks)
-        )
-
-    def min_rumor_count(self) -> int:
-        n = len(self._node_list)
-        if n == 0:
-            return 0
-        total = np.zeros(n, dtype=np.int64)
-        # Streamed per block: each pass touches one budget-bounded matrix.
-        for block in self._blocks:
-            total += _popcount_rows(block)
-        return int(total.min())
-
-    def knows(self, node: Node, rumor: Hashable) -> bool:
-        bit = self._space.index.get(rumor)
-        if bit is None:
-            return False
-        word, offset = divmod(bit, 64)
-        if word >= self._block_offsets[-1]:
-            return False
-        b, w = self._block_of(word)
-        return bool(
-            self._blocks[b][self._node_index[node], w] & np.uint64(1 << offset)
-        )
-
-    def count_knowing(self, rumor: Hashable) -> int:
-        bit = self._space.index.get(rumor)
-        if bit is None:
-            return 0
-        word, offset = divmod(bit, 64)
-        if word >= self._block_offsets[-1]:
-            return 0
-        b, w = self._block_of(word)
-        return int(
-            np.count_nonzero(self._blocks[b][:, w] & np.uint64(1 << offset))
-        )
-
-    def knows_every(
-        self, nodes: Iterable[Node], rumors: Iterable[Hashable]
-    ) -> bool:
-        index = self._space.index
-        offsets = self._block_offsets
-        required = np.zeros(offsets[-1], dtype=np.uint64)
-        for rumor in rumors:
-            bit = index.get(rumor)
-            if bit is None or bit >= offsets[-1] * 64:
-                return False
-            word, offset = divmod(bit, 64)
-            required[word] |= np.uint64(1 << offset)
-        picks = [self._node_index[node] for node in nodes]
-        # Streamed per block: each pass materializes at most one
-        # budget-bounded (len(nodes) × block_words) slice.
-        for b, block in enumerate(self._blocks):
-            need = required[offsets[b] : offsets[b + 1]]
-            if not need.any():
-                continue
-            rows = block[picks]
-            if not ((rows & need) == need).all():
-                return False
-        return True
-
-    # -- array kernels ---------------------------------------------------
-    def _k_width(self) -> tuple:
-        return ("chunked", tuple(self._block_offsets))
-
-    def _k_gather(self, rows: np.ndarray) -> Any:
-        return [block[rows] for block in self._blocks]
-
-    def _k_popcounts(self, pack: Any, count: int) -> np.ndarray:
-        total = np.zeros(count, dtype=np.int64)
-        for part in pack:
-            total += _popcount_rows(part)
-        return total
-
-    def _k_select(self, pack: Any, pick: Any) -> Any:
-        return [part[pick] for part in pack]
-
-    def _k_vstack(self, packs: list) -> Any:
-        return [
-            np.vstack([pack[b] for pack in packs])
-            for b in range(len(self._blocks))
-        ]
-
-    def _k_scatter(self, rows: np.ndarray, pack: Any) -> None:
-        if rows.shape[0] == 0 or not self._blocks:
-            return
-        order = np.argsort(rows, kind="stable")
-        sorted_rows = rows[order]
-        starts = np.flatnonzero(np.r_[True, sorted_rows[1:] != sorted_rows[:-1]])
-        if starts.shape[0] == rows.shape[0]:
-            # Duplicate-free: one fancy read-modify-write per column block
-            # (same strategy as :func:`_scatter_or`).
-            for block, part in zip(self._blocks, pack):
-                block[rows] |= part
-            self._invalidate_rows(rows)
-            return
-        targets = sorted_rows[starts]
-        sizes = np.diff(np.r_[starts, sorted_rows.shape[0]])
-        ranks = [
-            np.flatnonzero(sizes > rank) for rank in range(1, int(sizes.max()))
-        ]
-        first = order[starts]
-        for block, part in zip(self._blocks, pack):
-            merged = part[first]
-            for rank, deep in enumerate(ranks, start=1):
-                merged[deep] |= part[order[starts[deep] + rank]]
-            block[targets] |= merged
-        self._invalidate_rows(targets)
-
-    def _k_row_popcounts(self, rows: np.ndarray) -> np.ndarray:
-        total = np.zeros(rows.shape[0], dtype=np.int64)
-        for block in self._blocks:
-            total += _popcount_rows(block[rows])
-        return total
-
-    def _k_knows_column(self, rows: np.ndarray, rumor: Hashable) -> np.ndarray:
-        bit = self._space.index.get(rumor)
-        if bit is None:
-            return np.zeros(rows.shape[0], dtype=bool)
-        word, offset = divmod(bit, 64)
-        if word >= self._block_offsets[-1]:
-            return np.zeros(rows.shape[0], dtype=bool)
-        b, w = self._block_of(word)
-        return (self._blocks[b][rows, w] & np.uint64(1 << offset)) != 0
-
-    def _k_knows_pairs(self, rows: np.ndarray, bits: np.ndarray) -> np.ndarray:
-        out = np.zeros(rows.shape[0], dtype=bool)
-        offsets = np.asarray(self._block_offsets, dtype=np.int64)
-        ok = bits >= 0
-        bit = bits[ok]
-        rows = rows[ok]
-        words = bit >> 6
-        block_of = np.searchsorted(offsets, words, side="right") - 1
-        values = np.zeros(bit.shape[0], dtype=np.uint64)
-        # Streamed per block, like every other chunked kernel.
-        for b, block in enumerate(self._blocks):
-            pick = np.flatnonzero(block_of == b)
-            if pick.shape[0]:
-                values[pick] = block[rows[pick], words[pick] - offsets[b]]
-        out[ok] = (values >> (bit & 63).astype(np.uint64)) & np.uint64(1) != 0
-        return out
-
-
 #: Broadcast-layout cutoff: with ``k <= 8`` rumor columns the uint8
 #: layout never uses more bytes than one dense uint64 word per node.
 _BROADCAST_MAX_RUMORS = 8
 
-#: Layout name -> state class (the ``layout=`` argument of
-#: :meth:`VectorState.from_network_state` and the test matrix).
+#: Storage name -> state class (the ``layout=`` argument of
+#: :meth:`VectorState.from_network_state`).  The bitset storage is
+#: ``"dense"``; its ``"chunked"`` label is derived from the part count.
 STATE_LAYOUTS: dict[str, type] = {
     "dense": VectorState,
     "broadcast": BroadcastVectorState,
-    "chunked": ChunkedVectorState,
 }
+
+
+def _pick_storage(state: Any, layout: Optional[str]) -> type:
+    """The state class for ``state``'s rumor universe (or the forced one)."""
+    if layout is not None:
+        try:
+            return STATE_LAYOUTS[layout]
+        except KeyError:
+            raise SimulationError(
+                f"unknown state layout {layout!r}; available: "
+                + ", ".join(sorted(STATE_LAYOUTS))
+            ) from None
+    if 0 < len(state._space.tokens) <= _BROADCAST_MAX_RUMORS:
+        return BroadcastVectorState
+    return VectorState
+
+
+def _empty_copy(
+    state: Any, chosen: type, max_state_bytes: Optional[int]
+) -> VectorState:
+    """A ``chosen`` state with ``state``'s nodes, rumor space and notes,
+    over zeroed storage addressing its whole rumor universe."""
+    n = len(state._node_list)
+    out = chosen.__new__(chosen)
+    out._node_index = dict(state._node_index)
+    out._node_list = list(state._node_list)
+    out._space = _RumorSpace()
+    out._space.index = dict(state._space.index)
+    out._space.tokens = list(state._space.tokens)
+    out._notes = [dict(board) for board in state._notes]
+    out._snapshots = [None] * n
+    out._masks_cache = [None] * n
+    out._cache_filled = False
+    out._init_storage(n, len(state._space.tokens), max_state_bytes)
+    return out
 
 
 # ----------------------------------------------------------------------
@@ -2054,7 +1865,7 @@ class VectorEngine(Engine):
 
     def _deliver_fast(self) -> int:
         """Merge everything due this round with one segmented OR (per
-        layout block, for the chunked layout).  Returns the delivery count.
+        column part of the bitset storage).  Returns the delivery count.
         """
         batches = self._buckets.pop(self.round, None)
         if batches is None:
@@ -2208,8 +2019,8 @@ class VectorEngine(Engine):
         metrics = self._metrics
         initiator_payloads = state._k_gather(self._row_of[initiators])
         responder_payloads = state._k_gather(self._row_of[responders])
-        sent = state._k_popcounts(initiator_payloads, count)
-        received = state._k_popcounts(responder_payloads, count)
+        sent = state._k_popcounts(initiator_payloads)
+        received = state._k_popcounts(responder_payloads)
         metrics.rumor_tokens_sent += int(sent.sum() + received.sum())
         largest = int(max(sent.max(), received.max()))
         if largest > metrics.max_payload_rumors:

@@ -15,8 +15,10 @@ after any :mod:`repro.sim` refactor (and wired into ``repro check``):
 """
 
 from repro.testing.differential import (
+    LAYOUT_LEGS,
     DifferentialReport,
     assert_engines_agree,
+    layout_state,
     run_differential,
 )
 from repro.testing.reference import ReferenceEngine, ReferenceNetworkState
@@ -56,6 +58,7 @@ except ImportError:  # hypothesis not installed; strategies stay unavailable
 
 __all__ = [
     "DifferentialReport",
+    "LAYOUT_LEGS",
     "ReferenceEngine",
     "ReferenceNetworkState",
     "ReplayReport",
@@ -68,6 +71,7 @@ __all__ = [
     "fault_points",
     "large_dense_graphs",
     "latency_models",
+    "layout_state",
     "record_and_replay",
     "replay",
     "run_differential",

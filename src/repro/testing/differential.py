@@ -22,9 +22,34 @@ from repro.errors import SimulationError
 from repro.graphs.latency_graph import LatencyGraph, Node
 from repro.sim.engine import Engine, ProtocolFactory
 from repro.sim.state import NetworkState
+from repro.sim.vector import VectorState
 from repro.testing.reference import ReferenceEngine
 
-__all__ = ["DifferentialReport", "run_differential", "assert_engines_agree"]
+__all__ = [
+    "DifferentialReport",
+    "LAYOUT_LEGS",
+    "assert_engines_agree",
+    "layout_state",
+    "run_differential",
+]
+
+#: The rumor-state layouts the vector differential matrices cover.
+LAYOUT_LEGS = ("broadcast", "chunked", "dense")
+
+
+def layout_state(state: NetworkState, layout: str) -> VectorState:
+    """``state`` copied into one of the :data:`LAYOUT_LEGS`.
+
+    ``"dense"`` and ``"broadcast"`` force that storage at the default
+    budget.  ``"chunked"`` is the bitset storage under a one-word part
+    budget (``n * 8`` bytes), so any universe past 64 rumors — at
+    construction or grown mid-run — spans several parts.
+    """
+    if layout == "chunked":
+        return VectorState.from_network_state(
+            state, layout="dense", max_state_bytes=max(1, len(state.nodes())) * 8
+        )
+    return VectorState.from_network_state(state, layout=layout)
 
 
 @dataclasses.dataclass(frozen=True)

@@ -166,15 +166,15 @@ def crash_schedules(
 
 
 def state_layouts() -> st.SearchStrategy[str]:
-    """One of the vector backend's rumor-state layout names.
+    """One of the vector backend's rumor-state layout legs.
 
-    Draws from :data:`repro.sim.vector.STATE_LAYOUTS` (``dense``,
-    ``broadcast``, ``chunked``) so the layout differential matrix keeps
-    covering every layout automatically as new ones are registered.
+    Draws from :data:`repro.testing.differential.LAYOUT_LEGS`
+    (``broadcast``, ``chunked``, ``dense``); build the state with
+    :func:`~repro.testing.differential.layout_state`.
     """
-    from repro.sim.vector import STATE_LAYOUTS
+    from repro.testing.differential import LAYOUT_LEGS
 
-    return st.sampled_from(sorted(STATE_LAYOUTS))
+    return st.sampled_from(LAYOUT_LEGS)
 
 
 @st.composite

@@ -39,10 +39,10 @@ from repro.protocols.eid import run_eid
 from repro.protocols.path_discovery import run_t_sequence
 from repro.sim import invariants
 from repro.sim.state import NetworkState
-from repro.sim.vector import VectorState
 from repro.testing import (
     connected_latency_graphs,
     crash_schedules,
+    layout_state,
     seeds,
     state_layouts,
 )
@@ -89,7 +89,7 @@ def run_composite(
     state = NetworkState(graph.nodes())
     state.seed_self_rumors()
     if layout is not None:
-        state = VectorState.from_network_state(state, layout=layout)
+        state = layout_state(state, layout)
     runner = PhaseRunner(
         graph, state=state, backend=backend, engine_kwargs=engine_kwargs
     )

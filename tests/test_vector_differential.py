@@ -361,7 +361,9 @@ class TestVectorInvariants:
         # monotone, so the end-of-run scan has to fail.  (finish_checks,
         # not another step: a delivery in the next round could
         # legitimately restore the wiped knowledge first.)
-        engine.state._bits[0] = 0
+        assert engine.state.layout == "dense"
+        for part in engine.state._parts:
+            part[0] = 0
         # Direct storage mutation bypasses the copy-on-write caches;
         # drop them so the checker reads the wiped row.
         engine.state._masks_cache[0] = None

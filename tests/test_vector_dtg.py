@@ -36,6 +36,7 @@ from repro.testing import (
     ReferenceEngine,
     ReferenceNetworkState,
     connected_latency_graphs,
+    layout_state,
     state_layouts,
 )
 
@@ -67,7 +68,7 @@ def _engines(graph, factory, layout, latencies_known):
     reference_state.seed_self_rumors()
     vector_state = NetworkState(graph.nodes())
     vector_state.seed_self_rumors()
-    vector_state = VectorState.from_network_state(vector_state, layout=layout)
+    vector_state = layout_state(vector_state, layout)
     kwargs = {"latencies_known": latencies_known}
     return (
         Engine(graph, factory, state=scalar_state, **kwargs),

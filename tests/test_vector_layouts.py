@@ -1,10 +1,12 @@
 """Differential matrix for the vector backend's rumor-state layouts.
 
-The vector engine now stores rumor knowledge in one of three
-memory-specialized layouts — ``dense`` (bitset matrix), ``broadcast``
-(one byte-column per rumor), ``chunked`` (budget-bounded column blocks)
-— all behind the same :class:`~repro.sim.vector.VectorState` API.  The
-layout is a *representation* choice, so every layout must be
+The vector engine stores rumor knowledge in one of two storage classes
+behind the same :class:`~repro.sim.vector.VectorState` API: the bitset
+matrix in budget-bounded column parts — labelled ``dense`` while it is
+one part and ``chunked`` once it spans several — and ``broadcast`` (one
+byte-column per rumor).  The ``chunked`` leg runs the bitset storage
+under a one-word part budget, so every universe past 64 rumors spans
+parts.  The layout is a *representation* choice, so every layout must be
 bit-identical to the scalar :class:`~repro.sim.engine.Engine`: same
 completion rounds, same per-node knowledge, same metrics, for every
 oblivious protocol, under crash schedules and responder caps (a crash
@@ -12,7 +14,9 @@ schedule runs the scalar engine's own per-exchange step over the layout
 state, so those legs pin that path per layout).  This suite pins that
 with a hypothesis matrix over
 layouts x {push--pull, push, pull, flooding} x engine configs, plus
-deterministic legs for layout auto-selection, multi-block chunked runs,
+deterministic legs for layout auto-selection, multi-part chunked runs,
+part budgets under growth (add_rumor, merge, ℓ-DTG token interning, an
+EID run crossing parts mid-run),
 RR Broadcast on custom target tables, and a committed golden event
 stream each layout must reproduce byte for byte (re-bless with
 ``REPRO_UPDATE_GOLDEN=1`` after a deliberate semantic change).
@@ -32,6 +36,8 @@ from repro.graphs.latency_graph import LatencyGraph
 from repro.graphs.latency_models import uniform_latency
 from repro.obs import Recorder, events_to_jsonl
 from repro.protocols.base import PhaseRunner, per_node_rng_factory
+from repro.protocols.dtg import ldtg_factory
+from repro.protocols.eid import run_eid
 from repro.protocols.flooding import FloodingProtocol
 from repro.protocols.push_pull import (
     PullProtocol,
@@ -45,27 +51,25 @@ from repro.sim.runner import all_to_all_complete, broadcast_complete, run_until_
 from repro.sim.state import NetworkState
 from repro.sim.vector import (
     BroadcastVectorState,
-    ChunkedVectorState,
     DEFAULT_MAX_STATE_BYTES,
-    STATE_LAYOUTS,
     VectorEngine,
     VectorState,
     current_max_state_bytes,
     state_budget,
 )
 from repro.testing import (
+    LAYOUT_LEGS,
     assert_engines_agree,
     connected_latency_graphs,
     crash_schedules,
     engine_configs,
+    layout_state,
     run_differential,
     seeds,
     state_layouts,
 )
 
 GOLDEN_DIR = pathlib.Path(__file__).parent / "golden"
-
-LAYOUTS = sorted(STATE_LAYOUTS)
 
 #: name -> builder(rumor) -> per-node protocol constructor over an rng.
 #: ``flooding`` is the knows-gated (push-only) variant, so the matrix
@@ -94,7 +98,7 @@ def forced_layout(make_base, layout):
     """A state builder yielding ``make_base()`` in the given layout."""
 
     def make_state():
-        return VectorState.from_network_state(make_base(), layout=layout)
+        return layout_state(make_base(), layout)
 
     return make_state
 
@@ -102,7 +106,7 @@ def forced_layout(make_base, layout):
 class TestLayoutMatrix:
     """Every layout x every oblivious protocol vs the scalar engine."""
 
-    @pytest.mark.parametrize("layout", LAYOUTS)
+    @pytest.mark.parametrize("layout", LAYOUT_LEGS)
     @pytest.mark.parametrize("variant", sorted(PROTOCOLS))
     @given(connected_latency_graphs(max_nodes=12), seeds(), engine_configs())
     @settings(max_examples=6, deadline=None)
@@ -149,7 +153,7 @@ class TestLayoutMatrix:
 
         candidates = [{"engine_cls": Engine, "make_state": make_base}] + [
             {"backend": "vector", "make_state": forced_layout(make_base, layout)}
-            for layout in LAYOUTS
+            for layout in LAYOUT_LEGS
         ]
         for candidate in candidates:
             report = run_differential(
@@ -194,7 +198,7 @@ class TestLayoutMatrix:
 
     def test_chunked_multi_block_all_to_all_agrees(self):
         # 80 self-rumors need 2 bitset words; a budget of n*8 bytes caps
-        # blocks at one word each, so the run genuinely spans blocks.
+        # parts at one word each, so the run genuinely spans parts.
         graph = generators.erdos_renyi(
             80, 0.08, latency_model=uniform_latency(1, 4), rng=random.Random(7)
         )
@@ -207,8 +211,8 @@ class TestLayoutMatrix:
         def make_state():
             with state_budget(len(graph.nodes()) * 8):
                 state = VectorState.from_network_state(make_base())
-            assert isinstance(state, ChunkedVectorState)
-            assert len(state._blocks) > 1
+            assert state.layout == "chunked"
+            assert len(state._parts) == 2
             return state
 
         def make_factory():
@@ -243,28 +247,34 @@ class TestLayoutSelection:
         state = NetworkState(range(10))
         state.seed_self_rumors()  # 10 rumors > the broadcast cutoff of 8
         vector = VectorState.from_network_state(state)
-        assert type(vector) is VectorState
         assert vector.layout == "dense"
+        assert len(vector._parts) == 1
 
     def test_over_budget_universe_chunks(self):
         state = NetworkState(range(100))
         state.seed_self_rumors()  # dense would need n * 2 words * 8 bytes
         vector = VectorState.from_network_state(state, max_state_bytes=100 * 8)
-        assert isinstance(vector, ChunkedVectorState)
         assert vector.layout == "chunked"
+        assert [part.nbytes for part in vector._parts] == [100 * 8, 100 * 8]
 
-    @pytest.mark.parametrize("layout", LAYOUTS)
+    @pytest.mark.parametrize("layout", LAYOUT_LEGS)
     def test_forced_layout_is_respected(self, layout):
+        # 70 rumors: two bitset words, so the one-word chunked leg splits.
         state = NetworkState(range(6))
-        state.add_rumor(0, "r")
-        vector = VectorState.from_network_state(state, layout=layout)
+        for r in range(70):
+            state.add_rumor(r % 6, ("r", r))
+        vector = layout_state(state, layout)
         assert vector.layout == layout
-        assert vector.rumors(0) == {"r"}
+        for node in range(6):
+            assert vector.rumors(node) == state.rumors(node)
 
     def test_unknown_layout_rejected(self):
         state = NetworkState(range(4))
         with pytest.raises(SimulationError, match="unknown state layout"):
             VectorState.from_network_state(state, layout="sparse-coo")
+        # "chunked" is a label derived from the part count, not a choice.
+        with pytest.raises(SimulationError, match="unknown state layout"):
+            VectorState.from_network_state(state, layout="chunked")
 
     def test_budget_scope_and_env_var(self, monkeypatch):
         monkeypatch.delenv("REPRO_MAX_STATE_BYTES", raising=False)
@@ -284,8 +294,112 @@ class TestLayoutSelection:
         assert broadcast.state_nbytes() == 64  # one uint8 column
         dense = VectorState.from_network_state(base, layout="dense")
         assert dense.state_nbytes() == 64 * 8  # one word per node
-        chunked = VectorState.from_network_state(base, layout="chunked")
-        assert chunked.state_nbytes() == 64 * 8  # one one-word block
+        chunked = layout_state(base, "chunked")
+        assert chunked.state_nbytes() == 64 * 8  # one one-word part
+        assert chunked.layout == "dense"  # one part reads dense
+
+
+class TestPartBudget:
+    """A bitset state never holds a part bigger than its budget, however
+    it grows, and growth never changes the rumor sets."""
+
+    N = 100
+    BUDGET = 1600  # two words per part at n = 100
+
+    def _pick_within_budget(self, nodes=None):
+        """70 rumors over 100 nodes: two words, exactly one full part."""
+        base = NetworkState(nodes if nodes is not None else range(self.N))
+        order = base.nodes()
+        for r in range(70):
+            base.add_rumor(order[r], ("r", r))
+        vector = VectorState.from_network_state(base)
+        assert vector.layout == "dense"
+        assert vector.state_nbytes() == self.BUDGET
+        return base, vector
+
+    def _assert_parts_fit(self, vector):
+        if vector.layout == "dense":  # one part: the whole storage
+            assert vector.state_nbytes() <= self.BUDGET
+        else:
+            assert max(part.nbytes for part in vector._parts) <= self.BUDGET
+
+    def _assert_grown_within_budget(self, vector, mirror):
+        self._assert_parts_fit(vector)
+        assert vector.layout == "chunked"
+        for node in mirror.nodes():
+            assert vector.rumors(node) == mirror.rumors(node)
+
+    def test_add_rumor_appends_parts(self):
+        with state_budget(self.BUDGET):
+            base, vector = self._pick_within_budget()
+            for r in range(70, 200):
+                base.add_rumor(r % self.N, ("r", r))
+                vector.add_rumor(r % self.N, ("r", r))
+                self._assert_parts_fit(vector)
+        self._assert_grown_within_budget(vector, base)
+        assert [part.shape[1] for part in vector._parts] == [2, 2]
+
+    def test_merge_appends_parts(self):
+        donor = NetworkState(range(self.N))
+        for r in range(200):
+            donor.add_rumor(0, ("r", r))
+        payload = donor.snapshot(0)
+        with state_budget(self.BUDGET):
+            base, vector = self._pick_within_budget()
+            assert base.merge(5, payload)
+            assert vector.merge(5, payload)
+        self._assert_grown_within_budget(vector, base)
+
+    def test_ldtg_token_interning_appends_parts(self):
+        graph = generators.ring_of_cliques(
+            10, 10, inter_latency=2, rng=random.Random(3)
+        )
+        factory = ldtg_factory(graph, 1, run_tag="grow")
+        with state_budget(self.BUDGET):
+            base, vector = self._pick_within_budget(graph.nodes())
+            scalar = Engine(graph, factory, state=base, latencies_known=True)
+            engine = VectorEngine(graph, factory, state=vector, latencies_known=True)
+        self._assert_grown_within_budget(vector, base)
+        # 70 rumors + 100 tokens: three words, the third in a new part.
+        assert [part.shape[1] for part in vector._parts] == [2, 1]
+        while not scalar.all_done():
+            scalar.step()
+            engine.step()
+        assert engine.all_done() and engine.round == scalar.round
+        assert engine.metrics == scalar.metrics
+        self._assert_grown_within_budget(vector, base)
+
+    def test_eid_crosses_parts_mid_run(self):
+        # n self-rumors fit one word; the ℓ-DTG tokens EID interns push
+        # the universe past 64 bits, so a one-word part budget makes the
+        # vector state append parts between phases.
+        graph = generators.ring_of_cliques(
+            5, 8, inter_latency=3, rng=random.Random(1)
+        )
+        n = graph.num_nodes
+
+        def run(backend):
+            state = NetworkState(graph.nodes())
+            state.seed_self_rumors()
+            runner = PhaseRunner(graph, state=state, backend=backend)
+            report = run_eid(graph, diameter=graph.weighted_diameter(), runner=runner)
+            return runner, report
+
+        with state_budget(n * 8):
+            vector, vector_report = run("vector")
+        scalar, scalar_report = run(None)
+        assert vector.state.layout == "chunked"
+        assert len(vector.state._parts) > 1
+        assert max(part.nbytes for part in vector.state._parts) <= n * 8
+        assert vector_report == scalar_report
+        assert vector.total_rounds == scalar.total_rounds
+        assert vector.total_exchanges == scalar.total_exchanges
+        assert vector.total_messages == scalar.total_messages
+        assert [(p.name, p.rounds, p.exchanges) for p in vector.phases] == [
+            (p.name, p.rounds, p.exchanges) for p in scalar.phases
+        ]
+        for node in graph.nodes():
+            assert vector.state.rumors(node) == scalar.state.rumors(node)
 
 
 def _oriented_spanner(graph) -> DirectedSpanner:
@@ -316,11 +430,11 @@ class TestRRBroadcastVector:
     def test_vector_backend_matches_scalar(self):
         assert self._run("vector") == self._run("scalar")
 
-    @pytest.mark.parametrize("layout", LAYOUTS)
+    @pytest.mark.parametrize("layout", LAYOUT_LEGS)
     def test_every_layout_matches_scalar(self, layout):
         seeded = NetworkState(self.GRAPH.nodes())
         seeded.seed_self_rumors()
-        forced = VectorState.from_network_state(seeded, layout=layout)
+        forced = layout_state(seeded, layout)
         assert self._run("vector", state=forced) == self._run("scalar")
 
 
@@ -348,7 +462,7 @@ def _bucketed_trace(backend, layout=None) -> str:
         engine = VectorEngine(
             graph,
             factory,
-            state=VectorState.from_network_state(state, layout=layout),
+            state=layout_state(state, layout),
             recorder=recorder,
         )
     else:
@@ -378,7 +492,7 @@ class TestLayoutGoldenTraces:
             "intentional, re-bless with REPRO_UPDATE_GOLDEN=1 and review"
         )
 
-    @pytest.mark.parametrize("layout", LAYOUTS)
+    @pytest.mark.parametrize("layout", LAYOUT_LEGS)
     def test_layout_reproduces_committed_bytes(self, layout):
         path = GOLDEN_DIR / GOLDEN_FILE
         assert path.exists(), (
