@@ -12,9 +12,10 @@ workload (same graph, seed, and shape as ``BENCH_engine.json``):
   the current one), so in practice this is a loud catastrophic-regression
   tripwire — e.g. instrumentation accidentally moved inside the per-round
   loop — rather than a tight bound;
-* a paired in-process A/B (recorder disabled vs. a ``CounterSink``
-  recorder attached) reports the *enabled* overhead ratio, so the cost of
-  turning telemetry on is visible in every benchmark log.
+* a paired in-process A/B (recorder disabled vs. a recorder carrying a
+  ``MetricsSink`` on a fresh registry) reports the *enabled* overhead
+  ratio, so the cost of turning telemetry on is visible in every
+  benchmark log.
 
 Runs standalone, no pytest-benchmark needed:
 ``PYTHONPATH=src python -m pytest benchmarks/test_bench_obs_overhead.py``.
@@ -27,7 +28,7 @@ import time
 from repro.benchmarking import BASELINE_PATH
 from repro.graphs import generators
 from repro.graphs.latency_models import uniform_latency
-from repro.obs import CounterSink, Recorder
+from repro.obs import MetricsRegistry, MetricsSink, Recorder
 from repro.protocols.push_pull import run_push_pull
 
 WORKLOAD = "pushpull_broadcast_er_n400"
@@ -84,7 +85,7 @@ def test_enabled_overhead_is_bounded(capsys):
     recorders = []
 
     def make_recorder():
-        recorder = Recorder(CounterSink())
+        recorder = Recorder(MetricsSink(MetricsRegistry()))
         recorders.append(recorder)
         return recorder
 
@@ -93,10 +94,10 @@ def test_enabled_overhead_is_bounded(capsys):
     with capsys.disabled():
         print()
         print(
-            f"{WORKLOAD}: disabled {disabled:.4f}s, CounterSink recorder "
+            f"{WORKLOAD}: disabled {disabled:.4f}s, MetricsSink recorder "
             f"{enabled:.4f}s ({ratio:.2f}x)"
         )
     assert recorders[-1].events_recorded > 0
-    # Event construction + counter updates cost real time; this is a
+    # Event construction + metric updates cost real time; this is a
     # sanity rail against pathological blowups, not a tight bound.
     assert ratio < 10.0, f"recorder-enabled run is {ratio:.1f}x slower"

@@ -427,18 +427,18 @@ def _mirror_pushpull_workload(n: int, avg_degree: float, repeats: int) -> Worklo
     """Recorder-attached vector broadcast on the batched mirror path.
 
     Rounds are computed with the array kernels and the events emitted
-    from the precomputed buckets; a ``CounterSink`` keeps the event
-    encoder out of the number.
+    from the precomputed buckets; a sinkless recorder only counts them,
+    which keeps the event encoder out of the number.
     """
 
     def run() -> dict[str, Any]:
-        from repro.obs.recorder import CounterSink, Recorder
+        from repro.obs.recorder import Recorder
         from repro.protocols.push_pull import run_push_pull
 
         graph = _vector_bench_graph(n, avg_degree, 8)
-        sink = CounterSink()
+        recorder = Recorder()
         result = run_push_pull(
-            graph, mode="broadcast", seed=0, backend="vector", recorder=Recorder(sink)
+            graph, mode="broadcast", seed=0, backend="vector", recorder=recorder
         )
         return {
             "rounds": result.rounds,
@@ -446,7 +446,7 @@ def _mirror_pushpull_workload(n: int, avg_degree: float, repeats: int) -> Worklo
             "n": n,
             "backend": "vector",
             "mirror": "batched",
-            "events": sum(sink.by_kind.values()),
+            "events": recorder.events_recorded,
         }
 
     return Workload(
@@ -464,7 +464,7 @@ def _mirror_pushpull_workload(n: int, avg_degree: float, repeats: int) -> Worklo
 def _jsonl_pushpull_workload(n: int, avg_degree: float, repeats: int) -> Workload:
     """Recorder-attached vector broadcast streaming canonical JSONL.
 
-    The mirror workload counts events with a ``CounterSink``, so it
+    The mirror workload only counts events (a sinkless recorder), so it
     never reaches the event encoder; this one writes every event through
     ``JsonlSink`` (one :func:`~repro.obs.events.event_to_json` line each)
     into an in-memory stream, so no disk time is in the number.  The

@@ -486,14 +486,15 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
 
 
 def _cmd_trace(args: argparse.Namespace) -> int:
-    from repro.obs import CounterSink, JsonlSink, MemorySink, Recorder, event_to_json
+    from repro.obs import JsonlSink, MemorySink, MetricsSink, Recorder, event_to_json
+    from repro.obs.metrics import MetricsRegistry
     from repro.protocols import run_general_eid, run_path_discovery, run_push_pull
 
     graph = build_topology(args)
     _maybe_save(graph, args)
     memory = MemorySink()
-    counters = CounterSink()
-    sinks = [memory, counters]
+    metrics = MetricsSink(MetricsRegistry())
+    sinks = [memory, metrics]
     jsonl_sink = None
     if args.jsonl:
         jsonl_sink = JsonlSink(args.jsonl)
@@ -549,13 +550,13 @@ def _cmd_trace(args: argparse.Namespace) -> int:
             print(event_to_json(event))
         if args.limit is not None and len(events) > args.limit:
             print(f"... ({len(events) - args.limit} more events not shown)")
-    kinds = " ".join(f"{kind}={n}" for kind, n in sorted(counters.by_kind.items()))
+    kinds = " ".join(f"{kind}={n}" for kind, n in metrics.counts_by_kind().items())
     print(f"events: {recorder.events_recorded} ({kinds})")
-    print(
-        f"rumors learned: {counters.rumors_learned}; "
-        f"lost initiations: {counters.lost_initiations}; "
-        f"max in-flight: {counters.max_in_flight}"
-    )
+    registry = metrics.registry
+    rumors = registry.counter("engine_rumors_learned_total").value()
+    lost = registry.counter("engine_lost_initiations_total").value()
+    peak = registry.gauge("engine_in_flight_peak").value()
+    print(f"rumors learned: {rumors}; lost initiations: {lost}; max in-flight: {peak}")
     print(summary)
     if jsonl_sink is not None:
         print(f"wrote {jsonl_sink.lines_written} events to {args.jsonl}")

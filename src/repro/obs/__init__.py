@@ -71,7 +71,6 @@ from repro.obs.profile import (
     spans_to_wire,
 )
 from repro.obs.recorder import (
-    CounterSink,
     JsonlSink,
     MemorySink,
     Recorder,
@@ -97,7 +96,6 @@ from repro.obs.traces import Trace, TraceDiff, diff_traces, load_trace
 __all__ = [
     "BlockedInitiationEvent",
     "Counter",
-    "CounterSink",
     "DeliveryEvent",
     "Event",
     "GATE_SUITES",

@@ -45,6 +45,7 @@ __all__ = [
     "VoidExchangeEvent",
     "WakeupEvent",
     "RoundEvent",
+    "ATTEMPT_KINDS",
     "node_key",
     "event_to_dict",
     "event_to_json",
@@ -171,6 +172,9 @@ class RoundEvent(Event):
 
     kind = "round"
 
+
+#: The kinds that are one initiation attempt of their ``initiator``.
+ATTEMPT_KINDS = frozenset({"initiate", "blocked", "rejected"})
 
 _NODE_FIELDS = ("initiator", "responder", "node", "peer")
 

@@ -562,7 +562,8 @@ class MetricsSink:
 
     Attach it to a :class:`~repro.obs.recorder.Recorder` to export the
     event stream as metrics without retaining events.  The totals match
-    :class:`~repro.obs.recorder.CounterSink` exactly (property-tested):
+    the ones :class:`~repro.obs.traces.Trace` derives offline from the
+    same events (property-tested):
 
     * ``engine_events_total{kind=...}`` — one increment per event;
     * ``engine_rumors_learned_total`` — both endpoints' coverage deltas;
@@ -603,3 +604,11 @@ class MetricsSink:
                 self._lost.inc()
         elif isinstance(event, RoundEvent):
             self._peak.set_max(event.in_flight)
+
+    def counts_by_kind(self) -> dict[str, int]:
+        """``engine_events_total`` as ``{kind: count}``, kind-sorted — the
+        shape of :meth:`~repro.obs.traces.Trace.counts_by_kind`."""
+        return {
+            dict(labels)["kind"]: self._events.value(**dict(labels))
+            for labels in self._events.label_sets()
+        }

@@ -9,9 +9,10 @@ fanned out to the recorder's sinks:
 * :class:`RingBufferSink` — fixed-capacity deque keeping the most recent
   events (long runs where only the tail matters);
 * :class:`JsonlSink` — streams the canonical JSONL form to a file (the
-  golden-trace format);
-* :class:`CounterSink` — aggregates counts per event kind plus rumor /
-  loss totals without retaining events.
+  golden-trace format).
+
+:class:`~repro.obs.metrics.MetricsSink` aggregates the stream into a
+metrics registry without retaining events.
 
 Sinks are intentionally tiny: anything with ``write(event)`` (and an
 optional ``close()``) qualifies, so experiment-specific sinks can be
@@ -25,21 +26,13 @@ import io
 import pathlib
 from typing import Iterable, Optional, Protocol, Union, runtime_checkable
 
-from repro.obs.events import (
-    DeliveryEvent,
-    Event,
-    InitiationEvent,
-    RoundEvent,
-    event_to_json,
-    events_to_jsonl,
-)
+from repro.obs.events import Event, event_to_json, events_to_jsonl
 
 __all__ = [
     "Sink",
     "MemorySink",
     "RingBufferSink",
     "JsonlSink",
-    "CounterSink",
     "Recorder",
     "replay_into",
 ]
@@ -114,40 +107,6 @@ class JsonlSink:
             self._file.close()
         elif not self._file.closed:
             self._file.flush()
-
-
-class CounterSink:
-    """Aggregates events into counters without retaining them.
-
-    Attributes
-    ----------
-    by_kind:
-        ``{kind: count}`` over every event seen.
-    rumors_learned:
-        Sum of both endpoints' coverage deltas over all deliveries.
-    lost_initiations:
-        Initiations the failure model dropped on the wire.
-    max_in_flight:
-        Peak end-of-round backlog observed.
-    """
-
-    def __init__(self) -> None:
-        self.by_kind: dict[str, int] = {}
-        self.rumors_learned = 0
-        self.lost_initiations = 0
-        self.max_in_flight = 0
-
-    def write(self, event: Event) -> None:
-        kind = event.kind
-        self.by_kind[kind] = self.by_kind.get(kind, 0) + 1
-        if isinstance(event, DeliveryEvent):
-            self.rumors_learned += event.learned_by_initiator + event.learned_by_responder
-        elif isinstance(event, InitiationEvent):
-            if event.lost:
-                self.lost_initiations += 1
-        elif isinstance(event, RoundEvent):
-            if event.in_flight > self.max_in_flight:
-                self.max_in_flight = event.in_flight
 
 
 class Recorder:

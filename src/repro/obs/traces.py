@@ -14,7 +14,9 @@ shape) and supports:
   edges per round);
 * **structural diff** — :func:`diff_traces` pinpoints the first
   diverging event between two streams, the tool for debugging
-  nondeterminism ("two supposedly identical runs: where do they fork?").
+  nondeterminism ("two supposedly identical runs: where do they fork?");
+* **timelines** — :meth:`Trace.timeline` draws who initiated and who
+  merged, round by round, as an ASCII grid.
 
 Traces built from multi-phase protocols (EID, Path Discovery) reset the
 round counter at phase boundaries; per-round series here are therefore
@@ -30,7 +32,7 @@ import pathlib
 from typing import Any, Callable, Iterable, Iterator, Optional, Union
 
 from repro.errors import ObservabilityError
-from repro.obs.events import Event, event_to_dict
+from repro.obs.events import ATTEMPT_KINDS, Event, event_to_dict, node_key
 
 __all__ = ["Trace", "TraceDiff", "diff_traces", "load_trace"]
 
@@ -176,9 +178,8 @@ class Trace:
         every time a protocol *tried* to start an exchange.
         """
         counts = self.counts_by_kind()
-        blocked = counts.get("blocked", 0)
-        attempts = counts.get("initiate", 0) + blocked + counts.get("rejected", 0)
-        return blocked / attempts if attempts else 0.0
+        attempts = sum(counts.get(kind, 0) for kind in ATTEMPT_KINDS)
+        return counts.get("blocked", 0) / attempts if attempts else 0.0
 
     def coverage_curve(self, initial: int = 1) -> list[int]:
         """Cumulative rumors-known implied by delivery coverage deltas.
@@ -247,6 +248,45 @@ class Trace:
                 "mean": round(sum(latencies) / len(latencies), 3),
             }
         return out
+
+    # -- rendering -------------------------------------------------------
+    def timeline(
+        self, nodes: Iterable[Any], max_rounds: Optional[int] = None, width: int = 60
+    ) -> str:
+        """An ASCII per-node timeline: ``>`` attempt, ``*`` delivery, ``.`` idle.
+
+        An attempt is an ``initiate``, ``rejected`` or ``blocked`` event of
+        the node as initiator; a delivery marks each endpoint that merged
+        (the responder, and the initiator when it was alive).  A round with
+        both shows ``#``.  ``nodes`` are node identities, matched to the
+        records through :func:`~repro.obs.events.node_key`; the horizon is
+        the last marked round, truncated to ``width`` (or ``max_rounds``).
+        """
+        nodes = list(nodes)
+        marks: list[tuple[int, Any, str]] = []
+        for record in self._records:
+            kind = record["kind"]
+            if kind in ATTEMPT_KINDS:
+                marks.append((record["round"], record["initiator"], ">"))
+            elif kind == "deliver":
+                if record["initiator_alive"]:
+                    marks.append((record["round"], record["initiator"], "*"))
+                marks.append((record["round"], record["responder"], "*"))
+        last_round = max((round_ for round_, _, _ in marks), default=0)
+        horizon = min(last_round + 1, max_rounds or last_round + 1, width)
+        grid = {node_key(node): ["."] * horizon for node in nodes}
+        for round_, key, mark in marks:
+            cell = grid.get(key)
+            if cell is None or round_ >= horizon:
+                continue
+            cell[round_] = mark if cell[round_] in (".", mark) else "#"
+        label_width = max((len(repr(node)) for node in nodes), default=1)
+        lines = [
+            f"{'round':>{label_width}} " + "".join(str(i % 10) for i in range(horizon))
+        ]
+        for node in nodes:
+            lines.append(f"{node!r:>{label_width}} " + "".join(grid[node_key(node)]))
+        return "\n".join(lines)
 
 
 @dataclasses.dataclass(frozen=True)

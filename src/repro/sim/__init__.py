@@ -32,7 +32,6 @@ from repro.obs.recorder import Recorder
 from repro.obs.telemetry import PhaseTiming, RunTelemetry
 from repro.sim.state import NetworkState, Note, Payload
 from repro.sim.stream import StreamReport, run_streamed_all_to_all
-from repro.sim.trace import TraceEvent, TraceRecorder, render_timeline
 from repro.sim.vector import (
     ENGINE_BACKENDS,
     VectorEngine,
@@ -78,8 +77,6 @@ __all__ = [
     "SingleInitiationChecker",
     "StreamReport",
     "SymmetricMergeChecker",
-    "TraceEvent",
-    "TraceRecorder",
     "all_to_all_complete",
     "broadcast_complete",
     "checked",
@@ -88,7 +85,6 @@ __all__ = [
     "contact_and_wait",
     "default_checkers",
     "local_broadcast_complete",
-    "render_timeline",
     "run_streamed_all_to_all",
     "run_until_complete",
     "wait",

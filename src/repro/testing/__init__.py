@@ -7,8 +7,10 @@ after any :mod:`repro.sim` refactor (and wired into ``repro check``):
   re-implementation of the model, for differential testing via
   :func:`~repro.testing.differential.run_differential`;
 * :func:`~repro.testing.replay.replay` /
-  :func:`~repro.testing.replay.record_and_replay` — re-execute a recorded
-  trace and demand bit-identical events and metrics (determinism oracle);
+  :func:`~repro.testing.replay.record_and_replay` — re-execute the
+  initiation schedule of a recorded :mod:`repro.obs` event stream and
+  demand the identical stream (learned-rumor deltas included) and
+  bit-identical metrics (determinism oracle);
 * :mod:`repro.testing.strategies` — shared Hypothesis strategies for
   random graphs, latency models and seeds (imported lazily: everything
   else here works without ``hypothesis`` installed).

@@ -1,43 +1,59 @@
 """Trace replay: the determinism oracle.
 
-A :class:`~repro.sim.trace.TraceRecorder` captures *what* a run did (who
-initiated toward whom, each round).  :func:`replay` re-executes exactly
-that initiation schedule on a fresh engine — no protocol logic, no RNG —
-and asserts the re-run produces the identical event stream and (optionally)
-bit-identical :class:`~repro.sim.metrics.EngineMetrics`.  Because the
-engine is supposed to be a deterministic function of the initiation
-schedule and the initial state, any divergence means hidden
-nondeterminism or order-dependence crept into the engine — the class of
-bug that silently invalidates every seed-averaged experiment table.
+The engine's typed event stream (:mod:`repro.obs`, recorded with
+:meth:`Recorder.in_memory() <repro.obs.recorder.Recorder.in_memory>`)
+captures *what* a run did: every initiation attempt, every delivery with
+both endpoints' learned-rumor deltas, void exchanges and the per-round
+summaries.  :func:`replay` re-executes exactly that initiation schedule on
+a fresh engine — no protocol logic, no RNG — and asserts the re-run emits
+the identical stream and (optionally) bit-identical
+:class:`~repro.sim.metrics.EngineMetrics`.  Because the engine is supposed
+to be a deterministic function of the initiation schedule and the initial
+state, any divergence means hidden nondeterminism or order-dependence
+crept into the engine — the class of bug that silently invalidates every
+seed-averaged experiment table.  The deliveries' learned-rumor deltas make
+the oracle see knowledge too: a replay from the wrong initial state
+diverges at its first delivery that merges differently.
 
 :func:`record_and_replay` packages the full oracle: run a protocol once
-(recorded), replay the trace, compare.
+(recorded), replay the stream, compare.
 """
 
 from __future__ import annotations
 
 import dataclasses
-from typing import Callable, Optional
+from typing import Callable, Iterable, Optional
 
 from repro.errors import SimulationError
 from repro.graphs.latency_graph import LatencyGraph, Node
+from repro.obs.events import ATTEMPT_KINDS, Event
+from repro.obs.recorder import Recorder
+from repro.obs.traces import Trace, diff_traces
 from repro.sim.engine import Engine, NodeContext, NodeProtocol, ProtocolFactory
 from repro.sim.metrics import EngineMetrics
 from repro.sim.state import NetworkState
-from repro.sim.trace import TraceEvent, TraceRecorder
 
 __all__ = ["ReplayReport", "ScheduledProtocol", "replay", "record_and_replay"]
 
 
 class ScheduledProtocol(NodeProtocol):
-    """Replays one node's recorded initiations verbatim, round by round."""
+    """Replays one node's recorded initiations verbatim, round by round.
 
-    def __init__(self, schedule: dict[int, Node], sends_payload: bool = True) -> None:
+    ``schedule`` maps a round to ``(target, ping)``; ``ping`` sets
+    ``sends_payload`` for that initiation, as the recorded protocol did.
+    """
+
+    def __init__(self, schedule: dict[int, tuple[Node, bool]]) -> None:
         self._schedule = schedule
-        self.sends_payload = sends_payload
+        self.sends_payload = True
 
     def on_round(self, ctx: NodeContext) -> Optional[Node]:
-        return self._schedule.get(ctx.round)
+        entry = self._schedule.get(ctx.round)
+        if entry is None:
+            return None
+        target, ping = entry
+        self.sends_payload = not ping
+        return target
 
 
 @dataclasses.dataclass(frozen=True)
@@ -46,40 +62,66 @@ class ReplayReport:
 
     rounds: int
     metrics: EngineMetrics
-    events: tuple[TraceEvent, ...]
+    events: tuple[Event, ...]
 
 
-def _schedules(events: list[TraceEvent]) -> dict[Node, dict[int, Node]]:
-    schedules: dict[Node, dict[int, Node]] = {}
+def _schedules(events: list[Event]) -> dict[Node, dict[int, tuple[Node, bool]]]:
+    schedules: dict[Node, dict[int, tuple[Node, bool]]] = {}
     for event in events:
-        if event.kind != "initiate":
+        if event.kind not in ATTEMPT_KINDS:
             continue
-        per_round = schedules.setdefault(event.node, {})
+        per_round = schedules.setdefault(event.initiator, {})
         if event.round in per_round:
             raise SimulationError(
-                f"trace has two initiations by {event.node!r} in round "
+                f"trace has two initiations by {event.initiator!r} in round "
                 f"{event.round}; cannot replay an invalid trace"
             )
-        per_round[event.round] = event.peer
+        per_round[event.round] = (event.responder, getattr(event, "ping", False))
     return schedules
 
 
+def _incoming_cap(events: list[Event]) -> Optional[int]:
+    """The run's ``max_incoming_per_round``, read off its first rejection.
+
+    The engine rejects an initiation exactly when its responder has
+    already accepted ``cap`` initiations this round, each recorded as an
+    ``initiate`` event before the ``rejected`` one.  ``None``: no
+    initiation was rejected, so the run needs no cap to replay.
+    """
+    accepted: dict[tuple[int, Node], int] = {}
+    for event in events:
+        if event.kind == "initiate":
+            key = (event.round, event.responder)
+            accepted[key] = accepted.get(key, 0) + 1
+        elif event.kind == "rejected":
+            return accepted.get((event.round, event.responder), 0)
+    return None
+
+
+def _without_wakeups(events: Iterable[Event]) -> Trace:
+    # Wakeups follow the recorded protocol's is_done, not the engine: a
+    # scheduled protocol is never done, so its replay parks no node.
+    return Trace.from_events(event for event in events if event.kind != "wakeup")
+
+
 def replay(
-    recorder: TraceRecorder,
+    events: Iterable[Event],
     graph: LatencyGraph,
     rounds: int,
     state: Optional[NetworkState] = None,
     latencies_known: bool = False,
     fresh_snapshots: bool = False,
-    sends_payload: bool = True,
     expected_metrics: Optional[EngineMetrics] = None,
 ) -> ReplayReport:
-    """Re-execute a recorded trace and assert the engine reproduces it.
+    """Re-execute a recorded event stream and assert the engine reproduces it.
 
     Parameters
     ----------
-    recorder:
-        The recorded trace of the original run.
+    events:
+        The obs events of the original run, in record order.  Its
+        ``initiate``, ``rejected`` and ``blocked`` events are the schedule
+        (``ping`` initiations replay as pings); a ``rejected`` event also
+        fixes the run's in-degree cap.
     graph:
         The same network the original run used.
     rounds:
@@ -87,9 +129,6 @@ def replay(
         many).
     state:
         Initial knowledge, seeded exactly as the original run seeded it.
-    sends_payload:
-        Whether the original protocol shipped payloads (``False`` for
-        ping-only phases such as latency discovery).
     expected_metrics:
         When given, the replayed engine's metrics must equal these
         bit-for-bit.
@@ -97,34 +136,29 @@ def replay(
     Raises
     ------
     SimulationError
-        If the replayed event stream or metrics differ from the recording
-        — i.e. the engine is not a deterministic function of the schedule.
+        If the replayed event stream (``wakeup`` events aside) or metrics
+        differ from the recording — i.e. the engine is not a deterministic
+        function of the schedule and the initial state.
     """
-    schedules = _schedules(recorder.events)
-    check = TraceRecorder()
+    events = list(events)
+    schedules = _schedules(events)
+    recorder = Recorder.in_memory()
     engine = Engine(
         graph,
-        check.wrap(
-            lambda node: ScheduledProtocol(
-                schedules.get(node, {}), sends_payload=sends_payload
-            )
-        ),
+        lambda node: ScheduledProtocol(schedules.get(node, {})),
         state=state,
         latencies_known=latencies_known,
         fresh_snapshots=fresh_snapshots,
+        max_incoming_per_round=_incoming_cap(events),
+        recorder=recorder,
     )
     for _ in range(rounds):
         engine.step()
-    if check.events != recorder.events:
-        for original, replayed in zip(recorder.events, check.events):
-            if original != replayed:
-                raise SimulationError(
-                    f"replay diverged: recorded {original} but replayed "
-                    f"{replayed}"
-                )
+    replayed = recorder.events
+    diff = diff_traces(_without_wakeups(events), _without_wakeups(replayed))
+    if diff is not None:
         raise SimulationError(
-            f"replay diverged: {len(recorder.events)} recorded events vs "
-            f"{len(check.events)} replayed"
+            "replay diverged (a: recorded, b: replayed): " + diff.describe()
         )
     if expected_metrics is not None and engine.metrics != expected_metrics:
         raise SimulationError(
@@ -134,7 +168,7 @@ def replay(
     return ReplayReport(
         rounds=engine.round,
         metrics=engine.metrics,
-        events=tuple(check.events),
+        events=tuple(replayed),
     )
 
 
@@ -147,21 +181,22 @@ def record_and_replay(
     fresh_snapshots: bool = False,
     max_rounds: int = 100_000,
 ) -> ReplayReport:
-    """Run a protocol once, then replay its trace: the one-call oracle.
+    """Run a protocol once, then replay its event stream: the one-call oracle.
 
     The protocol run is driven until ``predicate`` (default: every node
     done); the recorded schedule is then re-executed from an identically
     built initial state and must reproduce the exact event stream and
     metrics.
     """
-    recorder = TraceRecorder()
+    recorder = Recorder.in_memory()
     state = make_state() if make_state is not None else NetworkState(graph.nodes())
     engine = Engine(
         graph,
-        recorder.wrap(make_factory()),
+        make_factory(),
         state=state,
         latencies_known=latencies_known,
         fresh_snapshots=fresh_snapshots,
+        recorder=recorder,
     )
     predicate = predicate if predicate is not None else (lambda e: e.all_done())
     while not predicate(engine):
@@ -174,7 +209,7 @@ def record_and_replay(
         make_state() if make_state is not None else NetworkState(graph.nodes())
     )
     return replay(
-        recorder,
+        recorder.events,
         graph,
         rounds=engine.round,
         state=replay_state,

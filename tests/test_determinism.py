@@ -4,15 +4,21 @@ Every protocol runner in ``src/repro/protocols/`` is executed twice with
 identical arguments; any field-level difference means hidden global state
 or iteration-order dependence (which would silently poison every
 seed-averaged experiment table).  The replay half re-executes a recorded
-trace and demands an identical event stream and metrics.
+obs event stream and demands an identical stream and metrics — the
+deliveries' learned-rumor deltas included, so it also sees knowledge.
 """
 
 import dataclasses
 
-from repro.graphs.generators import clique, ring_of_cliques
+import pytest
+
+from repro.errors import SimulationError
+from repro.graphs.generators import clique, ring_of_cliques, star
+from repro.obs import InitiationEvent, Recorder, event_to_json
 from repro.protocols.aggregation import run_aggregate
 from repro.protocols.base import per_node_rng_factory
 from repro.protocols.discovery import run_general_eid_unknown_latencies
+from repro.protocols.discovery import LatencyDiscoveryProtocol
 from repro.protocols.dtg import run_ldtg
 from repro.protocols.eid import run_eid, run_general_eid
 from repro.protocols.flooding import run_flooding
@@ -27,7 +33,6 @@ from repro.sim.engine import Engine
 from repro.sim.failures import MessageLoss
 from repro.sim.runner import broadcast_complete
 from repro.sim.state import NetworkState
-from repro.sim.trace import TraceRecorder
 from repro.testing import record_and_replay, replay
 
 
@@ -130,25 +135,89 @@ class TestReplayOracle:
 
     def test_replay_reproduces_metrics_bit_identically(self):
         graph = small_graph()
-        state = NetworkState(graph.nodes())
-        state.seed_self_rumors()
-        recorder = TraceRecorder()
-        make_rng = per_node_rng_factory(4)
-        engine = Engine(
-            graph,
-            recorder.wrap(lambda node: PushPullProtocol(make_rng(node))),
-            state=state,
-        )
-        for _ in range(30):
-            engine.step()
-        fresh = NetworkState(graph.nodes())
-        fresh.seed_self_rumors()
+        events, engine = _recorded_push_pull(graph, rounds=30)
         report = replay(
-            recorder,
+            events,
             graph,
             rounds=30,
-            state=fresh,
+            state=_self_rumors(graph),
             expected_metrics=engine.metrics,
         )
         assert report.metrics == engine.metrics
         assert report.rounds == 30
+
+    def test_replay_from_wrong_initial_state_diverges(self):
+        """The oracle sees knowledge: the first delivery merges differently."""
+        graph = small_graph()
+        events, _ = _recorded_push_pull(graph, rounds=20)
+        wrong = NetworkState(graph.nodes())
+        wrong.add_rumor(graph.nodes()[0], "only rumor")
+        with pytest.raises(SimulationError, match="replay diverged") as error:
+            replay(events, graph, rounds=20, state=wrong)
+        first_delivery = next(event for event in events if event.kind == "deliver")
+        recorded = f"a (round {first_delivery.round}): {event_to_json(first_delivery)}"
+        assert recorded in str(error.value)
+
+    def test_replay_capped_in_degree_reproduces_rejections(self):
+        graph = small_graph()
+        events, engine = _recorded_push_pull(graph, rounds=20, max_incoming_per_round=1)
+        assert any(event.kind == "rejected" for event in events)
+        report = replay(
+            events,
+            graph,
+            rounds=20,
+            state=_self_rumors(graph),
+            expected_metrics=engine.metrics,
+        )
+        assert [e for e in report.events if e.kind == "rejected"] == [
+            e for e in events if e.kind == "rejected"
+        ]
+
+    def test_record_and_replay_latency_discovery_with_wakeups(self):
+        """Ping schedules replay as pings; wakeups stay out of the comparison."""
+        graph = star(6)
+        recorder = Recorder.in_memory()
+        engine = Engine(
+            graph, lambda node: LatencyDiscoveryProtocol(1), recorder=recorder
+        )
+        engine.run()
+        assert recorder.events_of("wakeup")
+        report = replay(
+            recorder.events, graph, rounds=engine.round, expected_metrics=engine.metrics
+        )
+        assert all(e.ping for e in report.events if e.kind == "initiate")
+        report = record_and_replay(
+            graph, make_factory=lambda: (lambda node: LatencyDiscoveryProtocol(1))
+        )
+        assert report.rounds == engine.round
+
+    def test_two_initiations_in_one_round_is_invalid(self):
+        graph = clique(3)
+        events = [
+            InitiationEvent(round=0, initiator=0, responder=1, latency=1),
+            InitiationEvent(round=0, initiator=0, responder=2, latency=1),
+        ]
+        with pytest.raises(SimulationError, match="two initiations by 0 in round 0"):
+            replay(events, graph, rounds=1)
+
+
+def _self_rumors(graph):
+    state = NetworkState(graph.nodes())
+    state.seed_self_rumors()
+    return state
+
+
+def _recorded_push_pull(graph, rounds, **engine_kwargs):
+    """A recorded push--pull run from self-rumors: ``(events, engine)``."""
+    recorder = Recorder.in_memory()
+    make_rng = per_node_rng_factory(4)
+    engine = Engine(
+        graph,
+        lambda node: PushPullProtocol(make_rng(node)),
+        state=_self_rumors(graph),
+        recorder=recorder,
+        **engine_kwargs,
+    )
+    for _ in range(rounds):
+        engine.step()
+    return recorder.events, engine

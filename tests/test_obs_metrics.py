@@ -8,9 +8,9 @@ Four families:
 * **Merge protocol** — snapshot/since/merge mirrors the span registry:
   counters and histogram cells add, gauges take the max, and the
   delta/merge round-trip reconstructs exactly the post-snapshot work.
-* **Engine wiring** — :class:`MetricsSink` totals equal
-  :class:`CounterSink` totals for the same run (hypothesis-tested), and
-  attaching it never perturbs the run.
+* **Engine wiring** — :class:`MetricsSink` totals equal the totals
+  :class:`~repro.obs.traces.Trace` derives offline from the same run's
+  recorded events (hypothesis-tested).
 * **Parallel determinism** — a ``REPRO_JOBS=2`` ``map_trials`` fan-out
   reports the same default-registry counter totals as the serial run of
   the same trials (metrics never read a clock, so merged worker deltas
@@ -26,7 +26,7 @@ from hypothesis import strategies as st
 
 from repro.errors import ObservabilityError
 from repro.experiments.harness import map_trials, run_experiment
-from repro.obs import CounterSink, MetricsSink, Recorder
+from repro.obs import MemorySink, MetricsSink, Recorder, Trace
 from repro.obs.metrics import (
     DEFAULT_BUCKETS,
     MetricsRegistry,
@@ -35,7 +35,11 @@ from repro.obs.metrics import (
     metrics_snapshot,
     reset_metrics,
 )
-from repro.protocols.push_pull import run_push_pull
+from repro.protocols.base import per_node_rng_factory
+from repro.protocols.push_pull import PushPullProtocol, run_push_pull
+from repro.sim.engine import Engine
+from repro.sim.failures import MessageLoss
+from repro.sim.state import NetworkState
 from repro.testing.strategies import connected_latency_graphs, seeds
 
 
@@ -249,57 +253,72 @@ class TestMergeProtocol:
         assert rebuilt.histogram("h").buckets == DEFAULT_BUCKETS
 
 
-class TestMetricsSink:
-    def _run(self, graph, seed):
-        counters = CounterSink()
-        registry = MetricsRegistry()
-        with Recorder(counters, MetricsSink(registry)) as recorder:
-            run_push_pull(graph, seed=seed, recorder=recorder)
-        return counters, registry
+def _offline_totals(events):
+    """The sink's totals, derived offline from the recorded events."""
+    trace = Trace.from_events(events)
+    deliveries = trace.filter(kind="deliver")
+    return {
+        "by_kind": trace.counts_by_kind(),
+        "rumors_learned": sum(
+            deliveries.derive(
+                lambda r: r["learned_by_initiator"] + r["learned_by_responder"]
+            )
+        ),
+        "lost_initiations": len(trace.filter(kind="initiate", lost=True)),
+        "max_in_flight": max(
+            trace.filter(kind="round").derive(lambda r: r["in_flight"]), default=0
+        ),
+        "latencies_observed": len(deliveries),
+    }
 
-    def test_totals_match_counter_sink(self):
-        graph_rng = random.Random(0)
+
+def _sink_totals(sink):
+    registry = sink.registry
+    return {
+        "by_kind": sink.counts_by_kind(),
+        "rumors_learned": registry.counter("engine_rumors_learned_total").value(),
+        "lost_initiations": registry.counter("engine_lost_initiations_total").value(),
+        "max_in_flight": registry.gauge("engine_in_flight_peak").value(),
+        "latencies_observed": registry.histogram(
+            "engine_delivery_latency_rounds"
+        ).count(),
+    }
+
+
+class TestMetricsSink:
+    def test_totals_match_offline_trace(self):
         from repro.graphs import generators
 
-        graph = generators.ring_of_cliques(3, 4, inter_latency=5, rng=graph_rng)
-        counters, registry = self._run(graph, seed=3)
-        events = registry.counter("engine_events_total")
-        for kind, count in counters.by_kind.items():
-            assert events.value(kind=kind) == count
-        assert (
-            registry.counter("engine_rumors_learned_total").value()
-            == counters.rumors_learned
+        graph = generators.ring_of_cliques(3, 4, inter_latency=5, rng=random.Random(0))
+        state = NetworkState(graph.nodes())
+        state.seed_self_rumors()
+        make_rng = per_node_rng_factory(3)
+        memory = MemorySink()
+        sink = MetricsSink(MetricsRegistry())
+        engine = Engine(
+            graph,
+            lambda node: PushPullProtocol(make_rng(node)),
+            state=state,
+            failure_model=MessageLoss(p=0.2, seed=1),
+            recorder=Recorder(memory, sink),
         )
-        assert (
-            registry.counter("engine_lost_initiations_total").value()
-            == counters.lost_initiations
-        )
-        assert (
-            registry.gauge("engine_in_flight_peak").value()
-            == counters.max_in_flight
-        )
-        assert (
-            registry.histogram("engine_delivery_latency_rounds").count()
-            == counters.by_kind.get("deliver", 0)
-        )
+        for _ in range(20):
+            engine.step()
+        totals = _sink_totals(sink)
+        assert totals == _offline_totals(memory.events)
+        # Every total is live on this run, so the comparison is not vacuous.
+        assert totals["rumors_learned"] > 0
+        assert totals["lost_initiations"] > 0
+        assert totals["max_in_flight"] > 0
 
     @settings(max_examples=25, deadline=None)
     @given(graph=connected_latency_graphs(max_nodes=12), seed=seeds())
-    def test_totals_match_counter_sink_property(self, graph, seed):
-        counters, registry = self._run(graph, seed)
-        events = registry.counter("engine_events_total")
-        by_kind = {
-            kind: events.value(kind=kind) for kind in counters.by_kind
-        }
-        assert by_kind == counters.by_kind
-        assert (
-            registry.counter("engine_rumors_learned_total").value()
-            == counters.rumors_learned
-        )
-        assert (
-            registry.gauge("engine_in_flight_peak").value()
-            == counters.max_in_flight
-        )
+    def test_totals_match_offline_trace_property(self, graph, seed):
+        memory = MemorySink()
+        sink = MetricsSink(MetricsRegistry())
+        with Recorder(memory, sink) as recorder:
+            run_push_pull(graph, seed=seed, recorder=recorder)
+        assert _sink_totals(sink) == _offline_totals(memory.events)
 
     def test_sink_defaults_to_default_registry(self):
         sink = MetricsSink()

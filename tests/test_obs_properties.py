@@ -18,7 +18,7 @@ import random
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.obs import CounterSink, MemorySink, Recorder
+from repro.obs import MemorySink, MetricsRegistry, MetricsSink, Recorder
 from repro.protocols.base import per_node_rng_factory
 from repro.protocols.push_pull import PushPullProtocol, run_push_pull
 from repro.sim.engine import Engine
@@ -69,7 +69,7 @@ class TestRecorderNonPerturbation:
     @settings(max_examples=25, deadline=None)
     def test_push_pull_result_identical(self, graph, seed):
         plain = run_push_pull(graph, seed=seed, max_rounds=5_000)
-        with Recorder(MemorySink(), CounterSink()) as recorder:
+        with Recorder(MemorySink(), MetricsSink(MetricsRegistry())) as recorder:
             observed = run_push_pull(
                 graph,
                 seed=seed,
@@ -162,12 +162,13 @@ class TestTelemetryShape:
     @settings(max_examples=15, deadline=None)
     def test_event_stream_accounts_for_coverage(self, graph, seed):
         """Delivery coverage deltas sum to exactly the ``n - 1`` new rumors."""
-        counter = CounterSink()
-        with Recorder(MemorySink(), counter) as recorder:
+        metrics = MetricsRegistry()
+        with Recorder(MemorySink(), MetricsSink(metrics)) as recorder:
             result = run_push_pull(
                 graph, seed=seed, max_rounds=5_000, recorder=recorder
             )
         assert result.complete
-        assert counter.rumors_learned == graph.num_nodes - 1
+        learned = metrics.counter("engine_rumors_learned_total").value()
+        assert learned == graph.num_nodes - 1
         rounds_closed = len(recorder.events_of("round"))
         assert rounds_closed == result.rounds

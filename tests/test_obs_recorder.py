@@ -17,11 +17,12 @@ from repro.experiments.harness import map_trials
 from repro.graphs import generators
 from repro.graphs.latency_graph import LatencyGraph
 from repro.obs import (
-    CounterSink,
     DeliveryEvent,
     InitiationEvent,
     JsonlSink,
     MemorySink,
+    MetricsRegistry,
+    MetricsSink,
     Recorder,
     RingBufferSink,
     RoundEvent,
@@ -140,8 +141,9 @@ class TestSinks:
         sink.close()  # Recorder.__exit__ already closed it
         assert path.read_text() == '{"kind":"wakeup","node":2,"round":0}\n'
 
-    def test_counter_sink_aggregates(self):
-        sink = CounterSink()
+    def test_metrics_sink_aggregates(self):
+        registry = MetricsRegistry()
+        sink = MetricsSink(registry)
         sink.write(InitiationEvent(round=0, initiator=0, responder=1, latency=1))
         sink.write(
             InitiationEvent(round=0, initiator=1, responder=0, latency=1, lost=True)
@@ -158,28 +160,29 @@ class TestSinks:
         )
         sink.write(RoundEvent(round=0, initiations=2, deliveries=0, in_flight=5))
         sink.write(RoundEvent(round=1, initiations=0, deliveries=1, in_flight=2))
-        assert sink.by_kind == {"initiate": 2, "deliver": 1, "round": 2}
-        assert sink.rumors_learned == 3
-        assert sink.lost_initiations == 1
-        assert sink.max_in_flight == 5
+        assert sink.counts_by_kind() == {"deliver": 1, "initiate": 2, "round": 2}
+        assert registry.counter("engine_rumors_learned_total").value() == 3
+        assert registry.counter("engine_lost_initiations_total").value() == 1
+        assert registry.gauge("engine_in_flight_peak").value() == 5
+        assert registry.histogram("engine_delivery_latency_rounds").sum() == 1
 
 
 class TestRecorder:
     def test_fan_out_and_counts(self):
         memory = MemorySink()
-        counter = CounterSink()
-        recorder = Recorder(memory, counter)
+        metrics = MetricsSink(MetricsRegistry())
+        recorder = Recorder(memory, metrics)
         recorder.record(WakeupEvent(round=0, node=0))
         assert recorder.events_recorded == 1
         assert len(memory.events) == 1
-        assert counter.by_kind == {"wakeup": 1}
+        assert metrics.counts_by_kind() == {"wakeup": 1}
 
     def test_sink_lookup_and_events_of(self):
         recorder = Recorder.in_memory()
         recorder.record(WakeupEvent(round=0, node=0))
         recorder.record(RoundEvent(round=0, initiations=0, deliveries=0, in_flight=0))
         assert isinstance(recorder.sink(MemorySink), MemorySink)
-        assert recorder.sink(CounterSink) is None
+        assert recorder.sink(MetricsSink) is None
         assert [e.kind for e in recorder.events_of("round")] == ["round"]
 
     def test_context_manager_closes_jsonl(self, tmp_path):
@@ -190,14 +193,13 @@ class TestRecorder:
 
     def test_replay_into_reproduces_counters(self):
         graph = generators.clique(5)
-        live = CounterSink()
-        with Recorder(MemorySink(), live) as recorder:
+        live = MetricsRegistry()
+        with Recorder(MemorySink(), MetricsSink(live)) as recorder:
             run_push_pull(graph, seed=2, recorder=recorder)
-        offline = CounterSink()
-        replay_into(recorder.events, offline)
-        assert offline.by_kind == live.by_kind
-        assert offline.rumors_learned == live.rumors_learned
-        assert offline.max_in_flight == live.max_in_flight
+        offline = MetricsRegistry()
+        replay_into(recorder.events, MetricsSink(offline))
+        assert live.counter("engine_events_total").value(kind="deliver") > 0
+        assert offline.collect() == live.collect()
 
 
 class TestSpans:

@@ -2,7 +2,7 @@
 
 Traces are exercised both synthetically (hand-built records with known
 answers) and end-to-end (a recorded push--pull run, where the derived
-series must agree with the recorder's own counters and the run result).
+series must agree with a metrics sink's counters and the run result).
 """
 
 import pathlib
@@ -12,7 +12,7 @@ import pytest
 
 from repro.errors import ObservabilityError
 from repro.graphs import generators
-from repro.obs import CounterSink, MemorySink, Recorder
+from repro.obs import MemorySink, MetricsRegistry, MetricsSink, Recorder
 from repro.obs.traces import Trace, diff_traces, load_trace
 from repro.protocols.push_pull import run_push_pull
 
@@ -39,10 +39,10 @@ def _deliver(round_, a, b, initiated_at, learned=1):
 def _recorded_run():
     graph = generators.ring_of_cliques(3, 4, inter_latency=5, rng=random.Random(0))
     memory = MemorySink()
-    counters = CounterSink()
-    with Recorder(memory, counters) as recorder:
+    metrics = MetricsSink(MetricsRegistry())
+    with Recorder(memory, metrics) as recorder:
         result = run_push_pull(graph, seed=1, recorder=recorder)
-    return graph, result, Trace.from_events(memory.events), counters
+    return graph, result, Trace.from_events(memory.events), metrics
 
 
 class TestConstruction:
@@ -146,9 +146,11 @@ class TestDerivedSeries:
 
 class TestEndToEnd:
     def test_series_agree_with_recorder_counters(self):
-        graph, result, trace, counters = _recorded_run()
-        assert trace.counts_by_kind() == dict(sorted(counters.by_kind.items()))
-        assert len(trace.delivery_latencies()) == counters.by_kind["deliver"]
+        graph, result, trace, metrics = _recorded_run()
+        assert trace.counts_by_kind() == metrics.counts_by_kind()
+        latency = metrics.registry.histogram("engine_delivery_latency_rounds")
+        assert len(trace.delivery_latencies()) == latency.count()
+        assert sum(trace.delivery_latencies()) == latency.sum()
         # a complete broadcast's coverage deltas sum to n - 1
         curve = trace.coverage_curve()
         assert curve[-1] == graph.num_nodes
