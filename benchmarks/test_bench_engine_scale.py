@@ -4,10 +4,11 @@ Times the ``engine_scale`` suite from :mod:`repro.benchmarking` — seeded
 push--pull broadcasts *and streamed all-to-all runs* on the vector
 backend at ``n = 10^5`` (quick) and ``n = 10^6`` (full) — and writes
 ``benchmarks/results/BENCH_engine_scale.json``.  Every workload entry
-records ``peak_state_bytes`` and the chosen state layout next to the
+records ``peak_state_bytes`` and the state's layout label next to the
 wall time, so the committed report doubles as the memory-acceptance
-artifact: at ``n = 10^6`` the broadcast layout holds about 1 MB of rumor
-state where a dense bitset matrix would need ~125 GB, and the streamed
+artifact: at ``n = 10^6`` a broadcast holds one bitset word per node
+(8 MB, the one-part ``dense`` layout) where an all-to-all bitset matrix
+would need ~125 GB, and the streamed
 all-to-all replays rumor blocks through a chunked layout whose peak
 residency stays inside its declared ``max_state_bytes`` budget.
 
@@ -40,7 +41,7 @@ REPO_ROOT = pathlib.Path(__file__).resolve().parents[1]
 #: Hard data-segment ceiling for the smoke legs.  Each quick workload
 #: runs in its own fresh interpreter under this cap.  The n=10^5
 #: broadcast peaks around 0.73 GB resident (graph + CSR tables dominate;
-#: the rumor state itself is 100 kB); the n=10^5 streamed all-to-all
+#: the rumor state itself is 800 kB); the n=10^5 streamed all-to-all
 #: holds its graph plus one rumor-block slice and the in-flight payload
 #: rows under a 256 MiB state budget (~1.2 GB resident).  1.5 GiB passes
 #: both with margin, while the *dense* all-to-all state matrix at that n
@@ -99,9 +100,9 @@ def test_engine_scale_microbenchmarks(capsys, profile):
             assert entry["blocks"] >= 1
         else:
             # The broadcast acceptance bound: rumor state stays far under
-            # 1 GB at any n (broadcast layout is n bytes per rumor).
+            # 1 GB at any n (one bitset word, 8 bytes, per node).
             assert entry["peak_state_bytes"] < 1 << 30
-            assert "broadcast" in entry["layout"]
+            assert entry["layout"] == "dense"
 
 
 def _run_quick_workload_under_ceiling(index: int) -> dict:
@@ -130,7 +131,7 @@ def _run_quick_workload_under_ceiling(index: int) -> dict:
 def test_scale_smoke_under_memory_ceiling(profile):
     meta = _run_quick_workload_under_ceiling(0)
     assert meta["n"] == 100_000
-    assert meta["layout"] == "broadcast"
+    assert meta["layout"] == "dense"
     assert 0 < meta["peak_state_bytes"] < 1 << 20
 
 

@@ -12,7 +12,7 @@ suites exist:
   writes ``BENCH_engine_vector.json``.
 * ``engine_scale`` — mega-scale vector-backend runs (``n = 10^5`` quick,
   ``n = 10^6`` full) recording peak rumor-state bytes and the layout
-  chosen, so the memory story is gated like the timing story; writes
+  label, so the memory story is gated like the timing story; writes
   ``BENCH_engine_scale.json``.
 * ``conductance`` — the analysis pipeline (the ``φ_ℓ`` sweep-cut profile
   behind Definitions 1-2, single-threshold sweeps, ``φ*``/``ℓ*``);
@@ -299,8 +299,8 @@ def _composite_chain_workload(
     The composite-dispatch acceptance workload: both phases are
     vector-eligible, so under ``backend="vector"`` the chain rides the
     array fast path end to end — including the state carry-over between
-    phases (the broadcast-era layout is re-picked when the second phase
-    grows the rumor universe to all ``n`` ids).
+    phases (the one-word broadcast state widens in place when the second
+    phase grows the rumor universe to all ``n`` ids).
     """
 
     def run() -> dict[str, Any]:
@@ -586,7 +586,7 @@ def _scale_broadcast_workload(
             "exchanges": result.exchanges,
             "n": n,
             "backend": "vector",
-            # The memory acceptance numbers: which layout the run picked
+            # The memory acceptance numbers: the state's layout label
             # and how many bytes its rumor state held at completion.
             "peak_state_bytes": max((cell["value"] for cell in cells), default=0),
             "layout": ",".join(
@@ -599,7 +599,7 @@ def _scale_broadcast_workload(
         description=(
             f"push--pull broadcast on the vector backend over fast-sampled "
             f"Erdős–Rényi G({n}, {avg_degree}/n) with uniform latencies 1..8, "
-            "seed 0, recording peak rumor-state bytes and the chosen layout"
+            "seed 0, recording peak rumor-state bytes and the layout label"
         ),
         run=run,
         repeats=repeats,
@@ -666,8 +666,8 @@ def engine_scale_microbenchmarks(profile: str) -> list[Workload]:
     """The mega-scale suite: vector-backend runs with memory accounting.
 
     The ``full`` profile holds the PR acceptance workloads: a true
-    ``n = 10^6`` push--pull broadcast whose rumor state must stay O(n·k)
-    (the broadcast layout — about 1 MB — where a dense bitset matrix
+    ``n = 10^6`` push--pull broadcast whose rumor state must stay O(n)
+    (one bitset word per node — 8 MB — where an all-to-all bitset matrix
     would need ~125 GB), and the ``n = 10^6`` *all-to-all* run streamed
     over rumor blocks (the dense state would be ~125 GB; the streamed
     peak is one block slice under a 16 GiB budget).  The ``quick``

@@ -747,7 +747,8 @@ def _build_parser() -> argparse.ArgumentParser:
     parser.add_argument(
         "--max-state-bytes", type=int, default=None, metavar="BYTES",
         help="budget for the vector backend's rumor-state allocations; "
-             "steers the state-layout choice (dense/broadcast/chunked) "
+             "the bitset state splits into parts of at most this size "
+             "(labelled dense for one part, chunked for several) "
              "for every run the command makes (default: the "
              "REPRO_MAX_STATE_BYTES env var, else 1 GiB)",
     )

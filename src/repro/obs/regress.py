@@ -17,7 +17,9 @@ the comparison into a machine-checkable verdict wired into CI:
   archives, and :meth:`RegressionReport.summary` — the human account.
 
 Gate semantics: a workload **regresses** when its current time exceeds
-``max(threshold × baseline, baseline + noise_floor)``.  The committed
+``max(threshold × baseline, baseline + noise_floor)``, and a suite in
+which no workload has both a current and a baseline entry fails: it
+compared nothing.  The committed
 baselines are deliberately *pre-optimization* captures, so the default
 gate is a loud catastrophic-regression tripwire (current code is many
 times faster); re-bless a baseline with
@@ -90,6 +92,11 @@ class RegressionReport:
     def regressed(self) -> bool:
         return self.verdict == "regressed"
 
+    @property
+    def compared(self) -> bool:
+        """Whether any workload had both a current and a baseline entry."""
+        return any(v.status in ("ok", "regressed") for v in self.workloads)
+
     def to_dict(self) -> dict[str, Any]:
         """The machine-readable verdict (canonically ordered)."""
         return {
@@ -111,6 +118,11 @@ class RegressionReport:
             f"(threshold {self.threshold:g}x, noise floor "
             f"{self.noise_floor:g}s)"
         ]
+        if not self.compared:
+            lines.append(
+                "  FAIL nothing compared: no workload has both a current "
+                "and a baseline entry"
+            )
         ordered = sorted(self.workloads, key=lambda v: (not v.failed, v.name))
         for v in ordered:
             marker = "FAIL" if v.failed else "ok  "
@@ -152,7 +164,8 @@ def compare_benchmarks(
     ``workloads`` mapping of ``{name: {"seconds": ...}}``).
     ``per_workload_thresholds`` overrides the relative threshold for
     individual workloads (e.g. a known-noisy one); ``strict=True`` fails
-    baseline workloads absent from the current report.
+    baseline workloads absent from the current report.  A report
+    sharing no workload with its baseline fails: it compared nothing.
     """
     if threshold <= 0:
         raise ObservabilityError(f"threshold must be > 0, got {threshold}")
@@ -209,14 +222,16 @@ def compare_benchmarks(
                 failed=status == "regressed",
             )
         )
-    verdict = "regressed" if any(v.failed for v in verdicts) else "ok"
-    return RegressionReport(
+    report = RegressionReport(
         suite=suite,
-        verdict=verdict,
+        verdict="regressed" if any(v.failed for v in verdicts) else "ok",
         threshold=threshold,
         noise_floor=noise_floor,
         workloads=tuple(verdicts),
     )
+    if not report.compared:
+        report = dataclasses.replace(report, verdict="regressed")
+    return report
 
 
 def _load(path: pathlib.Path, role: str) -> dict[str, Any]:

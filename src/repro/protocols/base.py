@@ -16,9 +16,9 @@ a probe protocol instance is asked
 :func:`~repro.sim.vector.vector_ineligibility`, and
 
 * eligible phases run on :class:`~repro.sim.vector.VectorEngine` — the
-  rumor state stays in its :class:`~repro.sim.vector.VectorState` layout
-  between phases (re-picked via ``to_layout()`` when a scalar phase grew
-  the rumor universe), never densifying back to a scalar state;
+  rumor state stays one :class:`~repro.sim.vector.VectorState` object
+  between phases (a phase that grows the rumor universe widens it in
+  place), never densifying back to a scalar state;
 * ineligible phases (ping-only latency discovery, or an ℓ-DTG phase in a
   run whose recorder, checkers, failure model or incoming cap rule out
   its lockstep plan) fall back to the scalar
@@ -47,7 +47,6 @@ from repro.sim.engine import Engine, NodeProtocol
 from repro.sim.state import NetworkState
 from repro.sim.vector import (
     VectorEngine,
-    VectorState,
     current_engine_backend,
     resolve_engine_backend,
     vector_ineligibility,
@@ -220,11 +219,6 @@ class PhaseRunner:
         instances (e.g. collect measured latencies after discovery).
         """
         factory, backend_label, reason = self._dispatch_phase(protocol_factory)
-        if factory is VectorEngine and isinstance(self.state, VectorState):
-            # A preceding scalar phase may have grown the rumor universe
-            # past what this layout was picked for: re-pick (no-op when
-            # the layout is already right, a words-matrix copy otherwise).
-            self.state = self.state.to_layout()
         extra = self._engine_extra()
         engine = factory(
             self.graph,

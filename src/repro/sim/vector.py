@@ -5,10 +5,9 @@ calls each round, which caps experiments near ``n ≈ 10⁴``.  This module
 provides a second backend, :class:`VectorEngine`, that advances an entire
 round as a handful of numpy array operations:
 
-* **State** lives in one of two storage classes behind the
-  :class:`VectorState` API (see below), so merging all of a round's
-  deliveries is one duplicate-safe segmented OR (:func:`_merge_by_row`)
-  instead of per-exchange Python merges.
+* **State** is a packed bitset (:class:`VectorState`, see below), so
+  merging all of a round's deliveries is one duplicate-safe segmented
+  OR (:func:`_merge_by_row`) instead of per-exchange Python merges.
 * **Partner selection** reads a CSR layout built from
   :meth:`~repro.graphs.latency_graph.LatencyGraph.adjacency_arrays`, with
   neighbor slots ordered by ``repr`` — exactly the order the oblivious
@@ -28,25 +27,18 @@ State layouts (the ``n = 10⁶`` memory story)
 --------------------------------------------
 A dense ``n × ceil(B/64)`` uint64 bitset matrix (``B`` = rumor-space
 size) is ~125 GB at ``n = 10⁶`` all-to-all — memory, not compute, binds
-the fast backend at mega-scale.  Two storage classes share the full
-:class:`~repro.sim.state.NetworkState` API and produce bit-identical
-runs; :meth:`VectorState.from_network_state` picks one automatically from
-the *observed* rumor universe:
-
-* **bitset** (:class:`VectorState`) — the packed uint64 matrix, stored
-  as column parts each at most ``max_state_bytes`` big (the ambient
-  :func:`state_budget`).  Parts stay within the budget under growth
-  too: the last part doubles its width while it fits, and a new part is
-  appended only once it is full, so a matrix within the budget is
-  always exactly one part.  Its layout label is derived from the part
-  count — ``"dense"`` for one part, ``"chunked"`` for several — and the
-  round update streams part by part, so the largest single allocation
-  (and each per-part scatter/gather transient) is budget-bounded.  The
-  *sum* of the parts and the initiation-time payload snapshots in
-  flight are inherent to the model and not bounded by the budget.
-* **broadcast** (:class:`BroadcastVectorState`) — one uint8 column per
-  rumor, chosen for small universes (``k <= 8``): O(n·k) bytes, which
-  covers every broadcast-style run at ~1 byte/node.
+the fast backend at mega-scale.  :class:`VectorState` therefore stores
+the matrix as column parts each at most ``max_state_bytes`` big (the
+ambient :func:`state_budget`).  Parts stay within the budget under
+growth too: the last part doubles its width while it fits, and a new
+part is appended only once it is full, so a matrix within the budget is
+always exactly one part.  Its layout label is derived from the part
+count — ``"dense"`` for one part, ``"chunked"`` for several — and the
+round update streams part by part, so the largest single allocation
+(and each per-part scatter/gather transient) is budget-bounded.  The
+*sum* of the parts and the initiation-time payload snapshots in flight
+are inherent to the model and not bounded by the budget.  A broadcast
+(one rumor) is the one-part, one-word case: ``8·n`` bytes.
 
 Backend eligibility (see ``docs/MODEL.md`` §8): only **oblivious**
 protocols — whose partner choice does not depend on delivered knowledge
@@ -74,7 +66,7 @@ replay in order (invariant checkers, a failure model,
 ``fresh_snapshots``, ``enforce_blocking``, or note boards carried in from
 a previous phase), :class:`VectorEngine` — an :class:`Engine` subclass —
 runs the scalar engine's own per-exchange ``step()`` (done-node parking
-and delivery wake-ups included) over the layout state, so event streams
+and delivery wake-ups included) over the bitset state, so event streams
 stay byte-identical to the scalar backend's.  A recorder alone takes the
 **batched mirror**: array-kernel rounds that emit the scalar event
 stream; a recorder-off run keeps the zero-cost array fast path.
@@ -121,8 +113,6 @@ from repro.sim.state import NetworkState, Note, Payload, _RumorSpace
 __all__ = [
     "VectorProgram",
     "VectorState",
-    "BroadcastVectorState",
-    "STATE_LAYOUTS",
     "VectorEngine",
     "ENGINE_BACKENDS",
     "DEFAULT_MAX_STATE_BYTES",
@@ -233,9 +223,10 @@ def current_max_state_bytes() -> int:
 def state_budget(max_bytes: int) -> Iterator[None]:
     """Scope during which :func:`current_max_state_bytes` yields ``max_bytes``.
 
-    This is how ``repro --max-state-bytes`` and the runner helpers steer
-    layout selection in a call tree without threading a parameter through
-    each layer (the same pattern as :func:`engine_backend`).
+    This is how ``repro --max-state-bytes`` and the runner helpers size
+    the bitset's column parts in a call tree without threading a
+    parameter through each layer (the same pattern as
+    :func:`engine_backend`).
     """
     if max_bytes < 1:
         raise SimulationError(f"max_state_bytes must be >= 1, got {max_bytes}")
@@ -277,28 +268,18 @@ def _csr_arrays(graph: LatencyGraph) -> tuple:
         return cached[2:]
     order = graph.nodes()
     n = len(order)
-    neighbor_ids, neighbor_lats = graph.adjacency_arrays()
+    neighbor_ids, _ = graph.adjacency_arrays()
     reprs = [repr(node) for node in order]
     deg = np.fromiter((len(row) for row in neighbor_ids), dtype=np.int64, count=n)
     off = np.zeros(n + 1, dtype=np.int64)
     np.cumsum(deg, out=off[1:])
     nbr = np.zeros(int(off[-1]), dtype=np.int64)
-    lat = np.zeros(int(off[-1]), dtype=np.int64)
     for i in range(n):
         row = neighbor_ids[i]
-        if not row:
-            continue
-        slot_order = sorted(range(len(row)), key=lambda k: reprs[row[k]])
-        lrow = neighbor_lats[i]
-        nbr[off[i] : off[i + 1]] = [row[k] for k in slot_order]
-        lat[off[i] : off[i + 1]] = [lrow[k] for k in slot_order]
+        if row:
+            nbr[off[i] : off[i + 1]] = sorted(row, key=reprs.__getitem__)
+    eid, lat = _edge_ids(graph, np.repeat(np.arange(n, dtype=np.int64), deg), nbr)
     us, vs, _ = graph.edge_arrays()
-    keys = us * n + vs
-    key_order = np.argsort(keys, kind="stable")
-    src = np.repeat(np.arange(n, dtype=np.int64), deg)
-    lo = np.minimum(src, nbr)
-    hi = np.maximum(src, nbr)
-    eid = key_order[np.searchsorted(keys[key_order], lo * n + hi)]
     # Canonical (u, v) node tuples per edge id, built once: rebuilding the
     # activated-edges set then costs one list index per active edge.
     edge_tuples = [
@@ -315,6 +296,34 @@ def _csr_arrays(graph: LatencyGraph) -> tuple:
         else:
             _CSR_CACHE[key] = (version, ref) + arrays
     return arrays
+
+
+def _edge_ids(
+    graph: LatencyGraph, src: np.ndarray, dst: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """Edge ids and latencies of the dense-id pairs ``(src[k], dst[k])``.
+
+    Edge ids index :meth:`~repro.graphs.latency_graph.LatencyGraph.edge_arrays`.
+    Raises :class:`~repro.errors.ProtocolError` naming the first pair
+    that is not an edge (the scalar engine's contact-time error).
+    """
+    n = graph.num_nodes
+    us, vs, edge_lats = graph.edge_arrays()
+    keys = us * n + vs
+    key_order = np.argsort(keys, kind="stable")
+    sorted_keys = keys[key_order]
+    want = np.minimum(src, dst) * n + np.maximum(src, dst)
+    pos = np.searchsorted(sorted_keys, want)
+    valid = pos < sorted_keys.shape[0]
+    valid[valid] = sorted_keys[pos[valid]] == want[valid]
+    if not valid.all():
+        bad = int(np.flatnonzero(~valid)[0])
+        raise ProtocolError(
+            f"node {graph.node_at(int(src[bad]))!r} tried to contact "
+            f"non-neighbor {graph.node_at(int(dst[bad]))!r}"
+        )
+    eid = key_order[pos]
+    return eid, edge_lats[eid]
 
 
 # ----------------------------------------------------------------------
@@ -406,14 +415,6 @@ class VectorState:
     snapshots held by in-flight exchanges are inherent to the model and
     are not bounded by the budget.  Word ``w`` of the logical matrix
     lives in the part whose ``_offsets`` span contains ``w``.
-
-    :class:`BroadcastVectorState` subclasses this with another storage
-    (uint8 columns): it replaces the storage primitives
-    (``_init_storage``/``_ensure_bit``/``_set_bit``/``_mask_of_row``/
-    ``_or_row_storage``) and the array kernels the fast path drives
-    (``_k_*``); the shared API layer — snapshots with a copy-on-write
-    cache, merges over cached Python-int row masks, note boards — is
-    storage-agnostic.
     """
 
     __slots__ = (
@@ -455,57 +456,31 @@ class VectorState:
 
     @classmethod
     def from_network_state(
-        cls,
-        state: NetworkState,
-        *,
-        layout: Optional[str] = None,
-        max_state_bytes: Optional[int] = None,
+        cls, state: NetworkState, *, max_state_bytes: Optional[int] = None
     ) -> "VectorState":
         """A bitset copy of a scalar state (same tokens, same bit indices).
 
-        The storage is picked from the **observed** rumor universe: a
-        small universe (``k <= 8`` tokens — every broadcast-style run)
-        gets the O(n·k)-byte broadcast layout, anything else the bitset
-        matrix, split into parts of at most ``max_state_bytes`` (default:
-        the ambient :func:`state_budget` scope, the
-        ``REPRO_MAX_STATE_BYTES`` env var, or 1 GiB).  ``layout`` forces
-        the storage (``"dense"`` for the bitset matrix, ``"broadcast"``);
-        calling this on a subclass keeps that subclass's layout.
+        The matrix addresses the **observed** rumor universe — one word
+        for a broadcast — split into parts of at most ``max_state_bytes``
+        (default: the ambient :func:`state_budget` scope, the
+        ``REPRO_MAX_STATE_BYTES`` env var, or 1 GiB).
         """
-        if layout is None and cls is not VectorState:
-            chosen = cls
-        else:
-            chosen = _pick_storage(state, layout)
-        out = _empty_copy(state, chosen, max_state_bytes)
+        n = len(state._node_list)
+        out = cls.__new__(cls)
+        out._node_index = dict(state._node_index)
+        out._node_list = list(state._node_list)
+        out._space = _RumorSpace()
+        out._space.index = dict(state._space.index)
+        out._space.tokens = list(state._space.tokens)
+        out._notes = [dict(board) for board in state._notes]
+        out._snapshots = [None] * n
+        out._masks_cache = [None] * n
+        out._cache_filled = False
+        out._init_storage(n, len(state._space.tokens), max_state_bytes)
         out._load_masks(state._masks)
         return out
 
-    def to_layout(
-        self,
-        layout: Optional[str] = None,
-        max_state_bytes: Optional[int] = None,
-    ) -> "VectorState":
-        """This state rebuilt in another layout (same tokens, same bits).
-
-        The phase carry-over API: a scalar-fallback phase may have grown
-        the rumor universe past the layout the previous vector phase
-        picked, so :class:`~repro.protocols.base.PhaseRunner` re-picks a
-        layout here before handing the state to the next vector phase —
-        without densifying through a :class:`NetworkState` copy.
-        ``layout=None`` re-picks automatically with the same rule as
-        :meth:`from_network_state`; the conversion is a whole-matrix
-        array transform (no per-row Python masks).  Returns ``self``
-        unchanged when the chosen storage is already this one (a bitset
-        state keeps its parts: growth already respects their budget).
-        """
-        chosen = _pick_storage(self, layout)
-        if chosen is type(self):
-            return self
-        out = _empty_copy(self, chosen, max_state_bytes)
-        out._load_words(self._words_matrix())
-        return out
-
-    # -- storage primitives (overridden by BroadcastVectorState) ---------
+    # -- storage primitives ---------------------------------------------
     def _init_storage(
         self, n: int, bits: int, max_state_bytes: Optional[int] = None
     ) -> None:
@@ -585,29 +560,6 @@ class VectorState:
                 data = np.frombuffer(mask.to_bytes(size, "little"), dtype=np.uint64)
                 for part, lo, hi in spans:
                     part[i] = data[lo:hi]
-
-    # -- layout conversion (``to_layout``) -------------------------------
-    # Conversions move whole matrices: every layout can export its storage
-    # as the canonical ``n × words`` uint64 view and import one, so a
-    # layout switch costs one packbits/unpackbits/hstack-style transform
-    # instead of n Python-int round-trips.
-    def _words_matrix(self) -> np.ndarray:
-        """Storage as the canonical dense uint64 word matrix (a view/copy)."""
-        if len(self._parts) == 1:
-            return self._parts[0]
-        return np.hstack(self._parts)
-
-    def _load_words(self, words: np.ndarray) -> None:
-        """Bulk-load a dense word matrix into fresh zeroed storage.
-
-        Width mismatches are benign: any extra source columns are padding
-        beyond the interned rumor universe and therefore all-zero.
-        """
-        offsets = self._offsets
-        for b, part in enumerate(self._parts):
-            lo = min(offsets[b], words.shape[1])
-            hi = min(offsets[b + 1], words.shape[1])
-            part[:, : hi - lo] = words[:, lo:hi]
 
     # -- packed-row plumbing --------------------------------------------
     def _row_mask(self, i: int) -> int:
@@ -814,13 +766,12 @@ class VectorState:
         return changed
 
     # -- array kernels (the vector fast path) ----------------------------
-    # A "pack" is the layout's opaque payload representation for a batch
-    # of rows: a list of per-part 2-D arrays here, one 2-D array for the
-    # broadcast layout.  The engine only moves packs between kernels.
+    # A "pack" is a batch of rows' payloads: a list of per-part 2-D
+    # arrays.  The engine only moves packs between kernels.
     def _k_width(self) -> tuple:
-        """Storage-shape fingerprint; a mid-run change means the rumor
-        space grew, which the fast path forbids."""
-        return ("bits", tuple(self._offsets))
+        """Part offsets; a mid-run change means the rumor space grew,
+        which the fast path forbids."""
+        return tuple(self._offsets)
 
     def _k_gather(self, rows: np.ndarray) -> Any:
         """Payload pack: a copy of the given state rows."""
@@ -878,199 +829,6 @@ class VectorState:
             values[pick] = part[rows[pick], words[pick] - offsets[b]]
         out[ok] = (values >> (bit & 63).astype(np.uint64)) & np.uint64(1) != 0
         return out
-
-
-class BroadcastVectorState(VectorState):
-    """Broadcast layout: one uint8 column per rumor — O(n·k) bytes.
-
-    For single-rumor (and small-k) runs the dense layout wastes a full
-    64-bit word per node; this layout stores exactly one byte per
-    (node, rumor) cell, so an ``n = 10⁶`` broadcast run keeps its whole
-    rumor state in ~1 MB.  Bit indices coincide with column indices, so
-    runs are bit-identical to the dense layout by construction.
-    """
-
-    __slots__ = ("_cols",)
-
-    layout = "broadcast"
-
-    def _init_storage(
-        self, n: int, bits: int, max_state_bytes: Optional[int] = None
-    ) -> None:
-        self._cols = np.zeros((n, bits), dtype=np.uint8)
-
-    def _ensure_bit(self, bit: int) -> None:
-        k = self._cols.shape[1]
-        if bit < k:
-            return
-        grown = np.zeros((self._cols.shape[0], bit + 1), dtype=np.uint8)
-        grown[:, :k] = self._cols
-        self._cols = grown
-
-    def _set_bit(self, i: int, bit: int) -> None:
-        self._cols[i, bit] = 1
-
-    def _mask_of_row(self, i: int) -> int:
-        row = self._cols[i]
-        if not row.any():
-            return 0
-        return int.from_bytes(
-            np.packbits(row, bitorder="little").tobytes(), "little"
-        )
-
-    def _or_row_storage(self, i: int, mask: int) -> None:
-        width = self._cols.shape[1]
-        data = np.frombuffer(
-            mask.to_bytes((width + 7) // 8, "little"), dtype=np.uint8
-        )
-        self._cols[i] |= np.unpackbits(data, count=width, bitorder="little")
-
-    def _load_masks(self, masks: Sequence[int]) -> None:
-        for i, mask in enumerate(masks):
-            bits = mask
-            while bits:
-                low = bits & -bits
-                self._cols[i, low.bit_length() - 1] = 1
-                bits ^= low
-
-    def _words_matrix(self) -> np.ndarray:
-        n, k = self._cols.shape
-        words = max(1, (k + 63) // 64)
-        packed = np.packbits(self._cols, axis=1, bitorder="little")
-        padded = np.zeros((n, words * 8), dtype=np.uint8)
-        padded[:, : packed.shape[1]] = packed
-        return padded.view(np.uint64)
-
-    def _load_words(self, words: np.ndarray) -> None:
-        n, k = self._cols.shape
-        if k == 0:
-            return
-        as_bytes = np.ascontiguousarray(words).view(np.uint8).reshape(n, -1)
-        have = min(k, as_bytes.shape[1] * 8)
-        self._cols[:, :have] = np.unpackbits(
-            as_bytes, axis=1, count=have, bitorder="little"
-        )
-
-    def state_nbytes(self) -> int:
-        return int(self._cols.nbytes)
-
-    def rumor_count(self, node: Node) -> int:
-        return int(self._cols[self._node_index[node]].sum())
-
-    def min_rumor_count(self) -> int:
-        if self._cols.shape[0] == 0:
-            return 0
-        return int(self._cols.sum(axis=1, dtype=np.int64).min())
-
-    def knows(self, node: Node, rumor: Hashable) -> bool:
-        bit = self._space.index.get(rumor)
-        if bit is None or bit >= self._cols.shape[1]:
-            return False
-        return bool(self._cols[self._node_index[node], bit])
-
-    def count_knowing(self, rumor: Hashable) -> int:
-        bit = self._space.index.get(rumor)
-        if bit is None or bit >= self._cols.shape[1]:
-            return 0
-        return int(np.count_nonzero(self._cols[:, bit]))
-
-    def knows_every(
-        self, nodes: Iterable[Node], rumors: Iterable[Hashable]
-    ) -> bool:
-        index = self._space.index
-        width = self._cols.shape[1]
-        cols = []
-        for rumor in rumors:
-            bit = index.get(rumor)
-            if bit is None or bit >= width:
-                return False
-            cols.append(bit)
-        rows = self._cols[[self._node_index[node] for node in nodes]]
-        return bool(rows[:, cols].all())
-
-    # -- array kernels ---------------------------------------------------
-    def _k_width(self) -> tuple:
-        return ("broadcast", self._cols.shape[1])
-
-    def _k_gather(self, rows: np.ndarray) -> Any:
-        return self._cols[rows]
-
-    def _k_popcounts(self, pack: Any) -> np.ndarray:
-        return pack.sum(axis=1, dtype=np.int64)
-
-    def _k_select(self, pack: Any, pick: Any) -> Any:
-        return pack[pick]
-
-    def _k_vstack(self, packs: list) -> Any:
-        return np.vstack(packs)
-
-    def _k_scatter(self, rows: np.ndarray, pack: Any) -> None:
-        targets, (merged,) = _merge_by_row(rows, (pack,))
-        self._cols[targets] |= merged
-        self._invalidate_rows(targets)
-
-    def _k_row_popcounts(self, rows: np.ndarray) -> np.ndarray:
-        return self._cols[rows].sum(axis=1, dtype=np.int64)
-
-    def _k_knows_column(self, rows: np.ndarray, rumor: Hashable) -> np.ndarray:
-        bit = self._space.index.get(rumor)
-        if bit is None or bit >= self._cols.shape[1]:
-            return np.zeros(rows.shape[0], dtype=bool)
-        return self._cols[rows, bit] != 0
-
-    def _k_knows_pairs(self, rows: np.ndarray, bits: np.ndarray) -> np.ndarray:
-        out = np.zeros(rows.shape[0], dtype=bool)
-        ok = bits >= 0
-        out[ok] = self._cols[rows[ok], bits[ok]] != 0
-        return out
-
-
-#: Broadcast-layout cutoff: with ``k <= 8`` rumor columns the uint8
-#: layout never uses more bytes than one dense uint64 word per node.
-_BROADCAST_MAX_RUMORS = 8
-
-#: Storage name -> state class (the ``layout=`` argument of
-#: :meth:`VectorState.from_network_state`).  The bitset storage is
-#: ``"dense"``; its ``"chunked"`` label is derived from the part count.
-STATE_LAYOUTS: dict[str, type] = {
-    "dense": VectorState,
-    "broadcast": BroadcastVectorState,
-}
-
-
-def _pick_storage(state: Any, layout: Optional[str]) -> type:
-    """The state class for ``state``'s rumor universe (or the forced one)."""
-    if layout is not None:
-        try:
-            return STATE_LAYOUTS[layout]
-        except KeyError:
-            raise SimulationError(
-                f"unknown state layout {layout!r}; available: "
-                + ", ".join(sorted(STATE_LAYOUTS))
-            ) from None
-    if 0 < len(state._space.tokens) <= _BROADCAST_MAX_RUMORS:
-        return BroadcastVectorState
-    return VectorState
-
-
-def _empty_copy(
-    state: Any, chosen: type, max_state_bytes: Optional[int]
-) -> VectorState:
-    """A ``chosen`` state with ``state``'s nodes, rumor space and notes,
-    over zeroed storage addressing its whole rumor universe."""
-    n = len(state._node_list)
-    out = chosen.__new__(chosen)
-    out._node_index = dict(state._node_index)
-    out._node_list = list(state._node_list)
-    out._space = _RumorSpace()
-    out._space.index = dict(state._space.index)
-    out._space.tokens = list(state._space.tokens)
-    out._notes = [dict(board) for board in state._notes]
-    out._snapshots = [None] * n
-    out._masks_cache = [None] * n
-    out._cache_filled = False
-    out._init_storage(n, len(state._space.tokens), max_state_bytes)
-    return out
 
 
 # ----------------------------------------------------------------------
@@ -1173,7 +931,7 @@ def _run_blockers(
 
     Any of them moves the engine off the array fast path (a recorder
     alone takes the batched mirror path; anything else runs the scalar
-    engine's per-exchange ``step()`` over the layout state), and any of
+    engine's per-exchange ``step()`` over the bitset state), and any of
     them — or an incoming cap — rules out ℓ-DTG plans.
     """
     return [
@@ -1266,7 +1024,7 @@ class _Batch:
     """One latency bucket's worth of in-flight exchanges, as arrays.
 
     Rows are in initiation order (initiator dense-id order within the
-    round); payloads are layout-opaque packs of row snapshots taken at
+    round); payloads are packs (per-part row arrays) of snapshots taken at
     initiation time.  All exchanges in one batch share the same
     initiation round (``initiated_at``, kept for the mirror path's
     delivery events) because they share a delivery round and a latency.
@@ -1344,7 +1102,7 @@ class _LDTGPlan:
         self.owner = np.asarray(owner, dtype=np.int64)
         self.nbr = np.asarray(nbrs, dtype=np.int64)
         self.bits = np.asarray(bits, dtype=np.int64)
-        self.eid, self.lat = engine._edge_ids(self.ids[self.owner], self.nbr)
+        self.eid, self.lat = _edge_ids(engine.graph, self.ids[self.owner], self.nbr)
         self.rows = engine._row_of[self.ids[self.owner]]
         self.deg = np.bincount(self.owner, minlength=m)
         self.off = np.zeros(m + 1, dtype=np.int64)
@@ -1459,7 +1217,7 @@ class VectorEngine(Engine):
     with checkers, a failure model, ``fresh_snapshots``,
     ``enforce_blocking`` or inherited note boards execute the scalar
     engine's own :meth:`~repro.sim.engine.Engine.step` and
-    :meth:`~repro.sim.engine.Engine.all_done` over the layout state.
+    :meth:`~repro.sim.engine.Engine.all_done` over the bitset state.
     ``__init__`` is this class's own: it builds the scalar scheduler
     state only for those per-exchange runs.
     """
@@ -1738,34 +1496,8 @@ class VectorEngine(Engine):
         toff = np.zeros(n + 1, dtype=np.int64)
         np.cumsum(tdeg, out=toff[1:])
         tnbr = np.asarray(flat, dtype=np.int64)
-        teid, tlat = self._edge_ids(np.asarray(srcs, dtype=np.int64), tnbr)
+        teid, tlat = _edge_ids(self.graph, np.asarray(srcs, dtype=np.int64), tnbr)
         return tdeg, toff, tnbr, tlat, teid
-
-    def _edge_ids(
-        self, src: np.ndarray, dst: np.ndarray
-    ) -> tuple[np.ndarray, np.ndarray]:
-        """Edge ids and latencies of the dense-id pairs ``(src[k], dst[k])``.
-
-        Raises :class:`~repro.errors.ProtocolError` naming the first pair
-        that is not an edge (the scalar engine's contact-time error).
-        """
-        n = len(self._order)
-        us, vs, edge_lats = self.graph.edge_arrays()
-        keys = us * n + vs
-        key_order = np.argsort(keys, kind="stable")
-        sorted_keys = keys[key_order]
-        want = np.minimum(src, dst) * n + np.maximum(src, dst)
-        pos = np.searchsorted(sorted_keys, want)
-        valid = pos < sorted_keys.shape[0]
-        valid[valid] = sorted_keys[pos[valid]] == want[valid]
-        if not valid.all():
-            bad = int(np.flatnonzero(~valid)[0])
-            raise ProtocolError(
-                f"node {self._order[int(src[bad])]!r} tried to contact "
-                f"non-neighbor {self._order[int(dst[bad])]!r}"
-            )
-        eid = key_order[pos]
-        return eid, np.asarray(edge_lats, dtype=np.int64)[eid]
 
     # -- Engine-compatible surface --------------------------------------
     @property

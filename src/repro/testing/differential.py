@@ -34,22 +34,22 @@ __all__ = [
 ]
 
 #: The rumor-state layouts the vector differential matrices cover.
-LAYOUT_LEGS = ("broadcast", "chunked", "dense")
+LAYOUT_LEGS = ("chunked", "dense")
 
 
 def layout_state(state: NetworkState, layout: str) -> VectorState:
     """``state`` copied into one of the :data:`LAYOUT_LEGS`.
 
-    ``"dense"`` and ``"broadcast"`` force that storage at the default
-    budget.  ``"chunked"`` is the bitset storage under a one-word part
-    budget (``n * 8`` bytes), so any universe past 64 rumors — at
-    construction or grown mid-run — spans several parts.
+    ``"dense"`` is the bitset storage at the default budget.
+    ``"chunked"`` is the same storage under a one-word part budget
+    (``n * 8`` bytes), so any universe past 64 rumors — at construction
+    or grown mid-run — spans several parts.
     """
     if layout == "chunked":
         return VectorState.from_network_state(
-            state, layout="dense", max_state_bytes=max(1, len(state.nodes())) * 8
+            state, max_state_bytes=max(1, len(state.nodes())) * 8
         )
-    return VectorState.from_network_state(state, layout=layout)
+    return VectorState.from_network_state(state)
 
 
 @dataclasses.dataclass(frozen=True)

@@ -169,7 +169,7 @@ def state_layouts() -> st.SearchStrategy[str]:
     """One of the vector backend's rumor-state layout legs.
 
     Draws from :data:`repro.testing.differential.LAYOUT_LEGS`
-    (``broadcast``, ``chunked``, ``dense``); build the state with
+    (``chunked``, ``dense``); build the state with
     :func:`~repro.testing.differential.layout_state`.
     """
     from repro.testing.differential import LAYOUT_LEGS

@@ -65,21 +65,36 @@ class TestCompareBenchmarks:
         assert not report.regressed
 
     def test_new_workload_never_fails(self):
-        report = compare_benchmarks(_report(brand_new=99.0), _report())
+        report = compare_benchmarks(
+            _report(brand_new=99.0, shared=1.0), _report(shared=1.0)
+        )
         assert not report.regressed
         verdict = report.workloads[0]
+        assert verdict.name == "brand_new"
         assert verdict.status == "new"
         assert not verdict.failed
         assert verdict.baseline_seconds is None
 
     def test_missing_workload_fails_only_under_strict(self):
-        baseline = _report(dropped=1.0)
-        lenient = compare_benchmarks(_report(), baseline)
+        baseline = _report(dropped=1.0, shared=1.0)
+        lenient = compare_benchmarks(_report(shared=1.0), baseline)
         assert not lenient.regressed
         assert lenient.workloads[0].status == "missing"
-        strict = compare_benchmarks(_report(), baseline, strict=True)
+        strict = compare_benchmarks(_report(shared=1.0), baseline, strict=True)
         assert strict.regressed
         assert strict.workloads[0].failed
+
+    def test_zero_overlap_fails(self):
+        # Only new and missing workloads: the gate measured nothing, so
+        # it must not pass.
+        report = compare_benchmarks(
+            _report(fresh=1.0), _report(gone=1.0), suite="s"
+        )
+        assert report.regressed
+        assert not report.compared
+        assert not any(v.failed for v in report.workloads)
+        assert "FAIL nothing compared" in report.summary().splitlines()[1]
+        assert compare_benchmarks(_report(), _report()).regressed
 
     def test_per_workload_threshold_override(self):
         current, baseline = _report(noisy=1.8), _report(noisy=1.0)

@@ -15,7 +15,7 @@ from repro.sim.failures import CrashSchedule
 from repro.sim.invariants import default_checkers
 from repro.sim.runner import min_rumors_complete
 from repro.sim.state import NetworkState
-from repro.sim.vector import BroadcastVectorState, VectorState
+from repro.sim.vector import VectorState
 
 
 class TestPerNodeRng:
@@ -253,9 +253,9 @@ class TestBackendDispatch:
             assert len(early.state.rumors(node)) >= 2
 
     def test_scalar_phase_then_vector_phase_relayouts(self):
-        # A scalar-fallback phase grows the rumor universe on the carried
-        # VectorState; the next vector phase must re-pick the layout and
-        # keep the accumulated knowledge.
+        # A scalar-fallback phase grows the rumor universe of the carried
+        # VectorState in place; the next vector phase runs on that same
+        # state and keeps the accumulated knowledge.
         g = generators.clique(6)
         runner = PhaseRunner(g, backend="vector")
         runner.run_phase(
@@ -279,20 +279,41 @@ class TestBackendDispatch:
         for node in g.nodes():
             assert set(g.nodes()) <= runner.state.rumors(node)
 
-    def test_broadcast_layout_carryover(self):
-        # A small universe starts on the broadcast layout; the carried
-        # state stays a VectorState across phases without densifying.
-        g = generators.clique(6)
-        state = NetworkState(g.nodes())
-        state.add_rumor(g.nodes()[0], "seed")
-        vstate = VectorState.from_network_state(state)
-        assert isinstance(vstate, BroadcastVectorState)
-        runner = PhaseRunner(g, state=vstate, backend="vector")
-        runner.run_phase(
-            _push_pull_factory(5),
-            until=lambda s: all(s.knows(v, "seed") for v in g.nodes()),
-        )
-        assert runner.phases[-1].backend == "vector"
-        assert isinstance(runner.state, VectorState)
+    def test_broadcast_state_widens_in_place(self):
+        # A one-rumor VectorState is one bitset word per node.  Seeding
+        # every node's own rumor after the broadcast phase widens that
+        # same object, and the all-to-all phase runs on it.
+        g = generators.clique(70)
+        n = len(g.nodes())
+
+        def run(state, backend):
+            runner = PhaseRunner(g, state=state, backend=backend)
+            runner.run_phase(
+                _push_pull_factory(5),
+                until=lambda s: all(s.knows(v, "seed") for v in g.nodes()),
+                name="broadcast",
+            )
+            runner.state.seed_self_rumors()
+            runner.run_phase(
+                _push_pull_factory(6),
+                until=min_rumors_complete(n + 1),
+                name="all-to-all",
+            )
+            return runner
+
+        def seeded():
+            state = NetworkState(g.nodes())
+            state.add_rumor(g.nodes()[0], "seed")
+            return state
+
+        vstate = VectorState.from_network_state(seeded())
+        assert [part.shape[1] for part in vstate._parts] == [1]
+        vector = run(vstate, "vector")
+        scalar = run(seeded(), "scalar")
+        assert vector.state is vstate
+        assert [p.backend for p in vector.phases] == ["vector", "vector"]
+        assert vstate.layout == "dense"
+        assert [part.shape[1] for part in vstate._parts] == [-(-n // 64)]
+        assert vector.total_rounds == scalar.total_rounds
         for node in g.nodes():
-            assert runner.state.knows(node, "seed")
+            assert vstate.rumors(node) == scalar.state.rumors(node)

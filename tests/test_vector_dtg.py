@@ -96,7 +96,7 @@ def test_vector_dtg_matches_scalar_and_reference(
     _assert_agree_every_round(graph, factory, layout, latencies_known=not measured)
 
 
-@pytest.mark.parametrize("layout", ["dense", "broadcast", "chunked"])
+@pytest.mark.parametrize("layout", ["dense", "chunked"])
 @pytest.mark.parametrize("ell", [1, 2, 4])
 def test_multi_iteration_exchange_order(layout, ell):
     # Denser, larger graphs run several iterations, where the order of the

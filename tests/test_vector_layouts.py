@@ -1,12 +1,11 @@
 """Differential matrix for the vector backend's rumor-state layouts.
 
-The vector engine stores rumor knowledge in one of two storage classes
-behind the same :class:`~repro.sim.vector.VectorState` API: the bitset
-matrix in budget-bounded column parts — labelled ``dense`` while it is
-one part and ``chunked`` once it spans several — and ``broadcast`` (one
-byte-column per rumor).  The ``chunked`` leg runs the bitset storage
-under a one-word part budget, so every universe past 64 rumors spans
-parts.  The layout is a *representation* choice, so every layout must be
+The vector engine stores rumor knowledge in one
+:class:`~repro.sim.vector.VectorState`: a bitset matrix in budget-bounded
+column parts, labelled ``dense`` while it is one part and ``chunked``
+once it spans several.  The ``chunked`` leg runs that storage under a
+one-word part budget, so every universe past 64 rumors spans parts.
+The layout is a *representation* choice, so every layout must be
 bit-identical to the scalar :class:`~repro.sim.engine.Engine`: same
 completion rounds, same per-node knowledge, same metrics, for every
 oblivious protocol, under crash schedules and responder caps (a crash
@@ -14,7 +13,7 @@ schedule runs the scalar engine's own per-exchange step over the layout
 state, so those legs pin that path per layout).  This suite pins that
 with a hypothesis matrix over
 layouts x {push--pull, push, pull, flooding} x engine configs, plus
-deterministic legs for layout auto-selection, multi-part chunked runs,
+deterministic legs for layout labels, multi-part chunked runs,
 part budgets under growth (add_rumor, merge, ℓ-DTG token interning, an
 EID run crossing parts mid-run),
 RR Broadcast on custom target tables, and a committed golden event
@@ -30,7 +29,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.errors import SimulationError
 from repro.graphs import generators
 from repro.graphs.latency_graph import LatencyGraph
 from repro.graphs.latency_models import uniform_latency
@@ -50,7 +48,6 @@ from repro.sim.engine import Engine
 from repro.sim.runner import all_to_all_complete, broadcast_complete, run_until_complete
 from repro.sim.state import NetworkState
 from repro.sim.vector import (
-    BroadcastVectorState,
     DEFAULT_MAX_STATE_BYTES,
     VectorEngine,
     VectorState,
@@ -234,18 +231,11 @@ class TestLayoutMatrix:
 
 
 class TestLayoutSelection:
-    """from_network_state picks the layout from the observed universe."""
-
-    def test_small_universe_picks_broadcast(self):
-        state = NetworkState(range(10))
-        state.add_rumor(0, "r")
-        vector = VectorState.from_network_state(state)
-        assert isinstance(vector, BroadcastVectorState)
-        assert vector.layout == "broadcast"
+    """The layout label follows the part count of the observed universe."""
 
     def test_medium_universe_within_budget_stays_dense(self):
         state = NetworkState(range(10))
-        state.seed_self_rumors()  # 10 rumors > the broadcast cutoff of 8
+        state.seed_self_rumors()
         vector = VectorState.from_network_state(state)
         assert vector.layout == "dense"
         assert len(vector._parts) == 1
@@ -268,14 +258,6 @@ class TestLayoutSelection:
         for node in range(6):
             assert vector.rumors(node) == state.rumors(node)
 
-    def test_unknown_layout_rejected(self):
-        state = NetworkState(range(4))
-        with pytest.raises(SimulationError, match="unknown state layout"):
-            VectorState.from_network_state(state, layout="sparse-coo")
-        # "chunked" is a label derived from the part count, not a choice.
-        with pytest.raises(SimulationError, match="unknown state layout"):
-            VectorState.from_network_state(state, layout="chunked")
-
     def test_budget_scope_and_env_var(self, monkeypatch):
         monkeypatch.delenv("REPRO_MAX_STATE_BYTES", raising=False)
         assert current_max_state_bytes() == DEFAULT_MAX_STATE_BYTES
@@ -290,10 +272,11 @@ class TestLayoutSelection:
         base.add_rumor(0, "r")
         # scalar masks: one node holds bit 0 -> one byte
         assert base.state_nbytes() == 1
-        broadcast = VectorState.from_network_state(base, layout="broadcast")
-        assert broadcast.state_nbytes() == 64  # one uint8 column
-        dense = VectorState.from_network_state(base, layout="dense")
-        assert dense.state_nbytes() == 64 * 8  # one word per node
+        # a broadcast is the one-part, one-word bitset: n * 8 bytes
+        dense = VectorState.from_network_state(base)
+        assert dense.state_nbytes() == 64 * 8
+        assert dense.layout == "dense"
+        assert [part.shape[1] for part in dense._parts] == [1]
         chunked = layout_state(base, "chunked")
         assert chunked.state_nbytes() == 64 * 8  # one one-word part
         assert chunked.layout == "dense"  # one part reads dense
