@@ -17,8 +17,9 @@ bench-full:
 	REPRO_PROFILE=full $(PYTHON) -m pytest benchmarks/ --benchmark-only
 
 # Mega-scale memory smoke: the n=10^5 vector-backend broadcast (one
-# bitset word per node) and the n=10^5 chunked-streaming all-to-all, each re-run in a subprocess under
-# an enforced RLIMIT_DATA ceiling, then the engine_scale regression gate.
+# bitset word per node) and the n=10^5 chunked-streaming all-to-all,
+# each re-run in a subprocess under an enforced RLIMIT_DATA ceiling,
+# then the engine_scale regression gate.
 scale-smoke:
 	PYTHONPATH=src $(PYTHON) -m pytest benchmarks/test_bench_engine_scale.py -p no:cacheprovider -q
 	PYTHONPATH=src $(PYTHON) -m repro regress --suite engine_scale

@@ -8,9 +8,9 @@ records ``peak_state_bytes`` and the state's layout label next to the
 wall time, so the committed report doubles as the memory-acceptance
 artifact: at ``n = 10^6`` a broadcast holds one bitset word per node
 (8 MB, the one-part ``dense`` layout) where an all-to-all bitset matrix
-would need ~125 GB, and the streamed
-all-to-all replays rumor blocks through a chunked layout whose peak
-residency stays inside its declared ``max_state_bytes`` budget.
+would need ~125 GB, and the streamed all-to-all replays rumor blocks
+through a chunked layout whose peak residency stays inside its declared
+``max_state_bytes`` budget.
 
 The smoke legs re-run each quick workload in a subprocess whose
 ``RLIMIT_DATA`` is clamped to a hard memory ceiling, so CI catches any
