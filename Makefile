@@ -18,8 +18,9 @@ bench-full:
 
 # Mega-scale memory smoke: the n=10^5 vector-backend broadcast (one
 # bitset word per node) and the n=10^5 chunked-streaming all-to-all,
-# each re-run in a subprocess under an enforced RLIMIT_DATA ceiling,
-# then the engine_scale regression gate.
+# each re-run in a subprocess under an enforced RLIMIT_DATA ceiling, the
+# n=10^6 graph substrate (erdos_renyi_fast + CSR tables) under a 2 GiB
+# ceiling, then the engine_scale regression gate.
 scale-smoke:
 	PYTHONPATH=src $(PYTHON) -m pytest benchmarks/test_bench_engine_scale.py -p no:cacheprovider -q
 	PYTHONPATH=src $(PYTHON) -m repro regress --suite engine_scale

@@ -15,7 +15,9 @@ through a chunked layout whose peak residency stays inside its declared
 The smoke legs re-run each quick workload in a subprocess whose
 ``RLIMIT_DATA`` is clamped to a hard memory ceiling, so CI catches any
 change that silently reintroduces O(n^2)-ish allocations — the run
-*crashes* instead of quietly paging.
+*crashes* instead of quietly paging.  A third leg builds the ``n = 10^6``
+graph substrate alone (``erdos_renyi_fast`` plus the vector engine's CSR
+tables) under a 2 GiB ceiling.
 
 Runs standalone — ``pytest benchmarks/test_bench_engine_scale.py`` — so
 CI can smoke it without the pytest-benchmark plugin.  Set
@@ -40,13 +42,19 @@ REPO_ROOT = pathlib.Path(__file__).resolve().parents[1]
 
 #: Hard data-segment ceiling for the smoke legs.  Each quick workload
 #: runs in its own fresh interpreter under this cap.  The n=10^5
-#: broadcast peaks around 0.73 GB resident (graph + CSR tables dominate;
+#: broadcast peaks around 0.65 GB resident (graph + CSR tables dominate;
 #: the rumor state itself is 800 kB); the n=10^5 streamed all-to-all
 #: holds its graph plus one rumor-block slice and the in-flight payload
-#: rows under a 256 MiB state budget (~1.2 GB resident).  1.5 GiB passes
+#: rows under a 256 MiB state budget (~0.9 GB resident).  1.5 GiB passes
 #: both with margin, while the *dense* all-to-all state matrix at that n
 #: (1.25 GB before the graph or a single payload row) cannot fit.
 MEMORY_CEILING_BYTES = 3 * (1 << 29)
+
+#: Ceiling for the n=10^6 substrate leg: G(10^6, 8/n) (~5·10^6 edges)
+#: and its CSR tables peak around 0.95 GB resident when the graph is
+#: built from edge arrays; a per-edge dict-of-dicts build of the same
+#: graph needs more than this.
+SUBSTRATE_CEILING_BYTES = 1 << 31
 
 # Runs inside `python -c` in a fresh interpreter: clamp RLIMIT_DATA
 # before importing numpy or touching any graph, so *every* allocation of
@@ -65,6 +73,33 @@ try:
 finally:
     resource.setrlimit(resource.RLIMIT_DATA, (soft, hard))
 print(json.dumps(meta))
+"""
+
+# The same clamp around the graph substrate alone.  argv: ceiling, n.
+_SUBSTRATE_SCRIPT = """
+import json, random, resource, sys, time
+ceiling = int(sys.argv[1])
+soft, hard = resource.getrlimit(resource.RLIMIT_DATA)
+resource.setrlimit(resource.RLIMIT_DATA, (ceiling, hard))
+try:
+    from repro.graphs.generators import erdos_renyi_fast
+    from repro.graphs.latency_models import uniform_latency
+    from repro.sim.vector import _csr_arrays
+    n = int(sys.argv[2])
+    start = time.perf_counter()
+    graph = erdos_renyi_fast(n, 8 / n, uniform_latency(1, 8), random.Random(0))
+    deg, off, nbr, lat, eid = _csr_arrays(graph)
+    seconds = time.perf_counter() - start
+finally:
+    resource.setrlimit(resource.RLIMIT_DATA, (soft, hard))
+print(json.dumps({
+    "n": graph.num_nodes,
+    "edges": graph.num_edges,
+    "slots": int(nbr.shape[0]),
+    "dict_built": "_adj" in vars(graph),
+    "seconds": seconds,
+    "peak_rss_bytes": resource.getrusage(resource.RUSAGE_SELF).ru_maxrss * 1024,
+}))
 """
 
 
@@ -105,27 +140,26 @@ def test_engine_scale_microbenchmarks(capsys, profile):
             assert entry["layout"] == "dense"
 
 
-def _run_quick_workload_under_ceiling(index: int) -> dict:
+def _run_under_ceiling(script: str, ceiling: int, arg: int, what: str) -> dict:
     env = {**os.environ, "PYTHONPATH": str(REPO_ROOT / "src")}
     proc = subprocess.run(
-        [
-            sys.executable,
-            "-c",
-            _CEILING_SCRIPT,
-            str(MEMORY_CEILING_BYTES),
-            str(index),
-        ],
+        [sys.executable, "-c", script, str(ceiling), str(arg)],
         capture_output=True,
         text=True,
         env=env,
         timeout=600,
     )
     assert proc.returncode == 0, (
-        f"quick workload {index} crashed under the "
-        f"{MEMORY_CEILING_BYTES >> 20} MiB RLIMIT_DATA ceiling:\n"
+        f"{what} crashed under the {ceiling >> 20} MiB RLIMIT_DATA ceiling:\n"
         f"{proc.stderr[-2000:]}"
     )
     return json.loads(proc.stdout.strip().splitlines()[-1])
+
+
+def _run_quick_workload_under_ceiling(index: int) -> dict:
+    return _run_under_ceiling(
+        _CEILING_SCRIPT, MEMORY_CEILING_BYTES, index, f"quick workload {index}"
+    )
 
 
 def test_scale_smoke_under_memory_ceiling(profile):
@@ -143,3 +177,17 @@ def test_streamed_all_to_all_smoke_under_memory_ceiling(profile):
     # where the dense n x n bitset alone would need 1.25 GB.
     assert 0 < meta["peak_state_bytes"] <= meta["max_state_bytes"]
     assert meta["blocks"] > 1
+
+
+def test_mega_graph_substrate_under_memory_ceiling():
+    n = 1_000_000
+    meta = _run_under_ceiling(
+        _SUBSTRATE_SCRIPT, SUBSTRATE_CEILING_BYTES, n, "the n=10^6 graph substrate"
+    )
+    assert meta["n"] == n
+    # Backbone path plus ~4·10^6 sampled pairs.
+    assert 4 * n < meta["edges"] < 6 * n
+    assert meta["slots"] == 2 * meta["edges"]
+    # The vector engine's tables come from the graph's arrays alone.
+    assert not meta["dict_built"]
+    assert meta["peak_rss_bytes"] < SUBSTRATE_CEILING_BYTES

@@ -12,9 +12,11 @@ import math
 import random
 from typing import Optional
 
+import numpy as np
+
 from repro.errors import GraphError
 from repro.graphs.latency_graph import LatencyGraph
-from repro.graphs.latency_models import LatencyModel, resolve_model
+from repro.graphs.latency_models import LatencyModel, draw_latencies, resolve_model
 
 __all__ = [
     "clique",
@@ -257,45 +259,68 @@ def erdos_renyi_fast(
     Hamiltonian backbone path through the nodes first; sampled pairs that
     collide with backbone edges are dropped (matching the slow sampler's
     skip-existing rule).
-    """
-    import numpy as np
 
+    The graph is built from edge arrays
+    (:meth:`~repro.graphs.latency_graph.LatencyGraph.from_edge_arrays`):
+    the backbone edges, then the sampled ones in pair-index order, with
+    latencies drawn in that order
+    (:func:`~repro.graphs.latency_models.draw_latencies`) — the order, and
+    so the graph and the ``rng`` state left behind, of adding them one by
+    one.
+    """
     _check_n(n)
     if not 0.0 <= p <= 1.0:
         raise GraphError(f"p must be in [0, 1], got {p}")
     rng = rng or random.Random(0)
     model = resolve_model(latency_model)
     npr = np.random.default_rng(rng.getrandbits(64))
-    graph = LatencyGraph(nodes=range(n))
+    backbone = np.zeros(0, dtype=np.int64)
     if ensure_connected and n > 1:
         order = list(range(n))
         rng.shuffle(order)
-        for a, b in zip(order, order[1:]):
-            _assign(graph, a, b, model, rng)
+        backbone = np.asarray(order, dtype=np.int64)
+    us, vs = _sample_pairs(n, p, npr)
+    if backbone.shape[0] and us.shape[0]:
+        a, b = backbone[:-1], backbone[1:]
+        taken = np.isin(us * n + vs, np.minimum(a, b) * n + np.maximum(a, b))
+        us, vs = us[~taken], vs[~taken]
+    us = np.concatenate([backbone[:-1], us])
+    vs = np.concatenate([backbone[1:], vs])
+    lats = draw_latencies(model, us, vs, rng)
+    return LatencyGraph.from_edge_arrays(n, us, vs, lats)
+
+
+def _sample_pairs(n: int, p: float, npr) -> tuple[np.ndarray, np.ndarray]:
+    """``G(n, p)``'s pairs ``(us, vs)``, ``us < vs``, in pair-index order."""
     total = n * (n - 1) // 2
-    if total == 0 or p == 0.0:
-        return graph
-    m = total if p == 1.0 else int(npr.binomial(total, p))
+    m = 0
+    if total and p != 0.0:
+        m = total if p == 1.0 else int(npr.binomial(total, p))
     if m == 0:
-        return graph
+        empty = np.zeros(0, dtype=np.int64)
+        return empty, empty
     if m == total:
         idx = np.arange(total, dtype=np.int64)
     else:
         # Rejection-free-ish distinct sampling: draw, dedup, top up.
-        idx = np.unique(npr.integers(0, total, size=m, dtype=np.int64))
+        idx = _sorted_distinct(npr.integers(0, total, size=m, dtype=np.int64))
         while idx.size < m:
             extra = npr.integers(0, total, size=m - idx.size, dtype=np.int64)
-            idx = np.unique(np.concatenate([idx, extra]))
+            idx = _sorted_distinct(np.concatenate([idx, extra]))
     # Invert the row-major triangular index exactly: pairs whose smaller
     # endpoint is u occupy [starts[u], starts[u+1]).
     starts = np.zeros(n, dtype=np.int64)
     np.cumsum(np.arange(n - 1, 0, -1, dtype=np.int64), out=starts[1:])
     us = np.searchsorted(starts, idx, side="right") - 1
     vs = idx - starts[us] + us + 1
-    for u, v in zip(us.tolist(), vs.tolist()):
-        if not graph.has_edge(u, v):
-            _assign(graph, u, v, model, rng)
-    return graph
+    return us, vs
+
+
+def _sorted_distinct(values: np.ndarray) -> np.ndarray:
+    """``np.unique(values)`` for an int array, by sort (numpy 2's hashing
+    ``unique`` is many times slower on millions of int64s)."""
+    values = np.sort(values)
+    return values[np.r_[True, values[1:] != values[:-1]]]
 
 
 def random_regular(

@@ -15,12 +15,22 @@ Design notes
   paper) lives in :mod:`repro.conductance.edge_induced`, not here.
 * All shortest-path quantities are *weighted* by latency unless the name says
   ``hop``.
+* A graph has one of two primary representations.  One built through
+  :meth:`LatencyGraph.add_edge` is a dict of dicts.  One built by
+  :meth:`LatencyGraph.from_edge_arrays` (as
+  :func:`~repro.graphs.generators.erdos_renyi_fast` does) holds
+  insertion-order CSR rows in numpy arrays and builds the dict only when a
+  dict consumer first asks for it; degree, neighbor, latency-set,
+  edge-array and fingerprint queries answer from the rows.  Both answer
+  every query identically.
 """
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import heapq
+import itertools
 import math
 from collections.abc import Hashable, Iterable, Iterator
 from typing import Optional
@@ -68,6 +78,13 @@ class LatencyGraph:
     3
     """
 
+    #: Insertion-order CSR rows ``(version, off, nbr, lat)`` of an
+    #: array-built graph: node ``i``'s neighbors are ``nbr[off[i]:off[i+1]]``
+    #: in the order :meth:`add_edge` would have inserted them, with their
+    #: latencies in ``lat``.  ``None`` for a dict-built graph.  A mutation
+    #: retires the rows (their version no longer matches).
+    _rows: Optional[tuple[int, np.ndarray, np.ndarray, np.ndarray]] = None
+
     def __init__(
         self,
         nodes: Optional[Iterable[Node]] = None,
@@ -95,9 +112,112 @@ class LatencyGraph:
     # ------------------------------------------------------------------
     # Construction
     # ------------------------------------------------------------------
+    @classmethod
+    def from_edge_arrays(cls, n: int, us, vs, lats) -> "LatencyGraph":
+        """The graph on nodes ``range(n)`` with edges ``(us[k], vs[k])`` of
+        latency ``lats[k]``, stored as arrays.
+
+        Equal to adding the nodes ``0..n-1`` and then each edge with
+        :meth:`add_edge` in order — same neighbor order, same
+        :meth:`fingerprint` — but the graph keeps insertion-order CSR rows
+        instead of a dict of dicts, and builds the dict only for the
+        queries that need one (see the module notes).
+
+        Raises
+        ------
+        GraphError
+            On the first edge (in order) that is a self loop, has a
+            latency that is not a positive int (with :meth:`add_edge`'s
+            messages), has an endpoint outside ``range(n)``, or repeats an
+            earlier pair.
+        """
+        if n < 0:
+            raise GraphError(f"need n >= 0, got {n}")
+        us, vs = _id_array(us, "us"), _id_array(vs, "vs")
+        if isinstance(lats, np.ndarray) and lats.dtype.kind in "iu":
+            items = None
+            values = lats.astype(np.int64, copy=False)
+            wrong_type = np.zeros(values.shape[0], dtype=bool)
+        else:
+            items = list(lats)
+            wrong_type = np.fromiter(
+                (not isinstance(x, int) or isinstance(x, bool) for x in items),
+                dtype=bool,
+                count=len(items),
+            )
+            values = np.fromiter(
+                (1 if bad else x for x, bad in zip(items, wrong_type.tolist())),
+                dtype=np.int64,
+                count=len(items),
+            )
+        if not us.shape[0] == vs.shape[0] == values.shape[0]:
+            raise GraphError(
+                f"edge arrays differ in length: {us.shape[0]}, {vs.shape[0]}, "
+                f"{values.shape[0]}"
+            )
+        outside = (us < 0) | (us >= n) | (vs < 0) | (vs >= n)
+        keys = np.minimum(us, vs) * n + np.maximum(us, vs)
+        repeated = np.zeros(keys.shape[0], dtype=bool)
+        sorted_keys = np.sort(keys)
+        if (sorted_keys[1:] == sorted_keys[:-1]).any():
+            key_order = np.argsort(keys, kind="stable")
+            sorted_keys = keys[key_order]
+            repeated[key_order[1:][sorted_keys[1:] == sorted_keys[:-1]]] = True
+        bad = outside | (us == vs) | wrong_type | (values < 1) | repeated
+        if bad.any():
+            k = int(np.argmax(bad))
+            u, v = int(us[k]), int(vs[k])
+            _check_edge(u, v, items[k] if items is not None else int(values[k]))
+            if outside[k]:
+                raise GraphError(f"edge ({u!r}, {v!r}) has an endpoint outside range({n})")
+            raise GraphError(f"duplicate edge ({u!r}, {v!r})")
+
+        graph = cls()
+        del graph._adj  # built from the rows on first use (see _adj)
+        nodes = list(range(n))
+        graph._node_list = nodes
+        graph._index = dict(zip(nodes, nodes))
+        m = us.shape[0]
+        # Each edge k yields the directed slots 2k (u -> v) and 2k+1
+        # (v -> u); sorting slots by (source, slot) orders every row by
+        # edge insertion time, which is add_edge's dict order.  The keys
+        # are unique, so an unstable sort gives the stable order.
+        src = np.empty(2 * m, dtype=np.int64)
+        dst = np.empty(2 * m, dtype=np.int64)
+        src[0::2], src[1::2] = us, vs
+        dst[0::2], dst[1::2] = vs, us
+        order = np.argsort(src * (2 * m) + np.arange(2 * m, dtype=np.int64))
+        off = np.zeros(n + 1, dtype=np.int64)
+        np.cumsum(np.bincount(src, minlength=n), out=off[1:])
+        nbr = dst[order]
+        lat = values[order // 2]
+        graph._rows = (graph._version, off, nbr, lat)
+        return graph
+
+    @functools.cached_property
+    def _adj(self) -> dict[Node, dict[Node, int]]:
+        """The dict adjacency of an array-built graph, built on first use.
+
+        A dict-built graph sets this attribute in ``__init__``.  An
+        array-built one reaches here only while its rows are live: every
+        mutation reads the dict before it bumps the version.
+        """
+        # While the rows are live, node labels are their dense ids.
+        return {
+            node: dict(zip(neighbors, latencies))
+            for node, neighbors, latencies in zip(self._node_list, *self.adjacency_arrays())
+        }
+
+    def _live_rows(self) -> Optional[tuple[int, np.ndarray, np.ndarray, np.ndarray]]:
+        """The CSR rows if this graph is array-built and unmutated, else None."""
+        rows = self._rows
+        if rows is not None and rows[0] != self._version:
+            self._rows = rows = None
+        return rows
+
     def add_node(self, node: Node) -> None:
         """Add ``node`` to the graph (a no-op if already present)."""
-        if node not in self._adj:
+        if node not in self._index:
             self._adj[node] = {}
             self._index[node] = len(self._node_list)
             self._node_list.append(node)
@@ -115,14 +235,7 @@ class LatencyGraph:
         GraphError
             If ``u == v`` (self loop) or the latency is not a positive int.
         """
-        if u == v:
-            raise GraphError(f"self loops are not allowed (node {u!r})")
-        if not isinstance(latency, int) or isinstance(latency, bool):
-            raise GraphError(
-                f"latency must be an int, got {type(latency).__name__} for edge ({u!r}, {v!r})"
-            )
-        if latency < 1:
-            raise GraphError(f"latency must be >= 1, got {latency} for edge ({u!r}, {v!r})")
+        _check_edge(u, v, latency)
         self.add_node(u)
         self.add_node(v)
         self._adj[u][v] = latency
@@ -173,15 +286,44 @@ class LatencyGraph:
         cache = self._adjacency_cache
         if cache is not None and cache[0] == self._version:
             return cache[1], cache[2]
-        index = self._index
-        neighbors: list[list[int]] = []
-        latencies: list[list[int]] = []
-        for node in self._node_list:
-            row = self._adj[node]
-            neighbors.append([index[other] for other in row])
-            latencies.append(list(row.values()))
+        rows = self._live_rows()
+        if rows is not None:
+            _, off, nbr, lat = rows
+            bounds, flat_nbr, flat_lat = off.tolist(), nbr.tolist(), lat.tolist()
+            spans = list(zip(bounds, bounds[1:]))
+            neighbors = [flat_nbr[a:b] for a, b in spans]
+            latencies = [flat_lat[a:b] for a, b in spans]
+        else:
+            index = self._index
+            neighbors = []
+            latencies = []
+            for node in self._node_list:
+                row = self._adj[node]
+                neighbors.append([index[other] for other in row])
+                latencies.append(list(row.values()))
         self._adjacency_cache = (self._version, neighbors, latencies)
         return neighbors, latencies
+
+    def csr_rows(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Insertion-order CSR adjacency ``(off, nbr, lat)`` over dense ids.
+
+        Node ``i``'s neighbors are ``nbr[off[i]:off[i+1]]`` with latencies
+        ``lat[off[i]:off[i+1]]``, in :meth:`adjacency_arrays` order.  An
+        array-built graph returns its stored rows (shared: callers must
+        not modify them); a dict-built one builds them on each call.
+        """
+        rows = self._live_rows()
+        if rows is not None:
+            return rows[1], rows[2], rows[3]
+        neighbors, latencies = self.adjacency_arrays()
+        n = len(neighbors)
+        deg = np.fromiter(map(len, neighbors), dtype=np.int64, count=n)
+        off = np.zeros(n + 1, dtype=np.int64)
+        np.cumsum(deg, out=off[1:])
+        total = int(off[-1])
+        nbr = np.fromiter(itertools.chain.from_iterable(neighbors), dtype=np.int64, count=total)
+        lat = np.fromiter(itertools.chain.from_iterable(latencies), dtype=np.int64, count=total)
+        return off, nbr, lat
 
     def edge_arrays(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Dense-id edge list as parallel numpy arrays ``(us, vs, latencies)``.
@@ -196,6 +338,14 @@ class LatencyGraph:
         cache = self._edge_cache
         if cache is not None and cache[0] == self._version:
             return cache[1], cache[2], cache[3]
+        rows = self._live_rows()
+        if rows is not None:
+            _, off, nbr, lat = rows
+            src = np.repeat(np.arange(off.shape[0] - 1, dtype=np.int64), np.diff(off))
+            tail = src < nbr
+            arrays = (src[tail], nbr[tail], lat[tail])
+            self._edge_cache = (self._version, *arrays)
+            return arrays
         index = self._index
         us: list[int] = []
         vs: list[int] = []
@@ -249,11 +399,14 @@ class LatencyGraph:
     @property
     def num_nodes(self) -> int:
         """Number of nodes ``n = |V|``."""
-        return len(self._adj)
+        return len(self._node_list)
 
     @property
     def num_edges(self) -> int:
         """Number of undirected edges ``|E|``."""
+        rows = self._live_rows()
+        if rows is not None:
+            return rows[2].shape[0] // 2
         return sum(len(nbrs) for nbrs in self._adj.values()) // 2
 
     def nodes(self) -> list[Node]:
@@ -272,7 +425,7 @@ class LatencyGraph:
 
     def has_node(self, node: Node) -> bool:
         """Whether ``node`` is in the graph."""
-        return node in self._adj
+        return node in self._index
 
     def has_edge(self, u: Node, v: Node) -> bool:
         """Whether the undirected edge ``{u, v}`` exists."""
@@ -290,6 +443,11 @@ class LatencyGraph:
     def neighbors(self, node: Node) -> list[Node]:
         """Neighbors of ``node`` in insertion order."""
         self._require_node(node)
+        rows = self._live_rows()
+        if rows is not None:
+            _, off, nbr, _ = rows
+            i = self._index[node]
+            return nbr[off[i] : off[i + 1]].tolist()
         return list(self._adj[node])
 
     def neighbor_latencies(self, node: Node) -> dict[Node, int]:
@@ -306,23 +464,36 @@ class LatencyGraph:
     def degree(self, node: Node) -> int:
         """Degree of ``node``."""
         self._require_node(node)
+        rows = self._live_rows()
+        if rows is not None:
+            i = self._index[node]
+            return int(rows[1][i + 1] - rows[1][i])
         return len(self._adj[node])
 
     def max_degree(self) -> int:
         """Maximum degree ``Δ`` over all nodes (0 for the empty graph)."""
-        if not self._adj:
+        if not self._node_list:
             return 0
+        rows = self._live_rows()
+        if rows is not None:
+            return int(np.diff(rows[1]).max())
         return max(len(nbrs) for nbrs in self._adj.values())
 
     def min_degree(self) -> int:
         """Minimum degree over all nodes (0 for the empty graph)."""
-        if not self._adj:
+        if not self._node_list:
             return 0
+        rows = self._live_rows()
+        if rows is not None:
+            return int(np.diff(rows[1]).min())
         return min(len(nbrs) for nbrs in self._adj.values())
 
     def distinct_latencies(self) -> list[int]:
         """Sorted list of distinct edge latencies present in the graph."""
-        return sorted({latency for _, _, latency in self.edges()})
+        rows = self._live_rows()
+        if rows is not None:
+            return np.unique(rows[3]).tolist()
+        return sorted({lat for nbrs in self._adj.values() for lat in nbrs.values()})
 
     def max_latency(self) -> int:
         """The maximum edge latency ``ℓ_max`` (0 for an edgeless graph)."""
@@ -536,7 +707,12 @@ class LatencyGraph:
     def __getstate__(self) -> dict:
         # Drop lazy caches so pickled graphs (process-pool trial fan-out)
         # ship only the structure; workers rebuild caches on first use.
+        # An array-built graph ships its rows and drops the lazy dict.
         state = self.__dict__.copy()
+        if self._live_rows() is not None:
+            state.pop("_adj", None)
+        else:
+            state.pop("_rows", None)
         state["_adjacency_cache"] = None
         state["_edge_cache"] = None
         state["_fingerprint_cache"] = None
@@ -551,5 +727,25 @@ class LatencyGraph:
         return f"LatencyGraph(n={self.num_nodes}, m={self.num_edges})"
 
     def _require_node(self, node: Node) -> None:
-        if node not in self._adj:
+        if node not in self._index:
             raise GraphError(f"node {node!r} is not in the graph")
+
+
+def _check_edge(u: Node, v: Node, latency: object) -> None:
+    """Raise :class:`GraphError` if ``{u, v}`` with ``latency`` is no valid edge."""
+    if u == v:
+        raise GraphError(f"self loops are not allowed (node {u!r})")
+    if not isinstance(latency, int) or isinstance(latency, bool):
+        raise GraphError(
+            f"latency must be an int, got {type(latency).__name__} for edge ({u!r}, {v!r})"
+        )
+    if latency < 1:
+        raise GraphError(f"latency must be >= 1, got {latency} for edge ({u!r}, {v!r})")
+
+
+def _id_array(values, name: str) -> np.ndarray:
+    """``values`` as an int64 array of node ids; :class:`GraphError` if not ints."""
+    array = np.asarray(values)
+    if array.size and array.dtype.kind not in "iu":
+        raise GraphError(f"{name} must hold int node ids, got dtype {array.dtype}")
+    return array.astype(np.int64, copy=False)

@@ -5,13 +5,19 @@ a ``random.Random`` instance, returns the positive integer latency for that
 edge.  Generators in :mod:`repro.graphs.generators` accept any such callable,
 so users can plug in their own distributions; this module provides the ones
 used throughout the paper's constructions and our experiments.
+
+:func:`draw_latencies` draws a whole edge list's latencies at once.  The
+uniform and constant models carry a bulk draw for it, which consumes a
+plain ``random.Random`` exactly as the per-edge calls would.
 """
 
 from __future__ import annotations
 
 import math
 import random
-from typing import Callable, Optional
+from typing import Callable, Optional, Union
+
+import numpy as np
 
 from repro.errors import GraphError
 from repro.graphs.latency_graph import Node
@@ -25,6 +31,7 @@ __all__ = [
     "bimodal_latency",
     "zipf_latency",
     "geometric_distance_latency",
+    "draw_latencies",
 ]
 
 
@@ -36,6 +43,7 @@ def constant_latency(value: int = 1) -> LatencyModel:
     def model(_u: Node, _v: Node, _rng: random.Random) -> int:
         return value
 
+    model.bulk = lambda count, _rng: np.full(count, value, dtype=np.int64)
     return model
 
 
@@ -47,7 +55,40 @@ def uniform_latency(low: int, high: int) -> LatencyModel:
     def model(_u: Node, _v: Node, rng: random.Random) -> int:
         return rng.randint(low, high)
 
+    width = high - low + 1
+    if width.bit_length() <= 32:
+        model.bulk = lambda count, rng: low + _randbelow_many(rng, width, count)
     return model
+
+
+def _randbelow_many(rng: random.Random, width: int, count: int) -> np.ndarray:
+    """``count`` values of ``rng._randbelow(width)``, in order, for a plain
+    ``random.Random`` and ``width < 2**32``.
+
+    CPython draws ``getrandbits(k)`` (``k = width.bit_length()``: the top
+    ``k`` bits of one 32-bit Mersenne Twister word) and rejects values
+    ``>= width``.  This takes as many words as draws remain, in one
+    ``getrandbits(32 * remaining)`` call (word ``i`` is bits ``32i..32i+31``),
+    applies the same shift and rejection to each, and repeats for the
+    draws still missing.  Each word yields at most one draw, so it never
+    takes a word the per-draw loop would not, and it leaves ``rng`` in the
+    same state.
+    """
+    shift = 32 - width.bit_length()
+    parts = []
+    remaining = count
+    while remaining:
+        words = np.frombuffer(
+            rng.getrandbits(32 * remaining).to_bytes(4 * remaining, "little"),
+            dtype="<u4",
+        )
+        draws = words >> shift
+        accepted = draws[draws < width]
+        parts.append(accepted)
+        remaining -= accepted.shape[0]
+    if not parts:
+        return np.zeros(0, dtype=np.int64)
+    return np.concatenate(parts).astype(np.int64)
 
 
 def bimodal_latency(fast: int, slow: int, fast_probability: float) -> LatencyModel:
@@ -121,6 +162,23 @@ def geometric_distance_latency(
         return max(minimum, round(scale * dist))
 
     return model
+
+
+def draw_latencies(
+    model: LatencyModel, us: np.ndarray, vs: np.ndarray, rng: random.Random
+) -> Union[np.ndarray, list]:
+    """Latencies of the edges ``(us[k], vs[k])``, consuming ``rng`` exactly
+    as calling ``model(us[k], vs[k], rng)`` for each ``k`` in order would.
+
+    A model's bulk draw is used only when ``rng`` is a plain
+    ``random.Random`` (a subclass may override the primitives it replays);
+    otherwise the model is called per edge and its raw return values come
+    back as a list, for the graph constructor to validate.
+    """
+    bulk = getattr(model, "bulk", None)
+    if bulk is not None and type(rng) is random.Random:
+        return bulk(len(us), rng)
+    return [model(u, v, rng) for u, v in zip(us.tolist(), vs.tolist())]
 
 
 def resolve_model(latency_model: Optional[LatencyModel]) -> LatencyModel:

@@ -9,7 +9,7 @@ round as a handful of numpy array operations:
   merging all of a round's deliveries is one duplicate-safe segmented
   OR (:func:`_merge_by_row`) instead of per-exchange Python merges.
 * **Partner selection** reads a CSR layout built from
-  :meth:`~repro.graphs.latency_graph.LatencyGraph.adjacency_arrays`, with
+  :meth:`~repro.graphs.latency_graph.LatencyGraph.csr_rows`, with
   neighbor slots ordered by ``repr`` — exactly the order the oblivious
   protocols sort their neighbor lists in — so the same per-node
   ``random.Random`` streams produce the same partners as the scalar run.
@@ -63,9 +63,10 @@ the golden-trace parity suite enforce this.
 
 When a run needs observability or model features the array path cannot
 replay in order (invariant checkers, a failure model,
-``fresh_snapshots``, ``enforce_blocking``, or note boards carried in from
-a previous phase), :class:`VectorEngine` — an :class:`Engine` subclass —
-runs the scalar engine's own per-exchange ``step()`` (done-node parking
+``fresh_snapshots``, ``enforce_blocking``, note boards carried in from
+a previous phase, or ``random`` programs sharing one rng),
+:class:`VectorEngine` — an :class:`Engine` subclass — runs the scalar
+engine's own per-exchange ``step()`` (done-node parking
 and delivery wake-ups included) over the bitset state, so event streams
 stay byte-identical to the scalar backend's.  A recorder alone takes the
 **batched mirror**: array-kernel rounds that emit the scalar event
@@ -246,15 +247,43 @@ def state_budget(max_bytes: int) -> Iterator[None]:
 _CSR_CACHE: dict[int, tuple] = {}
 
 
+def _repr_ranks(nodes: list) -> np.ndarray:
+    """Each node's rank in ``repr`` order; nodes with equal reprs share one.
+
+    Non-negative int labels (not ``bool``, below ``2**63``) are ranked in
+    numpy: the repr of such an int is its decimal digits, so repr order is
+    the order of the digits left-justified to 19 places, shorter first on
+    a tie ("1" < "10" < "2").  Other labels sort their reprs in Python.
+    """
+    n = len(nodes)
+    if all(type(node) is int and 0 <= node < 1 << 63 for node in nodes):
+        values = np.fromiter(nodes, dtype=np.uint64, count=n)
+        powers = np.array([10**k for k in range(20)], dtype=np.uint64)
+        digits = np.maximum(np.searchsorted(powers, values, side="right"), 1)
+        justified = values * powers[19 - digits]
+        ranks = np.empty(n, dtype=np.int64)
+        ranks[np.lexsort((digits, justified))] = np.arange(n, dtype=np.int64)
+        return ranks
+    reprs = [repr(node) for node in nodes]
+    ranks = np.empty(n, dtype=np.int64)
+    rank, previous = -1, None
+    for i in sorted(range(n), key=reprs.__getitem__):
+        if reprs[i] != previous:
+            rank, previous = rank + 1, reprs[i]
+        ranks[i] = rank
+    return ranks
+
+
 def _csr_arrays(graph: LatencyGraph) -> tuple:
-    """``(deg, off, nbr, lat, eid, edge_tuples)`` for ``graph``, cached.
+    """``(deg, off, nbr, lat, eid)`` for ``graph``, cached.
 
     ``nbr`` holds each node's neighbors as dense ids in ``repr`` order —
     the order the oblivious protocols sort their neighbor lists in — so a
-    slot index drawn from the same RNG stream lands on the same partner.
-    ``eid`` maps each CSR slot to its undirected edge id in
-    :meth:`~repro.graphs.latency_graph.LatencyGraph.edge_arrays` order,
-    and ``edge_tuples[e]`` is edge ``e`` as a canonical node-pair tuple.
+    slot index drawn from the same RNG stream lands on the same partner;
+    neighbors with equal reprs keep their insertion order, as Python's
+    stable sort does.  ``eid`` maps each CSR slot to its undirected edge
+    id in :meth:`~repro.graphs.latency_graph.LatencyGraph.edge_arrays`
+    order.
     """
     version = getattr(graph, "_version", None)
     key = id(graph)
@@ -266,26 +295,23 @@ def _csr_arrays(graph: LatencyGraph) -> tuple:
         and cached[1]() is graph
     ):
         return cached[2:]
-    order = graph.nodes()
-    n = len(order)
-    neighbor_ids, _ = graph.adjacency_arrays()
-    reprs = [repr(node) for node in order]
-    deg = np.fromiter((len(row) for row in neighbor_ids), dtype=np.int64, count=n)
-    off = np.zeros(n + 1, dtype=np.int64)
-    np.cumsum(deg, out=off[1:])
-    nbr = np.zeros(int(off[-1]), dtype=np.int64)
-    for i in range(n):
-        row = neighbor_ids[i]
-        if row:
-            nbr[off[i] : off[i + 1]] = sorted(row, key=reprs.__getitem__)
-    eid, lat = _edge_ids(graph, np.repeat(np.arange(n, dtype=np.int64), deg), nbr)
-    us, vs, _ = graph.edge_arrays()
-    # Canonical (u, v) node tuples per edge id, built once: rebuilding the
-    # activated-edges set then costs one list index per active edge.
-    edge_tuples = [
-        (order[u], order[v]) for u, v in zip(us.tolist(), vs.tolist())
-    ]
-    arrays = (deg, off, nbr, lat, eid, edge_tuples)
+    off, row_nbr, row_lat = graph.csr_rows()
+    n = off.shape[0] - 1
+    deg = np.diff(off)
+    src = np.repeat(np.arange(n, dtype=np.int64), deg)
+    # The tail slots (src < nbr) are edge_arrays() in order; each head
+    # slot takes the id of its twin, matched by sorting both on the pair.
+    tail = np.flatnonzero(src < row_nbr)
+    head = np.flatnonzero(src > row_nbr)
+    row_eid = np.empty(src.shape[0], dtype=np.int64)
+    row_eid[tail] = np.arange(tail.shape[0], dtype=np.int64)
+    row_eid[head[np.argsort(row_nbr[head] * n + src[head])]] = np.argsort(
+        src[tail] * n + row_nbr[tail]
+    )
+    # Rows are contiguous, so sorting on (row, rank) sorts within rows.
+    keys = src * max(n, 1) + _repr_ranks(graph.nodes())[row_nbr]
+    order = np.argsort(keys, kind="stable")
+    arrays = (deg, off, row_nbr[order], row_lat[order], row_eid[order])
     if version is not None:
         try:
             ref = weakref.ref(
@@ -926,14 +952,19 @@ def _run_blockers(
     failure_model: Optional[FailureModel],
     fresh_snapshots: bool,
     enforce_blocking: bool,
+    programs: Sequence[VectorProgram] = (),
 ) -> list[str]:
     """Labels of the run features that observe or perturb single exchanges.
 
     Any of them moves the engine off the array fast path (a recorder
     alone takes the batched mirror path; anything else runs the scalar
     engine's per-exchange ``step()`` over the bitset state), and any of
-    them — or an incoming cap — rules out ℓ-DTG plans.
+    them — or an incoming cap — rules out ℓ-DTG plans.  ``random``
+    programs that share an rng count too: the array paths batch each
+    cohort's draws, which keeps the scalar scan order only when every
+    node draws from a stream of its own.
     """
+    rngs = [id(program.rng) for program in programs if program.kind == "random"]
     return [
         label
         for label, present in (
@@ -943,6 +974,7 @@ def _run_blockers(
             ("fresh snapshots", fresh_snapshots),
             ("blocking enforcement", enforce_blocking),
             ("note boards", state is not None and any(state._notes)),
+            ("a shared rng", len(set(rngs)) < len(rngs)),
         )
         if present
     ]
@@ -1215,8 +1247,9 @@ class VectorEngine(Engine):
     docstring).  Plain runs take the array fast path and a run whose
     only observer is a recorder takes the batched mirror path.  Runs
     with checkers, a failure model, ``fresh_snapshots``,
-    ``enforce_blocking`` or inherited note boards execute the scalar
-    engine's own :meth:`~repro.sim.engine.Engine.step` and
+    ``enforce_blocking``, inherited note boards or a shared ``random``
+    rng execute the scalar engine's own
+    :meth:`~repro.sim.engine.Engine.step` and
     :meth:`~repro.sim.engine.Engine.all_done` over the bitset state.
     ``__init__`` is this class's own: it builds the scalar scheduler
     state only for those per-exchange runs.
@@ -1285,11 +1318,10 @@ class VectorEngine(Engine):
             self._protocols[node].setup(self._contexts[node])
         self._programs = [self._program_for(node) for node in self._order]
 
-        deg, off, nbr, lat, eid, edge_tuples = _csr_arrays(graph)
+        deg, off, nbr, lat, eid = _csr_arrays(graph)
         self._deg, self._off, self._nbr, self._lat = deg, off, nbr, lat
         self._eid = eid
-        self._edge_tuples = edge_tuples
-        self._edge_active = np.zeros(len(edge_tuples), dtype=bool)
+        self._edge_active = np.zeros(graph.edge_arrays()[0].shape[0], dtype=bool)
         self._edges_dirty = False
 
         custom = self._build_target_tables(n)
@@ -1376,7 +1408,8 @@ class VectorEngine(Engine):
 
         # Fast path only when nothing needs per-exchange ordering: checkers,
         # recorder, failures, fresh snapshots, blocking, and inherited note
-        # boards all observe (or perturb) individual exchanges.  A recorder
+        # boards all observe (or perturb) individual exchanges, and a shared
+        # rng must be drawn from in the scalar scan order.  A recorder
         # *alone* takes the batched mirror path: deliveries are computed
         # with the array kernels and the byte-identical event stream is
         # emitted from the precomputed buckets.  Anything else runs the
@@ -1388,6 +1421,7 @@ class VectorEngine(Engine):
             failure_model,
             fresh_snapshots,
             enforce_blocking,
+            self._programs,
         )
         self._mirror = blockers == ["a recorder"]
         self._sequential = bool(blockers) and not self._mirror
@@ -1504,11 +1538,15 @@ class VectorEngine(Engine):
     def metrics(self) -> EngineMetrics:
         """Engine counters; activated edges are folded in lazily."""
         if self._edges_dirty:
-            edge_tuples = self._edge_tuples
-            self._metrics.activated_edges = {
-                edge_tuples[e]
-                for e in np.flatnonzero(self._edge_active).tolist()
-            }
+            us, vs, _ = self.graph.edge_arrays()
+            active = np.flatnonzero(self._edge_active)
+            order = self._order
+            self._metrics.activated_edges = set(
+                zip(
+                    map(order.__getitem__, us[active].tolist()),
+                    map(order.__getitem__, vs[active].tolist()),
+                )
+            )
             self._edges_dirty = False
         return self._metrics
 

@@ -20,6 +20,7 @@ from hypothesis import strategies as st
 from repro.errors import ProtocolError, SimulationError
 from repro.graphs.generators import erdos_renyi, ring_of_cliques
 from repro.graphs.latency_models import uniform_latency
+from repro.obs.recorder import Recorder
 from repro.protocols.base import per_node_rng_factory
 from repro.protocols.flooding import FloodingProtocol
 from repro.protocols.push_pull import (
@@ -238,6 +239,35 @@ class TestVectorVsScalar:
                 for state in (vector.state, scalar.state)
             )
             assert vector_notes == scalar_notes
+
+    @pytest.mark.parametrize("recorded", [False, True], ids=["plain", "recorded"])
+    def test_shared_rng_agrees(self, recorded):
+        """Every node drawing from one ``Random``: the vector backend must
+        consume it in the scalar scan order, not cohort by cohort."""
+        graph = erdos_renyi(40, 0.15, uniform_latency(1, 4), random.Random(1))
+        rumor, make_state = broadcast_setup(graph)
+        complete = broadcast_complete(rumor)
+
+        def run(engine_cls):
+            shared = random.Random(7)
+            recorder = Recorder.in_memory() if recorded else None
+            engine = engine_cls(
+                graph,
+                lambda node: PushPullProtocol(shared),
+                state=make_state(),
+                recorder=recorder,
+            )
+            engine.run(until=complete)
+            return engine, shared.getstate(), recorder and recorder.events
+
+        vector, vector_rng, vector_events = run(VectorEngine)
+        scalar, scalar_rng, scalar_events = run(Engine)
+        assert (scalar.round, scalar.metrics.exchanges) == (10, 400)
+        assert (vector.round, vector.metrics) == (scalar.round, scalar.metrics)
+        assert vector_rng == scalar_rng
+        assert vector_events == scalar_events
+        for node in graph.nodes():
+            assert vector.state.rumors(node) == scalar.state.rumors(node)
 
     @given(large_dense_graphs(min_nodes=8, max_nodes=16), seeds(100), st.data())
     @settings(max_examples=8, deadline=None)
