@@ -474,19 +474,13 @@ class LatencyGraph:
         """Maximum degree ``Δ`` over all nodes (0 for the empty graph)."""
         if not self._node_list:
             return 0
-        rows = self._live_rows()
-        if rows is not None:
-            return int(np.diff(rows[1]).max())
-        return max(len(nbrs) for nbrs in self._adj.values())
+        return int(np.diff(self.csr_rows()[0]).max())
 
     def min_degree(self) -> int:
         """Minimum degree over all nodes (0 for the empty graph)."""
         if not self._node_list:
             return 0
-        rows = self._live_rows()
-        if rows is not None:
-            return int(np.diff(rows[1]).min())
-        return min(len(nbrs) for nbrs in self._adj.values())
+        return int(np.diff(self.csr_rows()[0]).min())
 
     def distinct_latencies(self) -> list[int]:
         """Sorted list of distinct edge latencies present in the graph."""

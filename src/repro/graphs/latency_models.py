@@ -7,8 +7,11 @@ so users can plug in their own distributions; this module provides the ones
 used throughout the paper's constructions and our experiments.
 
 :func:`draw_latencies` draws a whole edge list's latencies at once.  The
-uniform and constant models carry a bulk draw for it, which consumes a
-plain ``random.Random`` exactly as the per-edge calls would.
+uniform and constant models with int bounds carry a bulk draw for it,
+which consumes a plain ``random.Random`` exactly as the per-edge calls
+would; with other bounds they are called per edge, so the graph
+constructor rejects what they return with
+:meth:`~repro.graphs.latency_graph.LatencyGraph.add_edge`'s message.
 """
 
 from __future__ import annotations
@@ -43,7 +46,8 @@ def constant_latency(value: int = 1) -> LatencyModel:
     def model(_u: Node, _v: Node, _rng: random.Random) -> int:
         return value
 
-    model.bulk = lambda count, _rng: np.full(count, value, dtype=np.int64)
+    if type(value) is int:
+        model.bulk = lambda count, _rng: np.full(count, value, dtype=np.int64)
     return model
 
 
@@ -56,7 +60,7 @@ def uniform_latency(low: int, high: int) -> LatencyModel:
         return rng.randint(low, high)
 
     width = high - low + 1
-    if width.bit_length() <= 32:
+    if type(low) is type(high) is int and width.bit_length() <= 32:
         model.bulk = lambda count, rng: low + _randbelow_many(rng, width, count)
     return model
 

@@ -295,23 +295,16 @@ def _csr_arrays(graph: LatencyGraph) -> tuple:
         and cached[1]() is graph
     ):
         return cached[2:]
-    off, row_nbr, row_lat = graph.csr_rows()
+    off, row_nbr, _ = graph.csr_rows()
     n = off.shape[0] - 1
     deg = np.diff(off)
     src = np.repeat(np.arange(n, dtype=np.int64), deg)
-    # The tail slots (src < nbr) are edge_arrays() in order; each head
-    # slot takes the id of its twin, matched by sorting both on the pair.
-    tail = np.flatnonzero(src < row_nbr)
-    head = np.flatnonzero(src > row_nbr)
-    row_eid = np.empty(src.shape[0], dtype=np.int64)
-    row_eid[tail] = np.arange(tail.shape[0], dtype=np.int64)
-    row_eid[head[np.argsort(row_nbr[head] * n + src[head])]] = np.argsort(
-        src[tail] * n + row_nbr[tail]
-    )
-    # Rows are contiguous, so sorting on (row, rank) sorts within rows.
+    # Rows are contiguous, so sorting on (row, rank) sorts within rows
+    # and leaves every slot's source where it was.
     keys = src * max(n, 1) + _repr_ranks(graph.nodes())[row_nbr]
-    order = np.argsort(keys, kind="stable")
-    arrays = (deg, off, row_nbr[order], row_lat[order], row_eid[order])
+    nbr = row_nbr[np.argsort(keys, kind="stable")]
+    eid, lat = _edge_ids(graph, src, nbr)
+    arrays = (deg, off, nbr, lat, eid)
     if version is not None:
         try:
             ref = weakref.ref(
@@ -339,16 +332,22 @@ def _edge_ids(
     key_order = np.argsort(keys, kind="stable")
     sorted_keys = keys[key_order]
     want = np.minimum(src, dst) * n + np.maximum(src, dst)
-    pos = np.searchsorted(sorted_keys, want)
-    valid = pos < sorted_keys.shape[0]
-    valid[valid] = sorted_keys[pos[valid]] == want[valid]
-    if not valid.all():
-        bad = int(np.flatnonzero(~valid)[0])
+    # Looking the pairs up in key order keeps the binary searches cache
+    # local: on millions of pairs that is faster, sort included, than
+    # searching them in the order given.
+    want_order = np.argsort(want)
+    sorted_want = want[want_order]
+    pos = np.searchsorted(sorted_keys, sorted_want)
+    found = pos < sorted_keys.shape[0]
+    found[found] = sorted_keys[pos[found]] == sorted_want[found]
+    if not found.all():
+        bad = int(want_order[~found].min())
         raise ProtocolError(
             f"node {graph.node_at(int(src[bad]))!r} tried to contact "
             f"non-neighbor {graph.node_at(int(dst[bad]))!r}"
         )
-    eid = key_order[pos]
+    eid = np.empty_like(want)
+    eid[want_order] = key_order[pos]
     return eid, edge_lats[eid]
 
 

@@ -344,6 +344,32 @@ class TestBulkLatencyDraws:
         assert plain.tolist() == sub
 
 
+    @pytest.mark.parametrize(
+        "model, latency_type",
+        [
+            (constant_latency(2.5), "float"),
+            (constant_latency(True), "bool"),
+            (uniform_latency(1.5, 8), None),
+        ],
+        ids=["float-constant", "bool-constant", "float-uniform"],
+    )
+    @pytest.mark.filterwarnings("ignore::DeprecationWarning")
+    def test_non_int_bounds_fail_like_erdos_renyi(self, model, latency_type):
+        """Non-int bounds get no bulk draw, so the fast generator raises
+        what the dict-built generator raises (each names its own first
+        edge): GraphError for a non-int latency, the rng's own error for
+        non-int ``randint`` bounds."""
+        assert not hasattr(model, "bulk")
+        outcomes = []
+        for generate in (generators.erdos_renyi, generators.erdos_renyi_fast):
+            with pytest.raises(Exception) as caught:
+                generate(30, 0.2, model, random.Random(3))
+            outcomes.append((type(caught.value), str(caught.value).split(" for edge")[0]))
+        assert outcomes[0] == outcomes[1]
+        if latency_type is not None:
+            assert outcomes[0] == (GraphError, f"latency must be an int, got {latency_type}")
+
+
 class TestVectorRunsNeverBuildTheDict:
     @pytest.fixture
     def graphs(self):
