@@ -51,7 +51,7 @@ REPO_ROOT = pathlib.Path(__file__).resolve().parents[1]
 MEMORY_CEILING_BYTES = 3 * (1 << 29)
 
 #: Ceiling for the n=10^6 substrate leg: G(10^6, 8/n) (~5·10^6 edges)
-#: and its CSR tables peak around 0.95 GB resident when the graph is
+#: and its CSR tables peak around 1.3 GB resident when the graph is
 #: built from edge arrays; a per-edge dict-of-dicts build of the same
 #: graph needs more than this.
 SUBSTRATE_CEILING_BYTES = 1 << 31
