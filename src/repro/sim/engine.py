@@ -77,6 +77,8 @@ class Delivery:
 class NodeContext:
     """Per-node view of the network handed to protocol callbacks."""
 
+    __slots__ = ("_engine", "node")
+
     def __init__(self, engine: "Engine", node: Node) -> None:
         self._engine = engine
         self.node = node

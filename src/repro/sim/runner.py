@@ -39,9 +39,14 @@ def broadcast_complete(rumor) -> Callable[[Engine], bool]:
         # O(1) quick reject via the coverage counter; the exact per-node
         # check only runs once enough nodes know the rumor (the state may
         # track nodes outside the graph, so the counter alone is not proof).
-        if engine.state.count_knowing(rumor) < engine.graph.num_nodes:
+        state = engine.state
+        if state.count_knowing(rumor) < engine.graph.num_nodes:
             return False
-        return all(engine.state.knows(node, rumor) for node in engine.graph.nodes())
+        nodes = engine.graph.nodes()
+        knows_every = getattr(state, "knows_every", None)
+        if knows_every is not None:
+            return knows_every(nodes, (rumor,))
+        return all(state.knows(node, rumor) for node in nodes)
 
     return predicate
 

@@ -184,11 +184,34 @@ def _merge_by_row(
 def _randbelow_of(rng: random.Random) -> Callable[[int], int]:
     """The primitive ``Random.choice(seq)`` consumes: ``_randbelow(len(seq))``.
 
-    Binding it once per node keeps the per-round Python cost of the random
-    cohorts to one call per initiating node; ``randrange`` consumes the
-    underlying stream identically and serves as the fallback.
+    The draw of a cohort whose rngs are not all plain ``random.Random``
+    instances: binding it once per node keeps the per-round Python cost to
+    one call per initiating node; ``randrange`` consumes the underlying
+    stream identically and serves as the fallback.
     """
     return getattr(rng, "_randbelow", rng.randrange)
+
+
+def _draw_bits(
+    rngs: list[random.Random], bits: list[int], members: Optional[np.ndarray]
+) -> np.ndarray:
+    """``rngs[t].getrandbits(bits[t])`` for every cohort member ``t`` (all
+    of them when ``members`` is ``None``), in member order.
+
+    Maps the unbound C method over the lists, so a draw builds no bound
+    method and runs no Python frame.
+    """
+    getrandbits = random.Random.getrandbits
+    if members is None:
+        return np.fromiter(
+            map(getrandbits, rngs, bits), dtype=np.int64, count=len(rngs)
+        )
+    picked = members.tolist()
+    return np.fromiter(
+        map(getrandbits, map(rngs.__getitem__, picked), map(bits.__getitem__, picked)),
+        dtype=np.int64,
+        count=len(picked),
+    )
 
 
 # ----------------------------------------------------------------------
@@ -352,7 +375,7 @@ def _edge_ids(
 
 
 # ----------------------------------------------------------------------
-@dataclasses.dataclass(frozen=True)
+@dataclasses.dataclass(frozen=True, slots=True)
 class VectorProgram:
     """Declarative partner-selection rule an oblivious protocol exports.
 
@@ -809,9 +832,11 @@ class VectorState:
             total += _popcount_rows(part)
         return total
 
-    def _k_select(self, pack: Any, pick: Any) -> Any:
-        """Subset/reorder of a pack (boolean mask, int indices, or
-        ``slice(None)``)."""
+    def _k_select(self, pack: Any, pick: Any, copy: bool = False) -> Any:
+        """Subset/reorder of a pack: a boolean mask or int indices (a
+        copy), or a slice (a view unless ``copy``)."""
+        if copy:
+            return [part[pick].copy() for part in pack]
         return [part[pick] for part in pack]
 
     def _k_vstack(self, packs: list) -> Any:
@@ -819,9 +844,20 @@ class VectorState:
         return [np.vstack(parts) for parts in zip(*packs)]
 
     def _k_scatter(self, rows: np.ndarray, pack: Any) -> None:
-        """OR a pack into the given state rows, duplicate-safe."""
+        """OR a pack into the given state rows, duplicate-safe.
+
+        A one-word state (a broadcast) ORs the column in place with
+        ``np.bitwise_or.at``; wider rows pre-merge duplicates
+        (:func:`_merge_by_row`) and apply one fancy ``|=`` per part,
+        which beats ``ufunc.at`` once a row spans many words.
+        """
+        parts = self._parts
+        if len(parts) == 1 and parts[0].shape[1] == 1:
+            np.bitwise_or.at(parts[0][:, 0], rows, pack[0][:, 0])
+            self._invalidate_rows(rows)
+            return
         targets, merged = _merge_by_row(rows, pack)
-        for part, payload in zip(self._parts, merged):
+        for part, payload in zip(parts, merged):
             part[targets] |= payload
         self._invalidate_rows(targets)
 
@@ -1251,7 +1287,8 @@ class VectorEngine(Engine):
     :meth:`~repro.sim.engine.Engine.step` and
     :meth:`~repro.sim.engine.Engine.all_done` over the bitset state.
     ``__init__`` is this class's own: it builds the scalar scheduler
-    state only for those per-exchange runs.
+    state, and keeps each node's ``NodeContext`` past ``setup()``, only
+    for those per-exchange runs.
     """
 
     def __init__(
@@ -1309,12 +1346,12 @@ class VectorEngine(Engine):
             ) from None
 
         self._protocols: dict[Node, NodeProtocol] = {}
-        self._contexts: dict[Node, NodeContext] = {}
+        contexts: dict[Node, NodeContext] = {}
         for node in self._order:
             self._protocols[node] = protocol_factory(node)
-            self._contexts[node] = NodeContext(self, node)
+            contexts[node] = NodeContext(self, node)
         for node in self._order:
-            self._protocols[node].setup(self._contexts[node])
+            self._protocols[node].setup(contexts[node])
         self._programs = [self._program_for(node) for node in self._order]
 
         deg, off, nbr, lat, eid = _csr_arrays(graph)
@@ -1370,23 +1407,23 @@ class VectorEngine(Engine):
             }
             if kind == "random":
                 rngs = [self._programs[i].rng for i in ids_list]
-                entry["draw"] = [_randbelow_of(rng) for rng in rngs]
-                entry["deg_list"] = [int(d) for d in degs.tolist()]
+                deg_list = degs.tolist()
                 # CPython's Random._randbelow draws getrandbits(k) with
                 # rejection; when every rng is a plain random.Random the
-                # fast path replays that primitive directly (one C call
-                # per node, vectorized rejection check) — same stream,
-                # no Python frame per draw.
+                # fast path replays that primitive directly through the
+                # unbound C method (no per-node bound method, no Python
+                # frame per draw) — same stream.
                 base = getattr(random.Random, "_randbelow", None)
                 if base is not None and all(
                     type(rng) is random.Random
                     and rng._randbelow.__func__ is base
                     for rng in rngs
                 ):
-                    entry["gk"] = [
-                        (rng.getrandbits, d.bit_length())
-                        for rng, d in zip(rngs, entry["deg_list"])
-                    ]
+                    entry["rngs"] = rngs
+                    entry["bits"] = [d.bit_length() for d in deg_list]
+                else:
+                    entry["draw"] = [_randbelow_of(rng) for rng in rngs]
+                    entry["deg_list"] = deg_list
             self._cohorts.append(entry)
         self._rr_next = np.fromiter(
             (program.start for program in self._programs), dtype=np.int64, count=n
@@ -1424,6 +1461,13 @@ class VectorEngine(Engine):
         )
         self._mirror = blockers == ["a recorder"]
         self._sequential = bool(blockers) and not self._mirror
+        if self._sequential:
+            # Only the scalar per-exchange step reads the contexts.  The
+            # array paths drop them, so (no protocol keeping its ctx) the
+            # engine holds no reference cycle and a finished one is freed
+            # by reference counting, not by the next full collection.
+            self._contexts = contexts
+        del contexts
         self._plans: list[_LDTGPlan] = []
         if plan_members:
             if max_incoming_per_round is not None:
@@ -1633,8 +1677,9 @@ class VectorEngine(Engine):
         self._metrics.rounds = self.round
 
     def _deliver_fast(self) -> int:
-        """Merge everything due this round with one segmented OR (per
-        column part of the bitset storage).  Returns the delivery count.
+        """Merge everything due this round with one duplicate-safe
+        scatter-OR (:meth:`VectorState._k_scatter`).  Returns the
+        delivery count.
         """
         batches = self._buckets.pop(self.round, None)
         if batches is None:
@@ -1680,34 +1725,26 @@ class VectorEngine(Engine):
                 if ids.shape[0] == 0:
                     continue
             if cohort["kind"] == "random":
-                deg_list = cohort["deg_list"]
-                gk = cohort.get("gk")
-                if gk is not None:
-                    # First draw for every node in one pass, then redraw
-                    # the rejected ones (r >= deg) exactly as CPython's
-                    # _randbelow rejection loop would.  Streams are
-                    # per-node, so batching the first draws cannot reorder
-                    # any single node's consumption.
-                    if take is None:
-                        sel = range(len(gk))
-                    else:
-                        sel = take.tolist()
-                    picks = np.fromiter(
-                        (gk[t][0](gk[t][1]) for t in sel),
-                        dtype=np.int64,
-                        count=ids.shape[0],
-                    )
-                    for j in np.flatnonzero(picks >= degs).tolist():
-                        t = j if take is None else sel[j]
-                        g, k = gk[t]
-                        d = deg_list[t]
-                        v = g(k)
-                        while v >= d:
-                            v = g(k)
-                        picks[j] = v
+                bits = cohort.get("bits")
+                if bits is not None:
+                    rngs = cohort["rngs"]
+                    # CPython's _randbelow rejection loop, batched: draw
+                    # for every node, then redraw the rejected ones
+                    # (r >= deg) in passes until none is left.  Rejections
+                    # are common (about a third of all draws at mean
+                    # degree 8), but streams are per-node, so each node
+                    # still consumes its own stream in order.
+                    picks = _draw_bits(rngs, bits, take)
+                    redo = np.flatnonzero(picks >= degs)
+                    while redo.shape[0]:
+                        picks[redo] = _draw_bits(
+                            rngs, bits, redo if take is None else take[redo]
+                        )
+                        redo = redo[picks[redo] >= degs[redo]]
                     slots = cohort["off"][ids] + picks
                 else:
                     draw = cohort["draw"]
+                    deg_list = cohort["deg_list"]
                     if take is None:
                         picks = [d(k) for d, k in zip(draw, deg_list)]
                     else:
@@ -1780,12 +1817,28 @@ class VectorEngine(Engine):
         latencies: np.ndarray,
         edge_ids: np.ndarray,
     ) -> None:
-        """Account accepted initiations and bucket them by delivery round."""
+        """Account accepted initiations and bucket them by delivery round.
+
+        One stable sort by latency orders the round's exchanges into one
+        contiguous run per latency, initiation order kept within each;
+        both payload packs are gathered once in that order, and each
+        bucket takes its run.  When the round has several latencies the
+        buckets copy their runs, so a delivered bucket frees its bytes at
+        once instead of pinning the round-wide gather until the slowest
+        latency is due.
+        """
         count = int(initiators.shape[0])
         if not count:
             return
         state = self.state
         metrics = self._metrics
+        by_latency = np.argsort(latencies, kind="stable")
+        latencies = latencies[by_latency]
+        cuts = np.flatnonzero(latencies[1:] != latencies[:-1]) + 1
+        owned = bool(cuts.shape[0])
+        if owned:
+            initiators = initiators[by_latency]
+            responders = responders[by_latency]
         initiator_payloads = state._k_gather(self._row_of[initiators])
         responder_payloads = state._k_gather(self._row_of[responders])
         sent = state._k_popcounts(initiator_payloads)
@@ -1800,24 +1853,18 @@ class VectorEngine(Engine):
         self._edges_dirty = True
         self._pending_count += count
         self._sequence += count
-        unique_latencies = np.unique(latencies)
-        for latency in unique_latencies.tolist():
-            if unique_latencies.shape[0] == 1:
-                pick: Any = slice(None)
-            else:
-                pick = latencies == latency
-            self._buckets.setdefault(self.round + int(latency), []).append(
-                _Batch(
-                    initiators=initiators[pick],
-                    responders=responders[pick],
-                    initiator_payloads=state._k_select(
-                        initiator_payloads, pick
-                    ),
-                    responder_payloads=state._k_select(
-                        responder_payloads, pick
-                    ),
-                    initiated_at=self.round,
-                )
+        bounds = [0, *cuts.tolist(), count]
+        for lo, hi in zip(bounds, bounds[1:]):
+            run = slice(lo, hi)
+            batch = _Batch(
+                initiators=initiators[run].copy() if owned else initiators,
+                responders=responders[run].copy() if owned else responders,
+                initiator_payloads=state._k_select(initiator_payloads, run, owned),
+                responder_payloads=state._k_select(responder_payloads, run, owned),
+                initiated_at=self.round,
+            )
+            self._buckets.setdefault(self.round + int(latencies[lo]), []).append(
+                batch
             )
 
     # -- mirror path: array-kernel rounds, scalar-identical event stream -

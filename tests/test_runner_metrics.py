@@ -1,5 +1,7 @@
 """Tests for the run helpers, completion predicates, and result records."""
 
+import types
+
 import pytest
 
 from repro.errors import SimulationError
@@ -16,6 +18,7 @@ from repro.sim.runner import (
     run_until_complete,
 )
 from repro.sim.state import NetworkState
+from repro.sim.vector import VectorState
 
 
 class Idle(NodeProtocol):
@@ -42,6 +45,21 @@ class TestPredicates:
         for node in g.nodes():
             state.add_rumor(node, "r")
         assert predicate(engine)
+
+    @pytest.mark.parametrize("state_cls", [NetworkState, VectorState])
+    def test_broadcast_complete_ignores_extra_state_nodes(self, state_cls):
+        """The coverage counter reaches n through a node outside the
+        graph; the exact check must still see the graph node that does
+        not know the rumor."""
+        g = generators.path(3)
+        state = state_cls([*g.nodes(), "outsider"])
+        for node in ["outsider", *g.nodes()[1:]]:
+            state.add_rumor(node, "r")
+        engine = types.SimpleNamespace(graph=g, state=state)
+        assert state.count_knowing("r") == g.num_nodes
+        assert not broadcast_complete("r")(engine)
+        state.add_rumor(g.nodes()[0], "r")
+        assert broadcast_complete("r")(engine)
 
     def test_all_to_all_complete(self):
         g = generators.path(3)
