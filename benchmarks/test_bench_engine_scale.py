@@ -15,7 +15,9 @@ through a chunked layout whose peak residency stays inside its declared
 The smoke legs re-run each quick workload in a subprocess whose
 ``RLIMIT_DATA`` is clamped to a hard memory ceiling, so CI catches any
 change that silently reintroduces O(n^2)-ish allocations — the run
-*crashes* instead of quietly paging.  A third leg builds the ``n = 10^6``
+*crashes* instead of quietly paging.  The broadcast leg's ceiling is
+tight enough that one ``random.Random`` per node no longer fits, and a
+stream oracle replays sampled nodes' partner draws at the same size.  A third leg builds the ``n = 10^6``
 graph substrate alone (``erdos_renyi_fast`` plus the vector engine's CSR
 tables) under a 2 GiB ceiling.
 
@@ -28,27 +30,42 @@ CI can smoke it without the pytest-benchmark plugin.  Set
 import json
 import os
 import pathlib
+import random
 import subprocess
 import sys
 
 from repro.benchmarking import (
     BENCH_ENGINE_SCALE_PATH,
     ENGINE_SCALE_BASELINE_PATH,
+    _vector_bench_graph,
     run_microbenchmarks,
     write_report,
 )
+from repro.protocols.base import per_node_rng_factory
+from repro.protocols.push_pull import PushPullProtocol
+from repro.sim.runner import broadcast_complete
+from repro.sim.state import NetworkState
+from repro.sim.vector import VectorEngine
 
 REPO_ROOT = pathlib.Path(__file__).resolve().parents[1]
 
-#: Hard data-segment ceiling for the smoke legs.  Each quick workload
+#: Hard data-segment ceiling for the streamed all-to-all smoke leg, which
 #: runs in its own fresh interpreter under this cap.  The n=10^5
-#: broadcast peaks around 0.65 GB resident (graph + CSR tables dominate;
-#: the rumor state itself is 800 kB); the n=10^5 streamed all-to-all
-#: holds its graph plus one rumor-block slice and the in-flight payload
-#: rows under a 256 MiB state budget (~0.9 GB resident).  1.5 GiB passes
-#: both with margin, while the *dense* all-to-all state matrix at that n
-#: (1.25 GB before the graph or a single payload row) cannot fit.
+#: streamed all-to-all holds its graph plus one rumor-block slice and the
+#: in-flight payload rows under a 256 MiB state budget (~0.9 GB
+#: resident).  1.5 GiB passes with margin, while the *dense* all-to-all
+#: state matrix at that n (1.25 GB before the graph or a single payload
+#: row) cannot fit.
 MEMORY_CEILING_BYTES = 3 * (1 << 29)
+
+#: The n=10^5 broadcast leg's own, tighter ceiling (graph and CSR tables
+#: dominate; the rumor state itself is 800 kB).  With seed-addressed
+#: partner streams (no ``random.Random`` per node: an n x 128 uint32
+#: word window, 51 MB, instead of ~290 MB of twister objects) the leg's
+#: smallest passing RLIMIT_DATA, found by bisection to 8 MiB, is 465 MiB;
+#: this allows 20% more.  Building one ``random.Random`` per node, as
+#: before the streams, needs 674 MiB and dies under it.
+BROADCAST_CEILING_BYTES = 560 << 20
 
 #: Ceiling for the n=10^6 substrate leg: G(10^6, 8/n) (~5·10^6 edges)
 #: and its CSR tables peak around 1.3 GB resident when the graph is
@@ -156,27 +173,61 @@ def _run_under_ceiling(script: str, ceiling: int, arg: int, what: str) -> dict:
     return json.loads(proc.stdout.strip().splitlines()[-1])
 
 
-def _run_quick_workload_under_ceiling(index: int) -> dict:
+def _run_quick_workload_under_ceiling(index: int, ceiling: int) -> dict:
     return _run_under_ceiling(
-        _CEILING_SCRIPT, MEMORY_CEILING_BYTES, index, f"quick workload {index}"
+        _CEILING_SCRIPT, ceiling, index, f"quick workload {index}"
     )
 
 
 def test_scale_smoke_under_memory_ceiling(profile):
-    meta = _run_quick_workload_under_ceiling(0)
+    meta = _run_quick_workload_under_ceiling(0, BROADCAST_CEILING_BYTES)
     assert meta["n"] == 100_000
     assert meta["layout"] == "dense"
     assert 0 < meta["peak_state_bytes"] < 1 << 20
 
 
 def test_streamed_all_to_all_smoke_under_memory_ceiling(profile):
-    meta = _run_quick_workload_under_ceiling(1)
+    meta = _run_quick_workload_under_ceiling(1, MEMORY_CEILING_BYTES)
     assert meta["n"] == 100_000
     assert meta["layout"] == "chunked"
     # One rumor-block slice resident, inside the workload's budget —
     # where the dense n x n bitset alone would need 1.25 GB.
     assert 0 < meta["peak_state_bytes"] <= meta["max_state_bytes"]
     assert meta["blocks"] > 1
+
+
+def test_scale_broadcast_stream_oracle():
+    """The n=10^5 broadcast's rng streams against real ``random.Random``s.
+
+    The vector engine draws a random cohort's partners from word windows
+    computed from the seed strings (``repro.sim.streams``).  Here 64
+    nodes sampled by seed, plus the eight that consumed the most words
+    (the closest to a window refill; at this size none refills, the
+    longest stream uses 121 of 128 words — ``tests/test_streams.py``
+    covers refills), are replayed
+    with a fresh ``random.Random(key)`` calling ``choice`` over the
+    repr-sorted neighbours once per round, as the scalar protocol does,
+    and must end in the state each node's protocol reports.
+    """
+    graph = _vector_bench_graph(100_000, 8.0, 8)
+    nodes = graph.nodes()
+    make_rng = per_node_rng_factory(0)
+    state = NetworkState(nodes)
+    state.add_rumor(nodes[0], "r")
+    engine = VectorEngine(
+        graph, lambda node: PushPullProtocol(make_rng(node)), state=state
+    )
+    engine.run(until=broadcast_complete("r"), max_rounds=10_000)
+    handles = [engine.protocol(node)._rng for node in nodes]
+    consumed = sorted(range(len(nodes)), key=lambda i: handles[i].position())
+    picked = random.Random(20).sample(range(len(nodes)), 64) + consumed[-8:]
+    for i in picked:
+        node = nodes[i]
+        neighbors = sorted(graph.neighbors(node), key=repr)
+        replay = random.Random(f"0:{node!r}")
+        for _ in range(engine.round if neighbors else 0):
+            replay.choice(neighbors)
+        assert replay.getstate() == handles[i].getstate(), node
 
 
 def test_mega_graph_substrate_under_memory_ceiling():

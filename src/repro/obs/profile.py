@@ -11,9 +11,12 @@ Every span accumulates ``(count, total seconds, max seconds)`` into a
 process-global registry, read back with :func:`span_aggregates`.  Spans
 are always on: one ``perf_counter`` pair and a dict update per enter/exit
 (~1 µs), so they belong on coarse operations — a Dijkstra, a spanner
-build, a conductance sweep, one experiment trial — never inside the
-engine's per-round loop (the engine uses the event
-:class:`~repro.obs.recorder.Recorder` instead, which *is* gated).
+build, a conductance sweep, one experiment trial, or one whole-round
+array stage of the vector engine (``vector.build`` once per engine,
+``vector.partner_draw`` once per round; a round there costs
+milliseconds at the sizes it is built for).  Never put one inside the
+scalar engine's per-node or per-exchange loop: that one uses the event
+:class:`~repro.obs.recorder.Recorder` instead, which *is* gated.
 
 Cross-process merging: ``map_trials`` workers are separate processes with
 their own registries, so the harness snapshots the registry around each

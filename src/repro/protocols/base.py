@@ -34,7 +34,6 @@ Every phase's backend is attributed in :attr:`PhaseRunner.phases`
 
 from __future__ import annotations
 
-import random
 from typing import Any, Callable, Optional
 
 from repro.errors import SimulationError
@@ -45,6 +44,7 @@ from repro.obs.recorder import Recorder
 from repro.obs.telemetry import PhaseTiming
 from repro.sim.engine import Engine, NodeProtocol
 from repro.sim.state import NetworkState
+from repro.sim.streams import SeedStream
 from repro.sim.vector import (
     VectorEngine,
     current_engine_backend,
@@ -55,15 +55,20 @@ from repro.sim.vector import (
 __all__ = ["per_node_rng_factory", "PhaseRunner"]
 
 
-def per_node_rng_factory(seed: int) -> Callable[[Node], random.Random]:
+def per_node_rng_factory(seed: int) -> Callable[[Node], SeedStream]:
     """Deterministic independent RNG streams, one per node.
 
-    Each node's stream is seeded from ``(seed, repr(node))`` so results do
-    not depend on node iteration order.
+    Node ``v``'s stream is ``random.Random(f"{seed}:{v!r}")``, so results
+    do not depend on node iteration order.  Each call returns a fresh
+    :class:`~repro.sim.streams.SeedStream` handle at the start of that
+    stream: it behaves as the ``Random`` and builds it on first use, so
+    the vector engine's array paths can draw a whole cohort's picks from
+    words computed in bulk from the seed strings and never build the
+    ``Random`` at all (see :mod:`repro.sim.streams`).
     """
 
-    def make(node: Node) -> random.Random:
-        return random.Random(f"{seed}:{node!r}")
+    def make(node: Node) -> SeedStream:
+        return SeedStream(f"{seed}:{node!r}")
 
     return make
 

@@ -13,6 +13,13 @@ round as a handful of numpy array operations:
   neighbor slots ordered by ``repr`` — exactly the order the oblivious
   protocols sort their neighbor lists in — so the same per-node
   ``random.Random`` streams produce the same partners as the scalar run.
+  A random cohort whose streams are
+  :func:`~repro.protocols.base.per_node_rng_factory` handles
+  (:class:`~repro.sim.streams.SeedStream`) builds no ``Random`` at all:
+  it reads each node's picks from a window of the 32-bit words its
+  ``Random`` would return, computed in bulk from the seed strings
+  (:class:`~repro.sim.streams.StreamWindow`), so a round's draw is a
+  gather and a shift instead of a C call per node.
   Protocols cycling a *custom* target list (RR Broadcast over spanner
   out-edges) declare it via :attr:`VectorProgram.targets` and get their
   own CSR built — and neighbor-validated — at engine construction.
@@ -79,6 +86,7 @@ import bisect
 import collections
 import contextlib
 import dataclasses
+import functools
 import os
 import random
 import weakref
@@ -95,6 +103,7 @@ from repro.obs.events import (
     RoundEvent,
     WakeupEvent,
 )
+from repro.obs.profile import span
 from repro.obs.recorder import Recorder
 from repro.sim import invariants as _invariants
 from repro.sim.engine import (
@@ -110,6 +119,7 @@ from repro.sim.invariants import InvariantChecker
 from repro.sim.metrics import EngineMetrics
 from repro.sim.programs import ProgramProtocol
 from repro.sim.state import NetworkState, Note, Payload, _RumorSpace
+from repro.sim.streams import SeedStream, StreamWindow
 
 __all__ = [
     "VectorProgram",
@@ -190,6 +200,45 @@ def _randbelow_of(rng: random.Random) -> Callable[[int], int]:
     stream identically and serves as the fallback.
     """
     return getattr(rng, "_randbelow", rng.randrange)
+
+
+def _random_draws(rngs: list, degs: np.ndarray) -> dict[str, Any]:
+    """How a ``random`` cohort draws its picks: the cohort-entry fields.
+
+    Fresh :class:`~repro.sim.streams.SeedStream` handles (the
+    :func:`~repro.protocols.base.per_node_rng_factory` streams) draw from
+    one :class:`~repro.sim.streams.StreamWindow`: no ``random.Random`` is
+    built.  Any other rng is drawn live, as ``Random.choice`` does —
+    ``_randbelow``'s ``getrandbits`` primitive replayed through the
+    unbound C method when every rng is a plain ``random.Random`` (no
+    bound method, no Python frame per draw), else each rng's own
+    ``_randbelow``.
+    """
+    deg_list = degs.tolist()
+    if all(type(rng) is SeedStream for rng in rngs):
+        return {"window": StreamWindow(rngs, deg_list)}
+    rngs = [rng.materialise() if type(rng) is SeedStream else rng for rng in rngs]
+    base = getattr(random.Random, "_randbelow", None)
+    if base is not None and all(
+        type(rng) is random.Random and rng._randbelow.__func__ is base
+        for rng in rngs
+    ):
+        return {"rngs": rngs, "bits": [d.bit_length() for d in deg_list]}
+    return {"draw": [_randbelow_of(rng) for rng in rngs], "deg_list": deg_list}
+
+
+def _spanned(name: str) -> Callable:
+    """Run the decorated method under :class:`~repro.obs.profile.span` ``name``."""
+
+    def decorate(method: Callable) -> Callable:
+        @functools.wraps(method)
+        def timed(*args: Any, **kwargs: Any) -> Any:
+            with span(name):
+                return method(*args, **kwargs)
+
+        return timed
+
+    return decorate
 
 
 def _draw_bits(
@@ -393,10 +442,15 @@ class VectorProgram:
         replays a ``"dtg"`` program only in plain runs (see
         :func:`vector_ineligibility`).
     rng:
-        For ``kind="random"``: the protocol's own per-node
-        :class:`random.Random`.  The backend consumes it exactly as
-        ``Random.choice`` over the repr-sorted neighbor list would, so
-        scalar and vector runs of the same seed pick the same partners.
+        For ``kind="random"``: the protocol's own per-node stream, a
+        :class:`random.Random` or a :class:`~repro.sim.streams.SeedStream`
+        handle.  The backend consumes it exactly as ``Random.choice``
+        over the repr-sorted neighbor list would, so scalar and vector
+        runs of the same seed pick the same partners and leave every
+        stream in the same state.  On the array paths a cohort of
+        handles is drawn from word windows and builds no ``Random``;
+        reading a handle (``getstate()``, ``choice``, ...) at any time
+        gives the ``Random`` as the scalar run would have left it.
     gate:
         ``None`` (always initiate) or ``("knows", rumor)`` /
         ``("not_knows", rumor)``: the node only initiates in rounds where
@@ -431,7 +485,7 @@ class VectorProgram:
     """
 
     kind: str
-    rng: Optional[random.Random] = None
+    rng: Optional[random.Random | SeedStream] = None
     gate: Optional[tuple[str, Hashable]] = None
     start: int = 0
     targets: Optional[tuple[Node, ...]] = None
@@ -1291,6 +1345,7 @@ class VectorEngine(Engine):
     for those per-exchange runs.
     """
 
+    @_spanned("vector.build")
     def __init__(
         self,
         graph: LatencyGraph,
@@ -1354,6 +1409,30 @@ class VectorEngine(Engine):
             self._protocols[node].setup(contexts[node])
         self._programs = [self._program_for(node) for node in self._order]
 
+        self._checkers: tuple[InvariantChecker, ...] = _resolve_checkers(checkers)
+        self._checker_log: collections.deque[str] = collections.deque(
+            maxlen=_CHECKER_LOG_SIZE
+        )
+        # Fast path only when nothing needs per-exchange ordering: checkers,
+        # recorder, failures, fresh snapshots, blocking, and inherited note
+        # boards all observe (or perturb) individual exchanges, and a shared
+        # rng must be drawn from in the scalar scan order.  A recorder
+        # *alone* takes the batched mirror path: deliveries are computed
+        # with the array kernels and the byte-identical event stream is
+        # emitted from the precomputed buckets.  Anything else runs the
+        # scalar engine's own step over this engine's state.
+        blockers = _run_blockers(
+            self.state,
+            self._checkers,
+            recorder,
+            failure_model,
+            fresh_snapshots,
+            enforce_blocking,
+            self._programs,
+        )
+        self._mirror = blockers == ["a recorder"]
+        self._sequential = bool(blockers) and not self._mirror
+
         deg, off, nbr, lat, eid = _csr_arrays(graph)
         self._deg, self._off, self._nbr, self._lat = deg, off, nbr, lat
         self._eid = eid
@@ -1405,25 +1484,10 @@ class VectorEngine(Engine):
                 "degs": degs,
                 **table,
             }
-            if kind == "random":
-                rngs = [self._programs[i].rng for i in ids_list]
-                deg_list = degs.tolist()
-                # CPython's Random._randbelow draws getrandbits(k) with
-                # rejection; when every rng is a plain random.Random the
-                # fast path replays that primitive directly through the
-                # unbound C method (no per-node bound method, no Python
-                # frame per draw) — same stream.
-                base = getattr(random.Random, "_randbelow", None)
-                if base is not None and all(
-                    type(rng) is random.Random
-                    and rng._randbelow.__func__ is base
-                    for rng in rngs
-                ):
-                    entry["rngs"] = rngs
-                    entry["bits"] = [d.bit_length() for d in deg_list]
-                else:
-                    entry["draw"] = [_randbelow_of(rng) for rng in rngs]
-                    entry["deg_list"] = deg_list
+            if kind == "random" and not self._sequential:
+                entry.update(
+                    _random_draws([self._programs[i].rng for i in ids_list], degs)
+                )
             self._cohorts.append(entry)
         self._rr_next = np.fromiter(
             (program.start for program in self._programs), dtype=np.int64, count=n
@@ -1437,30 +1501,6 @@ class VectorEngine(Engine):
             (d for d in durations if d is not None), default=0
         )
 
-        self._checkers: tuple[InvariantChecker, ...] = _resolve_checkers(checkers)
-        self._checker_log: collections.deque[str] = collections.deque(
-            maxlen=_CHECKER_LOG_SIZE
-        )
-
-        # Fast path only when nothing needs per-exchange ordering: checkers,
-        # recorder, failures, fresh snapshots, blocking, and inherited note
-        # boards all observe (or perturb) individual exchanges, and a shared
-        # rng must be drawn from in the scalar scan order.  A recorder
-        # *alone* takes the batched mirror path: deliveries are computed
-        # with the array kernels and the byte-identical event stream is
-        # emitted from the precomputed buckets.  Anything else runs the
-        # scalar engine's own step over this engine's state.
-        blockers = _run_blockers(
-            self.state,
-            self._checkers,
-            recorder,
-            failure_model,
-            fresh_snapshots,
-            enforce_blocking,
-            self._programs,
-        )
-        self._mirror = blockers == ["a recorder"]
-        self._sequential = bool(blockers) and not self._mirror
         if self._sequential:
             # Only the scalar per-exchange step reads the contexts.  The
             # array paths drop them, so (no protocol keeping its ctx) the
@@ -1698,6 +1738,7 @@ class VectorEngine(Engine):
         state._k_scatter(np.concatenate(rows), state._k_vstack(packs))
         return delivered
 
+    @_spanned("vector.partner_draw")
     def _select_initiations(
         self,
     ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
@@ -1725,8 +1766,11 @@ class VectorEngine(Engine):
                 if ids.shape[0] == 0:
                     continue
             if cohort["kind"] == "random":
+                window = cohort.get("window")
                 bits = cohort.get("bits")
-                if bits is not None:
+                if window is not None:
+                    slots = cohort["off"][ids] + window.choose(take, degs)
+                elif bits is not None:
                     rngs = cohort["rngs"]
                     # CPython's _randbelow rejection loop, batched: draw
                     # for every node, then redraw the rejected ones
