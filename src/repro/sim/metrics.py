@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 import dataclasses
-from typing import Optional
+from typing import Any, Optional
 
 from repro.graphs.latency_graph import Edge
 from repro.obs.telemetry import RunTelemetry
@@ -56,6 +56,17 @@ class EngineMetrics:
     lost_exchanges: int = 0
     rejected_initiations: int = 0
     blocked_initiations: Optional[int] = None
+
+    def __getattr__(self, name: str) -> Any:
+        # Reached only for an attribute the instance lacks.  An engine
+        # that keeps activated edges as an array (the vector backend)
+        # drops the set whenever they change and stores ``_fold_edges``
+        # to rebuild it on read, so reading the counters never builds it.
+        fold = self.__dict__.get("_fold_edges")
+        if name != "activated_edges" or fold is None:
+            raise AttributeError(name)
+        self.activated_edges = fold()
+        return self.activated_edges
 
     def __str__(self) -> str:
         blocked = (

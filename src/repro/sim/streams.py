@@ -29,6 +29,9 @@ This module replaces the objects by what they would produce:
   neighbours is ``getrandbits(d.bit_length())`` with rejection, and
   ``getrandbits(k)`` for ``k <= 32`` is the top ``k`` bits of one word, so
   a whole cohort's picks are a gather, a shift, and pointer arithmetic.
+  It is the vector engine's one partner-draw primitive: any rng that is
+  not a fresh handle (a plain ``random.Random``, a subclass, a handle
+  already read) is a live row that draws through its own ``_randbelow``.
 
 The constants below are measured on a 2-vCPU x86-64 VM (see
 ``docs/PERFORMANCE.md``, *Seed-addressed streams*).
@@ -39,7 +42,7 @@ from __future__ import annotations
 import copy
 import hashlib
 import random
-from operator import methodcaller
+from operator import call, methodcaller
 from typing import Any, Optional, Sequence
 
 import numpy as np
@@ -344,46 +347,47 @@ del _name
 class StreamWindow:
     """A cohort's streams as word windows: ``Random.choice`` in bulk.
 
-    Row ``t`` holds words ``base[t] .. base[t] + WINDOW`` of
-    ``handles[t]``'s stream and a read pointer; a row that runs out is
-    refilled through :func:`stream_words`.  Rows whose handle is not
-    fresh at construction, or materialises later because something
-    reads it, are *live*: they draw from the ``Random`` itself, exactly
-    as the scalar protocol would.
+    Row ``t`` stands for ``rngs[t]``.  A fresh :class:`SeedStream` handle
+    is a *window row*: it holds words ``base[t] .. base[t] + WINDOW`` of
+    the handle's stream and a read pointer, and is refilled through
+    :func:`stream_words` when it runs out.  Every other rng (a plain
+    ``random.Random`` or a subclass, or a handle that is materialised,
+    linked to another window, or restored part-way through its stream) is
+    a *live row*, and so is a handle that materialises later because
+    something reads it: a live row calls the rng's own ``_randbelow``,
+    the draw ``Random.choice`` makes.  A cohort without a fresh handle
+    holds no words.
     """
 
-    def __init__(self, handles: Sequence[SeedStream], degrees: Sequence[int]) -> None:
-        size = len(handles)
-        self._keys = [handle.key for handle in handles]
+    def __init__(self, rngs: Sequence[Any], degrees: Sequence[int]) -> None:
+        size = len(rngs)
         self._shift = 32 - np.fromiter(
             map(int.bit_length, degrees), dtype=np.int64, count=size
         ).astype(np.uint32)
         self._ptr = np.zeros(size, dtype=np.int64)
         self._base = np.zeros(size, dtype=np.int64)
         self._starts = np.arange(0, size * WINDOW, WINDOW, dtype=np.int64)
-        self._live: dict[int, random.Random] = {}
+        self._keys: list[Optional[str]] = [None] * size
+        self._live: dict[int, Any] = {}
         self._is_live = np.zeros(size, dtype=bool)
-        # Link the fresh handles.  The others (materialised, linked to
-        # another window, or restored part-way through their stream) are
-        # rare: they draw from their live Random.
-        others = []
-        for t, handle in enumerate(handles):
-            if handle._rng is None and handle._window is None and not handle._pos:
-                handle._window = self
-                handle._row = t
+        for t, rng in enumerate(rngs):
+            if type(rng) is not SeedStream:
+                self.detach(t, rng)
+            elif rng._rng is None and rng._window is None and not rng._pos:
+                rng._window = self
+                rng._row = t
+                self._keys[t] = rng.key
             else:
-                others.append(t)
-        if not others:
+                self.detach(t, rng.materialise())
+        fresh = np.flatnonzero(~self._is_live)
+        self._words: Optional[np.ndarray] = None
+        if fresh.shape[0] == size:
             self._words = first_words(self._keys, WINDOW)
-            return
-        fresh = np.ones(size, dtype=bool)
-        fresh[others] = False
-        self._words = np.zeros((size, WINDOW), dtype=np.uint32)
-        self._words[fresh] = first_words(
-            [self._keys[t] for t in np.flatnonzero(fresh).tolist()], WINDOW
-        )
-        for t in others:
-            self.detach(t, handles[t].materialise())
+        elif fresh.shape[0]:
+            self._words = np.zeros((size, WINDOW), dtype=np.uint32)
+            self._words[fresh] = first_words(
+                [self._keys[t] for t in fresh.tolist()], WINDOW
+            )
 
     def position(self, row: int) -> int:
         """Words row ``row`` has consumed since its stream was seeded."""
@@ -391,13 +395,14 @@ class StreamWindow:
 
     def detach(self, row: int, rng: random.Random) -> None:
         """Draw row ``row`` from ``rng`` from now on."""
-        self._live[row] = rng
+        self._live[row] = rng._randbelow
         self._is_live[row] = True
 
     def choose(self, rows: Optional[np.ndarray], degrees: np.ndarray) -> np.ndarray:
         """``Random.choice`` indices in ``[0, degrees)`` for ``rows`` (all
         rows when ``None``), consuming each stream as ``_randbelow`` would:
-        one word per attempt, rejected attempts redrawn in passes."""
+        window rows take one word per attempt, rejected attempts redrawn
+        in passes; live rows call their rng."""
         if self._live:
             if rows is None:
                 rows = np.arange(self._ptr.shape[0], dtype=np.int64)
@@ -405,9 +410,10 @@ class StreamWindow:
             if live.any():
                 picks = np.empty(rows.shape[0], dtype=np.int64)
                 drawn = np.flatnonzero(~live)
-                picks[drawn] = self.choose(rows[drawn], degrees[drawn])
-                for k in np.flatnonzero(live).tolist():
-                    picks[k] = self._live[int(rows[k])]._randbelow(int(degrees[k]))
+                if drawn.shape[0]:
+                    picks[drawn] = self.choose(rows[drawn], degrees[drawn])
+                draws = map(self._live.__getitem__, rows[live].tolist())
+                picks[live] = list(map(call, draws, degrees[live].tolist()))
                 return picks
         picks = self._next(rows).astype(np.int64)
         redo = np.flatnonzero(picks >= degrees)

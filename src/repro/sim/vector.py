@@ -13,13 +13,14 @@ round as a handful of numpy array operations:
   neighbor slots ordered by ``repr`` — exactly the order the oblivious
   protocols sort their neighbor lists in — so the same per-node
   ``random.Random`` streams produce the same partners as the scalar run.
-  A random cohort whose streams are
+  Every random cohort draws through one
+  :class:`~repro.sim.streams.StreamWindow`.  Its fresh
   :func:`~repro.protocols.base.per_node_rng_factory` handles
-  (:class:`~repro.sim.streams.SeedStream`) builds no ``Random`` at all:
-  it reads each node's picks from a window of the 32-bit words its
-  ``Random`` would return, computed in bulk from the seed strings
-  (:class:`~repro.sim.streams.StreamWindow`), so a round's draw is a
-  gather and a shift instead of a C call per node.
+  (:class:`~repro.sim.streams.SeedStream`) build no ``Random`` at all:
+  each node's picks come from a window of the 32-bit words its
+  ``Random`` would return, computed in bulk from the seed strings, so a
+  round's draw is a gather and a shift instead of a call per node.  Any
+  other rng is a live row, drawn through its own ``_randbelow``.
   Protocols cycling a *custom* target list (RR Broadcast over spanner
   out-edges) declare it via :attr:`VectorProgram.targets` and get their
   own CSR built — and neighbor-validated — at engine construction.
@@ -28,7 +29,8 @@ round as a handful of numpy array operations:
   the scalar engine's ``dict.pop`` bucket scheme at array granularity.
 * **Metrics and coverage** come from array reductions: payload sizes via
   popcounts, activated edges via a boolean edge-id array folded back into
-  the canonical :class:`~repro.sim.metrics.EngineMetrics` set on demand.
+  the canonical :class:`~repro.sim.metrics.EngineMetrics` set only when
+  ``activated_edges`` is read, never for the counters.
 
 State layouts (the ``n = 10⁶`` memory story)
 --------------------------------------------
@@ -75,9 +77,10 @@ a previous phase, or ``random`` programs sharing one rng),
 :class:`VectorEngine` — an :class:`Engine` subclass — runs the scalar
 engine's own per-exchange ``step()`` (done-node parking
 and delivery wake-ups included) over the bitset state, so event streams
-stay byte-identical to the scalar backend's.  A recorder alone takes the
-**batched mirror**: array-kernel rounds that emit the scalar event
-stream; a recorder-off run keeps the zero-cost array fast path.
+stay byte-identical to the scalar backend's.  Plain runs and runs with
+a recorder alone share one array round; with the recorder (the
+**batched mirror**) the round delivers rank by rank and emits the
+scalar event stream, and without it observation costs nothing.
 """
 
 from __future__ import annotations
@@ -87,6 +90,7 @@ import collections
 import contextlib
 import dataclasses
 import functools
+import itertools
 import os
 import random
 import weakref
@@ -191,40 +195,30 @@ def _merge_by_row(
     return sorted_rows[starts], merged
 
 
-def _randbelow_of(rng: random.Random) -> Callable[[int], int]:
-    """The primitive ``Random.choice(seq)`` consumes: ``_randbelow(len(seq))``.
+def _group_ranks(keys: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """``(order, rank, sizes)``: the stable argsort of ``keys``, the rank
+    of each sorted position within its run of equal keys (so the ``t``-th
+    occurrence of a key, in ``keys`` order, has rank ``t``), and the runs'
+    lengths."""
+    order = np.argsort(keys, kind="stable")
+    sorted_keys = keys[order]
+    starts = np.flatnonzero(np.r_[True, sorted_keys[1:] != sorted_keys[:-1]])
+    sizes = np.diff(np.r_[starts, sorted_keys.shape[0]])
+    rank = np.arange(keys.shape[0], dtype=np.int64) - np.repeat(starts, sizes)
+    return order, rank, sizes
 
-    The draw of a cohort whose rngs are not all plain ``random.Random``
-    instances: binding it once per node keeps the per-round Python cost to
-    one call per initiating node; ``randrange`` consumes the underlying
-    stream identically and serves as the fallback.
-    """
-    return getattr(rng, "_randbelow", rng.randrange)
 
-
-def _random_draws(rngs: list, degs: np.ndarray) -> dict[str, Any]:
-    """How a ``random`` cohort draws its picks: the cohort-entry fields.
-
-    Fresh :class:`~repro.sim.streams.SeedStream` handles (the
-    :func:`~repro.protocols.base.per_node_rng_factory` streams) draw from
-    one :class:`~repro.sim.streams.StreamWindow`: no ``random.Random`` is
-    built.  Any other rng is drawn live, as ``Random.choice`` does —
-    ``_randbelow``'s ``getrandbits`` primitive replayed through the
-    unbound C method when every rng is a plain ``random.Random`` (no
-    bound method, no Python frame per draw), else each rng's own
-    ``_randbelow``.
-    """
-    deg_list = degs.tolist()
-    if all(type(rng) is SeedStream for rng in rngs):
-        return {"window": StreamWindow(rngs, deg_list)}
-    rngs = [rng.materialise() if type(rng) is SeedStream else rng for rng in rngs]
-    base = getattr(random.Random, "_randbelow", None)
-    if base is not None and all(
-        type(rng) is random.Random and rng._randbelow.__func__ is base
-        for rng in rngs
-    ):
-        return {"rngs": rngs, "bits": [d.bit_length() for d in deg_list]}
-    return {"draw": [_randbelow_of(rng) for rng in rngs], "deg_list": deg_list}
+def _fold_edges(
+    active: np.ndarray, us: np.ndarray, vs: np.ndarray, nodes: list
+) -> set:
+    """The activated-edge set of an edge-id mask, as node-pair tuples."""
+    hit = np.flatnonzero(active)
+    return set(
+        zip(
+            map(nodes.__getitem__, us[hit].tolist()),
+            map(nodes.__getitem__, vs[hit].tolist()),
+        )
+    )
 
 
 def _spanned(name: str) -> Callable:
@@ -239,28 +233,6 @@ def _spanned(name: str) -> Callable:
         return timed
 
     return decorate
-
-
-def _draw_bits(
-    rngs: list[random.Random], bits: list[int], members: Optional[np.ndarray]
-) -> np.ndarray:
-    """``rngs[t].getrandbits(bits[t])`` for every cohort member ``t`` (all
-    of them when ``members`` is ``None``), in member order.
-
-    Maps the unbound C method over the lists, so a draw builds no bound
-    method and runs no Python frame.
-    """
-    getrandbits = random.Random.getrandbits
-    if members is None:
-        return np.fromiter(
-            map(getrandbits, rngs, bits), dtype=np.int64, count=len(rngs)
-        )
-    picked = members.tolist()
-    return np.fromiter(
-        map(getrandbits, map(rngs.__getitem__, picked), map(bits.__getitem__, picked)),
-        dtype=np.int64,
-        count=len(picked),
-    )
 
 
 # ----------------------------------------------------------------------
@@ -447,10 +419,11 @@ class VectorProgram:
         handle.  The backend consumes it exactly as ``Random.choice``
         over the repr-sorted neighbor list would, so scalar and vector
         runs of the same seed pick the same partners and leave every
-        stream in the same state.  On the array paths a cohort of
-        handles is drawn from word windows and builds no ``Random``;
-        reading a handle (``getstate()``, ``choice``, ...) at any time
-        gives the ``Random`` as the scalar run would have left it.
+        stream in the same state.  On the array paths fresh handles
+        are drawn from word windows and build no ``Random``, and any
+        other rng is drawn live through its ``_randbelow``; reading a
+        handle (``getstate()``, ``choice``, ...) at any time gives the
+        ``Random`` as the scalar run would have left it.
     gate:
         ``None`` (always initiate) or ``("knows", rumor)`` /
         ``("not_knows", rumor)``: the node only initiates in rounds where
@@ -1381,9 +1354,9 @@ class VectorEngine(Engine):
         self.max_incoming_per_round = max_incoming_per_round
         self.enforce_blocking = enforce_blocking
         self.recorder = recorder
-        self._metrics = EngineMetrics()
+        self.metrics = EngineMetrics()
         if enforce_blocking:
-            self._metrics.blocked_initiations = 0
+            self.metrics.blocked_initiations = 0
         self._in_flight_initiations: dict[Node, int] = {}
         self.round = 0
         self._sequence = 0
@@ -1434,10 +1407,14 @@ class VectorEngine(Engine):
         self._sequential = bool(blockers) and not self._mirror
 
         deg, off, nbr, lat, eid = _csr_arrays(graph)
-        self._deg, self._off, self._nbr, self._lat = deg, off, nbr, lat
-        self._eid = eid
-        self._edge_active = np.zeros(graph.edge_arrays()[0].shape[0], dtype=bool)
-        self._edges_dirty = False
+        us, vs, _ = graph.edge_arrays()
+        self._edge_active = np.zeros(us.shape[0], dtype=bool)
+        if not self._sequential:
+            # The array paths mark activated edges in this mask and drop
+            # the metrics' set; reading ``activated_edges`` folds it back.
+            self.metrics._fold_edges = functools.partial(
+                _fold_edges, self._edge_active, us, vs, self._order
+            )
 
         custom = self._build_target_tables(n)
 
@@ -1464,29 +1441,24 @@ class VectorEngine(Engine):
         self._cohorts = []
         for (kind, gate, duration, is_custom), ids_list in cohorts.items():
             ids = np.array(ids_list, dtype=np.int64)
-            if is_custom:
-                tdeg, toff, tnbr, tlat, teid = custom
-                table = {"off": toff, "nbr": tnbr, "lat": tlat, "eid": teid}
-                degs = tdeg[ids]
-            else:
-                table = {
-                    "off": self._off,
-                    "nbr": self._nbr,
-                    "lat": self._lat,
-                    "eid": self._eid,
-                }
-                degs = deg[ids]
+            tdeg, toff, tnbr, tlat, teid = (
+                custom if is_custom else (deg, off, nbr, lat, eid)
+            )
+            degs = tdeg[ids]
             entry: dict[str, Any] = {
                 "kind": kind,
                 "gate": gate,
                 "duration": duration,
                 "ids": ids,
                 "degs": degs,
-                **table,
+                "off": toff,
+                "nbr": tnbr,
+                "lat": tlat,
+                "eid": teid,
             }
             if kind == "random" and not self._sequential:
-                entry.update(
-                    _random_draws([self._programs[i].rng for i in ids_list], degs)
+                entry["window"] = StreamWindow(
+                    [self._programs[i].rng for i in ids_list], degs.tolist()
                 )
             self._cohorts.append(entry)
         self._rr_next = np.fromiter(
@@ -1618,22 +1590,6 @@ class VectorEngine(Engine):
 
     # -- Engine-compatible surface --------------------------------------
     @property
-    def metrics(self) -> EngineMetrics:
-        """Engine counters; activated edges are folded in lazily."""
-        if self._edges_dirty:
-            us, vs, _ = self.graph.edge_arrays()
-            active = np.flatnonzero(self._edge_active)
-            order = self._order
-            self._metrics.activated_edges = set(
-                zip(
-                    map(order.__getitem__, us[active].tolist()),
-                    map(order.__getitem__, vs[active].tolist()),
-                )
-            )
-            self._edges_dirty = False
-        return self._metrics
-
-    @property
     def last_initiations(self) -> list[tuple[Node, Node]]:
         """This round's ``(initiator, responder)`` pairs (lazy on fast path)."""
         if self._last_list is None:
@@ -1678,15 +1634,44 @@ class VectorEngine(Engine):
         return self._all_durations and self.round >= self._max_duration
 
     def step(self) -> None:
-        """Execute one round: deliver due exchanges, then collect initiations."""
+        """Execute one round: deliver due exchanges, then collect initiations.
+
+        The fast and mirror paths run the same array round; the mirror
+        (a recorder attached) delivers rank by rank to recover learned
+        counts and emits the scalar engine's event stream — delivery and
+        wakeup events in exchange order, then rejected and accepted
+        initiations in the dense-id scan order, then the round summary.
+        """
         if self._sequential:
             super().step()
-        elif self._mirror:
-            self._step_mirror()
-        else:
-            self._step_fast()
+            return
+        self._check_fingerprint()
+        delivered = self._deliver_mirror() if self._mirror else self._deliver_fast()
+        initiators, responders, latencies, edge_ids = self._select_initiations()
+        accepted = self._apply_cap(initiators, responders)
+        if self._mirror:
+            self._emit_initiations(initiators, responders, latencies, accepted)
+        if accepted is not None:
+            initiators = initiators[accepted]
+            responders = responders[accepted]
+            latencies = latencies[accepted]
+            edge_ids = edge_ids[accepted]
+        self._last_pairs = (initiators, responders)
+        self._last_list = None
+        self._record_initiations(initiators, responders, latencies, edge_ids)
+        if self._mirror:
+            self.recorder.record(
+                RoundEvent(
+                    round=self.round,
+                    initiations=int(initiators.shape[0]),
+                    deliveries=delivered,
+                    in_flight=self._pending_count,
+                )
+            )
+        self.round += 1
+        self.metrics.rounds = self.round
 
-    # -- fast path: one round = a handful of array ops ------------------
+    # -- the array round: a handful of array ops -----------------------
     def _gate_passes(self, ids: np.ndarray, gate: tuple) -> np.ndarray:
         condition, rumor = gate
         knows = self.state._k_knows_column(self._row_of[ids], rumor)
@@ -1699,22 +1684,6 @@ class VectorEngine(Engine):
                 "fixed rumor universe (oblivious protocols never intern new "
                 "rumors after setup)"
             )
-
-    def _step_fast(self) -> None:
-        self._check_fingerprint()
-        self._deliver_fast()
-        initiators, responders, latencies, edge_ids = self._select_initiations()
-        accepted = self._apply_cap(initiators, responders)
-        if accepted is not None:
-            initiators = initiators[accepted]
-            responders = responders[accepted]
-            latencies = latencies[accepted]
-            edge_ids = edge_ids[accepted]
-        self._last_pairs = (initiators, responders)
-        self._last_list = None
-        self._record_initiations(initiators, responders, latencies, edge_ids)
-        self.round += 1
-        self._metrics.rounds = self.round
 
     def _deliver_fast(self) -> int:
         """Merge everything due this round with one duplicate-safe
@@ -1766,34 +1735,7 @@ class VectorEngine(Engine):
                 if ids.shape[0] == 0:
                     continue
             if cohort["kind"] == "random":
-                window = cohort.get("window")
-                bits = cohort.get("bits")
-                if window is not None:
-                    slots = cohort["off"][ids] + window.choose(take, degs)
-                elif bits is not None:
-                    rngs = cohort["rngs"]
-                    # CPython's _randbelow rejection loop, batched: draw
-                    # for every node, then redraw the rejected ones
-                    # (r >= deg) in passes until none is left.  Rejections
-                    # are common (about a third of all draws at mean
-                    # degree 8), but streams are per-node, so each node
-                    # still consumes its own stream in order.
-                    picks = _draw_bits(rngs, bits, take)
-                    redo = np.flatnonzero(picks >= degs)
-                    while redo.shape[0]:
-                        picks[redo] = _draw_bits(
-                            rngs, bits, redo if take is None else take[redo]
-                        )
-                        redo = redo[picks[redo] >= degs[redo]]
-                    slots = cohort["off"][ids] + picks
-                else:
-                    draw = cohort["draw"]
-                    deg_list = cohort["deg_list"]
-                    if take is None:
-                        picks = [d(k) for d, k in zip(draw, deg_list)]
-                    else:
-                        picks = [draw[k](deg_list[k]) for k in take.tolist()]
-                    slots = cohort["off"][ids] + np.asarray(picks, dtype=np.int64)
+                slots = cohort["off"][ids] + cohort["window"].choose(take, degs)
             else:  # round_robin
                 counters = self._rr_next[ids]
                 slots = cohort["off"][ids] + counters % degs
@@ -1838,20 +1780,13 @@ class VectorEngine(Engine):
         cap = self.max_incoming_per_round
         if cap is None or not initiators.shape[0]:
             return None
-        by_target = np.argsort(responders, kind="stable")
-        targets = responders[by_target]
-        group_starts = np.flatnonzero(np.r_[True, targets[1:] != targets[:-1]])
-        sizes = np.diff(np.r_[group_starts, targets.shape[0]])
-        rank = (
-            np.arange(targets.shape[0], dtype=np.int64)
-            - np.repeat(group_starts, sizes)
-        )
-        accepted = np.empty(targets.shape[0], dtype=bool)
+        by_target, rank, _ = _group_ranks(responders)
+        accepted = np.empty(responders.shape[0], dtype=bool)
         accepted[by_target] = rank < cap
-        rejected = int(targets.shape[0] - int(accepted.sum()))
+        rejected = int(responders.shape[0] - int(accepted.sum()))
         if not rejected:
             return None
-        self._metrics.rejected_initiations += rejected
+        self.metrics.rejected_initiations += rejected
         return accepted
 
     def _record_initiations(
@@ -1875,7 +1810,7 @@ class VectorEngine(Engine):
         if not count:
             return
         state = self.state
-        metrics = self._metrics
+        metrics = self.metrics
         by_latency = np.argsort(latencies, kind="stable")
         latencies = latencies[by_latency]
         cuts = np.flatnonzero(latencies[1:] != latencies[:-1]) + 1
@@ -1894,7 +1829,7 @@ class VectorEngine(Engine):
         metrics.exchanges += count
         metrics.messages += 2 * count
         self._edge_active[edge_ids] = True
-        self._edges_dirty = True
+        vars(metrics).pop("activated_edges", None)
         self._pending_count += count
         self._sequence += count
         bounds = [0, *cuts.tolist(), count]
@@ -1911,57 +1846,27 @@ class VectorEngine(Engine):
                 batch
             )
 
-    # -- mirror path: array-kernel rounds, scalar-identical event stream -
-    def _step_mirror(self) -> None:
-        """Recorder-attached rounds at array speed.
-
-        Deliveries and initiations are computed with the same kernels as
-        the fast path; the recorder sees the byte-identical event stream
-        the scalar engine would emit (delivery/wakeup events in exchange
-        order, then rejected/accepted initiations in the dense-id scan
-        order, then the round summary).
-        """
-        self._check_fingerprint()
-        recorder = self.recorder
-        record = recorder.record
+    # -- mirror path: the recorder's stages of the array round ---------
+    def _emit_initiations(
+        self,
+        initiators: np.ndarray,
+        responders: np.ndarray,
+        latencies: np.ndarray,
+        accepted: Optional[np.ndarray],
+    ) -> None:
+        """Record the round's pre-cap initiations in scan order: accepted
+        ones as initiation events, capped ones as rejections."""
+        record = self.recorder.record
         nodes = self._order
         rnd = self.round
-        delivered = self._deliver_mirror()
-        initiators, responders, latencies, edge_ids = self._select_initiations()
-        accepted = self._apply_cap(initiators, responders)
-        if accepted is None:
-            for a, b, lat in zip(
-                initiators.tolist(), responders.tolist(), latencies.tolist()
-            ):
+        oks = itertools.repeat(True) if accepted is None else accepted.tolist()
+        for a, b, lat, ok in zip(
+            initiators.tolist(), responders.tolist(), latencies.tolist(), oks
+        ):
+            if ok:
                 record(InitiationEvent(rnd, nodes[a], nodes[b], lat))
-        else:
-            for a, b, lat, ok in zip(
-                initiators.tolist(),
-                responders.tolist(),
-                latencies.tolist(),
-                accepted.tolist(),
-            ):
-                if ok:
-                    record(InitiationEvent(rnd, nodes[a], nodes[b], lat))
-                else:
-                    record(RejectedInitiationEvent(rnd, nodes[a], nodes[b]))
-            initiators = initiators[accepted]
-            responders = responders[accepted]
-            latencies = latencies[accepted]
-            edge_ids = edge_ids[accepted]
-        self._last_pairs = (initiators, responders)
-        self._last_list = None
-        self._record_initiations(initiators, responders, latencies, edge_ids)
-        recorder.record(
-            RoundEvent(
-                round=self.round,
-                initiations=int(initiators.shape[0]),
-                deliveries=delivered,
-                in_flight=self._pending_count,
-            )
-        )
-        self.round += 1
-        self._metrics.rounds = self.round
+            else:
+                record(RejectedInitiationEvent(rnd, nodes[a], nodes[b]))
 
     def _deliver_mirror(self) -> int:
         """Deliver due batches with array kernels, emitting scalar-order
@@ -2006,16 +1911,7 @@ class VectorEngine(Engine):
             pack = state._k_vstack(
                 [batch.initiator_payloads, batch.responder_payloads]
             )
-            order = np.argsort(rows2, kind="stable")
-            sorted_rows = rows2[order]
-            group_starts = np.flatnonzero(
-                np.r_[True, sorted_rows[1:] != sorted_rows[:-1]]
-            )
-            sizes = np.diff(np.r_[group_starts, sorted_rows.shape[0]])
-            rank = (
-                np.arange(sorted_rows.shape[0], dtype=np.int64)
-                - np.repeat(group_starts, sizes)
-            )
+            order, rank, sizes = _group_ranks(rows2)
             learned = np.empty(2 * m, dtype=np.int64)
             for t in range(int(sizes.max())):
                 sel = order[rank == t]
@@ -2026,28 +1922,13 @@ class VectorEngine(Engine):
                     state._k_select(pack, (sel >> 1) + (sel & 1) * m),
                 )
                 learned[sel] = state._k_row_popcounts(target_rows) - before
-            learned_resp = learned[0::2].tolist()
-            learned_init = learned[1::2].tolist()
             initiated_at = batch.initiated_at
-            inits = batch.initiators.tolist()
-            resps = batch.responders.tolist()
-            if not any_parked:
-                for k, a in enumerate(inits):
-                    record(
-                        DeliveryEvent(
-                            r,
-                            nodes[a],
-                            nodes[resps[k]],
-                            initiated_at,
-                            False,
-                            True,
-                            learned_init[k],
-                            learned_resp[k],
-                        )
-                    )
-                continue
-            for k, a in enumerate(inits):
-                b = resps[k]
+            for a, b, learned_a, learned_b in zip(
+                batch.initiators.tolist(),
+                batch.responders.tolist(),
+                learned[1::2].tolist(),
+                learned[0::2].tolist(),
+            ):
                 record(
                     DeliveryEvent(
                         r,
@@ -2056,18 +1937,20 @@ class VectorEngine(Engine):
                         initiated_at,
                         False,
                         True,
-                        learned_init[k],
-                        learned_resp[k],
+                        learned_a,
+                        learned_b,
                     )
                 )
-                # Scalar parking replay: a node with duration d is parked
-                # during round r's deliveries iff r > d, and wakes at most
-                # once per round (initiator endpoint first).
-                for x in (a, b):
-                    d = durations[x]
-                    if 0 <= d < r and x not in woken:
-                        woken.add(x)
-                        record(WakeupEvent(r, nodes[x]))
+                if any_parked:
+                    # Scalar parking replay: a node with duration d is
+                    # parked during round r's deliveries iff r > d, and
+                    # wakes at most once per round (initiator endpoint
+                    # first).
+                    for x in (a, b):
+                        d = durations[x]
+                        if 0 <= d < r and x not in woken:
+                            woken.add(x)
+                            record(WakeupEvent(r, nodes[x]))
         return delivered
 
 

@@ -1,18 +1,25 @@
 """Engine build and round data movement of the vector fast path.
 
-Two guards on :class:`~repro.sim.vector.VectorEngine`'s array paths:
+Guards on :class:`~repro.sim.vector.VectorEngine`'s array paths:
 
-* **Per-node rng parity.**  The fast path replays ``Random.choice`` as
-  ``getrandbits`` draws with the rejected ones redrawn in batched passes.
-  On graphs whose degrees are not powers of two (so draws are rejected)
-  every node's stream must end in the state the scalar engine leaves it
-  in, for push--pull and the gated push and pull variants, and for rngs
-  of a ``random.Random`` subclass (the ``_randbelow`` fallback).
+* **Per-node rng parity.**  The array round draws every random cohort
+  through one :class:`~repro.sim.streams.StreamWindow`: fresh
+  seed-addressed handles are word-window rows, redrawn in batched passes
+  when rejected, and any other rng is a live row calling its own
+  ``_randbelow``.  On graphs whose degrees are not powers of two (so
+  draws are rejected) every node's stream must end in the state the
+  scalar engine leaves it in, for push--pull and the gated push and pull
+  variants, for cohorts of plain ``random.Random`` objects, of a
+  subclass, and of all kinds of rng mixed in one window.  Recorded runs
+  under an in-degree cap must emit the scalar engine's rejections.
 * **Allocation and cycle budget.**  A fast-path or mirror-path build
   allocates at most four GC-tracked objects per node (rng, protocol, its
   neighbor list, its program), holds no reference cycle — a dropped
   engine is freed by reference counting alone — and the buckets one
   round records share no memory, so each frees its rows when delivered.
+* **Counters without the edge set.**  Reading a run's counters never
+  folds the activated-edge mask into its set of node pairs; reading
+  ``activated_edges`` does, exactly.
 """
 
 import gc
@@ -28,17 +35,42 @@ from repro.graphs.latency_models import uniform_latency
 from repro.obs.recorder import Recorder
 from repro.protocols.base import per_node_rng_factory
 from repro.protocols.push_pull import PullProtocol, PushProtocol, PushPullProtocol
+from repro.sim import vector as vector_module
 from repro.sim.engine import Engine
-from repro.sim.runner import broadcast_complete
+from repro.sim.runner import broadcast_complete, run_until_complete
 from repro.sim.state import NetworkState
+from repro.sim.streams import SeedStream
 from repro.sim.vector import VectorEngine
 
 RUMOR = "r"
 
 
 class _SubclassRandom(random.Random):
-    """A ``random.Random`` subclass: the vector backend cannot assume the
-    C ``getrandbits`` replay and draws through ``_randbelow`` instead."""
+    """A ``random.Random`` subclass: a live row of its cohort's window,
+    drawn through the subclass's own ``_randbelow``."""
+
+
+def _mixed(key, position):
+    """Every kind of rng in one cohort, by node position: fresh handles
+    (window rows), plain and subclass ``Random`` objects, and handles
+    materialised before the build (live rows)."""
+    kind = position % 4
+    if kind == 0:
+        return SeedStream(key)
+    if kind == 1:
+        return random.Random(key)
+    if kind == 2:
+        return _SubclassRandom(key)
+    handle = SeedStream(key)
+    handle.getstate()
+    return handle
+
+
+RNGS = {
+    "random": lambda key, _: random.Random(key),
+    "subclass": lambda key, _: _SubclassRandom(key),
+    "mixed": _mixed,
+}
 
 
 def _graphs():
@@ -55,41 +87,68 @@ def _protocol(variant, rng):
     return cls(rng, RUMOR)
 
 
-def _run(engine_cls, graph, variant, rng_cls, recorded):
+def _run(engine_cls, graph, variant, make_rng, recorded, cap=None):
     rngs = {}
+    position = {node: p for p, node in enumerate(graph.nodes())}
 
     def factory(node):
-        rngs[node] = rng_cls(f"5:{node!r}")
+        rngs[node] = make_rng(f"5:{node!r}", position[node])
         return _protocol(variant, rngs[node])
 
     state = NetworkState(graph.nodes())
     state.add_rumor(graph.nodes()[0], RUMOR)
     recorder = Recorder.in_memory() if recorded else None
-    engine = engine_cls(graph, factory, state=state, recorder=recorder)
+    engine = engine_cls(
+        graph, factory, state=state, recorder=recorder, max_incoming_per_round=cap
+    )
     engine.run(until=broadcast_complete(RUMOR), max_rounds=10_000)
     return engine, rngs, recorder and recorder.events
 
 
 @pytest.mark.parametrize("recorded", [False, True], ids=["plain", "recorded"])
-@pytest.mark.parametrize(
-    "rng_cls", [random.Random, _SubclassRandom], ids=["random", "subclass"]
-)
+@pytest.mark.parametrize("make_rng", list(RNGS.values()), ids=list(RNGS))
 @pytest.mark.parametrize("variant", ["push-pull", "push", "pull"])
 @pytest.mark.parametrize("graph_name", ["er60", "star21"])
-def test_per_node_rng_parity(graph_name, variant, rng_cls, recorded):
+def test_per_node_rng_parity(graph_name, variant, make_rng, recorded):
     graph = _graphs()[graph_name]
     vector, vector_rngs, vector_events = _run(
-        VectorEngine, graph, variant, rng_cls, recorded
+        VectorEngine, graph, variant, make_rng, recorded
     )
     assert not vector._sequential and vector._mirror == recorded
+    if make_rng is _mixed:
+        # Window rows and live rows share the window until the reads below.
+        (cohort,) = vector._cohorts
+        rows = cohort["ids"].tolist()
+        window_rows = {t for t, i in enumerate(rows) if i % 4 == 0}
+        assert window_rows and set(cohort["window"]._live) == (
+            set(range(len(rows))) - window_rows
+        )
     scalar, scalar_rngs, scalar_events = _run(
-        Engine, graph, variant, rng_cls, recorded
+        Engine, graph, variant, make_rng, recorded
     )
     assert (vector.round, vector.metrics) == (scalar.round, scalar.metrics)
     assert vector_events == scalar_events
     for node in graph.nodes():
         assert vector.state.rumors(node) == scalar.state.rumors(node)
         assert vector_rngs[node].getstate() == scalar_rngs[node].getstate()
+
+
+@pytest.mark.parametrize("cap", [1, 2])
+@pytest.mark.parametrize("graph_name", ["er60", "star21"])
+def test_recorded_cap_parity(graph_name, cap):
+    """The batched mirror under an in-degree cap emits the scalar run's
+    rejected and accepted initiations, in scan order."""
+    graph = _graphs()[graph_name]
+    vector, _, vector_events = _run(
+        VectorEngine, graph, "push-pull", RNGS["mixed"], True, cap
+    )
+    assert vector._mirror
+    scalar, _, scalar_events = _run(
+        Engine, graph, "push-pull", RNGS["mixed"], True, cap
+    )
+    assert vector.metrics.rejected_initiations > 0
+    assert (vector.round, vector.metrics) == (scalar.round, scalar.metrics)
+    assert vector_events == scalar_events
 
 
 def test_parity_graphs_reject_draws():
@@ -179,3 +238,37 @@ def test_round_buckets_share_no_memory(graph):
     for mine, theirs in itertools.combinations(buffers, 2):
         for a, b in itertools.product(mine, theirs):
             assert not np.shares_memory(a, b)
+
+
+def test_counters_never_fold_activated_edges(monkeypatch):
+    """``run_until_complete`` reads the counters of the engine's metrics;
+    on the vector backend that must not build the activated-edge set."""
+    folds = []
+    fold = vector_module._fold_edges
+
+    def counted(*args):
+        folds.append(args)
+        return fold(*args)
+
+    monkeypatch.setattr(vector_module, "_fold_edges", counted)
+    graph = _graphs()["er60"]
+    runs = []
+    for engine_cls in (VectorEngine, Engine):
+        make_rng = per_node_rng_factory(0)
+        state = NetworkState(graph.nodes())
+        state.add_rumor(graph.nodes()[0], RUMOR)
+        engine = engine_cls(
+            graph, lambda node: PushPullProtocol(make_rng(node)), state=state
+        )
+        result = run_until_complete(engine, broadcast_complete(RUMOR), "push-pull")
+        runs.append((engine, result))
+    (vector, vector_result), (scalar, scalar_result) = runs
+    assert vector_result == scalar_result and vector_result.exchanges > 0
+    assert not folds
+    assert vector.metrics.activated_edges == scalar.metrics.activated_edges
+    assert vector.metrics == scalar.metrics
+    assert len(folds) == 1
+    vector.step()
+    scalar.step()
+    assert vector.metrics == scalar.metrics
+    assert len(folds) == 2
