@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 import dataclasses
-from typing import Any, Optional
+from typing import Any, Callable, Optional
 
 from repro.graphs.latency_graph import Edge
 from repro.obs.telemetry import RunTelemetry
@@ -58,15 +58,24 @@ class EngineMetrics:
     blocked_initiations: Optional[int] = None
 
     def __getattr__(self, name: str) -> Any:
-        # Reached only for an attribute the instance lacks.  An engine
-        # that keeps activated edges as an array (the vector backend)
-        # drops the set whenever they change and stores ``_fold_edges``
-        # to rebuild it on read, so reading the counters never builds it.
+        # Reached only for an attribute the instance lacks: the set that
+        # ``_edges_changed`` dropped, rebuilt by the ``_track_edges`` fold.
         fold = self.__dict__.get("_fold_edges")
         if name != "activated_edges" or fold is None:
             raise AttributeError(name)
         self.activated_edges = fold()
         return self.activated_edges
+
+    def _track_edges(self, fold: Callable[[], set]) -> None:
+        # For an engine keeping activated edges elsewhere (the vector
+        # backend's edge mask): reading the set calls ``fold()``, and
+        # reading the counters never does.
+        self._fold_edges = fold
+        self._edges_changed()
+
+    def _edges_changed(self) -> None:
+        # The tracked edges changed; the next read of the set refolds.
+        self.__dict__.pop("activated_edges", None)
 
     def __str__(self) -> str:
         blocked = (

@@ -42,7 +42,7 @@ from __future__ import annotations
 import copy
 import hashlib
 import random
-from operator import call, methodcaller
+from operator import methodcaller
 from typing import Any, Optional, Sequence
 
 import numpy as np
@@ -413,7 +413,8 @@ class StreamWindow:
                 if drawn.shape[0]:
                     picks[drawn] = self.choose(rows[drawn], degrees[drawn])
                 draws = map(self._live.__getitem__, rows[live].tolist())
-                picks[live] = list(map(call, draws, degrees[live].tolist()))
+                degs = degrees[live].tolist()
+                picks[live] = [draw(d) for draw, d in zip(draws, degs)]
                 return picks
         picks = self._next(rows).astype(np.int64)
         redo = np.flatnonzero(picks >= degrees)

@@ -1412,8 +1412,8 @@ class VectorEngine(Engine):
         if not self._sequential:
             # The array paths mark activated edges in this mask and drop
             # the metrics' set; reading ``activated_edges`` folds it back.
-            self.metrics._fold_edges = functools.partial(
-                _fold_edges, self._edge_active, us, vs, self._order
+            self.metrics._track_edges(
+                functools.partial(_fold_edges, self._edge_active, us, vs, self._order)
             )
 
         custom = self._build_target_tables(n)
@@ -1829,7 +1829,7 @@ class VectorEngine(Engine):
         metrics.exchanges += count
         metrics.messages += 2 * count
         self._edge_active[edge_ids] = True
-        vars(metrics).pop("activated_edges", None)
+        metrics._edges_changed()
         self._pending_count += count
         self._sequence += count
         bounds = [0, *cuts.tolist(), count]
