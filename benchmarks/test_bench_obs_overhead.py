@@ -3,11 +3,12 @@
 Every instrumentation site in the engine hot path is guarded by a single
 ``recorder is None`` check, so a recorder-disabled run is supposed to be
 indistinguishable from the pre-observability engine.  This suite pins
-that down two ways on the ``pushpull_broadcast_er_n400`` microbenchmark
-workload (same graph, seed, and shape as ``BENCH_engine.json``):
+that down two ways on the former ``pushpull_broadcast_er_n400`` engine
+microbenchmark workload (push--pull broadcast on ``erdos_renyi`` G(400,
+0.03), latencies 1..8, seed 0):
 
 * the recorder-disabled wall clock must stay within the 2% acceptance
-  envelope of the committed ``BENCH_engine_baseline.json`` numbers.  The
+  envelope of that workload's baseline, :data:`BASELINE_SECONDS`.  The
   baseline was captured on the pre-optimization engine (~30x slower than
   the current one), so in practice this is a loud catastrophic-regression
   tripwire — e.g. instrumentation accidentally moved inside the per-round
@@ -21,11 +22,9 @@ Runs standalone, no pytest-benchmark needed:
 ``PYTHONPATH=src python -m pytest benchmarks/test_bench_obs_overhead.py``.
 """
 
-import json
 import random
 import time
 
-from repro.benchmarking import BASELINE_PATH
 from repro.graphs import generators
 from repro.graphs.latency_models import uniform_latency
 from repro.obs import MetricsRegistry, MetricsSink, Recorder
@@ -35,10 +34,14 @@ WORKLOAD = "pushpull_broadcast_er_n400"
 N, P = 400, 0.03
 REPEATS = 3
 OVERHEAD_ENVELOPE = 1.02  # acceptance criterion: within 2% of the baseline
+#: The workload's best-of-3 seconds on the pre-optimization engine (commit
+#: 5848497), as ``BENCH_engine_baseline.json`` held it until the engine
+#: suite replaced the workload with its scalar/vector pairs.
+BASELINE_SECONDS = 0.2206
 
 
 def _workload_graph():
-    # Must match _pushpull_workload in repro.benchmarking exactly, or the
+    # Must match the graph BASELINE_SECONDS was measured on, or the
     # baseline comparison is meaningless.
     return generators.erdos_renyi(
         N, P, latency_model=uniform_latency(1, 8), rng=random.Random(0)
@@ -59,22 +62,20 @@ def _best_of(graph, repeats=REPEATS, make_recorder=lambda: None):
 
 
 def test_recorder_disabled_within_baseline_envelope(capsys):
-    assert BASELINE_PATH.exists(), "committed BENCH_engine_baseline.json missing"
-    baseline = json.loads(BASELINE_PATH.read_text())["workloads"][WORKLOAD]
     graph = _workload_graph()
     disabled = _best_of(graph)
-    budget = OVERHEAD_ENVELOPE * baseline["seconds"]
+    budget = OVERHEAD_ENVELOPE * BASELINE_SECONDS
     with capsys.disabled():
         print()
         print(
             f"{WORKLOAD}: recorder-disabled {disabled:.4f}s, baseline "
-            f"{baseline['seconds']:.4f}s, budget {budget:.4f}s "
-            f"({baseline['seconds'] / disabled:.1f}x headroom)"
+            f"{BASELINE_SECONDS:.4f}s, budget {budget:.4f}s "
+            f"({BASELINE_SECONDS / disabled:.1f}x headroom)"
         )
     assert disabled <= budget, (
         f"recorder-disabled run took {disabled:.4f}s — over the "
         f"{OVERHEAD_ENVELOPE}x envelope of the committed baseline "
-        f"({baseline['seconds']:.4f}s); did instrumentation leak into the "
+        f"({BASELINE_SECONDS:.4f}s); did instrumentation leak into the "
         "per-round hot path?"
     )
 

@@ -1,15 +1,16 @@
 """Microbenchmarks: the wall-clock trajectory of the hot paths.
 
 This module defines small, stable sets of workloads and a runner that
-times them and writes JSON reports under ``benchmarks/results/``.  Four
-suites exist:
+times them and writes JSON reports under ``benchmarks/results/``.
+:data:`repro.obs.regress.SUITE_FILES` is the benchmark record: one
+report and one baseline file per suite, read by this runner, by the
+gate and by ``repro regress``.  Its suites:
 
-* ``engine`` — the simulation core (push--pull dissemination, raw
-  :class:`~repro.sim.state.NetworkState` churn, done-node scheduling
-  overhead); writes ``BENCH_engine.json``.
-* ``engine_vector`` — scalar vs vector engine backends on the same
-  graphs, plus vector-only scale runs up to ``n = 10^5`` and beyond;
-  writes ``BENCH_engine_vector.json``.
+* ``engine`` — the simulation core: scalar/vector push--pull pairs on
+  shared graphs, raw :class:`~repro.sim.state.NetworkState` churn,
+  done-node scheduling overhead, the phase-chained composite, the ℓ-DTG
+  pair and vector flooding at ``n = 2.5·10^5``; writes
+  ``BENCH_engine.json``.
 * ``engine_scale`` — mega-scale vector-backend runs (``n = 10^5`` quick,
   ``n = 10^6`` full) recording peak rumor-state bytes and the layout
   label, so the memory story is gated like the timing story; writes
@@ -17,6 +18,9 @@ suites exist:
 * ``conductance`` — the analysis pipeline (the ``φ_ℓ`` sweep-cut profile
   behind Definitions 1-2, single-threshold sweeps, ``φ*``/``ℓ*``);
   writes ``BENCH_conductance.json``.
+* ``e2e`` — the six end-to-end workloads of ``BENCHMARK.json``, timed by
+  ``bench/run.py`` (not by this runner); ``BENCH_e2e.json`` and its
+  baseline are that script's results files, committed as written.
 
 Every workload entry additionally records ``peak_rss_kb`` — the
 process-wide resident-set high-water mark (``getrusage``) after the
@@ -41,8 +45,6 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import functools
-import hashlib
-import io
 import json
 import pathlib
 import platform
@@ -51,10 +53,11 @@ import sys
 import time
 from typing import Any, Callable, Optional
 
+from repro.obs.regress import RESULTS_DIR, SUITE_FILES
+
 __all__ = [
     "Workload",
     "engine_microbenchmarks",
-    "engine_vector_microbenchmarks",
     "engine_scale_microbenchmarks",
     "conductance_microbenchmarks",
     "microbenchmark_suite",
@@ -66,24 +69,13 @@ __all__ = [
     "BASELINE_PATH",
     "BENCH_CONDUCTANCE_PATH",
     "CONDUCTANCE_BASELINE_PATH",
-    "BENCH_ENGINE_VECTOR_PATH",
-    "ENGINE_VECTOR_BASELINE_PATH",
     "BENCH_ENGINE_SCALE_PATH",
     "ENGINE_SCALE_BASELINE_PATH",
-    "SUITES",
 ]
 
-RESULTS_DIR = pathlib.Path(__file__).resolve().parents[2] / "benchmarks" / "results"
-BENCH_PATH = RESULTS_DIR / "BENCH_engine.json"
-BASELINE_PATH = RESULTS_DIR / "BENCH_engine_baseline.json"
-BENCH_CONDUCTANCE_PATH = RESULTS_DIR / "BENCH_conductance.json"
-CONDUCTANCE_BASELINE_PATH = RESULTS_DIR / "BENCH_conductance_baseline.json"
-BENCH_ENGINE_VECTOR_PATH = RESULTS_DIR / "BENCH_engine_vector.json"
-ENGINE_VECTOR_BASELINE_PATH = RESULTS_DIR / "BENCH_engine_vector_baseline.json"
-BENCH_ENGINE_SCALE_PATH = RESULTS_DIR / "BENCH_engine_scale.json"
-ENGINE_SCALE_BASELINE_PATH = RESULTS_DIR / "BENCH_engine_scale_baseline.json"
-
-SUITES = ("engine", "engine_vector", "engine_scale", "conductance")
+BENCH_PATH, BASELINE_PATH = SUITE_FILES["engine"]
+BENCH_CONDUCTANCE_PATH, CONDUCTANCE_BASELINE_PATH = SUITE_FILES["conductance"]
+BENCH_ENGINE_SCALE_PATH, ENGINE_SCALE_BASELINE_PATH = SUITE_FILES["engine_scale"]
 
 
 def peak_rss_kb() -> Optional[int]:
@@ -118,31 +110,6 @@ class Workload:
 # Workload definitions.  Keep these stable: BENCH_engine.json numbers are
 # only comparable across revisions if the workloads never change shape.
 # ----------------------------------------------------------------------
-
-def _pushpull_workload(mode: str, n: int, p: float, repeats: int) -> Workload:
-    def run() -> dict[str, Any]:
-        import random
-
-        from repro.graphs import generators
-        from repro.graphs.latency_models import uniform_latency
-        from repro.protocols.push_pull import run_push_pull
-
-        graph = generators.erdos_renyi(
-            n, p, latency_model=uniform_latency(1, 8), rng=random.Random(0)
-        )
-        result = run_push_pull(graph, mode=mode, seed=0)
-        return {"rounds": result.rounds, "exchanges": result.exchanges, "n": n}
-
-    return Workload(
-        name=f"pushpull_{mode}_er_n{n}",
-        description=(
-            f"push--pull {mode} dissemination on Erdős–Rényi G({n}, {p}) "
-            "with uniform latencies 1..8, seed 0"
-        ),
-        run=run,
-        repeats=repeats,
-    )
-
 
 def _state_ops_workload(n: int, sweeps: int, repeats: int) -> Workload:
     def run() -> dict[str, Any]:
@@ -201,26 +168,6 @@ def _done_skip_workload(n: int, rounds: int, repeats: int) -> Workload:
         run=run,
         repeats=repeats,
     )
-
-
-def engine_microbenchmarks(profile: str) -> list[Workload]:
-    """The microbenchmark suite for one profile (``quick`` or ``full``)."""
-    from repro.experiments.harness import validate_profile
-
-    validate_profile(profile)
-    if profile == "quick":
-        return [
-            _pushpull_workload("all_to_all", n=400, p=0.03, repeats=3),
-            _pushpull_workload("broadcast", n=400, p=0.03, repeats=3),
-            _state_ops_workload(n=400, sweeps=3, repeats=3),
-            _done_skip_workload(n=400, rounds=2000, repeats=3),
-        ]
-    return [
-        _pushpull_workload("all_to_all", n=2000, p=0.008, repeats=1),
-        _pushpull_workload("broadcast", n=2000, p=0.008, repeats=1),
-        _state_ops_workload(n=2000, sweeps=3, repeats=1),
-        _done_skip_workload(n=2000, rounds=2000, repeats=1),
-    ]
 
 
 @functools.lru_cache(maxsize=None)
@@ -346,49 +293,6 @@ def _composite_chain_workload(
     )
 
 
-def _eid_workload(
-    backend: str, n: int, avg_degree: float, diameter: int, repeats: int
-) -> Workload:
-    """EID(D) — the E8 acceptance composite — on one engine backend.
-
-    Under ``backend="vector"`` every phase — the lockstep ℓ-DTG plans and
-    RR Broadcast — rides the fast path; the run fails if any phase fell
-    back to the scalar engine.
-    """
-
-    def run() -> dict[str, Any]:
-        from repro.protocols.base import PhaseRunner
-        from repro.protocols.eid import run_eid
-
-        graph = _vector_bench_graph(n, avg_degree, 8)
-        runner = PhaseRunner(graph, backend=backend)
-        report = run_eid(graph, diameter=diameter, seed=0, runner=runner)
-        if backend == "vector" and any(runner.phase_fallbacks):
-            raise AssertionError(
-                f"vector EID fell back to the scalar engine: {runner.phase_fallbacks}"
-            )
-        return {
-            "rounds": report.rounds,
-            "exchanges": report.exchanges,
-            "n": n,
-            "backend": backend,
-            "phase_backends": sorted(
-                {phase.backend for phase in report.phases}
-            ),
-        }
-
-    return Workload(
-        name=f"eid_{backend}_er_n{n}",
-        description=(
-            f"EID(D={diameter}) composite (Algorithm 3: ℓ-DTG phases + RR "
-            f"Broadcast) on the {backend} backend over fast-sampled "
-            f"Erdős–Rényi G({n}, {avg_degree}/n), latencies 1..8, seed 0"
-        ),
-        run=run,
-        repeats=repeats,
-    )
-
-
 def _ldtg_workload(
     backend: str, n: int, avg_degree: float, max_latency: int, repeats: int
 ) -> Workload:
@@ -423,117 +327,35 @@ def _ldtg_workload(
     )
 
 
-def _mirror_pushpull_workload(n: int, avg_degree: float, repeats: int) -> Workload:
-    """Recorder-attached vector broadcast on the batched mirror path.
+def engine_microbenchmarks(profile: str) -> list[Workload]:
+    """The engine suite for one profile (``quick`` or ``full``).
 
-    Rounds are computed with the array kernels and the events emitted
-    from the precomputed buckets; a sinkless recorder only counts them,
-    which keeps the event encoder out of the number.
-    """
-
-    def run() -> dict[str, Any]:
-        from repro.obs.recorder import Recorder
-        from repro.protocols.push_pull import run_push_pull
-
-        graph = _vector_bench_graph(n, avg_degree, 8)
-        recorder = Recorder()
-        result = run_push_pull(
-            graph, mode="broadcast", seed=0, backend="vector", recorder=recorder
-        )
-        return {
-            "rounds": result.rounds,
-            "exchanges": result.exchanges,
-            "n": n,
-            "backend": "vector",
-            "mirror": "batched",
-            "events": recorder.events_recorded,
-        }
-
-    return Workload(
-        name=f"pushpull_broadcast_mirror_batched_er_n{n}",
-        description=(
-            f"recorder-attached push--pull broadcast on the vector backend "
-            f"(batched mirror path) over fast-sampled Erdős–Rényi "
-            f"G({n}, {avg_degree}/n), latencies 1..8, seed 0"
-        ),
-        run=run,
-        repeats=repeats,
-    )
-
-
-def _jsonl_pushpull_workload(n: int, avg_degree: float, repeats: int) -> Workload:
-    """Recorder-attached vector broadcast streaming canonical JSONL.
-
-    The mirror workload only counts events (a sinkless recorder), so it
-    never reaches the event encoder; this one writes every event through
-    ``JsonlSink`` (one :func:`~repro.obs.events.event_to_json` line each)
-    into an in-memory stream, so no disk time is in the number.  The
-    stream's digest pins the bytes across revisions.
-    """
-
-    def run() -> dict[str, Any]:
-        from repro.obs.recorder import JsonlSink, Recorder
-        from repro.protocols.push_pull import run_push_pull
-
-        graph = _vector_bench_graph(n, avg_degree, 8)
-        stream = io.StringIO()
-        sink = JsonlSink(stream)
-        with Recorder(sink) as recorder:
-            result = run_push_pull(
-                graph, mode="broadcast", seed=0, backend="vector", recorder=recorder
-            )
-        return {
-            "rounds": result.rounds,
-            "exchanges": result.exchanges,
-            "n": n,
-            "backend": "vector",
-            "events": sink.lines_written,
-            "events_blake2b": hashlib.blake2b(
-                stream.getvalue().encode("ascii"), digest_size=16
-            ).hexdigest(),
-        }
-
-    return Workload(
-        name=f"pushpull_broadcast_jsonl_n{n}",
-        description=(
-            f"recorder-attached push--pull broadcast on the vector backend "
-            f"streaming canonical JSONL (JsonlSink into an in-memory stream) "
-            f"over fast-sampled Erdős–Rényi G({n}, {avg_degree}/n), "
-            f"latencies 1..8, seed 0"
-        ),
-        run=run,
-        repeats=repeats,
-    )
-
-
-def engine_vector_microbenchmarks(profile: str) -> list[Workload]:
-    """The engine-backend comparison suite (scalar vs vector).
-
-    The ``full`` profile holds the PR acceptance workloads: the scalar and
-    vector backends on the *same* ``G(n = 10^4)`` graph (broadcast and
-    all-to-all speedup points), plus vector-only scale runs at
-    ``n = 10^5`` (push--pull) and ``n = 2.5·10^5`` (flooding) that the
-    scalar engine cannot reach in benchmark-friendly time.  The composite
-    rows: the all-vector-eligible phase chain at ``n = 10^4`` (the
-    composite-dispatch speedup point), the EID and ℓ-DTG acceptance
-    composites, and the recorder-on batched mirror path.  Both profiles
-    share ``eid_vector_er_n2000`` (an all-vector EID run) and
-    ``pushpull_broadcast_jsonl_n2000`` (the JSONL event-encoding path),
-    so the regression gate always has workloads to compare against the
-    committed baseline.
+    Every push--pull point is a scalar/vector pair on one shared graph:
+    broadcast and all-to-all at ``n = 400`` (quick) and ``n = 10^4``
+    (full, the speedup points of PERFORMANCE.md *Measured speedups*).
+    Around them: raw state churn, done-node scheduling, the phase-chained
+    composite, and in the full profile the ℓ-DTG pair and vector flooding
+    at ``n = 2.5·10^5``.  The ``n = 10^5`` broadcast, EID and recorded
+    broadcast paths are left to ``bench/`` (``broadcast_vec_n1e5``,
+    ``eid_vec_n300``, ``recorded_broadcast_n1e4``), which the ``e2e``
+    suite gates.
     """
     from repro.experiments.harness import validate_profile
 
     validate_profile(profile)
     if profile == "quick":
         return [
-            _backend_pushpull_workload("scalar", n=2000, avg_degree=16.0, repeats=3),
-            _backend_pushpull_workload("vector", n=2000, avg_degree=16.0, repeats=3),
-            _backend_pushpull_workload("vector", n=20_000, avg_degree=16.0, repeats=1),
+            _backend_pushpull_workload("scalar", n=400, avg_degree=12.0, repeats=3),
+            _backend_pushpull_workload("vector", n=400, avg_degree=12.0, repeats=3),
+            _backend_pushpull_workload(
+                "scalar", n=400, avg_degree=12.0, repeats=3, mode="all_to_all"
+            ),
+            _backend_pushpull_workload(
+                "vector", n=400, avg_degree=12.0, repeats=3, mode="all_to_all"
+            ),
+            _state_ops_workload(n=400, sweeps=3, repeats=3),
+            _done_skip_workload(n=400, rounds=2000, repeats=3),
             _composite_chain_workload("vector", n=2000, avg_degree=16.0, repeats=3),
-            _mirror_pushpull_workload(n=2000, avg_degree=16.0, repeats=3),
-            _eid_workload("vector", n=2000, avg_degree=8.0, diameter=2, repeats=1),
-            _jsonl_pushpull_workload(n=2000, avg_degree=16.0, repeats=3),
         ]
     return [
         _backend_pushpull_workload("scalar", n=10_000, avg_degree=16.0, repeats=1),
@@ -544,17 +366,13 @@ def engine_vector_microbenchmarks(profile: str) -> list[Workload]:
         _backend_pushpull_workload(
             "vector", n=10_000, avg_degree=16.0, repeats=1, mode="all_to_all"
         ),
-        _backend_pushpull_workload("vector", n=100_000, avg_degree=16.0, repeats=1),
+        _state_ops_workload(n=2000, sweeps=3, repeats=1),
+        _done_skip_workload(n=2000, rounds=2000, repeats=1),
         _backend_flooding_workload(n=250_000, avg_degree=8.0, repeats=1),
         _composite_chain_workload("scalar", n=10_000, avg_degree=16.0, repeats=1),
         _composite_chain_workload("vector", n=10_000, avg_degree=16.0, repeats=3),
-        _eid_workload("scalar", n=400, avg_degree=16.0, diameter=8, repeats=1),
-        _eid_workload("vector", n=400, avg_degree=16.0, diameter=8, repeats=1),
-        _eid_workload("vector", n=2000, avg_degree=8.0, diameter=2, repeats=1),
         _ldtg_workload("scalar", n=1000, avg_degree=16.0, max_latency=2, repeats=3),
         _ldtg_workload("vector", n=1000, avg_degree=16.0, max_latency=2, repeats=3),
-        _mirror_pushpull_workload(n=10_000, avg_degree=16.0, repeats=3),
-        _jsonl_pushpull_workload(n=2000, avg_degree=16.0, repeats=3),
     ]
 
 
@@ -809,25 +627,21 @@ def conductance_microbenchmarks(profile: str) -> list[Workload]:
     ]
 
 
+#: The suites this runner times; ``e2e`` is timed by ``bench/run.py``.
 _SUITE_BUILDERS: dict[str, Callable[[str], list[Workload]]] = {
-    "engine": lambda profile: engine_microbenchmarks(profile),
-    "engine_vector": lambda profile: engine_vector_microbenchmarks(profile),
-    "engine_scale": lambda profile: engine_scale_microbenchmarks(profile),
-    "conductance": lambda profile: conductance_microbenchmarks(profile),
-}
-
-_SUITE_PATHS: dict[str, tuple[pathlib.Path, pathlib.Path]] = {
-    "engine": (BENCH_PATH, BASELINE_PATH),
-    "engine_vector": (BENCH_ENGINE_VECTOR_PATH, ENGINE_VECTOR_BASELINE_PATH),
-    "engine_scale": (BENCH_ENGINE_SCALE_PATH, ENGINE_SCALE_BASELINE_PATH),
-    "conductance": (BENCH_CONDUCTANCE_PATH, CONDUCTANCE_BASELINE_PATH),
+    "engine": engine_microbenchmarks,
+    "engine_scale": engine_scale_microbenchmarks,
+    "conductance": conductance_microbenchmarks,
 }
 
 
 def microbenchmark_suite(suite: str, profile: str) -> list[Workload]:
-    """The workloads of one named suite (see :data:`SUITES`)."""
-    if suite not in SUITES:
-        raise ValueError(f"unknown benchmark suite {suite!r}; use one of {SUITES}")
+    """The workloads of one suite this runner times."""
+    if suite not in _SUITE_BUILDERS:
+        raise ValueError(
+            f"unknown benchmark suite {suite!r}; use one of {tuple(_SUITE_BUILDERS)}"
+            " (the e2e suite is timed by bench/run.py)"
+        )
     return _SUITE_BUILDERS[suite](profile)
 
 
@@ -933,8 +747,8 @@ def main(argv: Optional[list[str]] = None) -> int:
     parser.add_argument(
         "--suite",
         default="engine",
-        choices=list(SUITES),
-        help="which workload suite to run (engine core or conductance/analysis)",
+        choices=list(_SUITE_BUILDERS),
+        help="which workload suite to run",
     )
     parser.add_argument(
         "--write-baseline",
@@ -945,7 +759,7 @@ def main(argv: Optional[list[str]] = None) -> int:
     parser.add_argument("--out", default=None, help="override the output path")
     args = parser.parse_args(argv)
 
-    bench_path, baseline_path = _SUITE_PATHS[args.suite]
+    bench_path, baseline_path = SUITE_FILES[args.suite]
     profiles = ["quick", "full"] if args.profile == "both" else [args.profile]
     merged: dict[str, Any] = {}
     for profile in profiles:

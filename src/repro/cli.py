@@ -730,6 +730,7 @@ def _cmd_game(args: argparse.Namespace) -> int:
 
 def _build_parser() -> argparse.ArgumentParser:
     from repro import __version__
+    from repro.obs.regress import GATE_SUITES
 
     parser = argparse.ArgumentParser(
         prog="repro",
@@ -934,7 +935,7 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     regress.add_argument(
         "--suite", default="all",
-        choices=["all", "engine", "engine_vector", "engine_scale", "conductance"],
+        choices=["all", *GATE_SUITES],
     )
     regress.add_argument(
         "--threshold", type=float, default=None,

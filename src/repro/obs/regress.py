@@ -10,9 +10,11 @@ the comparison into a machine-checkable verdict wired into CI:
   noise floor (sub-floor timings never flag: on shared CI boxes a 2x on
   a 5 ms workload is scheduler jitter, a 2x on 2 s is a regression);
 * :func:`gate_suite` / :func:`gate_suites` — load the report/baseline
-  pair for a named suite (``engine``, ``engine_vector``,
-  ``engine_scale``, ``conductance``) straight from
-  ``benchmarks/results/`` and gate them;
+  pair of a named suite of :data:`SUITE_FILES` straight from
+  ``benchmarks/results/`` and gate them.  The ``e2e``
+  pair are ``bench/run.py`` results files: each workload's
+  ``metrics.wall_s.value`` is its seconds, and a smoke run, a failed
+  output check or an absent metric is refused, not gated;
 * :meth:`RegressionReport.to_dict` — the machine-readable verdict CI
   archives, and :meth:`RegressionReport.summary` — the human account.
 
@@ -43,6 +45,7 @@ __all__ = [
     "gate_suite",
     "gate_suites",
     "GATE_SUITES",
+    "SUITE_FILES",
 ]
 
 #: Default relative threshold: current may be up to 25% over baseline.
@@ -51,8 +54,21 @@ DEFAULT_THRESHOLD = 1.25
 #: never flag, whatever the ratio.
 DEFAULT_NOISE_FLOOR = 0.05
 
+RESULTS_DIR = pathlib.Path(__file__).resolve().parents[3] / "benchmarks" / "results"
+
+#: The benchmark record: suite name -> (report file, baseline file).  The
+#: runner (:mod:`repro.benchmarking`), the gates and ``repro regress``
+#: all read it; the ``e2e`` pair are ``bench/run.py`` results files.
+SUITE_FILES: dict[str, tuple[pathlib.Path, pathlib.Path]] = {
+    suite: (
+        RESULTS_DIR / f"BENCH_{suite}.json",
+        RESULTS_DIR / f"BENCH_{suite}_baseline.json",
+    )
+    for suite in ("engine", "engine_scale", "conductance", "e2e")
+}
+
 #: Suites the file-level gates know how to locate.
-GATE_SUITES = ("engine", "engine_vector", "engine_scale", "conductance")
+GATE_SUITES = tuple(SUITE_FILES)
 
 
 @dataclasses.dataclass(frozen=True)
@@ -238,7 +254,7 @@ def _load(path: pathlib.Path, role: str) -> dict[str, Any]:
     if not path.exists():
         raise ObservabilityError(
             f"{role} file {path} does not exist; run the benchmark suite "
-            "first (pytest benchmarks/ or python -m repro.benchmarking)"
+            "first (python -m repro.benchmarking, or bench/run.py for e2e)"
         )
     try:
         return json.loads(path.read_text("utf-8"))
@@ -246,29 +262,24 @@ def _load(path: pathlib.Path, role: str) -> dict[str, Any]:
         raise ObservabilityError(f"{role} file {path} is not valid JSON: {error}")
 
 
-def _suite_paths(suite: str) -> tuple[pathlib.Path, pathlib.Path]:
-    from repro import benchmarking
+def _bench_results(results: Mapping[str, Any], role: str) -> dict[str, Any]:
+    """A ``bench/run.py`` results file as a report: ``wall_s`` seconds.
 
-    if suite == "engine":
-        return benchmarking.BENCH_PATH, benchmarking.BASELINE_PATH
-    if suite == "engine_vector":
-        return (
-            benchmarking.BENCH_ENGINE_VECTOR_PATH,
-            benchmarking.ENGINE_VECTOR_BASELINE_PATH,
-        )
-    if suite == "engine_scale":
-        return (
-            benchmarking.BENCH_ENGINE_SCALE_PATH,
-            benchmarking.ENGINE_SCALE_BASELINE_PATH,
-        )
-    if suite == "conductance":
-        return (
-            benchmarking.BENCH_CONDUCTANCE_PATH,
-            benchmarking.CONDUCTANCE_BASELINE_PATH,
-        )
-    raise ObservabilityError(
-        f"unknown gate suite {suite!r}; use one of {GATE_SUITES}"
-    )
+    Only a full-size run whose every output check passed and which
+    measured every end-to-end metric is a measurement; anything else is
+    refused rather than gated.
+    """
+    if results.get("smoke"):
+        raise ObservabilityError(f"{role} is a --smoke run, not a measurement")
+    workloads = {}
+    for name, entry in _workloads_of(results, role).items():
+        if entry.get("correct") is not True:
+            raise ObservabilityError(f"{role}: {name} failed its output checks")
+        metrics = entry.get("metrics", {})
+        if entry.get("absent") or "value" not in metrics.get("wall_s", {}):
+            raise ObservabilityError(f"{role}: {name} has an absent metric")
+        workloads[name] = {"seconds": metrics["wall_s"]["value"]}
+    return {"workloads": workloads}
 
 
 def gate_suite(
@@ -284,17 +295,18 @@ def gate_suite(
     Explicit ``report_path`` / ``baseline_path`` override the standard
     locations (the fixture-injection hook the gate tests use).
     """
-    default_report, default_baseline = (
-        _suite_paths(suite) if suite in GATE_SUITES else (None, None)
-    )
+    default_report, default_baseline = SUITE_FILES.get(suite, (None, None))
     report_file = report_path or default_report
     baseline_file = baseline_path or default_baseline
     if report_file is None or baseline_file is None:
         raise ObservabilityError(
-            f"unknown gate suite {suite!r} and no explicit paths given"
+            f"unknown gate suite {suite!r}; use one of {GATE_SUITES}"
         )
     current = _load(pathlib.Path(report_file), "benchmark report")
     baseline = _load(pathlib.Path(baseline_file), "baseline")
+    if suite == "e2e":
+        current = _bench_results(current, "benchmark report")
+        baseline = _bench_results(baseline, "baseline")
     return compare_benchmarks(
         current,
         baseline,
@@ -319,8 +331,8 @@ def gate_suites(
     """
     reports = []
     for suite in suites:
-        report_file, _ = _suite_paths(suite)
-        if skip_missing and not report_file.exists():
+        report_file, _ = SUITE_FILES.get(suite, (None, None))
+        if skip_missing and report_file is not None and not report_file.exists():
             continue
         reports.append(
             gate_suite(

@@ -646,16 +646,6 @@ class VectorState:
             self._cache_filled = True
         return cached
 
-    def _or_row(self, i: int, mask: int) -> None:
-        if not mask:
-            return
-        self._ensure_bit(mask.bit_length() - 1)
-        self._or_row_storage(i, mask)
-        cached = self._masks_cache[i]
-        if cached is not None:
-            self._masks_cache[i] = cached | mask
-        self._snapshots[i] = None
-
     def _invalidate_rows(self, rows: np.ndarray) -> None:
         """Drop cached masks/snapshots for rows an array kernel mutated."""
         if not self._cache_filled:

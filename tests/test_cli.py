@@ -5,6 +5,15 @@ import pytest
 from repro.cli import main
 
 
+def _bench_entry(seconds):
+    """One workload of a ``bench/run.py`` results file."""
+    return {
+        "correct": True,
+        "absent": [],
+        "metrics": {"wall_s": {"value": seconds, "unit": "s"}},
+    }
+
+
 class TestListAndGame:
     def test_list_experiments(self, capsys):
         assert main(["list-experiments"]) == 0
@@ -373,24 +382,25 @@ class TestVectorBackendCLI:
                   "clique", "--n", "8", "--backend", "quantum"])
 
     def test_regress_engine_vector_suite(self, tmp_path, capsys, monkeypatch):
+        # The engine suite times both backends and the e2e suite gates
+        # bench/run.py results files; engine_vector is not a suite.
         import json
 
         import repro.benchmarking as benchmarking
 
-        report = tmp_path / "BENCH_engine_vector.json"
-        base = tmp_path / "BENCH_engine_vector_baseline.json"
-        base.write_text(
-            json.dumps({"workloads": {"w": {"seconds": 1.0}}}), "utf-8"
-        )
-        report.write_text(
-            json.dumps({"workloads": {"w": {"seconds": 0.5}}}), "utf-8"
-        )
-        monkeypatch.setattr(benchmarking, "BENCH_ENGINE_VECTOR_PATH", report)
-        monkeypatch.setattr(
-            benchmarking, "ENGINE_VECTOR_BASELINE_PATH", base
-        )
-        assert main(["regress", "--suite", "engine_vector"]) == 0
-        assert "regression gate [engine_vector]: OK" in capsys.readouterr().out
+        for suite, entry in (
+            ("engine", lambda s: {"seconds": s}),
+            ("e2e", _bench_entry),
+        ):
+            report = tmp_path / f"BENCH_{suite}.json"
+            base = tmp_path / f"BENCH_{suite}_baseline.json"
+            base.write_text(json.dumps({"workloads": {"w": entry(1.0)}}), "utf-8")
+            report.write_text(json.dumps({"workloads": {"w": entry(0.5)}}), "utf-8")
+            monkeypatch.setitem(benchmarking.SUITE_FILES, suite, (report, base))
+            assert main(["regress", "--suite", suite]) == 0
+            assert f"regression gate [{suite}]: OK" in capsys.readouterr().out
+        with pytest.raises(SystemExit):
+            main(["regress", "--suite", "engine_vector"])
 
     def test_regress_engine_vector_fails_on_slowdown(
         self, tmp_path, capsys, monkeypatch
@@ -399,17 +409,14 @@ class TestVectorBackendCLI:
 
         import repro.benchmarking as benchmarking
 
-        report = tmp_path / "BENCH_engine_vector.json"
-        base = tmp_path / "BENCH_engine_vector_baseline.json"
-        base.write_text(
-            json.dumps({"workloads": {"w": {"seconds": 1.0}}}), "utf-8"
-        )
-        report.write_text(
-            json.dumps({"workloads": {"w": {"seconds": 3.0}}}), "utf-8"
-        )
-        monkeypatch.setattr(benchmarking, "BENCH_ENGINE_VECTOR_PATH", report)
-        monkeypatch.setattr(
-            benchmarking, "ENGINE_VECTOR_BASELINE_PATH", base
-        )
-        assert main(["regress", "--suite", "engine_vector"]) == 1
-        assert "REGRESSED" in capsys.readouterr().out
+        for suite, entry in (
+            ("engine", lambda s: {"seconds": s}),
+            ("e2e", _bench_entry),
+        ):
+            report = tmp_path / f"BENCH_{suite}.json"
+            base = tmp_path / f"BENCH_{suite}_baseline.json"
+            base.write_text(json.dumps({"workloads": {"w": entry(1.0)}}), "utf-8")
+            report.write_text(json.dumps({"workloads": {"w": entry(3.0)}}), "utf-8")
+            monkeypatch.setitem(benchmarking.SUITE_FILES, suite, (report, base))
+            assert main(["regress", "--suite", suite]) == 1
+            assert "REGRESSED" in capsys.readouterr().out

@@ -6,9 +6,11 @@ tripwire, not a noise machine.
 """
 
 import json
+import pathlib
 
 import pytest
 
+from repro.benchmarking import microbenchmark_suite
 from repro.errors import ObservabilityError
 from repro.obs.regress import (
     DEFAULT_NOISE_FLOOR,
@@ -22,6 +24,36 @@ from repro.obs.regress import (
 
 def _report(**seconds):
     return {"workloads": {name: {"seconds": s} for name, s in seconds.items()}}
+
+
+def _bench_file(**seconds):
+    """A ``bench/run.py`` results file: one untraced run per workload."""
+    return {
+        "schema": "repro-bench/1",
+        "seed": 0,
+        "smoke": False,
+        "trace": False,
+        "workloads": {
+            name: {
+                "correct": True,
+                "attempted": 1,
+                "failed": 0,
+                "absent": [],
+                "metrics": {
+                    "wall_s": {"value": s, "unit": "s"},
+                    "setup_s": {"value": 0.5, "unit": "s"},
+                    "peak_rss_mb": {"value": 100.0, "unit": "MB"},
+                },
+            }
+            for name, s in seconds.items()
+        },
+    }
+
+
+def _benchmark_spec_workloads():
+    root = pathlib.Path(__file__).resolve().parents[1]
+    spec = json.loads((root / "BENCHMARK.json").read_text("utf-8"))
+    return {workload["name"] for workload in spec["workloads"]}
 
 
 class TestCompareBenchmarks:
@@ -203,3 +235,83 @@ class TestFileGates:
         for report in reports:
             assert not report.regressed, report.summary()
             assert report.suite in GATE_SUITES
+
+
+class TestE2EGate:
+    """The ``e2e`` suite gates ``bench/run.py`` results files."""
+
+    def _gate(self, tmp_path, current, baseline):
+        report_path = tmp_path / "BENCH_e2e.json"
+        baseline_path = tmp_path / "BENCH_e2e_baseline.json"
+        report_path.write_text(json.dumps(current), encoding="utf-8")
+        baseline_path.write_text(json.dumps(baseline), encoding="utf-8")
+        return gate_suite(
+            "e2e", report_path=report_path, baseline_path=baseline_path
+        )
+
+    def test_wall_s_is_the_gated_seconds(self, tmp_path):
+        report = self._gate(
+            tmp_path, _bench_file(a=4.0, b=1.0), _bench_file(a=2.0, b=1.0)
+        )
+        assert report.regressed
+        by_name = {v.name: v for v in report.workloads}
+        assert by_name["a"].status == "regressed"
+        assert by_name["a"].ratio == pytest.approx(2.0)
+        assert by_name["b"].status == "ok"
+        assert not self._gate(
+            tmp_path, _bench_file(a=2.1, b=1.0), _bench_file(a=2.0, b=1.0)
+        ).regressed
+
+    @pytest.mark.parametrize("side", ["current", "baseline"])
+    def test_refuses_smoke_file(self, tmp_path, side):
+        files = {"current": _bench_file(a=1.0), "baseline": _bench_file(a=1.0)}
+        files[side]["smoke"] = True
+        with pytest.raises(ObservabilityError, match="smoke"):
+            self._gate(tmp_path, files["current"], files["baseline"])
+
+    @pytest.mark.parametrize("side", ["current", "baseline"])
+    def test_refuses_incorrect_file(self, tmp_path, side):
+        files = {"current": _bench_file(a=1.0), "baseline": _bench_file(a=1.0)}
+        files[side]["workloads"]["a"]["correct"] = False
+        with pytest.raises(ObservabilityError, match="a failed its output checks"):
+            self._gate(tmp_path, files["current"], files["baseline"])
+
+    @pytest.mark.parametrize("how", ["listed_absent", "wall_s_missing"])
+    @pytest.mark.parametrize("side", ["current", "baseline"])
+    def test_refuses_absent_metric(self, tmp_path, side, how):
+        files = {"current": _bench_file(a=1.0), "baseline": _bench_file(a=1.0)}
+        entry = files[side]["workloads"]["a"]
+        if how == "listed_absent":
+            # run.py reads an absent metric as 0 and lists it here.
+            entry["absent"] = ["peak_rss_mb"]
+            entry["metrics"]["peak_rss_mb"]["value"] = 0
+        else:
+            del entry["metrics"]["wall_s"]
+        with pytest.raises(ObservabilityError, match="a has an absent metric"):
+            self._gate(tmp_path, files["current"], files["baseline"])
+
+
+class TestCommittedRecord:
+    """Every committed report is compared, against live baselines."""
+
+    @pytest.mark.parametrize("suite", GATE_SUITES)
+    def test_every_measured_workload_has_a_baseline(self, suite):
+        new = [v.name for v in gate_suite(suite).workloads if v.status == "new"]
+        assert not new, f"{suite}: no baseline entry for {new}"
+
+    @pytest.mark.parametrize("suite", GATE_SUITES)
+    def test_every_baseline_entry_is_a_defined_workload(self, suite):
+        baselined = {
+            v.name
+            for v in gate_suite(suite).workloads
+            if v.baseline_seconds is not None
+        }
+        if suite == "e2e":
+            assert baselined == _benchmark_spec_workloads()
+            return
+        defined = {
+            workload.name
+            for profile in ("quick", "full")
+            for workload in microbenchmark_suite(suite, profile)
+        }
+        assert baselined <= defined, sorted(baselined - defined)

@@ -240,8 +240,7 @@ class TestCli:
         slow.write_text(
             json.dumps({"workloads": {"w": {"seconds": 2.0}}}), "utf-8"
         )
-        monkeypatch.setattr(benchmarking, "BENCH_PATH", slow)
-        monkeypatch.setattr(benchmarking, "BASELINE_PATH", base)
+        monkeypatch.setitem(benchmarking.SUITE_FILES, "engine", (slow, base))
         code = main(["regress", "--suite", "engine"])
         assert code == 1
         assert "REGRESSED" in capsys.readouterr().out
