@@ -650,17 +650,25 @@ def microbenchmark_suite(suite: str, profile: str) -> list[Workload]:
 # ----------------------------------------------------------------------
 
 def _git_commit() -> Optional[str]:
-    try:
-        out = subprocess.run(
-            ["git", "rev-parse", "--short", "HEAD"],
+    """The short ``HEAD`` hash, suffixed ``-dirty`` when tracked files
+    differ from it, so a report never names code it did not run."""
+
+    def git(*args: str) -> str:
+        return subprocess.run(
+            ["git", *args],
             cwd=pathlib.Path(__file__).parent,
             capture_output=True,
             text=True,
             timeout=10,
-        )
+        ).stdout.strip()
+
+    try:
+        commit = git("rev-parse", "--short", "HEAD")
+        if commit and git("status", "--porcelain", "--untracked-files=no"):
+            commit += "-dirty"
     except OSError:
         return None
-    return out.stdout.strip() or None
+    return commit or None
 
 
 def run_microbenchmarks(

@@ -24,7 +24,8 @@ a probe protocol instance is asked
   its lockstep plan) fall back to the scalar
   :class:`~repro.sim.engine.Engine` *over the same layout state*, which
   implements the full :class:`~repro.sim.state.NetworkState` API — the
-  handoff is bit-identical in both directions.
+  handoff is bit-identical in both directions — and so do the other
+  phases of a per-exchange run (:func:`~repro.sim.vector.per_exchange_reason`).
 
 Every phase's backend is attributed in :attr:`PhaseRunner.phases`
 (``PhaseTiming.backend``), :attr:`PhaseRunner.phase_fallbacks`, and the
@@ -47,7 +48,7 @@ from repro.sim.state import NetworkState
 from repro.sim.streams import SeedStream
 from repro.sim.vector import (
     VectorEngine,
-    current_engine_backend,
+    per_exchange_reason,
     resolve_engine_backend,
     vector_ineligibility,
 )
@@ -89,6 +90,8 @@ def _fallback_slug(reason: Optional[str]) -> str:
         return "dtg-random-selection"
     if "ℓ-DTG plan" in reason:
         return "dtg-plan-run"
+    if "per-exchange run" in reason:
+        return "per-exchange-run"
     return "ineligible"
 
 
@@ -109,8 +112,8 @@ class PhaseRunner:
         Engine constructor used for every phase; defaults to the engine
         backend named by ``backend``.  Differential tests substitute
         :class:`~repro.testing.reference.ReferenceEngine` here to run
-        whole composite protocols against the naive model.  An explicit
-        factory disables per-phase backend dispatch.
+        whole composite protocols against the naive model.  A factory other
+        than the ``vector`` backend's disables per-phase backend dispatch.
     recorder:
         Optional :class:`~repro.obs.recorder.Recorder` threaded into every
         phase's engine.  Passed as an extra ``recorder=`` keyword only
@@ -141,16 +144,14 @@ class PhaseRunner:
         engine_kwargs: Optional[dict] = None,
     ) -> None:
         self.graph = graph
-        resolved = backend if backend is not None else current_engine_backend()
-        #: Per-phase backend dispatch is on only for vector-resolved runs
-        #: without an explicit engine factory; everything else keeps the
-        #: single-factory behavior.
-        self._dispatch = engine_factory is None and resolved == "vector"
         self.engine_factory = (
             engine_factory
             if engine_factory is not None
             else resolve_engine_backend(backend)
         )
+        #: Per-phase backend dispatch is on whenever the factory is the
+        #: vector backend; any other factory runs every phase.
+        self._dispatch = self.engine_factory is resolve_engine_backend("vector")
         self.recorder = recorder
         self.engine_kwargs = dict(engine_kwargs) if engine_kwargs else {}
         if state is None:
@@ -187,7 +188,8 @@ class PhaseRunner:
         the same eligibility questions the vector engine would raise on —
         given this runner's state and engine options — so ineligible
         phases fall back to the scalar engine instead of aborting the
-        composite run.
+        composite run.  A per-exchange run's other phases go through the
+        ``vector`` backend, which hands them to the scalar engine.
         """
         if not self._dispatch:
             label = (
@@ -197,12 +199,14 @@ class PhaseRunner:
         nodes = self.graph.nodes()
         if not nodes:
             return VectorEngine, "vector", None
-        reason = vector_ineligibility(
-            protocol_factory(nodes[0]), self.state, **self._engine_extra()
-        )
-        if reason is None:
-            return VectorEngine, "vector", None
-        return Engine, "scalar-fallback", reason
+        extra = self._engine_extra()
+        reason = vector_ineligibility(protocol_factory(nodes[0]), self.state, **extra)
+        if reason is not None:
+            return Engine, "scalar-fallback", reason
+        reason = per_exchange_reason(self.state, **extra)
+        if reason is not None:
+            return self.engine_factory, "scalar-fallback", reason
+        return VectorEngine, "vector", None
 
     def run_phase(
         self,

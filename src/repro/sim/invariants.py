@@ -4,11 +4,10 @@ Every theorem reproduced in this library (Theorems 12, 14, 19, 20) is only
 as trustworthy as the simulator's fidelity to the paper's synchronous
 non-blocking latency model.  This module turns the prose of
 ``docs/MODEL.md`` into executable checks: an :class:`InvariantChecker`
-plugs into either engine backend — the scalar
-:class:`~repro.sim.engine.Engine` or the
-:class:`~repro.sim.vector.VectorEngine` (which runs the scalar engine's
-own per-exchange ``step()`` whenever checkers are attached, so I1–I5
-observe the exact same event stream on both backends) — opt-in via
+plugs into either engine backend — both run the scalar
+:class:`~repro.sim.engine.Engine` whenever checkers are attached, the
+``vector`` backend over a :class:`~repro.sim.vector.VectorState`, so
+I1–I5 observe the exact same event stream on both backends — opt-in via
 ``Engine(..., checkers=default_checkers())``, and observes every round,
 initiation, and delivery.  A violation raises
 :class:`~repro.errors.SimulationError` carrying a round-stamped excerpt of
@@ -121,8 +120,8 @@ class InvariantChecker:
     and call :meth:`fail` on a violation.  One instance observes one
     engine run.  The ``engine`` the hooks receive is duck-typed: any
     backend exposing ``graph``/``state``/``round``/``failure_model`` and
-    ``recent_checker_events()`` works (the scalar ``Engine`` and its
-    ``VectorEngine`` subclass both do).
+    ``recent_checker_events()`` works (the scalar ``Engine`` does, over
+    either state; ``VectorEngine`` takes no checkers).
     """
 
     #: Short name used in violation messages.

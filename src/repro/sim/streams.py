@@ -24,12 +24,12 @@ This module replaces the objects by what they would produce:
 * :class:`SeedStream` is the handle protocols hold instead of a
   ``random.Random``: it becomes ``random.Random(key)``, advanced past the
   words already consumed, on the first read of any ``Random`` attribute.
-* :class:`StreamWindow` is a cohort's streams as an ``m × WINDOW`` word
-  matrix and one read pointer per row: ``Random.choice`` over ``d``
+* :class:`StreamWindow` is an engine's random streams as an
+  ``m × WINDOW`` word matrix and one read pointer per row: ``Random.choice`` over ``d``
   neighbours is ``getrandbits(d.bit_length())`` with rejection, and
   ``getrandbits(k)`` for ``k <= 32`` is the top ``k`` bits of one word, so
-  a whole cohort's picks are a gather, a shift, and pointer arithmetic.
-  It is the vector engine's one partner-draw primitive: any rng that is
+  a whole round's picks are a gather, a shift, and pointer arithmetic.
+  It is the vector engine's one partner-draw primitive, one per engine: any rng that is
   not a fresh handle (a plain ``random.Random``, a subclass, a handle
   already read) is a live row that draws through its own ``_randbelow``.
 
@@ -345,7 +345,7 @@ del _name
 
 
 class StreamWindow:
-    """A cohort's streams as word windows: ``Random.choice`` in bulk.
+    """Many streams as word windows: ``Random.choice`` in bulk.
 
     Row ``t`` stands for ``rngs[t]``.  A fresh :class:`SeedStream` handle
     is a *window row*: it holds words ``base[t] .. base[t] + WINDOW`` of
@@ -355,8 +355,8 @@ class StreamWindow:
     linked to another window, or restored part-way through its stream) is
     a *live row*, and so is a handle that materialises later because
     something reads it: a live row calls the rng's own ``_randbelow``,
-    the draw ``Random.choice`` makes.  A cohort without a fresh handle
-    holds no words.
+    the draw ``Random.choice`` makes, in the order :meth:`choose` is
+    given the rows.  A window without a fresh handle holds no words.
     """
 
     def __init__(self, rngs: Sequence[Any], degrees: Sequence[int]) -> None:

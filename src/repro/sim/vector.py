@@ -13,8 +13,9 @@ round as a handful of numpy array operations:
   neighbor slots ordered by ``repr`` — exactly the order the oblivious
   protocols sort their neighbor lists in — so the same per-node
   ``random.Random`` streams produce the same partners as the scalar run.
-  Every random cohort draws through one
-  :class:`~repro.sim.streams.StreamWindow`.  Its fresh
+  An engine draws every random program's partners through one
+  :class:`~repro.sim.streams.StreamWindow` (rows in dense-id order, one
+  ``choose`` per round), so shared rngs keep the scalar order.  Its fresh
   :func:`~repro.protocols.base.per_node_rng_factory` handles
   (:class:`~repro.sim.streams.SeedStream`) build no ``Random`` at all:
   each node's picks come from a window of the 32-bit words its
@@ -70,23 +71,22 @@ completion round — in every layout.  The differential suites
 (``tests/test_vector_differential``, ``tests/test_vector_layouts``) and
 the golden-trace parity suite enforce this.
 
-When a run needs observability or model features the array path cannot
-replay in order (invariant checkers, a failure model,
-``fresh_snapshots``, ``enforce_blocking``, note boards carried in from
-a previous phase, or ``random`` programs sharing one rng),
-:class:`VectorEngine` — an :class:`Engine` subclass — runs the scalar
-engine's own per-exchange ``step()`` (done-node parking
-and delivery wake-ups included) over the bitset state, so event streams
-stay byte-identical to the scalar backend's.  Plain runs and runs with
-a recorder alone share one array round; with the recorder (the
-**batched mirror**) the round delivers rank by rank and emits the
-scalar event stream, and without it observation costs nothing.
+The ``vector`` backend (:func:`vector_backend`) decides the route once,
+before any protocol is built.  A run with a per-exchange feature the
+array round cannot replay in order — invariant checkers, a failure
+model, ``fresh_snapshots``, ``enforce_blocking``, or note boards carried
+in from a previous phase — goes to the scalar :class:`Engine` over a
+:class:`VectorState`, so its event stream is the scalar backend's by
+construction (:func:`per_exchange_reason` names why).  Every other run
+gets a :class:`VectorEngine`, which only runs the array round: plain,
+or with a recorder (the **batched mirror**), which delivers rank by
+rank and emits the scalar event stream; without it observation costs
+nothing.
 """
 
 from __future__ import annotations
 
 import bisect
-import collections
 import contextlib
 import dataclasses
 import functools
@@ -110,14 +110,7 @@ from repro.obs.events import (
 from repro.obs.profile import span
 from repro.obs.recorder import Recorder
 from repro.sim import invariants as _invariants
-from repro.sim.engine import (
-    _CHECKER_LOG_SIZE,
-    Engine,
-    NodeContext,
-    NodeProtocol,
-    ProtocolFactory,
-    _InFlight,
-)
+from repro.sim.engine import Engine, NodeContext, NodeProtocol, ProtocolFactory
 from repro.sim.failures import FailureModel
 from repro.sim.invariants import InvariantChecker
 from repro.sim.metrics import EngineMetrics
@@ -136,6 +129,7 @@ __all__ = [
     "engine_backend",
     "resolve_engine_backend",
     "state_budget",
+    "vector_backend",
     "vector_ineligibility",
 ]
 
@@ -985,67 +979,57 @@ def _program_ineligibility(
     return None
 
 
-def _resolve_checkers(
-    checkers: Optional[Sequence[InvariantChecker]],
-) -> tuple[InvariantChecker, ...]:
-    """``checkers`` as given, or the engine default for ``None`` (the
-    ambient :func:`repro.sim.invariants.checked` scope)."""
-    if checkers is None:
-        checkers = (
-            _invariants.default_checkers() if _invariants.checking_enabled() else ()
-        )
-    return tuple(checkers)
-
-
 def _run_blockers(
     state: Any,
-    checkers: Sequence[InvariantChecker],
-    recorder: Optional[Recorder],
-    failure_model: Optional[FailureModel],
-    fresh_snapshots: bool,
-    enforce_blocking: bool,
-    programs: Sequence[VectorProgram] = (),
+    *,
+    checkers: Optional[Sequence[InvariantChecker]] = None,
+    recorder: Optional[Recorder] = None,
+    failure_model: Optional[FailureModel] = None,
+    max_incoming_per_round: Optional[int] = None,
+    fresh_snapshots: bool = False,
+    enforce_blocking: bool = False,
+    **_: Any,
 ) -> list[str]:
-    """Labels of the run features that observe or perturb single exchanges.
+    """Labels of the run features — given its state and engine options —
+    that observe, perturb or reject single exchanges; any of them rules
+    out ℓ-DTG plans.
 
-    Any of them moves the engine off the array fast path (a recorder
-    alone takes the batched mirror path; anything else runs the scalar
-    engine's per-exchange ``step()`` over the bitset state), and any of
-    them — or an incoming cap — rules out ℓ-DTG plans.  ``random``
-    programs that share an rng count too: the array paths batch each
-    cohort's draws, which keeps the scalar scan order only when every
-    node draws from a stream of its own.
+    The array round replays a recorder (the batched mirror) and an
+    incoming cap; the others make a per-exchange run
+    (:func:`per_exchange_reason`).  ``checkers=None`` is the ambient
+    :func:`~repro.sim.invariants.checked` scope.
     """
-    rngs = [id(program.rng) for program in programs if program.kind == "random"]
+    checked = _invariants.checking_enabled() if checkers is None else checkers
     return [
         label
         for label, present in (
-            ("invariant checkers", bool(checkers)),
+            ("invariant checkers", bool(checked)),
             ("a recorder", recorder is not None),
             ("a failure model", failure_model is not None),
             ("fresh snapshots", fresh_snapshots),
             ("blocking enforcement", enforce_blocking),
             ("note boards", state is not None and any(state._notes)),
-            ("a shared rng", len(set(rngs)) < len(rngs)),
+            ("an incoming cap", max_incoming_per_round is not None),
         )
         if present
     ]
 
 
-def _plan_refusal(protocol_name: str, blockers: list[str]) -> Optional[str]:
-    """Why a run with ``blockers`` cannot replay an ℓ-DTG plan (or None).
-
-    The plan relies on lockstep: every exchange of iteration ``i``
-    delivers before iteration ``i + 1`` starts.  Anything that can
-    reject, lose or observe single exchanges breaks that or needs the
-    mirror or per-exchange path, neither of which replays plans.
-    """
+def per_exchange_reason(state: Any, **options: Any) -> Optional[str]:
+    """Why a ``vector``-backend run (its state and engine options) goes to
+    the scalar :class:`Engine`, or ``None``: checkers, a failure model,
+    ``fresh_snapshots``, ``enforce_blocking`` and inherited note boards
+    observe or perturb single exchanges, which no array round replays."""
+    blockers = [
+        label
+        for label in _run_blockers(state, **options)
+        if label not in ("a recorder", "an incoming cap")
+    ]
     if not blockers:
         return None
     return (
-        f"protocol {protocol_name} runs an adaptive ℓ-DTG plan, which the "
-        f"vector backend replays only in plain runs (this run has "
-        f"{', '.join(blockers)}; see docs/MODEL.md §8)"
+        f"per-exchange run ({', '.join(blockers)}), which the vector "
+        "backend hands to the scalar Engine (resolve_engine_backend)"
     )
 
 
@@ -1061,15 +1045,7 @@ def _payload_ineligibility(protocol: Any) -> Optional[str]:
 
 
 def vector_ineligibility(
-    protocol: Any,
-    state: Any = None,
-    *,
-    checkers: Optional[Sequence[InvariantChecker]] = None,
-    recorder: Optional[Recorder] = None,
-    failure_model: Optional[FailureModel] = None,
-    max_incoming_per_round: Optional[int] = None,
-    fresh_snapshots: bool = False,
-    enforce_blocking: bool = False,
+    protocol: Any, state: Any = None, **options: Any
 ) -> Optional[str]:
     """Why ``protocol`` cannot run on the vector backend — or ``None``.
 
@@ -1077,7 +1053,7 @@ def vector_ineligibility(
     (identical checks, identical wording), used by
     :class:`~repro.protocols.base.PhaseRunner` to decide per-phase
     backend dispatch from a single probe instance.  ``state`` and the
-    keyword arguments (as a :class:`VectorEngine` would get them)
+    engine ``options`` (as a :class:`VectorEngine` would get them)
     describe the run: an ℓ-DTG plan is eligible only in a plain one.
     """
     reason = _class_ineligibility(type(protocol)) or _payload_ineligibility(
@@ -1088,17 +1064,16 @@ def vector_ineligibility(
     program = protocol.vector_program()
     reason = _program_ineligibility(type(protocol), program)
     if reason is None and program.kind == "dtg":
-        blockers = _run_blockers(
-            state,
-            _resolve_checkers(checkers),
-            recorder,
-            failure_model,
-            fresh_snapshots,
-            enforce_blocking,
-        )
-        if max_incoming_per_round is not None:
-            blockers.append("an incoming cap")
-        reason = _plan_refusal(type(protocol).__name__, blockers)
+        # The plan relies on lockstep: every exchange of iteration i
+        # delivers before iteration i + 1 starts.  Anything that can
+        # reject, lose or observe single exchanges breaks that.
+        blockers = _run_blockers(state, **options)
+        if blockers:
+            return (
+                f"protocol {type(protocol).__name__} runs an adaptive ℓ-DTG "
+                "plan, which the vector backend replays only in plain runs "
+                f"(this run has {', '.join(blockers)}; see docs/MODEL.md §8)"
+            )
     return reason
 
 
@@ -1290,23 +1265,38 @@ class _LDTGPlan:
             }
 
 
+def _vector_state(graph: LatencyGraph, state: Any) -> VectorState:
+    """The bitset state a ``vector``-backend run mutates: ``state`` itself,
+    a converted copy of a :class:`NetworkState`, or a fresh one."""
+    if state is None:
+        return VectorState(graph.nodes())
+    if isinstance(state, VectorState):
+        return state
+    if isinstance(state, NetworkState):
+        return VectorState.from_network_state(state)
+    raise SimulationError(
+        "the vector backend needs a NetworkState or VectorState, got "
+        f"{type(state).__name__}"
+    )
+
+
 class VectorEngine(Engine):
     """Array-ops drop-in for :class:`~repro.sim.engine.Engine`.
 
     Accepts the same constructor arguments and exposes the same run-facing
     surface, but requires every protocol instance to export a
     :class:`VectorProgram` (oblivious protocols only — see module
-    docstring).  Plain runs take the array fast path and a run whose
-    only observer is a recorder takes the batched mirror path.  Runs
-    with checkers, a failure model, ``fresh_snapshots``,
-    ``enforce_blocking``, inherited note boards or a shared ``random``
-    rng execute the scalar engine's own
-    :meth:`~repro.sim.engine.Engine.step` and
-    :meth:`~repro.sim.engine.Engine.all_done` over the bitset state.
-    ``__init__`` is this class's own: it builds the scalar scheduler
-    state, and keeps each node's ``NodeContext`` past ``setup()``, only
-    for those per-exchange runs.
+    docstring) and only runs the array round: plain runs take the fast
+    path and a run whose only observer is a recorder takes the batched
+    mirror.  Per-exchange options (checkers, a failure model,
+    ``fresh_snapshots``, ``enforce_blocking``, inherited note boards) are
+    refused with a :class:`~repro.errors.SimulationError` naming them;
+    :func:`vector_backend` sends such runs to the scalar engine before
+    any protocol is built.
     """
+
+    #: No checkers: the inherited ``finish_checks()`` has none to run.
+    _checkers: tuple = ()
 
     @_spanned("vector.build")
     def __init__(
@@ -1327,29 +1317,21 @@ class VectorEngine(Engine):
                 f"max_incoming_per_round must be >= 1, got {max_incoming_per_round}"
             )
         self.graph = graph
-        if state is None:
-            self.state = VectorState(graph.nodes())
-        elif isinstance(state, VectorState):
-            self.state = state
-        elif isinstance(state, NetworkState):
-            self.state = VectorState.from_network_state(state)
-        else:
-            raise SimulationError(
-                "VectorEngine needs a NetworkState or VectorState, got "
-                f"{type(state).__name__}"
-            )
+        self.state = _vector_state(graph, state)
+        reason = per_exchange_reason(
+            self.state,
+            checkers=checkers,
+            failure_model=failure_model,
+            fresh_snapshots=fresh_snapshots,
+            enforce_blocking=enforce_blocking,
+        )
+        if reason is not None:
+            raise SimulationError(f"VectorEngine cannot take a {reason}")
         self.latencies_known = latencies_known
-        self.fresh_snapshots = fresh_snapshots
-        self.failure_model = failure_model
         self.max_incoming_per_round = max_incoming_per_round
-        self.enforce_blocking = enforce_blocking
         self.recorder = recorder
         self.metrics = EngineMetrics()
-        if enforce_blocking:
-            self.metrics.blocked_initiations = 0
-        self._in_flight_initiations: dict[Node, int] = {}
         self.round = 0
-        self._sequence = 0
         self._order = graph.nodes()
         n = graph.num_nodes
         try:
@@ -1363,6 +1345,9 @@ class VectorEngine(Engine):
                 f"state does not track graph node {exc.args[0]!r}"
             ) from None
 
+        # Contexts serve setup() only: dropped, they leave no reference
+        # cycle (unless a protocol keeps its ctx), so a finished engine is
+        # freed by reference counting, not by the next full collection.
         self._protocols: dict[Node, NodeProtocol] = {}
         contexts: dict[Node, NodeContext] = {}
         for node in self._order:
@@ -1370,41 +1355,20 @@ class VectorEngine(Engine):
             contexts[node] = NodeContext(self, node)
         for node in self._order:
             self._protocols[node].setup(contexts[node])
+        del contexts
         self._programs = [self._program_for(node) for node in self._order]
-
-        self._checkers: tuple[InvariantChecker, ...] = _resolve_checkers(checkers)
-        self._checker_log: collections.deque[str] = collections.deque(
-            maxlen=_CHECKER_LOG_SIZE
-        )
-        # Fast path only when nothing needs per-exchange ordering: checkers,
-        # recorder, failures, fresh snapshots, blocking, and inherited note
-        # boards all observe (or perturb) individual exchanges, and a shared
-        # rng must be drawn from in the scalar scan order.  A recorder
-        # *alone* takes the batched mirror path: deliveries are computed
-        # with the array kernels and the byte-identical event stream is
-        # emitted from the precomputed buckets.  Anything else runs the
-        # scalar engine's own step over this engine's state.
-        blockers = _run_blockers(
-            self.state,
-            self._checkers,
-            recorder,
-            failure_model,
-            fresh_snapshots,
-            enforce_blocking,
-            self._programs,
-        )
-        self._mirror = blockers == ["a recorder"]
-        self._sequential = bool(blockers) and not self._mirror
+        #: A recorder takes the batched mirror: array deliveries, emitting
+        #: the scalar event stream from the precomputed buckets.
+        self._mirror = recorder is not None
 
         deg, off, nbr, lat, eid = _csr_arrays(graph)
         us, vs, _ = graph.edge_arrays()
+        # The array round marks activated edges in this mask and drops the
+        # metrics' set; reading ``activated_edges`` folds it back.
         self._edge_active = np.zeros(us.shape[0], dtype=bool)
-        if not self._sequential:
-            # The array paths mark activated edges in this mask and drop
-            # the metrics' set; reading ``activated_edges`` folds it back.
-            self.metrics._track_edges(
-                functools.partial(_fold_edges, self._edge_active, us, vs, self._order)
-            )
+        self.metrics._track_edges(
+            functools.partial(_fold_edges, self._edge_active, us, vs, self._order)
+        )
 
         custom = self._build_target_tables(n)
 
@@ -1413,6 +1377,7 @@ class VectorEngine(Engine):
         # sharing ℓ advance together through one plan.
         cohorts: dict[tuple, list[int]] = {}
         plan_members: dict[int, list[int]] = {}
+        drawn: list[int] = []
         for i, program in enumerate(self._programs):
             if program.kind == "dtg":
                 plan_members.setdefault(program.period, []).append(i)
@@ -1428,28 +1393,34 @@ class VectorEngine(Engine):
                     program.targets is not None,
                 )
                 cohorts.setdefault(key, []).append(i)
+                if program.kind == "random":
+                    drawn.append(i)
+        # One StreamWindow for every random program, rows in dense-id order.
+        self._window_ids = np.asarray(drawn, dtype=np.int64)
+        self._window_degs = deg[self._window_ids]
+        self._window = StreamWindow(
+            [self._programs[i].rng for i in drawn], self._window_degs.tolist()
+        )
+        self._csr = (off, nbr, lat, eid)
         self._cohorts = []
         for (kind, gate, duration, is_custom), ids_list in cohorts.items():
             ids = np.array(ids_list, dtype=np.int64)
             tdeg, toff, tnbr, tlat, teid = (
                 custom if is_custom else (deg, off, nbr, lat, eid)
             )
-            degs = tdeg[ids]
             entry: dict[str, Any] = {
                 "kind": kind,
                 "gate": gate,
                 "duration": duration,
                 "ids": ids,
-                "degs": degs,
+                "degs": tdeg[ids],
                 "off": toff,
                 "nbr": tnbr,
                 "lat": tlat,
                 "eid": teid,
             }
-            if kind == "random" and not self._sequential:
-                entry["window"] = StreamWindow(
-                    [self._programs[i].rng for i in ids_list], degs.tolist()
-                )
+            if kind == "random":
+                entry["rows"] = np.searchsorted(self._window_ids, ids)
             self._cohorts.append(entry)
         self._rr_next = np.fromiter(
             (program.start for program in self._programs), dtype=np.int64, count=n
@@ -1463,19 +1434,15 @@ class VectorEngine(Engine):
             (d for d in durations if d is not None), default=0
         )
 
-        if self._sequential:
-            # Only the scalar per-exchange step reads the contexts.  The
-            # array paths drop them, so (no protocol keeping its ctx) the
-            # engine holds no reference cycle and a finished one is freed
-            # by reference counting, not by the next full collection.
-            self._contexts = contexts
-        del contexts
         self._plans: list[_LDTGPlan] = []
         if plan_members:
-            if max_incoming_per_round is not None:
-                blockers.append("an incoming cap")
             first = self._order[next(iter(plan_members.values()))[0]]
-            reason = _plan_refusal(type(self._protocols[first]).__name__, blockers)
+            reason = vector_ineligibility(
+                self._protocols[first],
+                self.state,
+                recorder=recorder,
+                max_incoming_per_round=max_incoming_per_round,
+            )
             if reason is not None:
                 raise SimulationError(reason)
             self._plans = [
@@ -1495,21 +1462,11 @@ class VectorEngine(Engine):
             self._min_duration = min(
                 (d for d in self._duration_list if d >= 0), default=None
             )
-        if self._sequential:
-            # The scalar engine's active-set scheduler, which its step()
-            # and all_done() drive: done nodes park, deliveries wake them.
-            self._active: list[Node] = list(self._order)
-            self._parked: set[Node] = set()
-            self._woken: list[Node] = []
-            self._node_index = {node: i for i, node in enumerate(self._order)}
         self._fingerprint = self.state._k_width()
-        self._in_flight: dict[int, list[_InFlight]] = {}
         self._buckets: dict[int, list[_Batch]] = {}
         self._pending_count = 0
         self._last_pairs: Optional[tuple[np.ndarray, np.ndarray]] = None
         self._last_list: Optional[list[tuple[Node, Node]]] = []
-        for checker in self._checkers:
-            checker.on_attach(self)
 
     # ------------------------------------------------------------------
     #: Protocol classes that already passed the structural eligibility
@@ -1591,10 +1548,6 @@ class VectorEngine(Engine):
             ]
         return self._last_list
 
-    @last_initiations.setter
-    def last_initiations(self, pairs: list[tuple[Node, Node]]) -> None:
-        self._last_pairs, self._last_list = None, pairs
-
     def protocol(self, node: Node) -> NodeProtocol:
         """The protocol instance for ``node`` (for post-run inspection).
 
@@ -1611,14 +1564,10 @@ class VectorEngine(Engine):
     def all_done(self) -> bool:
         """Local-termination check.
 
-        On the fast and mirror paths a protocol is done exactly when its
-        declared ``duration`` has elapsed (programs without a duration
-        never terminate) and an ℓ-DTG member once its plan stopped it;
-        per-exchange runs use the scalar engine's check, which queries
-        ``is_done()`` and honors parked and crashed nodes.
+        A protocol is done exactly when its declared ``duration`` has
+        elapsed (programs without a duration never terminate) and an ℓ-DTG
+        member once its plan stopped it.
         """
-        if self._sequential:
-            return super().all_done()
         if any(plan.active.shape[0] for plan in self._plans):
             return False
         return self._all_durations and self.round >= self._max_duration
@@ -1632,9 +1581,6 @@ class VectorEngine(Engine):
         wakeup events in exchange order, then rejected and accepted
         initiations in the dense-id scan order, then the round summary.
         """
-        if self._sequential:
-            super().step()
-            return
         self._check_fingerprint()
         delivered = self._deliver_mirror() if self._mirror else self._deliver_fast()
         initiators, responders, latencies, edge_ids = self._select_initiations()
@@ -1704,11 +1650,13 @@ class VectorEngine(Engine):
         """This round's pre-cap ``(initiators, responders, latencies,
         edge_ids)`` in dense-id initiation order (the scalar scan order).
 
-        Partner selection runs cohort by cohort.  Expired, gated-out, and
-        degree-0 nodes consume no randomness, exactly like the scalar
-        scheduler (parked nodes never reach on_round).
+        Partner selection runs cohort by cohort, but the random cohorts'
+        initiating nodes share one draw.  Expired, gated-out, and degree-0
+        nodes consume no randomness, exactly like the scalar scheduler
+        (parked nodes never reach on_round).
         """
         chosen: list[tuple[np.ndarray, ...]] = []
+        drawing: list[np.ndarray] = []
         for cohort in self._cohorts:
             duration = cohort["duration"]
             if duration is not None and self.round >= duration:
@@ -1725,11 +1673,12 @@ class VectorEngine(Engine):
                 if ids.shape[0] == 0:
                     continue
             if cohort["kind"] == "random":
-                slots = cohort["off"][ids] + cohort["window"].choose(take, degs)
-            else:  # round_robin
-                counters = self._rr_next[ids]
-                slots = cohort["off"][ids] + counters % degs
-                self._rr_next[ids] = counters + 1
+                drawing.append(cohort["rows"] if take is None else cohort["rows"][take])
+                continue
+            # round_robin
+            counters = self._rr_next[ids]
+            slots = cohort["off"][ids] + counters % degs
+            self._rr_next[ids] = counters + 1
             chosen.append(
                 (
                     ids,
@@ -1738,6 +1687,20 @@ class VectorEngine(Engine):
                     cohort["eid"][slots],
                 )
             )
+        if drawing:
+            # One choose() over every drawing row in dense-id order, the
+            # scalar scan order, so an rng several cohorts share is
+            # consumed as the scalar run consumes it.
+            degs = self._window_degs
+            if len(drawing) == 1 and drawing[0].shape[0] == degs.shape[0]:
+                ids, picks = self._window_ids, self._window.choose(None, degs)
+            else:
+                rows = np.sort(np.concatenate(drawing))
+                ids = self._window_ids[rows]
+                picks = self._window.choose(rows, degs[rows])
+            off, nbr, lat, eid = self._csr
+            slots = off[ids] + picks
+            chosen.append((ids, nbr[slots], lat[slots], eid[slots]))
         for plan in self._plans:
             picked = plan.select(self.round, self.state)
             if picked is not None:
@@ -1821,7 +1784,6 @@ class VectorEngine(Engine):
         self._edge_active[edge_ids] = True
         metrics._edges_changed()
         self._pending_count += count
-        self._sequence += count
         bounds = [0, *cuts.tolist(), count]
         for lo, hi in zip(bounds, bounds[1:]):
             run = slice(lo, hi)
@@ -1946,9 +1908,24 @@ class VectorEngine(Engine):
 
 # ----------------------------------------------------------------------
 # Backend registry and selection scope.
+def vector_backend(
+    graph: LatencyGraph,
+    protocol_factory: ProtocolFactory,
+    state: Optional[Any] = None,
+    **options: Any,
+) -> Engine:
+    """The ``vector`` backend (takes :class:`Engine`'s arguments): a
+    per-exchange run (:func:`per_exchange_reason`) gets the scalar
+    :class:`Engine` over a :class:`VectorState`, any other run a
+    :class:`VectorEngine`, decided before any protocol is built."""
+    state = _vector_state(graph, state)
+    engine_cls = Engine if per_exchange_reason(state, **options) else VectorEngine
+    return engine_cls(graph, protocol_factory, state=state, **options)
+
+
 ENGINE_BACKENDS: dict[str, Callable[..., Any]] = {
     "scalar": Engine,
-    "vector": VectorEngine,
+    "vector": vector_backend,
 }
 
 _BACKEND_STACK: list[str] = ["scalar"]

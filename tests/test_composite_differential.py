@@ -224,11 +224,12 @@ class TestCompositeGoldenTrace:
         scope = invariants.checked() if leg == "checked" else contextlib.nullcontext()
         with scope:
             generated, runner = _composite_trace("vector")
-        # RR Broadcast really ran on the vector engine (batched mirror or,
-        # under the checkers, the inherited per-exchange step); the ℓ-DTG
-        # phases, whose plan needs a plain run, fell back.
+        # RR Broadcast really ran on the vector engine's batched mirror;
+        # the ℓ-DTG phases, whose plan needs a plain run, fell back, and
+        # under the checkers every phase is a per-exchange run.
         for phase in runner.phases:
-            expected = "scalar-fallback" if "DTG" in phase.name else "vector"
+            fallback = "DTG" in phase.name or leg == "checked"
+            expected = "scalar-fallback" if fallback else "vector"
             assert phase.backend == expected, (phase.name, phase.backend)
         assert path.read_bytes() == generated.encode("ascii"), (
             f"the {leg} vector leg diverged from the committed composite "

@@ -187,6 +187,45 @@ class TestBackendDispatch:
         assert runner.total_rounds == plain.total_rounds
         assert runner.total_exchanges == plain.total_exchanges
 
+    @pytest.mark.parametrize(
+        "engine_kwargs, label",
+        [
+            ({"failure_model": CrashSchedule({})}, "a failure model"),
+            ({"checkers": default_checkers()}, "invariant checkers"),
+            ({"fresh_snapshots": True}, "fresh snapshots"),
+            ({"enforce_blocking": True}, "blocking enforcement"),
+        ],
+    )
+    def test_per_exchange_run_is_scalar_fallback(self, engine_kwargs, label):
+        # An eligible push-pull phase of a per-exchange run runs on the
+        # scalar engine over the bitset state, and says so.
+        g = generators.clique(6)
+        runner = PhaseRunner(g, backend="vector", engine_kwargs=engine_kwargs)
+        runner.run_phase(
+            _push_pull_factory(0), until=min_rumors_complete(len(g.nodes()))
+        )
+        assert runner.phases[-1].backend == "scalar-fallback"
+        assert "per-exchange run" in runner.phase_fallbacks[-1]
+        assert label in runner.phase_fallbacks[-1]
+        assert isinstance(runner.state, VectorState)
+        counter = default_registry().counter("sim_phase_backend")
+        assert (
+            counter.value(
+                backend="scalar-fallback",
+                protocol="PushPullProtocol",
+                reason="per-exchange-run",
+            )
+            == 1
+        )
+        # The scalar run with the same options (checkers observe one run).
+        scalar_kwargs = {k: v for k, v in engine_kwargs.items() if k != "checkers"}
+        plain = PhaseRunner(g, engine_kwargs=scalar_kwargs)
+        plain.run_phase(
+            _push_pull_factory(0), until=min_rumors_complete(len(g.nodes()))
+        )
+        assert runner.total_rounds == plain.total_rounds
+        assert runner.total_exchanges == plain.total_exchanges
+
     def test_explicit_factory_disables_dispatch(self):
         g = generators.clique(6)
         runner = PhaseRunner(g, backend="vector", engine_factory=Engine)

@@ -126,10 +126,9 @@ def _assert_parity(graph, variant, holders, rounds, recorded, read_at=None):
     vector, vector_events = _run(
         VectorEngine, graph, variant, holders, rounds, recorded, read_at
     )
-    assert not vector._sequential and vector._mirror == recorded
-    (cohort,) = vector._cohorts
-    window = cohort["window"]
-    live = cohort["ids"][sorted(window._live)].tolist()
+    assert vector._mirror == recorded
+    window = vector._window
+    live = vector._window_ids[sorted(window._live)].tolist()
     scalar, scalar_events = _run(
         Engine, graph, variant, holders, rounds, recorded, read_at
     )

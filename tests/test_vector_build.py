@@ -114,13 +114,12 @@ def test_per_node_rng_parity(graph_name, variant, make_rng, recorded):
     vector, vector_rngs, vector_events = _run(
         VectorEngine, graph, variant, make_rng, recorded
     )
-    assert not vector._sequential and vector._mirror == recorded
+    assert vector._mirror == recorded
     if make_rng is _mixed:
         # Window rows and live rows share the window until the reads below.
-        (cohort,) = vector._cohorts
-        rows = cohort["ids"].tolist()
+        rows = vector._window_ids.tolist()
         window_rows = {t for t, i in enumerate(rows) if i % 4 == 0}
-        assert window_rows and set(cohort["window"]._live) == (
+        assert window_rows and set(vector._window._live) == (
             set(range(len(rows))) - window_rows
         )
     scalar, scalar_rngs, scalar_events = _run(

@@ -30,10 +30,16 @@ from repro.protocols.push_pull import (
     run_push_pull,
 )
 from repro.sim.engine import Engine, NodeProtocol
+from repro.sim.failures import CrashSchedule
 from repro.sim.invariants import checked, default_checkers
 from repro.sim.runner import all_to_all_complete, broadcast_complete
 from repro.sim.state import NetworkState
-from repro.sim.vector import VectorEngine, VectorProgram
+from repro.sim.vector import (
+    VectorEngine,
+    VectorProgram,
+    VectorState,
+    resolve_engine_backend,
+)
 from repro.testing import (
     ReferenceEngine,
     assert_engines_agree,
@@ -227,7 +233,10 @@ class TestVectorVsScalar:
                 return engine, str(exc)
             return engine, None
 
-        (vector, vector_error), (scalar, scalar_error) = run(VectorEngine), run(Engine)
+        (vector, vector_error), (scalar, scalar_error) = (
+            run(resolve_engine_backend("vector")),
+            run(Engine),
+        )
         assert vector_error == scalar_error
         if scalar_error is not None:
             assert scalar.metrics.blocked_initiations == 1
@@ -240,10 +249,21 @@ class TestVectorVsScalar:
             )
             assert vector_notes == scalar_notes
 
-    @pytest.mark.parametrize("recorded", [False, True], ids=["plain", "recorded"])
-    def test_shared_rng_agrees(self, recorded):
+    @pytest.mark.parametrize(
+        "recorded, mix",
+        [
+            (False, "push-pull"),
+            (True, "push-pull"),
+            (False, "alternating"),
+            (True, "alternating"),
+        ],
+        ids=["plain", "recorded", "plain-alternating", "recorded-alternating"],
+    )
+    def test_shared_rng_agrees(self, recorded, mix):
         """Every node drawing from one ``Random``: the vector backend must
-        consume it in the scalar scan order, not cohort by cohort."""
+        consume it in the scalar scan order.  Alternating push--pull and
+        push nodes puts the rng in two cohorts, so the engine's one window
+        must draw both cohorts' rows in one dense-id pass."""
         graph = erdos_renyi(40, 0.15, uniform_latency(1, 4), random.Random(1))
         rumor, make_state = broadcast_setup(graph)
         complete = broadcast_complete(rumor)
@@ -251,18 +271,23 @@ class TestVectorVsScalar:
         def run(engine_cls):
             shared = random.Random(7)
             recorder = Recorder.in_memory() if recorded else None
+
+            def factory(node):
+                if mix == "alternating" and node % 2:
+                    return PushProtocol(shared, rumor)
+                return PushPullProtocol(shared)
+
             engine = engine_cls(
-                graph,
-                lambda node: PushPullProtocol(shared),
-                state=make_state(),
-                recorder=recorder,
+                graph, factory, state=make_state(), recorder=recorder
             )
             engine.run(until=complete)
             return engine, shared.getstate(), recorder and recorder.events
 
-        vector, vector_rng, vector_events = run(VectorEngine)
+        vector, vector_rng, vector_events = run(resolve_engine_backend("vector"))
         scalar, scalar_rng, scalar_events = run(Engine)
-        assert (scalar.round, scalar.metrics.exchanges) == (10, 400)
+        assert isinstance(vector, VectorEngine)
+        expected = {"push-pull": (10, 400), "alternating": (17, 496)}[mix]
+        assert (scalar.round, scalar.metrics.exchanges) == expected
         assert (vector.round, vector.metrics) == (scalar.round, scalar.metrics)
         assert vector_rng == scalar_rng
         assert vector_events == scalar_events
@@ -329,6 +354,16 @@ class _RandomWithoutRng(PushPullProtocol):
         return VectorProgram(kind="random", rng=None)
 
 
+#: The per-exchange engine options (as builders: checkers hold per-run
+#: state) and the label the refusal names them by.
+PER_EXCHANGE_OPTIONS = [
+    (lambda: {"failure_model": CrashSchedule({})}, "a failure model"),
+    (lambda: {"checkers": default_checkers()}, "invariant checkers"),
+    (lambda: {"fresh_snapshots": True}, "fresh snapshots"),
+    (lambda: {"enforce_blocking": True}, "blocking enforcement"),
+]
+
+
 class TestEligibility:
     """Non-oblivious protocols are rejected at engine construction."""
 
@@ -363,6 +398,32 @@ class TestEligibility:
         engine.step()
         assert engine.round == 1
 
+    @pytest.mark.parametrize("option, label", PER_EXCHANGE_OPTIONS)
+    def test_per_exchange_options_rejected(self, option, label):
+        # VectorEngine runs only the array round; the backend routes
+        # these runs to the scalar engine over a VectorState instead.
+        factory = self._factory(PushPullProtocol)
+        with pytest.raises(SimulationError, match=label):
+            VectorEngine(self.GRAPH, factory, **option())
+        vector = resolve_engine_backend("vector")
+        engine = vector(self.GRAPH, factory, **option())
+        assert type(engine) is Engine
+        assert isinstance(engine.state, VectorState)
+        assert isinstance(vector(self.GRAPH, factory), VectorEngine)
+
+    def test_checked_scope_and_note_boards_route_to_engine(self):
+        vector = resolve_engine_backend("vector")
+        factory = self._factory(PushPullProtocol)
+        with checked():
+            assert type(vector(self.GRAPH, factory)) is Engine
+            with pytest.raises(SimulationError, match="invariant checkers"):
+                VectorEngine(self.GRAPH, factory)
+        state = NetworkState(self.GRAPH.nodes())
+        state.publish_note(self.GRAPH.nodes()[0], hops=0)
+        assert type(vector(self.GRAPH, factory, state=state)) is Engine
+        with pytest.raises(SimulationError, match="note boards"):
+            VectorEngine(self.GRAPH, factory, state=state)
+
 
 class TestVectorInvariants:
     """I1–I5 accept the vector backend and still catch a broken run."""
@@ -379,7 +440,7 @@ class TestVectorInvariants:
     def test_checkers_catch_forgotten_knowledge(self):
         graph = ring_of_cliques(3, 3, inter_latency=2, rng=random.Random(1))
         make_rng = per_node_rng_factory(0)
-        engine = VectorEngine(
+        engine = resolve_engine_backend("vector")(
             graph,
             lambda node: PushPullProtocol(make_rng(node)),
             checkers=default_checkers(),
