@@ -13,8 +13,10 @@ are always on: one ``perf_counter`` pair and a dict update per enter/exit
 (~1 µs), so they belong on coarse operations — a Dijkstra, a spanner
 build, a conductance sweep, one experiment trial, or one whole-round
 array stage of the vector engine (``vector.build`` once per engine,
-``vector.partner_draw`` once per round; a round there costs
-milliseconds at the sizes it is built for).  Never put one inside the
+``vector.partner_draw`` and ``vector.deliver`` once per round — the
+latter also once per block round of a streamed all-to-all, which runs
+the same delivery stage; a round there costs milliseconds at the sizes
+it is built for).  Never put one inside the
 scalar engine's per-node or per-exchange loop: that one uses the event
 :class:`~repro.obs.recorder.Recorder` instead, which *is* gated.
 

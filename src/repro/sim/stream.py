@@ -15,8 +15,9 @@ round number, never of the rumor state.  That makes the run separable by
 2. **Replay the schedule per rumor block.**  The rumor universe is split
    into blocks of ``B`` rumors sized to the state-memory budget; each
    block replays the same schedule over a word matrix holding only its
-   own ``n x B`` bit slice (gather payload rows at initiation,
-   OR-scatter them at delivery).
+   own ``n x B`` bit slice, through the vector engine's own delivery
+   stage (payload rows snapshotted at initiation, OR-merged at
+   delivery).
 3. **Combine.**  Knowledge is a monotone OR, so the full run's state at
    any round is exactly the disjoint union of the block states, and the
    completion round of the monolithic run is the max over blocks.  The
@@ -27,15 +28,16 @@ The returned :class:`~repro.sim.metrics.DisseminationResult` is therefore
 backend="vector")`` on the same seed — while peak memory stays at one
 block slice plus its in-flight payloads instead of the full matrix.
 
-Saturation shortcut (bit-exact): once a node's row holds all ``B`` block
-rumors it can never change again — deliveries into it are skipped, and
-its outgoing payload is the shared all-ones row instead of a fresh
-gather.  Late rounds, where most rows are saturated, become nearly free;
-a block completes exactly when every row is saturated, which doubles as
-the completion predicate without a full-state popcount pass per round.
-Symmetrically, a row still *empty* for this block carries nothing, so
-its outgoing payloads are dropped without a gather — early rounds, where
-a block's rumors have reached only a few rows, are nearly free too.
+The block loop runs the array round's delivery stage
+(:class:`~repro.sim.vector._DeliveryStage`) over one column slice, so
+it takes the stage's exact skips: a row holding all ``B`` block rumors
+never changes again, so deliveries into it are dropped and its own
+payload travels as the shared full-row marker instead of a gather; a row
+still *empty* for the block carries nothing, so its payloads are dropped
+before the gather.  Late rounds, where most rows are saturated, and
+early ones, where a block's rumors have reached few rows, are nearly
+free.  The stage's per-row rumor counts also give the completion test:
+a block completes exactly when every row is saturated.
 """
 
 from __future__ import annotations
@@ -54,8 +56,7 @@ from repro.sim.metrics import DisseminationResult
 from repro.sim.vector import (
     VectorEngine,
     VectorState,
-    _merge_by_row,
-    _popcount_rows,
+    _DeliveryStage,
     current_max_state_bytes,
 )
 
@@ -157,124 +158,6 @@ def _pick_block_rumors(
     return min(block, n)
 
 
-class _BlockReplay:
-    """One rumor block: the schedule replayed over an ``n x B`` bit slice.
-
-    The replay owns its block's ``(n, words)`` uint64 matrix instead of
-    going through a :class:`~repro.sim.vector.VectorState`: the state is
-    private to the replay (no scalar consumer reads it mid-run), so the
-    kernels' copy-on-write cache invalidation is dead weight, and fusing
-    the duplicate-safe scatter with the saturation popcount lets the
-    freshly merged rows be counted in place of a second gather.  Rows
-    are in node order, so row index == the dense node id the schedule
-    speaks, and block rumor ``j`` (node ``lo + j``'s own id) is bit
-    ``j``.
-    """
-
-    #: Bucket-entry payload marker: "every source row was saturated, the
-    #: payload is the all-ones row" (no gather was taken).
-    _SATURATED = None
-
-    def __init__(self, n: int, lo: int, hi: int) -> None:
-        self.m = hi - lo
-        self._words = np.zeros((n, (self.m + 63) // 64), dtype=np.uint64)
-        own = np.arange(self.m, dtype=np.int64)
-        self._words[lo + own, own >> 6] = np.uint64(1) << (own & 63).astype(
-            np.uint64
-        )
-        popcounts = _popcount_rows(self._words)
-        self._saturated = popcounts >= self.m
-        self._nonzero = popcounts > 0
-        self._full_row = None  # lazily: one copy of a saturated row
-
-    @property
-    def nbytes(self) -> int:
-        """Resident bytes of the block's bit slice."""
-        return int(self._words.nbytes)
-
-    def _fill_full(self, rows: np.ndarray) -> None:
-        """Set ``rows`` to the all-ones row (delivery from saturated sources)."""
-        if self._full_row is None:
-            donor = int(np.flatnonzero(self._saturated)[0])
-            self._full_row = self._words[donor].copy()
-        self._words[rows] = self._full_row
-        self._saturated[rows] = True
-        self._nonzero[rows] = True
-
-    def _deliver(self, rows: np.ndarray, pack: np.ndarray) -> None:
-        """OR payload rows into ``rows``, duplicate-safe, and mark any row
-        that reached all ``m`` block rumors as saturated — counting the
-        freshly merged rows instead of re-gathering the state."""
-        targets, (merged,) = _merge_by_row(rows, (pack,))
-        words = self._words
-        updated = words[targets]
-        np.bitwise_or(updated, merged, out=updated)
-        words[targets] = updated
-        self._nonzero[targets] = True
-        now_full = _popcount_rows(updated) >= self.m
-        if now_full.any():
-            self._saturated[targets[now_full]] = True
-
-    def run(self, schedule: _RecordedSchedule, max_rounds: int) -> int:
-        """Replay until every row holds all ``m`` block rumors; the round
-        count equals the monolithic engine's completion round restricted
-        to this block's rumors (checked before each round, like
-        :func:`~repro.sim.runner.run_until_complete`).
-        """
-        words = self._words
-        saturated = self._saturated
-        buckets: dict[int, list[tuple[np.ndarray, object]]] = {}
-        rnd = 0
-        while not saturated.all():
-            if rnd >= max_rounds:
-                raise SimulationError(
-                    f"streamed all-to-all exceeded max_rounds={max_rounds} "
-                    f"(block of {self.m} rumors, round={rnd})"
-                )
-            # Deliveries due this round (initiated at rnd - latency).
-            for rows, pack in buckets.pop(rnd, ()):
-                live = ~saturated[rows]
-                if not live.any():
-                    continue
-                if pack is self._SATURATED:
-                    self._fill_full(rows[live])
-                    continue
-                if not live.all():
-                    rows = rows[live]
-                    pack = pack[live]
-                self._deliver(rows, pack)
-            # Initiations: snapshot payload rows *after* this round's
-            # deliveries (the engine's deliver-then-initiate order), one
-            # bucket entry per direction and latency.
-            initiators, responders, latencies = schedule.round(rnd)
-            for latency in np.unique(latencies).tolist():
-                pick = latencies == latency
-                src = initiators[pick]
-                dst = responders[pick]
-                due = buckets.setdefault(rnd + int(latency), [])
-                for a, b in ((src, dst), (dst, src)):
-                    # Payload of a -> merged into b at delivery.  A zero
-                    # source row carries nothing for this block and a
-                    # saturated destination can never change, so either
-                    # way the delivery ORs to a no-op: drop those pairs
-                    # before paying for the gather.
-                    keep = self._nonzero[a] & ~saturated[b]
-                    if not keep.all():
-                        if not keep.any():
-                            continue
-                        a, b = a[keep], b[keep]
-                    sat = saturated[a]
-                    if sat.all():
-                        due.append((b, self._SATURATED))
-                        continue
-                    if sat.any():
-                        due.append((b[sat], self._SATURATED))
-                        a, b = a[~sat], b[~sat]
-                    due.append((b, words[a]))
-            rnd += 1
-        return rnd
-
-
 def run_streamed_all_to_all(
     graph: LatencyGraph,
     seed: int = 0,
@@ -290,6 +173,10 @@ def run_streamed_all_to_all(
     while holding only one rumor block's state slice (plus its in-flight
     payload rows) resident at a time, so ``n = 10^6`` all-to-all runs in
     bounded memory where the monolithic dense matrix would need ~125 GB.
+
+    The run is not invariant-checked, not even inside
+    :func:`~repro.sim.invariants.checked`: its deliveries run in the
+    block loop, outside any engine a checker could attach to.
 
     Parameters
     ----------
@@ -322,13 +209,15 @@ def run_streamed_all_to_all(
     block = _pick_block_rumors(n, graph.max_latency(), budget, block_rumors)
 
     make_rng = per_node_rng_factory(seed)
-    # Selection-only engine over an empty dense state: its kernels never
-    # run, only the cohort partner draws (identical RNG consumption to a
-    # monolithic run of the same factory).
+    # Selection-only engine over an empty dense state: it never delivers,
+    # only draws partners (identical RNG consumption to a monolithic run
+    # of the same factory).  No checker could see the blocks' deliveries,
+    # so it takes none, even inside checked().
     recorder_engine = VectorEngine(
         graph,
         lambda node: PushPullProtocol(make_rng(node)),
         state=VectorState(nodes),
+        checkers=(),
     )
     schedule = _RecordedSchedule(recorder_engine)
 
@@ -339,13 +228,30 @@ def run_streamed_all_to_all(
     for index, lo in enumerate(range(0, n, block)):
         hi = min(lo + block, n)
         started = time.perf_counter()
-        replay = _BlockReplay(n, lo, hi)
-        block_rounds = replay.run(schedule, max_rounds)
-        peak_state = max(peak_state, replay.nbytes)
+        # The block's n x B bit slice, rows in dense-id order: block rumor
+        # j, node lo + j's own id, is bit j.
+        rumors = hi - lo
+        own = np.arange(rumors, dtype=np.int64)
+        words = np.zeros((n, (rumors + 63) // 64), dtype=np.uint64)
+        words[lo + own, own >> 6] = np.uint64(1) << (own & 63).astype(np.uint64)
+        stage = _DeliveryStage([words], rumors)
+        # The block completes when every row is saturated, checked before
+        # each round like run_until_complete's predicate.
+        block_rounds = 0
+        while (stage.counts < rumors).any():
+            if block_rounds >= max_rounds:
+                raise SimulationError(
+                    f"streamed all-to-all exceeded max_rounds={max_rounds} "
+                    f"(block of {rumors} rumors, round={block_rounds})"
+                )
+            stage.deliver(block_rounds)
+            stage.send(block_rounds, *schedule.round(block_rounds))
+            block_rounds += 1
+        peak_state = max(peak_state, words.nbytes)
         registry.gauge(
             "sim_state_bytes", "peak rumor-state storage bytes per layout"
         ).set_max(
-            replay.nbytes,
+            words.nbytes,
             layout="chunked",
             protocol="streamed-push-pull[all_to_all]",
         )

@@ -25,12 +25,19 @@ round as a handful of numpy array operations:
   Protocols cycling a *custom* target list (RR Broadcast over spanner
   out-edges) declare it via :attr:`VectorProgram.targets` and get their
   own CSR built — and neighbor-validated — at engine construction.
-* **Delivery buckets** are arrays of in-flight exchanges keyed by their
-  delivery round (latency slices of one round's initiations), mirroring
-  the scalar engine's ``dict.pop`` bucket scheme at array granularity.
-* **Metrics and coverage** come from array reductions: payload sizes via
-  popcounts, activated edges via a boolean edge-id array folded back into
-  the canonical :class:`~repro.sim.metrics.EngineMetrics` set only when
+* **Delivery** runs through one stage (:class:`_DeliveryStage`), shared
+  with the streamed all-to-all's rumor blocks: in-flight payload rows
+  keyed by their delivery round (latency slices of one round's
+  initiations), mirroring the scalar engine's ``dict.pop`` bucket scheme
+  at array granularity.  It keeps each state row's rumor count, and with
+  it skips every delivery that would OR to a no-op: pairs from empty
+  rows or into saturated rows (rows holding every interned rumor) are
+  dropped, and a saturated row's payload is one shared full-row marker,
+  not a gather.  A broadcast round therefore gathers no payload at all.
+* **Metrics and coverage** come from array reductions: payload sizes from
+  the stage's row counts, activated edges via a boolean edge-id array
+  folded back into the canonical
+  :class:`~repro.sim.metrics.EngineMetrics` set only when
   ``activated_edges`` is read, never for the counters.
 
 State layouts (the ``n = 10⁶`` memory story)
@@ -150,6 +157,14 @@ else:  # pragma: no cover - exercised only on numpy < 2.0
     def _popcount_rows(matrix: np.ndarray) -> np.ndarray:
         """Per-row popcount via a byte lookup table (numpy < 2 fallback)."""
         return _POPCOUNT_LUT[matrix.view(np.uint8)].sum(axis=-1, dtype=np.int64)
+
+
+def _row_counts(parts: Sequence[np.ndarray]) -> np.ndarray:
+    """Per-row popcount of a bit matrix stored as column parts."""
+    total = _popcount_rows(parts[0])
+    for part in parts[1:]:
+        total += _popcount_rows(part)
+    return total
 
 
 def _merge_by_row(
@@ -704,7 +719,7 @@ class VectorState:
         """
         if not self._node_list:
             return 0
-        return int(self._k_row_popcounts(slice(None)).min())
+        return int(_row_counts(self._parts).min())
 
     def knows(self, node: Node, rumor: Hashable) -> bool:
         """Whether ``node`` knows ``rumor``."""
@@ -825,58 +840,6 @@ class VectorState:
         return changed
 
     # -- array kernels (the vector fast path) ----------------------------
-    # A "pack" is a batch of rows' payloads: a list of per-part 2-D
-    # arrays.  The engine only moves packs between kernels.
-    def _k_width(self) -> tuple:
-        """Part offsets; a mid-run change means the rumor space grew,
-        which the fast path forbids."""
-        return tuple(self._offsets)
-
-    def _k_gather(self, rows: np.ndarray) -> Any:
-        """Payload pack: a copy of the given state rows."""
-        return [part[rows] for part in self._parts]
-
-    def _k_popcounts(self, pack: Any) -> np.ndarray:
-        """Per-row rumor counts of a pack."""
-        total = _popcount_rows(pack[0])
-        for part in pack[1:]:
-            total += _popcount_rows(part)
-        return total
-
-    def _k_select(self, pack: Any, pick: Any, copy: bool = False) -> Any:
-        """Subset/reorder of a pack: a boolean mask or int indices (a
-        copy), or a slice (a view unless ``copy``)."""
-        if copy:
-            return [part[pick].copy() for part in pack]
-        return [part[pick] for part in pack]
-
-    def _k_vstack(self, packs: list) -> Any:
-        """Concatenate packs row-wise, preserving order."""
-        return [np.vstack(parts) for parts in zip(*packs)]
-
-    def _k_scatter(self, rows: np.ndarray, pack: Any) -> None:
-        """OR a pack into the given state rows, duplicate-safe.
-
-        A one-word state (a broadcast) ORs the column in place with
-        ``np.bitwise_or.at``; wider rows pre-merge duplicates
-        (:func:`_merge_by_row`) and apply one fancy ``|=`` per part,
-        which beats ``ufunc.at`` once a row spans many words.
-        """
-        parts = self._parts
-        if len(parts) == 1 and parts[0].shape[1] == 1:
-            np.bitwise_or.at(parts[0][:, 0], rows, pack[0][:, 0])
-            self._invalidate_rows(rows)
-            return
-        targets, merged = _merge_by_row(rows, pack)
-        for part, payload in zip(parts, merged):
-            part[targets] |= payload
-        self._invalidate_rows(targets)
-
-    def _k_row_popcounts(self, rows: Any) -> np.ndarray:
-        """Per-row rumor counts of the given *state* rows (the mirror
-        path's learned-count probe)."""
-        return self._k_popcounts([part[rows] for part in self._parts])
-
     def _k_knows_column(self, rows: np.ndarray, rumor: Hashable) -> np.ndarray:
         """Boolean array: whether each given state row knows ``rumor``."""
         at = self._bit_location(rumor)
@@ -1078,22 +1041,157 @@ def vector_ineligibility(
 
 
 # ----------------------------------------------------------------------
-@dataclasses.dataclass(slots=True)
-class _Batch:
-    """One latency bucket's worth of in-flight exchanges, as arrays.
+class _DeliveryStage:
+    """The array round's in-flight exchanges, merged at their delivery round.
 
-    Rows are in initiation order (initiator dense-id order within the
-    round); payloads are packs (per-part row arrays) of snapshots taken at
-    initiation time.  All exchanges in one batch share the same
-    initiation round (``initiated_at``, kept for the mirror path's
-    delivery events) because they share a delivery round and a latency.
+    The stage works on a bit matrix stored as column ``parts`` — a
+    :class:`VectorState`'s storage, or one rumor block of a streamed run —
+    whose set bits are all among its first ``rumors`` bits, and keeps
+    ``counts``, each row's popcount, exact through every merge.  A row
+    whose count reaches ``rumors`` is *saturated*: knowledge only grows,
+    so it never changes again.  Three skips follow, each exact because
+    the skipped delivery would OR to a no-op:
+
+    * :meth:`send` drops a pair whose source row is empty or whose target
+      row is saturated, before paying for a gather;
+    * a saturated source travels as the shared full-row marker (``None``
+      in place of a pack), not as a gathered copy;
+    * :meth:`deliver` skips target rows that saturated since the send.
+
+    ``due`` maps a delivery round to its entries ``(rows, pack, sent)``:
+    the target rows, the payload pack (one array per part; pack row
+    ``k`` merges into ``rows[k]``) or the full-row marker, and the round
+    the exchanges were initiated in.  Each entry owns its arrays, so a
+    delivered entry frees its bytes at once instead of pinning a
+    round-wide gather until the slowest latency is due.  ``invalidate``
+    is called with every row set a delivery changed.
     """
 
-    initiators: np.ndarray
-    responders: np.ndarray
-    initiator_payloads: Any
-    responder_payloads: Any
-    initiated_at: int = -1
+    def __init__(
+        self,
+        parts: list[np.ndarray],
+        rumors: int,
+        invalidate: Optional[Callable[[np.ndarray], None]] = None,
+    ) -> None:
+        self.parts = parts
+        self.rumors = rumors
+        self.counts = _row_counts(parts)
+        self.due: dict[int, list[tuple[np.ndarray, Optional[list], int]]] = {}
+        self._exchanges: dict[int, int] = {}
+        self._invalidate = invalidate
+        self._full: Optional[list[np.ndarray]] = None
+
+    def gather(self, rows: np.ndarray) -> list[np.ndarray]:
+        """A pack: a copy of ``rows``, one array per part."""
+        return [part[rows] for part in self.parts]
+
+    def _by_latency(
+        self,
+        rnd: int,
+        initiators: np.ndarray,
+        responders: np.ndarray,
+        latencies: np.ndarray,
+    ) -> Iterator[tuple[list, np.ndarray, np.ndarray]]:
+        """Per latency, in increasing order: the entry list of its delivery
+        round and its exchanges' ``(initiators, responders)`` rows, in
+        initiation order, counted as due in that round."""
+        for latency in np.unique(latencies).tolist():
+            pick = latencies == latency
+            a = initiators[pick]
+            due = rnd + latency
+            self._exchanges[due] = self._exchanges.get(due, 0) + a.shape[0]
+            yield self.due.setdefault(due, []), a, responders[pick]
+
+    def send(
+        self,
+        rnd: int,
+        initiators: np.ndarray,
+        responders: np.ndarray,
+        latencies: np.ndarray,
+    ) -> None:
+        """Queue both payloads of each exchange initiated in round ``rnd``
+        (row ``initiators[k]`` with row ``responders[k]``, delivered at
+        ``rnd + latencies[k]``), snapshotting the rows now."""
+        counts = self.counts
+        rumors = self.rumors
+        for entries, a, b in self._by_latency(rnd, initiators, responders, latencies):
+            for src, dst in ((a, b), (b, a)):
+                held = counts[src]
+                keep = (held > 0) & (counts[dst] < rumors)
+                if not keep.all():
+                    src, dst, held = src[keep], dst[keep], held[keep]
+                full = held >= rumors
+                if full.any():
+                    entries.append((dst[full], None, rnd))
+                    src, dst = src[~full], dst[~full]
+                if src.shape[0]:
+                    entries.append((dst, self.gather(src), rnd))
+
+    def send_all(
+        self,
+        rnd: int,
+        initiators: np.ndarray,
+        responders: np.ndarray,
+        latencies: np.ndarray,
+    ) -> None:
+        """:meth:`send` without skips, for a caller that reports every
+        delivery: one entry per latency, whose rows are
+        ``[responders; initiators]`` and whose pack is a copy of
+        ``[initiators; responders]``."""
+        for entries, a, b in self._by_latency(rnd, initiators, responders, latencies):
+            pack = self.gather(np.concatenate((a, b)))
+            entries.append((np.concatenate((b, a)), pack, rnd))
+
+    def take(self, rnd: int) -> tuple[int, list]:
+        """``(exchanges, entries)`` due in round ``rnd``, removed."""
+        return self._exchanges.pop(rnd, 0), self.due.pop(rnd, [])
+
+    @_spanned("vector.deliver")
+    def deliver(self, rnd: int) -> int:
+        """Merge everything due in round ``rnd``; returns the number of
+        exchanges delivered."""
+        exchanges, entries = self.take(rnd)
+        counts = self.counts
+        for rows, pack, _ in entries:
+            live = counts[rows] < self.rumors
+            if not live.all():
+                rows = rows[live]
+                if not rows.shape[0]:
+                    continue
+                if pack is not None:
+                    pack = [payload[live] for payload in pack]
+            if pack is None:
+                self._fill(rows)
+            else:
+                self.merge(rows, pack)
+        return exchanges
+
+    def merge(self, rows: np.ndarray, pack: list[np.ndarray]) -> None:
+        """OR pack row ``k`` into row ``rows[k]`` (duplicate-safe) and
+        recount the merged rows."""
+        targets, merged = _merge_by_row(rows, pack)
+        updated = []
+        for part, payload in zip(self.parts, merged):
+            now = part[targets]
+            now |= payload
+            part[targets] = now
+            updated.append(now)
+        self.counts[targets] = _row_counts(updated)
+        if self._invalidate is not None:
+            self._invalidate(targets)
+
+    def _fill(self, rows: np.ndarray) -> None:
+        """Set ``rows`` to the full row (a marker's delivery)."""
+        if self._full is None:
+            # The marker was sent from a saturated row, so the largest
+            # count is one.
+            donor = int(np.argmax(self.counts))
+            self._full = [part[donor].copy() for part in self.parts]
+        for part, row in zip(self.parts, self._full):
+            part[rows] = row
+        self.counts[rows] = self.rumors
+        if self._invalidate is not None:
+            self._invalidate(rows)
 
 
 def _segment_slots(starts: np.ndarray, counts: np.ndarray) -> np.ndarray:
@@ -1293,6 +1391,12 @@ class VectorEngine(Engine):
     refused with a :class:`~repro.errors.SimulationError` naming them;
     :func:`vector_backend` sends such runs to the scalar engine before
     any protocol is built.
+
+    A running engine owns its state between steps: its delivery stage
+    keeps every row's rumor count from the build on, so code outside the
+    engine must not change the state until the run is over.  Interning a
+    new rumor, the one change the round can detect, raises
+    :class:`~repro.errors.SimulationError` at the next step.
     """
 
     #: No checkers: the inherited ``finish_checks()`` has none to run.
@@ -1455,15 +1559,22 @@ class VectorEngine(Engine):
             # Done-node parking replayed as a pure function: a node whose
             # program declares duration d parks at round d's scan, so it is
             # parked during the delivery stage of round r iff r > d.
-            self._duration_list = [
-                -1 if program.duration is None else program.duration
-                for program in self._programs
-            ]
+            # Indexed by state row, as the mirror's deliveries are.
+            self._duration_list = [-1] * len(self.state._node_list)
+            for row, program in zip(self._row_of.tolist(), self._programs):
+                if program.duration is not None:
+                    self._duration_list[row] = program.duration
             self._min_duration = min(
                 (d for d in self._duration_list if d >= 0), default=None
             )
-        self._fingerprint = self.state._k_width()
-        self._buckets: dict[int, list[_Batch]] = {}
+        self._fingerprint = self._state_shape()
+        # Built after every setup(), so its counts start from the state
+        # the first round sees.
+        self._stage = _DeliveryStage(
+            self.state._parts,
+            len(self.state._space.tokens),
+            self.state._invalidate_rows,
+        )
         self._pending_count = 0
         self._last_pairs: Optional[tuple[np.ndarray, np.ndarray]] = None
         self._last_list: Optional[list[tuple[Node, Node]]] = []
@@ -1582,7 +1693,11 @@ class VectorEngine(Engine):
         initiations in the dense-id scan order, then the round summary.
         """
         self._check_fingerprint()
-        delivered = self._deliver_mirror() if self._mirror else self._deliver_fast()
+        if self._mirror:
+            delivered = self._deliver_mirror()
+        else:
+            delivered = self._stage.deliver(self.round)
+        self._pending_count -= delivered
         initiators, responders, latencies, edge_ids = self._select_initiations()
         accepted = self._apply_cap(initiators, responders)
         if self._mirror:
@@ -1613,35 +1728,18 @@ class VectorEngine(Engine):
         knows = self.state._k_knows_column(self._row_of[ids], rumor)
         return ~knows if condition == "not_knows" else knows
 
+    def _state_shape(self) -> tuple[tuple[int, ...], int]:
+        """The state's part offsets and interned-rumor count."""
+        return tuple(self.state._offsets), len(self.state._space.tokens)
+
     def _check_fingerprint(self) -> None:
-        if self.state._k_width() != self._fingerprint:
+        if self._state_shape() != self._fingerprint:
             raise SimulationError(
                 "rumor space grew mid-run; the vector fast path assumes a "
                 "fixed rumor universe (oblivious protocols never intern new "
-                "rumors after setup)"
+                "rumors after setup, and a running engine owns its state "
+                "between steps)"
             )
-
-    def _deliver_fast(self) -> int:
-        """Merge everything due this round with one duplicate-safe
-        scatter-OR (:meth:`VectorState._k_scatter`).  Returns the
-        delivery count.
-        """
-        batches = self._buckets.pop(self.round, None)
-        if batches is None:
-            return 0
-        state = self.state
-        rows = []
-        packs = []
-        delivered = 0
-        for batch in batches:
-            delivered += batch.initiators.shape[0]
-            rows.append(self._row_of[batch.responders])
-            packs.append(batch.initiator_payloads)
-            rows.append(self._row_of[batch.initiators])
-            packs.append(batch.responder_payloads)
-        self._pending_count -= delivered
-        state._k_scatter(np.concatenate(rows), state._k_vstack(packs))
-        return delivered
 
     @_spanned("vector.partner_draw")
     def _select_initiations(
@@ -1749,32 +1847,19 @@ class VectorEngine(Engine):
         latencies: np.ndarray,
         edge_ids: np.ndarray,
     ) -> None:
-        """Account accepted initiations and bucket them by delivery round.
-
-        One stable sort by latency orders the round's exchanges into one
-        contiguous run per latency, initiation order kept within each;
-        both payload packs are gathered once in that order, and each
-        bucket takes its run.  When the round has several latencies the
-        buckets copy their runs, so a delivered bucket frees its bytes at
-        once instead of pinning the round-wide gather until the slowest
-        latency is due.
+        """Account accepted initiations and send them to the delivery
+        stage.  Payload sizes are the stage's row counts: every payload
+        is a snapshot of its row taken now, after this round's deliveries.
         """
         count = int(initiators.shape[0])
         if not count:
             return
-        state = self.state
         metrics = self.metrics
-        by_latency = np.argsort(latencies, kind="stable")
-        latencies = latencies[by_latency]
-        cuts = np.flatnonzero(latencies[1:] != latencies[:-1]) + 1
-        owned = bool(cuts.shape[0])
-        if owned:
-            initiators = initiators[by_latency]
-            responders = responders[by_latency]
-        initiator_payloads = state._k_gather(self._row_of[initiators])
-        responder_payloads = state._k_gather(self._row_of[responders])
-        sent = state._k_popcounts(initiator_payloads)
-        received = state._k_popcounts(responder_payloads)
+        stage = self._stage
+        initiator_rows = self._row_of[initiators]
+        responder_rows = self._row_of[responders]
+        sent = stage.counts[initiator_rows]
+        received = stage.counts[responder_rows]
         metrics.rumor_tokens_sent += int(sent.sum() + received.sum())
         largest = int(max(sent.max(), received.max()))
         if largest > metrics.max_payload_rumors:
@@ -1784,19 +1869,9 @@ class VectorEngine(Engine):
         self._edge_active[edge_ids] = True
         metrics._edges_changed()
         self._pending_count += count
-        bounds = [0, *cuts.tolist(), count]
-        for lo, hi in zip(bounds, bounds[1:]):
-            run = slice(lo, hi)
-            batch = _Batch(
-                initiators=initiators[run].copy() if owned else initiators,
-                responders=responders[run].copy() if owned else responders,
-                initiator_payloads=state._k_select(initiator_payloads, run, owned),
-                responder_payloads=state._k_select(responder_payloads, run, owned),
-                initiated_at=self.round,
-            )
-            self._buckets.setdefault(self.round + int(latencies[lo]), []).append(
-                batch
-            )
+        # The mirror reports every delivery, so it sends without skips.
+        send = stage.send_all if self._mirror else stage.send
+        send(self.round, initiator_rows, responder_rows, latencies)
 
     # -- mirror path: the recorder's stages of the array round ---------
     def _emit_initiations(
@@ -1821,8 +1896,8 @@ class VectorEngine(Engine):
                 record(RejectedInitiationEvent(rnd, nodes[a], nodes[b]))
 
     def _deliver_mirror(self) -> int:
-        """Deliver due batches with array kernels, emitting scalar-order
-        delivery and wakeup events.  Returns the delivery count.
+        """Deliver the stage's due entries, emitting scalar-order delivery
+        and wakeup events.  Returns the delivery count.
 
         Per-endpoint learned counts (``rumor_count`` delta around the
         endpoint's own merge) are recovered exactly despite the batched
@@ -1830,56 +1905,42 @@ class VectorEngine(Engine):
         ``responder₀, initiator₀, responder₁, initiator₁, …``, so a
         stable argsort of that sequence groups merges by target row while
         preserving each row's merge order.  Applying one merge *rank* at
-        a time (every round-t merge targets distinct rows) lets a single
-        popcount pass before/after each rank yield every merge's delta.
+        a time (every rank's merges target distinct rows) lets the
+        stage's row counts before and after each rank yield every merge's
+        delta.
         """
-        batches = self._buckets.pop(self.round, None)
-        if batches is None:
-            return 0
+        delivered, entries = self._stage.take(self.round)
         record = self.recorder.record
-        state = self.state
-        row_of = self._row_of
-        nodes = self._order
+        stage = self._stage
+        counts = stage.counts
+        nodes = self.state._node_list
         durations = self._duration_list
         any_parked = (
             self._min_duration is not None and self._min_duration < self.round
         )
         r = self.round
-        delivered = 0
         woken: set[int] = set()
-        for batch in batches:
-            m = int(batch.initiators.shape[0])
-            delivered += m
-            self._pending_count -= m
-            # Interleave into the scalar merge sequence (responder of
-            # exchange k merges initiator_payloads[k], then its initiator
-            # merges responder_payloads[k]).  The pack is left in
-            # [initiator_payloads; responder_payloads] order — position p
-            # of the merge sequence maps to pack row (p>>1) + (p&1)·m —
-            # so no full-size interleave copy is materialized.
-            rows2 = np.empty(2 * m, dtype=np.int64)
-            rows2[0::2] = row_of[batch.responders]
-            rows2[1::2] = row_of[batch.initiators]
-            pack = state._k_vstack(
-                [batch.initiator_payloads, batch.responder_payloads]
-            )
-            order, rank, sizes = _group_ranks(rows2)
+        for rows, pack, initiated_at in entries:
+            # Entry position k < m is responder k (merging initiator k's
+            # payload), m + k is initiator k; interleaved, they are the
+            # scalar merge sequence.
+            m = rows.shape[0] // 2
+            sequence = np.empty(2 * m, dtype=np.int64)
+            sequence[0::2] = np.arange(m)
+            sequence[1::2] = np.arange(m, 2 * m)
+            order, rank, sizes = _group_ranks(rows[sequence])
             learned = np.empty(2 * m, dtype=np.int64)
             for t in range(int(sizes.max())):
-                sel = order[rank == t]
-                target_rows = rows2[sel]
-                before = state._k_row_popcounts(target_rows)
-                state._k_scatter(
-                    target_rows,
-                    state._k_select(pack, (sel >> 1) + (sel & 1) * m),
-                )
-                learned[sel] = state._k_row_popcounts(target_rows) - before
-            initiated_at = batch.initiated_at
+                sel = sequence[order[rank == t]]
+                target_rows = rows[sel]
+                before = counts[target_rows]
+                stage.merge(target_rows, [payload[sel] for payload in pack])
+                learned[sel] = counts[target_rows] - before
             for a, b, learned_a, learned_b in zip(
-                batch.initiators.tolist(),
-                batch.responders.tolist(),
-                learned[1::2].tolist(),
-                learned[0::2].tolist(),
+                rows[m:].tolist(),
+                rows[:m].tolist(),
+                learned[m:].tolist(),
+                learned[:m].tolist(),
             ):
                 record(
                     DeliveryEvent(

@@ -5,9 +5,11 @@ blocks, so its :class:`~repro.sim.metrics.DisseminationResult` must be
 *equal* — rounds, exchanges, messages, protocol tag — to the monolithic
 ``run_push_pull(..., mode="all_to_all", backend="vector")`` run of the
 same seed, for every block size (including the degenerate single-block
-case) and every memory budget.  The bit-exact replay shortcuts
-(saturated-row skip, zero-row payload drop) are covered implicitly:
-any divergence shows up as a different completion round.
+case) and every memory budget.  Each block runs the vector engine's own
+delivery stage, whose exact skips (saturated targets, empty sources,
+the full-row marker for saturated sources) are checked directly in
+``tests/test_vector_build.py``; here any divergence would show up as a
+different completion round.
 """
 
 import random
@@ -20,6 +22,7 @@ from repro.graphs.latency_models import uniform_latency
 from repro.protocols.base import per_node_rng_factory
 from repro.protocols.push_pull import PushPullProtocol, run_push_pull
 from repro.sim import StreamReport, run_streamed_all_to_all
+from repro.sim.invariants import checked
 from repro.sim.stream import _RecordedSchedule
 from repro.sim.vector import VectorEngine, VectorState
 
@@ -72,6 +75,18 @@ class TestStreamedEqualsMonolithic:
         )
         report = run_streamed_all_to_all(graph, seed=9, block_rumors=6)
         assert report.result == monolithic
+
+    def test_runs_unchecked_inside_checked_scope(self):
+        # The blocks deliver outside any engine, so no checker could
+        # watch them: the streamed run ignores the checked() scope.
+        graph = small_graph(n=30)
+        monolithic = run_push_pull(
+            graph, mode="all_to_all", seed=0, backend="vector"
+        )
+        with checked():
+            report = run_streamed_all_to_all(graph, seed=0, block_rumors=8)
+        assert report.result == monolithic
+        assert report.blocks == 4
 
 
 class TestStreamReport:

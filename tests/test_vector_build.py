@@ -15,8 +15,14 @@ Guards on :class:`~repro.sim.vector.VectorEngine`'s array paths:
 * **Allocation and cycle budget.**  A fast-path or mirror-path build
   allocates at most four GC-tracked objects per node (rng, protocol, its
   neighbor list, its program), holds no reference cycle — a dropped
-  engine is freed by reference counting alone — and the buckets one
-  round records share no memory, so each frees its rows when delivered.
+  engine is freed by reference counting alone — and the in-flight
+  entries one round sends share no memory, so each frees its rows when
+  delivered.  A broadcast round gathers no payload row at all: every
+  sender is saturated, so its payload is the shared full-row marker.
+* **A fixed rumor universe.**  Interning a rumor mid-run raises, even
+  when the state's storage does not grow.
+* **A timed stage.**  The ``vector.deliver`` span counts one delivery
+  stage per engine round and per streamed block round.
 * **Counters without the edge set.**  Reading a run's counters never
   folds the activated-edge mask into its set of node pairs; reading
   ``activated_edges`` does, exactly.
@@ -30,14 +36,21 @@ import weakref
 import numpy as np
 import pytest
 
+from repro.errors import SimulationError
 from repro.graphs.generators import erdos_renyi, erdos_renyi_fast, star
 from repro.graphs.latency_models import uniform_latency
+from repro.obs.profile import reset_spans, span_aggregates
 from repro.obs.recorder import Recorder
 from repro.protocols.base import per_node_rng_factory
 from repro.protocols.push_pull import PullProtocol, PushProtocol, PushPullProtocol
 from repro.sim import vector as vector_module
 from repro.sim.engine import Engine
-from repro.sim.runner import broadcast_complete, run_until_complete
+from repro.sim import run_streamed_all_to_all
+from repro.sim.runner import (
+    all_to_all_complete,
+    broadcast_complete,
+    run_until_complete,
+)
 from repro.sim.state import NetworkState
 from repro.sim.streams import SeedStream
 from repro.sim.vector import VectorEngine
@@ -214,29 +227,73 @@ def _buffer(array):
     return array
 
 
+def _entries(engine):
+    """Every entry in flight in ``engine``'s delivery stage."""
+    return [entry for due in engine._stage.due.values() for entry in due]
+
+
+def _all_to_all(graph):
+    make_rng = per_node_rng_factory(0)
+    state = NetworkState(graph.nodes())
+    state.seed_self_rumors()
+    return VectorEngine(
+        graph, lambda node: PushPullProtocol(make_rng(node)), state=state
+    )
+
+
 def test_round_buckets_share_no_memory(graph):
-    """Each bucket owns its rows: disjoint slices of one round-wide array
-    would not overlap, but would pin that whole array until the slowest
-    bucket is delivered, so buffers are compared, not just the views."""
-    engine = _build(graph, lambda: None)
+    """Each in-flight entry owns its rows and payload: disjoint slices of
+    one round-wide array would not overlap, but would pin that whole
+    array until the slowest entry is delivered, so buffers are compared,
+    not just the views."""
+    engine = _all_to_all(graph)
     engine.step()
-    batches = [batch for bucket in engine._buckets.values() for batch in bucket]
-    assert len(batches) > 1
-    buffers = [
-        [
-            _buffer(array)
-            for array in (
-                batch.initiators,
-                batch.responders,
-                *batch.initiator_payloads,
-                *batch.responder_payloads,
-            )
-        ]
-        for batch in batches
-    ]
+    entries = _entries(engine)
+    assert len(entries) > 1
+    assert all(pack is not None for _, pack, _ in entries)
+    buffers = [[_buffer(array) for array in (rows, *pack)] for rows, pack, _ in entries]
     for mine, theirs in itertools.combinations(buffers, 2):
         for a, b in itertools.product(mine, theirs):
             assert not np.shares_memory(a, b)
+
+
+def test_broadcast_round_gathers_no_payload(graph):
+    """A broadcast row knows one rumor or none: empty senders are dropped
+    and every other sender is saturated, so its round sends only the
+    full-row marker (``None`` in place of a gathered pack)."""
+    engine = _build(graph, lambda: None)
+    sent = 0
+    while not broadcast_complete(RUMOR)(engine):
+        engine.step()
+        entries = _entries(engine)
+        sent += len(entries)
+        assert all(pack is None for _, pack, _ in entries)
+    assert sent > 0
+
+
+def test_rumor_interned_mid_run_raises():
+    """A new rumor that fits the state's first word changes no part
+    offset, but it changes what a saturated row is."""
+    engine = _all_to_all(star(8))
+    engine.step()
+    engine.state.add_rumor(engine.graph.nodes()[0], "late")
+    with pytest.raises(SimulationError, match="rumor space grew mid-run"):
+        engine.step()
+
+
+def test_delivery_stage_is_spanned():
+    """``vector.deliver`` times the one delivery stage: once per engine
+    round, and once per round of every rumor block of a streamed run."""
+    graph = _graphs()["er60"]
+    reset_spans()
+    engine = _all_to_all(graph)
+    result = run_until_complete(engine, all_to_all_complete(), "all-to-all")
+    assert span_aggregates()["vector.deliver"]["count"] == result.rounds
+    reset_spans()
+    report = run_streamed_all_to_all(graph, seed=0, block_rumors=16)
+    assert report.blocks == 4
+    blocks_rounds = sum(phase.rounds for phase in report.phases)
+    assert span_aggregates()["vector.deliver"]["count"] == blocks_rounds
 
 
 def test_counters_never_fold_activated_edges(monkeypatch):
