@@ -247,9 +247,8 @@ def _check_differential(seed: int, backend: str = "scalar") -> list[str]:
     With ``backend="vector"`` the candidate side is the array backend,
     which is additionally pitted against the scalar engine directly
     (three-way agreement); the phase-structured General EID leg then runs
-    the whole composite with per-phase backend dispatch (vector-eligible
-    phases on the array path, adaptive ℓ-DTG phases on the scalar
-    fallback — docs/MODEL.md §8) against a plain scalar run.
+    the whole composite with every phase routed by the ``vector`` backend
+    (docs/MODEL.md §8) against a plain scalar run.
     """
     from repro.graphs import generators
     from repro.protocols.base import per_node_rng_factory

@@ -34,8 +34,9 @@ class PhaseTiming:
     exchanges: int
     seconds: float
     #: Engine backend the phase executed on: ``"vector"``, ``"scalar"``,
-    #: or ``"scalar-fallback"`` (a vector-dispatched run whose protocol
-    #: was not vector-eligible).
+    #: or ``"scalar-fallback"`` (the ``vector`` backend refused the array
+    #: round — for the phase's protocol or for a per-exchange run — and
+    #: ran the scalar engine over its state).
     backend: str = "scalar"
 
 

@@ -10,32 +10,33 @@ separately from *time to protocol termination*.
 
 Phase-chained vector execution
 ------------------------------
-When the runner resolves to the ``vector`` backend (and no explicit
-``engine_factory`` overrides it), each phase is dispatched independently:
-a probe protocol instance is asked
-:func:`~repro.sim.vector.vector_ineligibility`, and
+Each phase's engine comes from the runner's engine factory.  Under the
+``vector`` backend that is :func:`~repro.sim.vector.vector_backend`, the
+one route: it asks :func:`~repro.sim.vector.vector_refusal` about one
+unstarted probe protocol of the phase and the run's options, and
 
-* eligible phases run on :class:`~repro.sim.vector.VectorEngine` — the
-  rumor state stays one :class:`~repro.sim.vector.VectorState` object
-  between phases (a phase that grows the rumor universe widens it in
-  place), never densifying back to a scalar state;
-* ineligible phases (ping-only latency discovery, or an ℓ-DTG phase in a
-  run whose recorder, checkers, failure model or incoming cap rule out
-  its lockstep plan) fall back to the scalar
-  :class:`~repro.sim.engine.Engine` *over the same layout state*, which
+* a phase it does not refuse runs on
+  :class:`~repro.sim.vector.VectorEngine` — the rumor state stays one
+  :class:`~repro.sim.vector.VectorState` object between phases (a phase
+  that grows the rumor universe widens it in place), never densifying
+  back to a scalar state;
+* a refused phase (ping-only latency discovery, an ℓ-DTG phase in a run
+  whose recorder, checkers, failure model or incoming cap rule out its
+  lockstep plan, or any phase of a per-exchange run) runs on the scalar
+  :class:`~repro.sim.engine.Engine` *over the same state*, which
   implements the full :class:`~repro.sim.state.NetworkState` API — the
-  handoff is bit-identical in both directions — and so do the other
-  phases of a per-exchange run (:func:`~repro.sim.vector.per_exchange_reason`).
+  handoff is bit-identical in both directions.
 
-Every phase's backend is attributed in :attr:`PhaseRunner.phases`
-(``PhaseTiming.backend``), :attr:`PhaseRunner.phase_fallbacks`, and the
-``sim_phase_backend`` labeled counter, so mixed runs are diagnosable from
-``repro profile`` / ``repro report``.
+The runner reads each phase's backend label and refusal off its engine:
+:attr:`PhaseRunner.phases` (``PhaseTiming.backend``),
+:attr:`PhaseRunner.phase_fallbacks`, and the ``sim_phase_backend``
+labeled counter attribute every phase, so mixed runs are diagnosable
+from ``repro profile`` / ``repro report``.
 """
 
 from __future__ import annotations
 
-from typing import Any, Callable, Optional
+from typing import Callable, Optional
 
 from repro.errors import SimulationError
 from repro.graphs.latency_graph import LatencyGraph, Node
@@ -46,12 +47,7 @@ from repro.obs.telemetry import PhaseTiming
 from repro.sim.engine import Engine, NodeProtocol
 from repro.sim.state import NetworkState
 from repro.sim.streams import SeedStream
-from repro.sim.vector import (
-    VectorEngine,
-    per_exchange_reason,
-    resolve_engine_backend,
-    vector_ineligibility,
-)
+from repro.sim.vector import resolve_engine_backend
 
 __all__ = ["per_node_rng_factory", "PhaseRunner"]
 
@@ -74,27 +70,6 @@ def per_node_rng_factory(seed: int) -> Callable[[Node], SeedStream]:
     return make
 
 
-def _fallback_slug(reason: Optional[str]) -> str:
-    """Compress an ineligibility reason into a bounded metric label."""
-    if reason is None:
-        return "eligible"
-    if "declares no vector_program()" in reason:
-        return "no-vector-program"
-    if "ping-only" in reason:
-        return "ping-only"
-    if "on_deliver" in reason:
-        return "on-deliver-callback"
-    if "is_done" in reason:
-        return "adaptive-termination"
-    if "links neighbors at random" in reason:
-        return "dtg-random-selection"
-    if "ℓ-DTG plan" in reason:
-        return "dtg-plan-run"
-    if "per-exchange run" in reason:
-        return "per-exchange-run"
-    return "ineligible"
-
-
 class PhaseRunner:
     """Runs protocol phases sequentially over one shared network state.
 
@@ -112,8 +87,9 @@ class PhaseRunner:
         Engine constructor used for every phase; defaults to the engine
         backend named by ``backend``.  Differential tests substitute
         :class:`~repro.testing.reference.ReferenceEngine` here to run
-        whole composite protocols against the naive model.  A factory other
-        than the ``vector`` backend's disables per-phase backend dispatch.
+        whole composite protocols against the naive model.  Each phase
+        records the engine's ``backend`` label (``"scalar"`` for an
+        engine without one) and its ``refusal``.
     recorder:
         Optional :class:`~repro.obs.recorder.Recorder` threaded into every
         phase's engine.  Passed as an extra ``recorder=`` keyword only
@@ -123,10 +99,10 @@ class PhaseRunner:
         Engine backend name used when ``engine_factory`` is omitted;
         ``None`` defers to the ambient
         :func:`~repro.sim.vector.engine_backend` scope (scalar by
-        default).  Under the ``vector`` backend each phase is dispatched
-        independently: vector-eligible protocols run on
-        :class:`~repro.sim.vector.VectorEngine`, anything else falls back
-        to the scalar engine over the same state (see module docstring).
+        default).  Under the ``vector`` backend each phase is routed on
+        its own: a phase the array round can replay runs on
+        :class:`~repro.sim.vector.VectorEngine`, anything else on the
+        scalar engine over the same state (see module docstring).
     engine_kwargs:
         Extra keyword arguments (e.g. ``failure_model``,
         ``max_incoming_per_round``) forwarded to every phase's engine
@@ -149,9 +125,6 @@ class PhaseRunner:
             if engine_factory is not None
             else resolve_engine_backend(backend)
         )
-        #: Per-phase backend dispatch is on whenever the factory is the
-        #: vector backend; any other factory runs every phase.
-        self._dispatch = self.engine_factory is resolve_engine_backend("vector")
         self.recorder = recorder
         self.engine_kwargs = dict(engine_kwargs) if engine_kwargs else {}
         if state is None:
@@ -163,50 +136,14 @@ class PhaseRunner:
         self.total_messages = 0
         #: Per-phase logical cost and wall clock, in execution order.
         self.phases: list[PhaseTiming] = []
-        #: Per-phase vector-ineligibility reason (``None`` for phases that
-        #: ran on the vector fast path or were not dispatched), parallel
-        #: to :attr:`phases`.
+        #: Per-phase refusal reason of the ``vector`` backend (``None``
+        #: for phases it did not refuse, or that another factory ran),
+        #: parallel to :attr:`phases`.
         self.phase_fallbacks: list[Optional[str]] = []
         self.first_complete_round: Optional[int] = None
         self._watch = watch
         if watch is not None and watch(self.state):
             self.first_complete_round = 0
-
-    def _engine_extra(self) -> dict:
-        """Keyword arguments every phase's engine gets beyond the basics."""
-        extra = dict(self.engine_kwargs)
-        if self.recorder is not None:
-            extra["recorder"] = self.recorder
-        return extra
-
-    def _dispatch_phase(
-        self, protocol_factory: Callable[[Node], NodeProtocol]
-    ) -> tuple[Callable[..., Any], str, Optional[str]]:
-        """Pick this phase's engine: ``(factory, backend label, reason)``.
-
-        A single probe instance (never ``setup()``-ed, never run) answers
-        the same eligibility questions the vector engine would raise on —
-        given this runner's state and engine options — so ineligible
-        phases fall back to the scalar engine instead of aborting the
-        composite run.  A per-exchange run's other phases go through the
-        ``vector`` backend, which hands them to the scalar engine.
-        """
-        if not self._dispatch:
-            label = (
-                "vector" if self.engine_factory is VectorEngine else "scalar"
-            )
-            return self.engine_factory, label, None
-        nodes = self.graph.nodes()
-        if not nodes:
-            return VectorEngine, "vector", None
-        extra = self._engine_extra()
-        reason = vector_ineligibility(protocol_factory(nodes[0]), self.state, **extra)
-        if reason is not None:
-            return Engine, "scalar-fallback", reason
-        reason = per_exchange_reason(self.state, **extra)
-        if reason is not None:
-            return self.engine_factory, "scalar-fallback", reason
-        return VectorEngine, "vector", None
 
     def run_phase(
         self,
@@ -227,9 +164,10 @@ class PhaseRunner:
         Returns the finished engine so callers can inspect protocol
         instances (e.g. collect measured latencies after discovery).
         """
-        factory, backend_label, reason = self._dispatch_phase(protocol_factory)
-        extra = self._engine_extra()
-        engine = factory(
+        extra = dict(self.engine_kwargs)
+        if self.recorder is not None:
+            extra["recorder"] = self.recorder
+        engine = self.engine_factory(
             self.graph,
             protocol_factory,
             state=self.state,
@@ -258,16 +196,18 @@ class PhaseRunner:
                     and self._watch(self.state)
                 ):
                     self.first_complete_round = self.total_rounds
+        backend = getattr(engine, "backend", "scalar")
+        refusal = getattr(engine, "refusal", None)
         self.phases.append(
             PhaseTiming(
                 name=name,
                 rounds=engine.round,
                 exchanges=engine.metrics.exchanges,
                 seconds=timer.seconds,
-                backend=backend_label,
+                backend=backend,
             )
         )
-        self.phase_fallbacks.append(reason)
+        self.phase_fallbacks.append(refusal[1] if refusal else None)
         nodes = self.graph.nodes()
         lookup = getattr(engine, "protocol", None)
         protocol_name = (
@@ -279,9 +219,9 @@ class PhaseRunner:
             "sim_phase_backend",
             "protocol phases executed per engine backend (with fallback reason)",
         ).inc(
-            backend=backend_label,
+            backend=backend,
             protocol=protocol_name,
-            reason=_fallback_slug(reason),
+            reason=refusal[0] if refusal else "eligible",
         )
         self.total_exchanges += engine.metrics.exchanges
         self.total_messages += engine.metrics.messages

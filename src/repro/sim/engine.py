@@ -246,6 +246,15 @@ class Engine:
         is bit-identical to a recorder-on run of the same seed.
     """
 
+    #: The backend label a phase on this engine records
+    #: (``PhaseTiming.backend``): ``"scalar"``, ``"vector"`` for a
+    #: :class:`~repro.sim.vector.VectorEngine`, or ``"scalar-fallback"``
+    #: when the ``vector`` backend refused the array round.
+    backend = "scalar"
+    #: That refusal, ``(slug, reason)`` from
+    #: :func:`~repro.sim.vector.vector_refusal`, or ``None``.
+    refusal: Optional[tuple[str, str]] = None
+
     def __init__(
         self,
         graph: LatencyGraph,

@@ -64,8 +64,7 @@ actions — can be replayed as whole-round array ops.  Protocols declare
 eligibility by returning a :class:`VectorProgram` from a
 ``vector_program()`` method; a protocol that locally terminates must
 declare its fixed round budget via :attr:`VectorProgram.duration`
-(RR Broadcast does), anything else is rejected with a
-:class:`~repro.errors.SimulationError` naming the offending protocol.
+(RR Broadcast does); anything else is refused (see below).
 The one adaptive protocol replayed is ℓ-DTG (``kind="dtg"``): in a plain
 run it is in lockstep, so it adapts only at iteration boundaries shared
 by every node, and the engine replays it as a per-iteration plan
@@ -78,17 +77,23 @@ completion round — in every layout.  The differential suites
 (``tests/test_vector_differential``, ``tests/test_vector_layouts``) and
 the golden-trace parity suite enforce this.
 
-The ``vector`` backend (:func:`vector_backend`) decides the route once,
-before any protocol is built.  A run with a per-exchange feature the
-array round cannot replay in order — invariant checkers, a failure
-model, ``fresh_snapshots``, ``enforce_blocking``, or note boards carried
-in from a previous phase — goes to the scalar :class:`Engine` over a
+One rule, :func:`vector_refusal`, says whether the array round can
+replay a run, and the ``vector`` backend (:func:`vector_backend`) is the
+one route: it asks the rule about one unstarted probe protocol and the
+run's options.  A refused run — a protocol the array round cannot
+replay (no program, ping-only, a delivery callback, adaptive
+termination, an ℓ-DTG plan outside a plain run) or a per-exchange
+feature it cannot replay in order (invariant checkers, a failure model,
+``fresh_snapshots``, ``enforce_blocking``, or note boards carried in
+from a previous phase) — goes to the scalar :class:`Engine` over a
 :class:`VectorState`, so its event stream is the scalar backend's by
-construction (:func:`per_exchange_reason` names why).  Every other run
-gets a :class:`VectorEngine`, which only runs the array round: plain,
-or with a recorder (the **batched mirror**), which delivers rank by
-rank and emits the scalar event stream; without it observation costs
-nothing.
+construction; that engine is labelled ``"scalar-fallback"`` and carries
+the refusal.  Every other run gets a :class:`VectorEngine`, which only
+runs the array round: plain, or with a recorder (the **batched
+mirror**), which delivers rank by rank and emits the scalar event
+stream; without it observation costs nothing.  A :class:`VectorEngine`
+built directly asks the same rule about every node's protocol and
+raises :class:`~repro.errors.SimulationError` with its reason.
 """
 
 from __future__ import annotations
@@ -137,7 +142,7 @@ __all__ = [
     "resolve_engine_backend",
     "state_budget",
     "vector_backend",
-    "vector_ineligibility",
+    "vector_refusal",
 ]
 
 
@@ -421,7 +426,7 @@ class VectorProgram:
         links its first unheard one, then runs 4·i exchanges spaced
         ``period`` rounds apart over its linked list.  The engine
         replays a ``"dtg"`` program only in plain runs (see
-        :func:`vector_ineligibility`).
+        :func:`vector_refusal`).
     rng:
         For ``kind="random"``: the protocol's own per-node stream, a
         :class:`random.Random` or a :class:`~repro.sim.streams.SeedStream`
@@ -867,83 +872,20 @@ class VectorState:
 
 
 # ----------------------------------------------------------------------
-# Eligibility probing.  The engine's validation raises; PhaseRunner's
-# per-phase dispatch instead *asks* — the same checks, one protocol
-# instance, a reason string back — so ineligible phases can fall back to
-# the scalar engine instead of aborting the composite run.
-def _class_ineligibility(protocol_cls: type) -> Optional[str]:
-    """Why a protocol *class* cannot run on the vector backend (or None)."""
-    if getattr(protocol_cls, "vector_program", None) is None:
-        return (
-            f"protocol {protocol_cls.__name__} is not vector-backend "
-            "eligible: it declares no vector_program() (only oblivious "
-            "protocols can run on the vector backend; see docs/MODEL.md §8)"
-        )
-    return None
+# The one refusal rule.  The ``vector`` backend asks it about one probe
+# protocol and routes a refused run to the scalar engine; a VectorEngine
+# built directly asks it about every node's protocol and raises instead.
+#: The ``on_deliver`` implementations the array round replays: none but
+#: the default, except that an ℓ-DTG plan replays ProgramProtocol's own
+#: latency bookkeeping (and its own termination rule).
+_REPLAYED_ON_DELIVER = (NodeProtocol.on_deliver,)
+_REPLAYED_ON_DELIVER_DTG = (NodeProtocol.on_deliver, ProgramProtocol.on_deliver)
 
 
-def _program_ineligibility(
-    protocol_cls: type, program: Any
-) -> Optional[str]:
-    """Why an extracted program cannot run on the vector backend (or None)."""
-    name = protocol_cls.__name__
-    if not isinstance(program, VectorProgram):
-        return (
-            f"{name}.vector_program() must return a VectorProgram, got "
-            f"{type(program).__name__}"
-        )
-    if program.kind not in ("random", "round_robin", "dtg"):
-        return f"unknown vector program kind {program.kind!r} from {name}"
-    # An ℓ-DTG plan replays ProgramProtocol's own latency bookkeeping (and
-    # its own termination rule); no other per-delivery callback replays.
-    replayed = (NodeProtocol.on_deliver,) + (
-        (ProgramProtocol.on_deliver,) if program.kind == "dtg" else ()
-    )
-    if protocol_cls.on_deliver not in replayed:
-        return (
-            f"protocol {name} overrides on_deliver(); the vector backend "
-            "cannot replay per-delivery protocol callbacks"
-        )
-    if program.kind == "dtg":
-        if program.rng is not None:
-            return (
-                f"protocol {name} links neighbors at random "
-                "(selection='random'); only the deterministic rotated "
-                "order replays as a vector ℓ-DTG plan"
-            )
-        if program.period is None or program.period < 1:
-            return f"{name} declares kind='dtg' without a period >= 1"
-        if program.gate is not None or program.duration is not None:
-            return f"{name} declares kind='dtg' with a gate or a duration"
-        return None
-    if program.kind == "random" and program.rng is None:
-        return f"{name} declares kind='random' but carries no rng"
-    if program.gate is not None and program.gate[0] not in (
-        "knows",
-        "not_knows",
-    ):
-        return f"unknown vector program gate {program.gate[0]!r} from {name}"
-    if program.targets is not None and program.kind != "round_robin":
-        return (
-            f"{name} declares custom targets with kind={program.kind!r}; "
-            "only round_robin programs cycle an explicit target list"
-        )
-    if program.duration is not None and program.duration < 0:
-        return f"{name} declares a negative duration ({program.duration})"
-    if (
-        protocol_cls.is_done is not NodeProtocol.is_done
-        and program.duration is None
-    ):
-        return (
-            f"protocol {name} overrides is_done() but its VectorProgram "
-            "declares no duration; only fixed-round-budget termination "
-            "can be replayed by the vector backend (see docs/MODEL.md §8)"
-        )
-    return None
-
-
-def _run_blockers(
-    state: Any,
+def vector_refusal(
+    protocols: Iterable[Any],
+    state: Any = None,
+    programs: Optional[list] = None,
     *,
     checkers: Optional[Sequence[InvariantChecker]] = None,
     recorder: Optional[Recorder] = None,
@@ -952,18 +894,93 @@ def _run_blockers(
     fresh_snapshots: bool = False,
     enforce_blocking: bool = False,
     **_: Any,
-) -> list[str]:
-    """Labels of the run features — given its state and engine options —
-    that observe, perturb or reject single exchanges; any of them rules
-    out ℓ-DTG plans.
+) -> Optional[tuple[str, str]]:
+    """Why the array round cannot replay a run, as ``(slug, reason)`` — or
+    ``None`` when it can.
 
-    The array round replays a recorder (the batched mirror) and an
-    incoming cap; the others make a per-exchange run
-    (:func:`per_exchange_reason`).  ``checkers=None`` is the ambient
-    :func:`~repro.sim.invariants.checked` scope.
+    ``protocols`` are the instances to check: the ``vector`` backend's one
+    unstarted probe, or every node's protocol of a :class:`VectorEngine`
+    build, whose programs go to ``programs`` when given.  ``state`` and
+    the engine options describe the run (``checkers=None`` is the
+    ambient :func:`~repro.sim.invariants.checked` scope).  The protocol
+    refusals come first — its class (no ``vector_program()``), its
+    payload (ping-only), its program, and an ℓ-DTG plan in a run with
+    anything that observes, perturbs or rejects single exchanges — then
+    a per-exchange run: checkers, a failure model, ``fresh_snapshots``,
+    ``enforce_blocking`` or inherited note boards, which no array round
+    replays.  ``slug`` is the ``sim_phase_backend`` reason label.
     """
+    dtg: Optional[type] = None
+    for protocol in protocols:
+        cls = type(protocol)
+        if getattr(cls, "vector_program", None) is None:
+            return "no-vector-program", (
+                f"protocol {cls.__name__} is not vector-backend "
+                "eligible: it declares no vector_program() (only oblivious "
+                "protocols can run on the vector backend; see docs/MODEL.md §8)"
+            )
+        if not getattr(protocol, "sends_payload", True):
+            return "ping-only", (
+                f"protocol {cls.__name__} is ping-only "
+                "(sends_payload=False); the vector backend only ships rumor "
+                "payloads"
+            )
+        program = protocol.vector_program()
+        if programs is not None:
+            programs.append(program)
+        name = cls.__name__
+        if not isinstance(program, VectorProgram):
+            return "ineligible", (
+                f"{name}.vector_program() must return a VectorProgram, got "
+                f"{type(program).__name__}"
+            )
+        kind = program.kind
+        if kind not in ("random", "round_robin", "dtg"):
+            return "ineligible", f"unknown vector program kind {kind!r} from {name}"
+        replayed = _REPLAYED_ON_DELIVER_DTG if kind == "dtg" else _REPLAYED_ON_DELIVER
+        if cls.on_deliver not in replayed:
+            return "on-deliver-callback", (
+                f"protocol {name} overrides on_deliver(); the vector backend "
+                "cannot replay per-delivery protocol callbacks"
+            )
+        if kind == "dtg":
+            if program.rng is not None:
+                return "dtg-random-selection", (
+                    f"protocol {name} links neighbors at random "
+                    "(selection='random'); only the deterministic rotated "
+                    "order replays as a vector ℓ-DTG plan"
+                )
+            if program.period is None or program.period < 1:
+                return "ineligible", f"{name} declares kind='dtg' without a period >= 1"
+            if program.gate is not None or program.duration is not None:
+                return "ineligible", (
+                    f"{name} declares kind='dtg' with a gate or a duration"
+                )
+            dtg = dtg or cls
+            continue
+        if kind == "random" and program.rng is None:
+            return "ineligible", f"{name} declares kind='random' but carries no rng"
+        if program.gate is not None and program.gate[0] not in ("knows", "not_knows"):
+            return "ineligible", (
+                f"unknown vector program gate {program.gate[0]!r} from {name}"
+            )
+        if program.targets is not None and kind != "round_robin":
+            return "ineligible", (
+                f"{name} declares custom targets with kind={kind!r}; "
+                "only round_robin programs cycle an explicit target list"
+            )
+        if program.duration is not None and program.duration < 0:
+            return "ineligible", (
+                f"{name} declares a negative duration ({program.duration})"
+            )
+        if cls.is_done is not NodeProtocol.is_done and program.duration is None:
+            return "adaptive-termination", (
+                f"protocol {name} overrides is_done() but its VectorProgram "
+                "declares no duration; only fixed-round-budget termination "
+                "can be replayed by the vector backend (see docs/MODEL.md §8)"
+            )
     checked = _invariants.checking_enabled() if checkers is None else checkers
-    return [
+    blockers = [
         label
         for label, present in (
             ("invariant checkers", bool(checked)),
@@ -976,68 +993,24 @@ def _run_blockers(
         )
         if present
     ]
-
-
-def per_exchange_reason(state: Any, **options: Any) -> Optional[str]:
-    """Why a ``vector``-backend run (its state and engine options) goes to
-    the scalar :class:`Engine`, or ``None``: checkers, a failure model,
-    ``fresh_snapshots``, ``enforce_blocking`` and inherited note boards
-    observe or perturb single exchanges, which no array round replays."""
-    blockers = [
-        label
-        for label in _run_blockers(state, **options)
-        if label not in ("a recorder", "an incoming cap")
+    if dtg is not None and blockers:
+        # The plan relies on lockstep: every exchange of iteration i
+        # delivers before iteration i + 1 starts.
+        return "dtg-plan-run", (
+            f"protocol {dtg.__name__} runs an adaptive ℓ-DTG "
+            "plan, which the vector backend replays only in plain runs "
+            f"(this run has {', '.join(blockers)}; see docs/MODEL.md §8)"
+        )
+    # The array round replays a recorder (the batched mirror) and a cap.
+    per_exchange = [
+        label for label in blockers if label not in ("a recorder", "an incoming cap")
     ]
-    if not blockers:
-        return None
-    return (
-        f"per-exchange run ({', '.join(blockers)}), which the vector "
-        "backend hands to the scalar Engine (resolve_engine_backend)"
-    )
-
-
-def _payload_ineligibility(protocol: Any) -> Optional[str]:
-    """Why a protocol *instance*'s payload mode is ineligible (or None)."""
-    if not getattr(protocol, "sends_payload", True):
-        return (
-            f"protocol {type(protocol).__name__} is ping-only "
-            "(sends_payload=False); the vector backend only ships rumor "
-            "payloads"
+    if per_exchange:
+        return "per-exchange-run", (
+            f"per-exchange run ({', '.join(per_exchange)}), which the vector "
+            "backend hands to the scalar Engine (resolve_engine_backend)"
         )
     return None
-
-
-def vector_ineligibility(
-    protocol: Any, state: Any = None, **options: Any
-) -> Optional[str]:
-    """Why ``protocol`` cannot run on the vector backend — or ``None``.
-
-    The non-raising twin of the engine's construction-time validation
-    (identical checks, identical wording), used by
-    :class:`~repro.protocols.base.PhaseRunner` to decide per-phase
-    backend dispatch from a single probe instance.  ``state`` and the
-    engine ``options`` (as a :class:`VectorEngine` would get them)
-    describe the run: an ℓ-DTG plan is eligible only in a plain one.
-    """
-    reason = _class_ineligibility(type(protocol)) or _payload_ineligibility(
-        protocol
-    )
-    if reason is not None:
-        return reason
-    program = protocol.vector_program()
-    reason = _program_ineligibility(type(protocol), program)
-    if reason is None and program.kind == "dtg":
-        # The plan relies on lockstep: every exchange of iteration i
-        # delivers before iteration i + 1 starts.  Anything that can
-        # reject, lose or observe single exchanges breaks that.
-        blockers = _run_blockers(state, **options)
-        if blockers:
-            return (
-                f"protocol {type(protocol).__name__} runs an adaptive ℓ-DTG "
-                "plan, which the vector backend replays only in plain runs "
-                f"(this run has {', '.join(blockers)}; see docs/MODEL.md §8)"
-            )
-    return reason
 
 
 # ----------------------------------------------------------------------
@@ -1386,11 +1359,12 @@ class VectorEngine(Engine):
     :class:`VectorProgram` (oblivious protocols only — see module
     docstring) and only runs the array round: plain runs take the fast
     path and a run whose only observer is a recorder takes the batched
-    mirror.  Per-exchange options (checkers, a failure model,
-    ``fresh_snapshots``, ``enforce_blocking``, inherited note boards) are
-    refused with a :class:`~repro.errors.SimulationError` naming them;
-    :func:`vector_backend` sends such runs to the scalar engine before
-    any protocol is built.
+    mirror.  Any run :func:`vector_refusal` refuses — for a node's
+    protocol or for a per-exchange option (checkers, a failure model,
+    ``fresh_snapshots``, ``enforce_blocking``, inherited note boards) —
+    raises :class:`~repro.errors.SimulationError` with the refusal's
+    reason; :func:`vector_backend` sends such runs to the scalar engine
+    instead.
 
     A running engine owns its state between steps: its delivery stage
     keeps every row's rumor count from the build on, so code outside the
@@ -1399,6 +1373,7 @@ class VectorEngine(Engine):
     :class:`~repro.errors.SimulationError` at the next step.
     """
 
+    backend = "vector"
     #: No checkers: the inherited ``finish_checks()`` has none to run.
     _checkers: tuple = ()
 
@@ -1422,15 +1397,6 @@ class VectorEngine(Engine):
             )
         self.graph = graph
         self.state = _vector_state(graph, state)
-        reason = per_exchange_reason(
-            self.state,
-            checkers=checkers,
-            failure_model=failure_model,
-            fresh_snapshots=fresh_snapshots,
-            enforce_blocking=enforce_blocking,
-        )
-        if reason is not None:
-            raise SimulationError(f"VectorEngine cannot take a {reason}")
         self.latencies_known = latencies_known
         self.max_incoming_per_round = max_incoming_per_round
         self.recorder = recorder
@@ -1460,7 +1426,23 @@ class VectorEngine(Engine):
         for node in self._order:
             self._protocols[node].setup(contexts[node])
         del contexts
-        self._programs = [self._program_for(node) for node in self._order]
+        self._programs: list[VectorProgram] = []
+        refusal = vector_refusal(
+            self._protocols.values(),
+            self.state,
+            self._programs,
+            checkers=checkers,
+            recorder=recorder,
+            failure_model=failure_model,
+            max_incoming_per_round=max_incoming_per_round,
+            fresh_snapshots=fresh_snapshots,
+            enforce_blocking=enforce_blocking,
+        )
+        if refusal is not None:
+            slug, reason = refusal
+            if slug == "per-exchange-run":
+                reason = f"VectorEngine cannot take a {reason}"
+            raise SimulationError(reason)
         #: A recorder takes the batched mirror: array deliveries, emitting
         #: the scalar event stream from the precomputed buckets.
         self._mirror = recorder is not None
@@ -1540,15 +1522,6 @@ class VectorEngine(Engine):
 
         self._plans: list[_LDTGPlan] = []
         if plan_members:
-            first = self._order[next(iter(plan_members.values()))[0]]
-            reason = vector_ineligibility(
-                self._protocols[first],
-                self.state,
-                recorder=recorder,
-                max_incoming_per_round=max_incoming_per_round,
-            )
-            if reason is not None:
-                raise SimulationError(reason)
             self._plans = [
                 _LDTGPlan(self, members, ell)
                 for ell, members in plan_members.items()
@@ -1580,34 +1553,6 @@ class VectorEngine(Engine):
         self._last_list: Optional[list[tuple[Node, Node]]] = []
 
     # ------------------------------------------------------------------
-    #: Protocol classes that already passed the structural eligibility
-    #: checks (class-level, so validating n instances costs one set probe
-    #: per node after the first engine sees the class).
-    _ELIGIBLE_CLASSES: set = set()
-
-    @classmethod
-    def _validate_class(cls, protocol_cls: type) -> None:
-        """Structural (class-level) vector-eligibility checks, memoized."""
-        if protocol_cls in cls._ELIGIBLE_CLASSES:
-            return
-        reason = _class_ineligibility(protocol_cls)
-        if reason is not None:
-            raise SimulationError(reason)
-        cls._ELIGIBLE_CLASSES.add(protocol_cls)
-
-    def _program_for(self, node: Node) -> VectorProgram:
-        """Extract and validate one protocol's :class:`VectorProgram`."""
-        protocol = self._protocols[node]
-        self._validate_class(type(protocol))
-        reason = _payload_ineligibility(protocol)
-        if reason is not None:
-            raise SimulationError(reason)
-        program = protocol.vector_program()
-        reason = _program_ineligibility(type(protocol), program)
-        if reason is not None:
-            raise SimulationError(reason)
-        return program
-
     def _build_target_tables(self, n: int) -> Optional[tuple]:
         """CSR-style slot tables for programs cycling explicit targets.
 
@@ -1975,13 +1920,23 @@ def vector_backend(
     state: Optional[Any] = None,
     **options: Any,
 ) -> Engine:
-    """The ``vector`` backend (takes :class:`Engine`'s arguments): a
-    per-exchange run (:func:`per_exchange_reason`) gets the scalar
-    :class:`Engine` over a :class:`VectorState`, any other run a
-    :class:`VectorEngine`, decided before any protocol is built."""
+    """The ``vector`` backend, the one route to an engine (takes
+    :class:`Engine`'s arguments).
+
+    :func:`vector_refusal` is asked about one unstarted probe protocol and
+    the run.  A refused run gets the scalar :class:`Engine` over a
+    :class:`VectorState`, labelled ``"scalar-fallback"`` and carrying its
+    refusal; any other run gets a :class:`VectorEngine`.
+    """
     state = _vector_state(graph, state)
-    engine_cls = Engine if per_exchange_reason(state, **options) else VectorEngine
-    return engine_cls(graph, protocol_factory, state=state, **options)
+    probe = [protocol_factory(graph.node_at(0))] if graph.num_nodes else []
+    refusal = vector_refusal(probe, state, **options)
+    if refusal is None:
+        return VectorEngine(graph, protocol_factory, state=state, **options)
+    engine = Engine(graph, protocol_factory, state=state, **options)
+    engine.backend = "scalar-fallback"
+    engine.refusal = refusal
+    return engine
 
 
 ENGINE_BACKENDS: dict[str, Callable[..., Any]] = {

@@ -363,9 +363,10 @@ class TestVectorBackendCLI:
         from repro.protocols.discovery import LatencyDiscoveryProtocol
         from repro.protocols.dtg import LDTGProtocol
         from repro.protocols.push_pull import PushPullProtocol
-        from repro.sim.vector import vector_ineligibility
+        from repro.sim.vector import vector_refusal
 
-        reason = vector_ineligibility(LatencyDiscoveryProtocol(2))
+        slug, reason = vector_refusal([LatencyDiscoveryProtocol(2)])
+        assert slug == "no-vector-program"
         assert reason == (
             "protocol LatencyDiscoveryProtocol is not vector-backend eligible: it "
             "declares no vector_program() (only oblivious protocols can "
@@ -373,8 +374,8 @@ class TestVectorBackendCLI:
         )
         import random
 
-        assert vector_ineligibility(PushPullProtocol(random.Random(0))) is None
-        assert vector_ineligibility(LDTGProtocol(2)) is None
+        assert vector_refusal([PushPullProtocol(random.Random(0))]) is None
+        assert vector_refusal([LDTGProtocol(2)]) is None
 
     def test_unknown_backend_is_parse_error(self):
         with pytest.raises(SystemExit):

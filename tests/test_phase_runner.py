@@ -15,7 +15,7 @@ from repro.sim.failures import CrashSchedule
 from repro.sim.invariants import default_checkers
 from repro.sim.runner import min_rumors_complete
 from repro.sim.state import NetworkState
-from repro.sim.vector import VectorState
+from repro.sim.vector import VectorProgram, VectorState
 
 
 class TestPerNodeRng:
@@ -106,6 +106,44 @@ class TestPhaseRunner:
 def _push_pull_factory(seed):
     make_rng = per_node_rng_factory(seed)
     return lambda node: PushPullProtocol(make_rng(node))
+
+
+class _PingOnly(PushPullProtocol):
+    sends_payload = False
+
+
+class _DeliveryHook(PushPullProtocol):
+    def on_deliver(self, ctx, exchange):
+        pass
+
+
+class _Terminating(PushPullProtocol):
+    def is_done(self, ctx):
+        return False
+
+
+class _BadKind(PushPullProtocol):
+    def vector_program(self):
+        return VectorProgram(kind="telepathy", rng=self._rng)
+
+
+def _variant_factory(protocol_cls):
+    make_rng = per_node_rng_factory(0)
+    return lambda node: protocol_cls(make_rng(node))
+
+
+#: One phase per refusal kind: (protocol factory builder, engine options,
+#: the slug its sim_phase_backend reason label must carry).
+REFUSALS = [
+    (lambda g: lambda node: LatencyDiscoveryProtocol(2), {}, "no-vector-program"),
+    (lambda g: _variant_factory(_PingOnly), {}, "ping-only"),
+    (lambda g: _variant_factory(_DeliveryHook), {}, "on-deliver-callback"),
+    (lambda g: _variant_factory(_Terminating), {}, "adaptive-termination"),
+    (lambda g: ldtg_factory(g, 1, selection="random"), {}, "dtg-random-selection"),
+    (lambda g: ldtg_factory(g, 1), {"max_incoming_per_round": 2}, "dtg-plan-run"),
+    (lambda g: _push_pull_factory(0), {"enforce_blocking": True}, "per-exchange-run"),
+    (lambda g: _variant_factory(_BadKind), {}, "ineligible"),
+]
 
 
 class TestBackendDispatch:
@@ -225,6 +263,28 @@ class TestBackendDispatch:
         )
         assert runner.total_rounds == plain.total_rounds
         assert runner.total_exchanges == plain.total_exchanges
+
+    @pytest.mark.parametrize(
+        "factory, engine_kwargs, slug",
+        REFUSALS,
+        ids=[slug for _, _, slug in REFUSALS],
+    )
+    def test_every_refusal_keeps_its_slug(self, factory, engine_kwargs, slug):
+        # The slug comes from the refusal itself, not from its wording.
+        g = generators.clique(6)
+        runner = PhaseRunner(g, backend="vector", engine_kwargs=engine_kwargs)
+        engine = runner.run_phase(
+            factory(g), latencies_known=True, until=lambda state: True
+        )
+        assert type(engine) is Engine
+        assert engine.refusal == (slug, runner.phase_fallbacks[-1])
+        assert runner.phases[-1].backend == "scalar-fallback"
+        counter = default_registry().counter("sim_phase_backend")
+        protocol = type(engine.protocol(g.nodes()[0])).__name__
+        assert (
+            counter.value(backend="scalar-fallback", protocol=protocol, reason=slug)
+            == 1
+        )
 
     def test_explicit_factory_disables_dispatch(self):
         g = generators.clique(6)

@@ -18,6 +18,7 @@ import pytest
 
 from repro.errors import SimulationError
 from repro.graphs.generators import erdos_renyi, ring_of_cliques
+from repro.graphs.latency_graph import LatencyGraph
 from repro.graphs.latency_models import uniform_latency
 from repro.protocols.base import per_node_rng_factory
 from repro.protocols.push_pull import PushPullProtocol, run_push_pull
@@ -25,6 +26,11 @@ from repro.sim import StreamReport, run_streamed_all_to_all
 from repro.sim.invariants import checked
 from repro.sim.stream import _RecordedSchedule
 from repro.sim.vector import VectorEngine, VectorState
+
+#: Every run's round budget: these graphs complete in well under a
+#: hundred rounds, so a stalled delivery stage fails here in seconds
+#: instead of spinning to the default million.
+ROUNDS = 300
 
 
 def small_graph(seed=7, n=40, p=0.15):
@@ -38,19 +44,21 @@ class TestStreamedEqualsMonolithic:
     def test_result_matches_vector_run(self, seed):
         graph = small_graph(seed=seed)
         monolithic = run_push_pull(
-            graph, mode="all_to_all", seed=seed, backend="vector"
+            graph, mode="all_to_all", seed=seed, backend="vector",
+            max_rounds=ROUNDS,
         )
-        report = run_streamed_all_to_all(graph, seed=seed)
+        report = run_streamed_all_to_all(graph, seed=seed, max_rounds=ROUNDS)
         assert report.result == monolithic
 
     @pytest.mark.parametrize("block_rumors", [3, 7, 39, 40, 64])
     def test_every_block_size_agrees(self, block_rumors):
         graph = small_graph()
         monolithic = run_push_pull(
-            graph, mode="all_to_all", seed=5, backend="vector"
+            graph, mode="all_to_all", seed=5, backend="vector",
+            max_rounds=ROUNDS,
         )
         report = run_streamed_all_to_all(
-            graph, seed=5, block_rumors=block_rumors
+            graph, seed=5, block_rumors=block_rumors, max_rounds=ROUNDS
         )
         assert report.result == monolithic
         assert report.blocks == -(-graph.num_nodes // min(block_rumors, 40))
@@ -60,9 +68,12 @@ class TestStreamedEqualsMonolithic:
         # needs n > 64 to actually split.
         graph = small_graph(seed=2, n=100, p=0.08)
         monolithic = run_push_pull(
-            graph, mode="all_to_all", seed=2, backend="vector"
+            graph, mode="all_to_all", seed=2, backend="vector",
+            max_rounds=ROUNDS,
         )
-        report = run_streamed_all_to_all(graph, seed=2, max_state_bytes=200)
+        report = run_streamed_all_to_all(
+            graph, seed=2, max_state_bytes=200, max_rounds=ROUNDS
+        )
         assert report.result == monolithic
         assert report.block_rumors == 64
         assert report.blocks == 2
@@ -71,9 +82,12 @@ class TestStreamedEqualsMonolithic:
     def test_structured_graph_agrees(self):
         graph = ring_of_cliques(4, 5, inter_latency=3, rng=random.Random(1))
         monolithic = run_push_pull(
-            graph, mode="all_to_all", seed=9, backend="vector"
+            graph, mode="all_to_all", seed=9, backend="vector",
+            max_rounds=ROUNDS,
         )
-        report = run_streamed_all_to_all(graph, seed=9, block_rumors=6)
+        report = run_streamed_all_to_all(
+            graph, seed=9, block_rumors=6, max_rounds=ROUNDS
+        )
         assert report.result == monolithic
 
     def test_runs_unchecked_inside_checked_scope(self):
@@ -81,10 +95,13 @@ class TestStreamedEqualsMonolithic:
         # watch them: the streamed run ignores the checked() scope.
         graph = small_graph(n=30)
         monolithic = run_push_pull(
-            graph, mode="all_to_all", seed=0, backend="vector"
+            graph, mode="all_to_all", seed=0, backend="vector",
+            max_rounds=ROUNDS,
         )
         with checked():
-            report = run_streamed_all_to_all(graph, seed=0, block_rumors=8)
+            report = run_streamed_all_to_all(
+                graph, seed=0, block_rumors=8, max_rounds=ROUNDS
+            )
         assert report.result == monolithic
         assert report.blocks == 4
 
@@ -92,7 +109,9 @@ class TestStreamedEqualsMonolithic:
 class TestStreamReport:
     def test_report_shape(self):
         graph = small_graph(seed=4)
-        report = run_streamed_all_to_all(graph, seed=4, block_rumors=16)
+        report = run_streamed_all_to_all(
+            graph, seed=4, block_rumors=16, max_rounds=ROUNDS
+        )
         assert isinstance(report, StreamReport)
         assert report.result.complete
         assert report.result.protocol == "push-pull[all_to_all]"
@@ -107,14 +126,25 @@ class TestStreamReport:
             assert phase.backend == "vector"
 
     def test_empty_graph_rejected(self):
-        from repro.graphs.latency_graph import LatencyGraph
-
         with pytest.raises(SimulationError, match="non-empty"):
-            run_streamed_all_to_all(LatencyGraph())
+            run_streamed_all_to_all(LatencyGraph(), max_rounds=ROUNDS)
 
     def test_bad_block_rumors_rejected(self):
         with pytest.raises(SimulationError, match="block_rumors"):
-            run_streamed_all_to_all(small_graph(), block_rumors=0)
+            run_streamed_all_to_all(small_graph(), block_rumors=0, max_rounds=ROUNDS)
+
+    def test_stalled_runs_fail_on_their_round_budget(self):
+        # Two components never complete an all-to-all run: both runners
+        # must stop at the budget, not spin to the default million.
+        graph = LatencyGraph()
+        graph.add_edge(0, 1, 1)
+        graph.add_edge(2, 3, 1)
+        with pytest.raises(SimulationError, match="exceeded max_rounds"):
+            run_push_pull(
+                graph, mode="all_to_all", seed=0, backend="vector", max_rounds=50
+            )
+        with pytest.raises(SimulationError, match="exceeded max_rounds"):
+            run_streamed_all_to_all(graph, seed=0, max_rounds=50)
 
 
 class TestScheduleEligibility:

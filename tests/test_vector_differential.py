@@ -22,6 +22,7 @@ from repro.graphs.generators import erdos_renyi, ring_of_cliques
 from repro.graphs.latency_models import uniform_latency
 from repro.obs.recorder import Recorder
 from repro.protocols.base import per_node_rng_factory
+from repro.protocols.discovery import LatencyDiscoveryProtocol
 from repro.protocols.flooding import FloodingProtocol
 from repro.protocols.push_pull import (
     PullProtocol,
@@ -410,6 +411,28 @@ class TestEligibility:
         assert type(engine) is Engine
         assert isinstance(engine.state, VectorState)
         assert isinstance(vector(self.GRAPH, factory), VectorEngine)
+
+    @pytest.mark.parametrize(
+        "make_protocol, slug",
+        [
+            (lambda rng: LatencyDiscoveryProtocol(2), "no-vector-program"),
+            (_PingOnly, "ping-only"),
+        ],
+        ids=["latency-discovery", "ping-only"],
+    )
+    def test_refused_protocols_route_to_engine(self, make_protocol, slug):
+        # The backend hands a protocol the array round cannot replay to
+        # the scalar engine over a VectorState and says why; a directly
+        # built VectorEngine raises that same reason.
+        factory = self._factory(make_protocol)
+        engine = resolve_engine_backend("vector")(self.GRAPH, factory)
+        assert type(engine) is Engine
+        assert isinstance(engine.state, VectorState)
+        assert engine.backend == "scalar-fallback"
+        assert engine.refusal[0] == slug
+        with pytest.raises(SimulationError) as raised:
+            VectorEngine(self.GRAPH, factory)
+        assert str(raised.value) == engine.refusal[1]
 
     def test_checked_scope_and_note_boards_route_to_engine(self):
         vector = resolve_engine_backend("vector")
