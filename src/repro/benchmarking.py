@@ -381,7 +381,6 @@ def _scale_broadcast_workload(
     avg_degree: float,
     repeats: int,
     warmup: bool = True,
-    max_state_bytes: Optional[int] = None,
 ) -> Workload:
     def run() -> dict[str, Any]:
         from repro.obs.metrics import MetricsRegistry, metrics_since, metrics_snapshot
@@ -389,13 +388,7 @@ def _scale_broadcast_workload(
 
         graph = _vector_bench_graph(n, avg_degree, 8)
         before = metrics_snapshot()
-        result = run_push_pull(
-            graph,
-            mode="broadcast",
-            seed=0,
-            backend="vector",
-            max_state_bytes=max_state_bytes,
-        )
+        result = run_push_pull(graph, mode="broadcast", seed=0, backend="vector")
         scoped = MetricsRegistry()
         scoped.merge(metrics_since(before))
         cells = scoped.collect().get("sim_state_bytes", {}).get("values", [])
@@ -435,7 +428,7 @@ def _scale_streamed_all_to_all_workload(
     """Streamed all-to-all: the full ``n x n`` dissemination in blocks.
 
     Runs :func:`~repro.sim.stream.run_streamed_all_to_all` — the recorded
-    schedule replayed per rumor block over the chunked layout — whose
+    schedule replayed per rumor block, each over its own bit matrix — whose
     result is bit-identical to the monolithic vector-backend all-to-all
     while only one block slice is resident.  Latencies are 1..2 (not the
     suite's usual 1..8): all-to-all wall clock scales with the completion

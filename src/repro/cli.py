@@ -744,14 +744,6 @@ def _build_parser() -> argparse.ArgumentParser:
              "(numpy array rounds) only accepts oblivious protocols "
              "(default: scalar)",
     )
-    parser.add_argument(
-        "--max-state-bytes", type=int, default=None, metavar="BYTES",
-        help="budget for the vector backend's rumor-state allocations; "
-             "the bitset state splits into parts of at most this size "
-             "(labelled dense for one part, chunked for several) "
-             "for every run the command makes (default: the "
-             "REPRO_MAX_STATE_BYTES env var, else 1 GiB)",
-    )
     commands = parser.add_subparsers(dest="command", required=True)
 
     commands.add_parser(
@@ -977,20 +969,11 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
     try:
-        from contextlib import nullcontext
-
-        from repro.sim.vector import engine_backend, state_budget
+        from repro.sim.vector import engine_backend
 
         # The selected backend becomes the ambient default for every
-        # engine the command constructs (scalar unless --backend vector);
-        # likewise the state-memory budget steers every layout choice.
-        max_state_bytes = getattr(args, "max_state_bytes", None)
-        budget = (
-            state_budget(max_state_bytes)
-            if max_state_bytes is not None
-            else nullcontext()
-        )
-        with engine_backend(getattr(args, "backend", "scalar")), budget:
+        # engine the command constructs (scalar unless --backend vector).
+        with engine_backend(getattr(args, "backend", "scalar")):
             return args.handler(args)
     except (ReproError, OSError) as error:
         print(f"error: {error}", file=sys.stderr)

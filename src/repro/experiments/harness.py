@@ -228,11 +228,17 @@ _POOL: Optional[ProcessPoolExecutor] = None
 _POOL_JOBS = 0
 
 
-def _force_serial_worker() -> None:
+def _init_worker() -> None:
     # Worker initializer: a trial that itself calls map_trials (an
     # experiment helper reused inside a trial) must run serially — nested
-    # pools would fork a pool per worker.
+    # pools would fork a pool per worker.  A forked worker also inherits
+    # the backend and checked() scopes active when the pool started;
+    # reset them, since each trial enters its caller's scopes instead.
+    from repro.sim import invariants, vector
+
     os.environ["REPRO_JOBS"] = "1"
+    vector._BACKEND_STACK[:] = ["scalar"]
+    invariants._CHECKED_DEPTH = 0
 
 
 def _shared_pool(jobs: int) -> ProcessPoolExecutor:
@@ -249,7 +255,7 @@ def _shared_pool(jobs: int) -> ProcessPoolExecutor:
         _POOL = None
     if _POOL is None:
         _POOL = ProcessPoolExecutor(
-            max_workers=jobs, initializer=_force_serial_worker
+            max_workers=jobs, initializer=_init_worker
         )
         _POOL_JOBS = jobs
     return _POOL
@@ -263,21 +269,50 @@ def _shutdown_pool() -> None:
         _POOL = None
 
 
-def _run_trial_with_spans(fn: Callable[[_T], _R], item: _T):
-    # Pool-worker wrapper: run the trial and ship the profiling spans and
-    # metrics it produced back alongside the result, so the parent can
-    # merge worker telemetry into its own registries (workers are separate
-    # processes with separate registries).  Module-level so it pickles.
+def _run_trial_with_spans(
+    fn: Callable[[_T], _R], backend: str, checking: bool, item: _T
+):
+    # Pool-worker wrapper: run the trial under the caller's backend and
+    # checked() scopes, and ship the profiling spans and metrics it
+    # produced back alongside the result, so the parent can merge worker
+    # telemetry into its own registries (workers are separate processes
+    # with separate registries).  Module-level so it pickles.
     # The worker registry is dropped outright rather than snapshotted:
     # pool workers outlive individual experiments, and a surviving peak
     # gauge (set_max) from an earlier experiment's trial would otherwise
     # ride home inside this trial's delta and break serial/parallel
     # metric equivalence.
+    from repro.sim.invariants import checked
+    from repro.sim.vector import engine_backend
+
     spans_before = span_snapshot()
     default_registry().reset()
-    with span("harness.trial"):
-        result = fn(item)
+    with contextlib.ExitStack() as stack:
+        stack.enter_context(engine_backend(backend))
+        if checking:
+            stack.enter_context(checked())
+        with span("harness.trial"):
+            result = fn(item)
     return result, spans_since(spans_before), metrics_since({})
+
+
+def _pool_trials(
+    fn: Callable[[_T], _R], items: list[_T], jobs: int
+) -> list[tuple]:
+    """The pooled path of :func:`map_trials` and :func:`execute_trials`:
+    ``(result, span delta, metrics delta)`` per trial, each run in the
+    caller's scopes, with the deltas merged into the ambient registries."""
+    from repro.sim.invariants import checking_enabled
+    from repro.sim.vector import current_engine_backend
+
+    wrapped = functools.partial(
+        _run_trial_with_spans, fn, current_engine_backend(), checking_enabled()
+    )
+    triples = list(_shared_pool(jobs).map(wrapped, items))
+    for _, span_delta, metrics_delta in triples:
+        merge_spans(span_delta)
+        merge_metrics(metrics_delta)
+    return triples
 
 
 def map_trials(fn: Callable[[_T], _R], items: Iterable[_T]) -> list[_R]:
@@ -314,12 +349,7 @@ def map_trials(fn: Callable[[_T], _R], items: Iterable[_T]) -> list[_R]:
             with span("harness.trial"):
                 results.append(fn(item))
         return results
-    wrapped = functools.partial(_run_trial_with_spans, fn)
-    triples = list(_shared_pool(jobs).map(wrapped, items))
-    for _, span_delta, metrics_delta in triples:
-        merge_spans(span_delta)
-        merge_metrics(metrics_delta)
-    return [result for result, _, _ in triples]
+    return [result for result, _, _ in _pool_trials(fn, items, jobs)]
 
 
 def execute_trials(fn: Callable[[_T], _R], items: Sequence[_T]) -> list[tuple]:
@@ -350,12 +380,7 @@ def execute_trials(fn: Callable[[_T], _R], items: Sequence[_T]) -> list[tuple]:
                 (result, spans_since(spans_before), metrics_since(metrics_before))
             )
         return triples
-    wrapped = functools.partial(_run_trial_with_spans, fn)
-    triples = list(_shared_pool(jobs).map(wrapped, items))
-    for _, span_delta, metrics_delta in triples:
-        merge_spans(span_delta)
-        merge_metrics(metrics_delta)
-    return triples
+    return _pool_trials(fn, items, jobs)
 
 
 def run_experiment(

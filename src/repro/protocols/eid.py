@@ -359,8 +359,8 @@ def run_general_eid(
     rng = random.Random(seed)
 
     def all_to_all_done(state: NetworkState) -> bool:
-        # O(n) bitset check on states that support it (all vector layouts
-        # and NetworkState do); the per-node set comparison is the
+        # O(n) bitset check on states that support it (VectorState and
+        # NetworkState do); the per-node set comparison is the
         # fallback for exotic state substitutes.
         knows_every = getattr(state, "knows_every", None)
         if knows_every is not None:

@@ -13,7 +13,6 @@ Two variants:
 
 from __future__ import annotations
 
-from contextlib import nullcontext
 from typing import Hashable, Optional
 
 from repro.graphs.latency_graph import LatencyGraph, Node
@@ -21,11 +20,7 @@ from repro.sim.engine import Engine, NodeContext, NodeProtocol
 from repro.sim.metrics import DisseminationResult
 from repro.sim.runner import broadcast_complete, run_until_complete
 from repro.sim.state import NetworkState
-from repro.sim.vector import (
-    VectorProgram,
-    resolve_engine_backend,
-    state_budget,
-)
+from repro.sim.vector import VectorProgram, resolve_engine_backend
 
 __all__ = ["FloodingProtocol", "run_flooding"]
 
@@ -76,34 +71,24 @@ def run_flooding(
     max_rounds: int = 1_000_000,
     allow_incomplete: bool = False,
     backend: Optional[str] = None,
-    max_state_bytes: Optional[int] = None,
 ) -> DisseminationResult:
     """Broadcast one rumor from ``source`` by round-robin flooding.
 
     ``backend`` selects the engine implementation (``"scalar"`` or
     ``"vector"``); ``None`` defers to the ambient
-    :func:`~repro.sim.vector.engine_backend` scope.  ``max_state_bytes``
-    bounds the vector backend's state-layout allocations (see
-    :func:`~repro.sim.vector.state_budget`); ``None`` defers to the
-    ambient budget scope.
+    :func:`~repro.sim.vector.engine_backend` scope.
     """
     if source is None:
         source = graph.nodes()[0]
     rumor = ("rumor", source)
     state = NetworkState(graph.nodes())
     state.add_rumor(source, rumor)
-    budget = (
-        state_budget(max_state_bytes)
-        if max_state_bytes is not None
-        else nullcontext()
+    engine = resolve_engine_backend(backend)(
+        graph,
+        lambda node: FloodingProtocol(rumor if push_only else None),
+        state=state,
+        latencies_known=False,
     )
-    with budget:
-        engine = resolve_engine_backend(backend)(
-            graph,
-            lambda node: FloodingProtocol(rumor if push_only else None),
-            state=state,
-            latencies_known=False,
-        )
     name = "flooding[push-only]" if push_only else "flooding[push-pull]"
     return run_until_complete(
         engine,

@@ -14,7 +14,6 @@ the "unknown everything" workhorse of Section 4.1.
 from __future__ import annotations
 
 import random
-from contextlib import nullcontext
 from typing import Callable, Optional
 
 from typing import Hashable
@@ -30,11 +29,7 @@ from repro.sim.runner import (
     run_until_complete,
 )
 from repro.sim.state import NetworkState
-from repro.sim.vector import (
-    VectorProgram,
-    resolve_engine_backend,
-    state_budget,
-)
+from repro.sim.vector import VectorProgram, resolve_engine_backend
 from repro.protocols.base import per_node_rng_factory
 
 __all__ = ["PushPullProtocol", "PushProtocol", "PullProtocol", "run_push_pull"]
@@ -125,7 +120,6 @@ def run_push_pull(
     recorder: Optional[Recorder] = None,
     variant: str = "push-pull",
     backend: Optional[str] = None,
-    max_state_bytes: Optional[int] = None,
 ) -> DisseminationResult:
     """Run push--pull to completion and report the time.
 
@@ -169,10 +163,6 @@ def run_push_pull(
         defers to the ambient :func:`~repro.sim.vector.engine_backend`
         scope (scalar by default); both backends are result-identical
         for the same seed.
-    max_state_bytes:
-        Bound on the vector backend's state-layout allocations (see
-        :func:`~repro.sim.vector.state_budget`); ``None`` defers to the
-        ambient budget scope.
     """
     state = NetworkState(graph.nodes())
     progress = None
@@ -207,20 +197,14 @@ def run_push_pull(
         factory = lambda node: cls(make_rng(node), rumor)  # noqa: E731
     else:
         raise ValueError(f"unknown variant {variant!r}")
-    budget = (
-        state_budget(max_state_bytes)
-        if max_state_bytes is not None
-        else nullcontext()
+    engine = resolve_engine_backend(backend)(
+        graph,
+        factory,
+        state=state,
+        latencies_known=False,
+        fresh_snapshots=fresh_snapshots,
+        recorder=recorder,
     )
-    with budget:
-        engine = resolve_engine_backend(backend)(
-            graph,
-            factory,
-            state=state,
-            latencies_known=False,
-            fresh_snapshots=fresh_snapshots,
-            recorder=recorder,
-        )
     return run_until_complete(
         engine,
         predicate,

@@ -80,7 +80,8 @@ def min_rumors_complete(m: int):
     phase as soon as universal coverage of ``m`` rumors is reached,
     whatever those rumors are.  Takes the *state* (not the engine), like
     ``PhaseRunner``'s ``watch``; uses the state's one-pass
-    ``min_rumor_count()`` when available (every vector layout and
+    ``min_rumor_count()`` when available (both
+    :class:`~repro.sim.vector.VectorState` and
     :class:`~repro.sim.state.NetworkState` provide it).
     """
     if m < 0:

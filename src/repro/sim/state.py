@@ -140,7 +140,7 @@ class NetworkState:
     """Rumor sets and note boards for every node in the network."""
 
     #: Layout name surfaced in metrics/manifests (``sim_state_layout``);
-    #: the vector state reports ``dense`` or ``chunked``.
+    #: the vector state's one bitset matrix reports ``dense``.
     layout = "scalar"
 
     def __init__(self, nodes: Iterable[Node]) -> None:

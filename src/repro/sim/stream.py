@@ -53,12 +53,7 @@ from repro.graphs.latency_graph import LatencyGraph
 from repro.obs.metrics import default_registry
 from repro.obs.telemetry import PhaseTiming
 from repro.sim.metrics import DisseminationResult
-from repro.sim.vector import (
-    VectorEngine,
-    VectorState,
-    _DeliveryStage,
-    current_max_state_bytes,
-)
+from repro.sim.vector import VectorEngine, VectorState, _DeliveryStage
 
 __all__ = ["StreamReport", "run_streamed_all_to_all"]
 
@@ -162,7 +157,7 @@ def run_streamed_all_to_all(
     graph: LatencyGraph,
     seed: int = 0,
     max_rounds: int = 1_000_000,
-    max_state_bytes: Optional[int] = None,
+    max_state_bytes: int = 1 << 30,
     block_rumors: Optional[int] = None,
 ) -> StreamReport:
     """Push--pull all-to-all dissemination, streamed over rumor blocks.
@@ -190,8 +185,7 @@ def run_streamed_all_to_all(
         :func:`~repro.sim.runner.run_until_complete`.
     max_state_bytes:
         Memory budget steering the block size (a block's bit slice
-        plus its in-flight payloads); ``None`` defers to the ambient
-        :func:`~repro.sim.vector.state_budget` scope.
+        plus its in-flight payloads); at least 1 byte, 1 GiB by default.
     block_rumors:
         Explicit rumors-per-block override (tests use a tiny value to
         force multi-block streaming on small graphs).
@@ -203,10 +197,11 @@ def run_streamed_all_to_all(
     n = len(nodes)
     if n == 0:
         raise SimulationError("streamed all-to-all needs a non-empty graph")
-    budget = (
-        max_state_bytes if max_state_bytes is not None else current_max_state_bytes()
-    )
-    block = _pick_block_rumors(n, graph.max_latency(), budget, block_rumors)
+    if max_state_bytes < 1:
+        raise SimulationError(
+            f"max_state_bytes must be >= 1, got {max_state_bytes}"
+        )
+    block = _pick_block_rumors(n, graph.max_latency(), max_state_bytes, block_rumors)
 
     make_rng = per_node_rng_factory(seed)
     # Selection-only engine over an empty dense state: it never delivers,
@@ -234,7 +229,7 @@ def run_streamed_all_to_all(
         own = np.arange(rumors, dtype=np.int64)
         words = np.zeros((n, (rumors + 63) // 64), dtype=np.uint64)
         words[lo + own, own >> 6] = np.uint64(1) << (own & 63).astype(np.uint64)
-        stage = _DeliveryStage([words], rumors)
+        stage = _DeliveryStage(words, rumors)
         # The block completes when every row is saturated, checked before
         # each round like run_until_complete's predicate.
         block_rounds = 0

@@ -40,22 +40,15 @@ round as a handful of numpy array operations:
   :class:`~repro.sim.metrics.EngineMetrics` set only when
   ``activated_edges`` is read, never for the counters.
 
-State layouts (the ``n = 10⁶`` memory story)
---------------------------------------------
-A dense ``n × ceil(B/64)`` uint64 bitset matrix (``B`` = rumor-space
-size) is ~125 GB at ``n = 10⁶`` all-to-all — memory, not compute, binds
-the fast backend at mega-scale.  :class:`VectorState` therefore stores
-the matrix as column parts each at most ``max_state_bytes`` big (the
-ambient :func:`state_budget`).  Parts stay within the budget under
-growth too: the last part doubles its width while it fits, and a new
-part is appended only once it is full, so a matrix within the budget is
-always exactly one part.  Its layout label is derived from the part
-count — ``"dense"`` for one part, ``"chunked"`` for several — and the
-round update streams part by part, so the largest single allocation
-(and each per-part scatter/gather transient) is budget-bounded.  The
-*sum* of the parts and the initiation-time payload snapshots in flight
-are inherent to the model and not bounded by the budget.  A broadcast
-(one rumor) is the one-part, one-word case: ``8·n`` bytes.
+State layout (the ``n = 10⁶`` memory story)
+-------------------------------------------
+:class:`VectorState` stores one ``n × ceil(B/64)`` uint64 bitset matrix
+(``B`` = rumor-space size), ``n·⌈B/64⌉·8`` bytes, grown by doubling its
+width in place; its layout label is the constant ``"dense"``.  A
+broadcast (one rumor) is the one-word case: ``8·n`` bytes.  An
+all-to-all at ``n = 10⁶`` would need ~125 GB, so that run is the
+streamed one (:mod:`repro.sim.stream`), which replays rumor blocks
+sized to its own ``max_state_bytes`` budget.
 
 Backend eligibility (see ``docs/MODEL.md`` §8): only **oblivious**
 protocols — whose partner choice does not depend on delivered knowledge
@@ -73,9 +66,9 @@ by every node, and the engine replays it as a per-iteration plan
 Exactness contract: for the same graph, seeds, and engine options, a
 ``VectorEngine`` run is **field-identical** to the scalar ``Engine`` run —
 same per-node knowledge each round, same ``EngineMetrics``, same
-completion round — in every layout.  The differential suites
-(``tests/test_vector_differential``, ``tests/test_vector_layouts``) and
-the golden-trace parity suite enforce this.
+completion round.  The differential suite
+(``tests/test_vector_differential``) and the golden-trace parity suite
+enforce this.
 
 One rule, :func:`vector_refusal`, says whether the array round can
 replay a run, and the ``vector`` backend (:func:`vector_backend`) is the
@@ -98,12 +91,10 @@ raises :class:`~repro.errors.SimulationError` with its reason.
 
 from __future__ import annotations
 
-import bisect
 import contextlib
 import dataclasses
 import functools
 import itertools
-import os
 import random
 import weakref
 from typing import Any, Callable, Hashable, Iterable, Iterator, Optional, Sequence
@@ -135,12 +126,9 @@ __all__ = [
     "VectorState",
     "VectorEngine",
     "ENGINE_BACKENDS",
-    "DEFAULT_MAX_STATE_BYTES",
     "current_engine_backend",
-    "current_max_state_bytes",
     "engine_backend",
     "resolve_engine_backend",
-    "state_budget",
     "vector_backend",
     "vector_refusal",
 ]
@@ -164,20 +152,12 @@ else:  # pragma: no cover - exercised only on numpy < 2.0
         return _POPCOUNT_LUT[matrix.view(np.uint8)].sum(axis=-1, dtype=np.int64)
 
 
-def _row_counts(parts: Sequence[np.ndarray]) -> np.ndarray:
-    """Per-row popcount of a bit matrix stored as column parts."""
-    total = _popcount_rows(parts[0])
-    for part in parts[1:]:
-        total += _popcount_rows(part)
-    return total
-
-
 def _merge_by_row(
-    rows: np.ndarray, payloads: Sequence[np.ndarray]
-) -> tuple[np.ndarray, list[np.ndarray]]:
-    """``(targets, merged)``: the distinct ``rows`` and, per payload array,
-    each target's payload rows OR-ed together — so one fancy ``|=`` per
-    array applies every update (duplicate-safe).
+    rows: np.ndarray, payload: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """``(targets, merged)``: the distinct ``rows`` and each target's
+    ``payload`` rows OR-ed together — so one fancy ``|=`` applies every
+    update (duplicate-safe).
 
     Plain fancy-index assignment (``bits[rows] |= payloads``) silently
     keeps only one update per duplicated row index; a round's deliveries
@@ -187,25 +167,19 @@ def _merge_by_row(
     rank — the deepest pile-up on one row is small (Poisson in-degree),
     so a few bulk ``|=`` passes beat a segmented
     ``np.bitwise_or.reduceat``, which degenerates to per-segment loops.
-    ``payloads`` are parallel arrays sharing the row order (a bitset
-    state's column parts), so the sort is paid once for all of them.
     """
     if rows.shape[0] == 0:
-        return rows, list(payloads)
+        return rows, payload
     order = np.argsort(rows, kind="stable")
     sorted_rows = rows[order]
     starts = np.flatnonzero(np.r_[True, sorted_rows[1:] != sorted_rows[:-1]])
     if starts.shape[0] == rows.shape[0]:
-        return rows, list(payloads)
+        return rows, payload
     sizes = np.diff(np.r_[starts, sorted_rows.shape[0]])
-    first = order[starts]
-    ranks = [np.flatnonzero(sizes > rank) for rank in range(1, int(sizes.max()))]
-    merged = []
-    for payload in payloads:
-        out = payload[first]
-        for rank, deep in enumerate(ranks, start=1):
-            out[deep] |= payload[order[starts[deep] + rank]]
-        merged.append(out)
+    merged = payload[order[starts]]
+    for rank in range(1, int(sizes.max())):
+        deep = np.flatnonzero(sizes > rank)
+        merged[deep] |= payload[order[starts[deep] + rank]]
     return sorted_rows[starts], merged
 
 
@@ -247,53 +221,6 @@ def _spanned(name: str) -> Callable:
         return timed
 
     return decorate
-
-
-# ----------------------------------------------------------------------
-# State-memory budget scope: how many bytes the largest single state
-# allocation may use.  The bitset storage sizes its column parts from
-# it, at construction and under growth.
-DEFAULT_MAX_STATE_BYTES = 1 << 30  # 1 GiB
-
-_STATE_BUDGET_STACK: list[int] = []
-
-
-def current_max_state_bytes() -> int:
-    """The state-memory budget in effect (innermost scope, env, or default)."""
-    if _STATE_BUDGET_STACK:
-        return _STATE_BUDGET_STACK[-1]
-    raw = os.environ.get("REPRO_MAX_STATE_BYTES", "").strip()
-    if raw:
-        try:
-            value = int(raw)
-        except ValueError:
-            raise SimulationError(
-                f"REPRO_MAX_STATE_BYTES must be a positive integer, got {raw!r}"
-            ) from None
-        if value < 1:
-            raise SimulationError(
-                f"REPRO_MAX_STATE_BYTES must be >= 1, got {value}"
-            )
-        return value
-    return DEFAULT_MAX_STATE_BYTES
-
-
-@contextlib.contextmanager
-def state_budget(max_bytes: int) -> Iterator[None]:
-    """Scope during which :func:`current_max_state_bytes` yields ``max_bytes``.
-
-    This is how ``repro --max-state-bytes`` and the runner helpers size
-    the bitset's column parts in a call tree without threading a
-    parameter through each layer (the same pattern as
-    :func:`engine_backend`).
-    """
-    if max_bytes < 1:
-        raise SimulationError(f"max_state_bytes must be >= 1, got {max_bytes}")
-    _STATE_BUDGET_STACK.append(int(max_bytes))
-    try:
-        yield
-    finally:
-        _STATE_BUDGET_STACK.pop()
 
 
 #: CSR layouts are pure functions of a graph revision, and engines are
@@ -492,27 +419,20 @@ class VectorState:
     consumer (completion predicates, invariant checkers, the scalar
     engine's per-exchange step) read the same storage.
 
-    The matrix is stored as a list of column **parts**, each at most
-    ``max_state_bytes`` big (at least one word wide), so no single
-    allocation — nor the per-part transient a gather or scatter creates
-    — outgrows the budget.  Growth keeps that bound: the last part
-    doubles its width while it fits the part budget, and a new part is
-    appended only once the last one is full.  A matrix that fits the
-    budget is therefore always exactly one part; :attr:`layout` reads
-    ``"dense"`` then and ``"chunked"`` once the state spans several
-    parts.  The parts' *sum* (the whole matrix) and the payload
-    snapshots held by in-flight exchanges are inherent to the model and
-    are not bounded by the budget.  Word ``w`` of the logical matrix
-    lives in the part whose ``_offsets`` span contains ``w``.
+    The matrix (``_words``) is one array, ``n·⌈k/64⌉·8`` bytes for ``k``
+    interned rumors.  Interning past its width rebinds ``_words`` to a
+    copy at least twice as wide, so an array held across a growth is
+    stale (a running :class:`VectorEngine` checks for that each step).
     """
+
+    #: Layout name surfaced in metrics/manifests (``sim_state_layout``).
+    layout = "dense"
 
     __slots__ = (
         "_node_index",
         "_node_list",
         "_space",
-        "_parts",
-        "_offsets",
-        "_part_words",
+        "_words",
         "_notes",
         "_snapshots",
         "_masks_cache",
@@ -538,21 +458,12 @@ class VectorState:
         self._cache_filled = False
         self._init_storage(n, 0)
 
-    @property
-    def layout(self) -> str:
-        """Layout name surfaced in metrics/manifests (``sim_state_layout``)."""
-        return "dense" if len(self._parts) == 1 else "chunked"
-
     @classmethod
-    def from_network_state(
-        cls, state: NetworkState, *, max_state_bytes: Optional[int] = None
-    ) -> "VectorState":
+    def from_network_state(cls, state: NetworkState) -> "VectorState":
         """A bitset copy of a scalar state (same tokens, same bit indices).
 
         The matrix addresses the **observed** rumor universe — one word
-        for a broadcast — split into parts of at most ``max_state_bytes``
-        (default: the ambient :func:`state_budget` scope, the
-        ``REPRO_MAX_STATE_BYTES`` env var, or 1 GiB).
+        for a broadcast.
         """
         n = len(state._node_list)
         out = cls.__new__(cls)
@@ -565,90 +476,53 @@ class VectorState:
         out._snapshots = [None] * n
         out._masks_cache = [None] * n
         out._cache_filled = False
-        out._init_storage(n, len(state._space.tokens), max_state_bytes)
+        out._init_storage(n, len(state._space.tokens))
         out._load_masks(state._masks)
         return out
 
     # -- storage primitives ---------------------------------------------
-    def _init_storage(
-        self, n: int, bits: int, max_state_bytes: Optional[int] = None
-    ) -> None:
-        """Allocate zeroed storage addressing bit indices ``0..bits-1``:
-        full-budget parts in order, then the remainder (at least one
-        word), so a matrix within the budget is one part."""
-        budget = (
-            max_state_bytes
-            if max_state_bytes is not None
-            else current_max_state_bytes()
-        )
-        self._part_words = max(1, budget // (max(n, 1) * 8))
-        words = max(1, (bits + 63) // 64)
-        self._parts: list[np.ndarray] = []
-        self._offsets: list[int] = [0]
-        while self._offsets[-1] < words:
-            width = min(self._part_words, words - self._offsets[-1])
-            self._parts.append(np.zeros((n, width), dtype=np.uint64))
-            self._offsets.append(self._offsets[-1] + width)
+    def _init_storage(self, n: int, bits: int) -> None:
+        """Allocate a zeroed matrix addressing bit indices ``0..bits-1``
+        (at least one word wide)."""
+        self._words = np.zeros((n, max(1, (bits + 63) // 64)), dtype=np.uint64)
 
     def _ensure_bit(self, bit: int) -> None:
-        """Grow until ``bit`` is addressable: double the last part's width
-        while it fits the part budget, append a new part once it is full."""
-        needed = bit // 64 + 1
-        offsets = self._offsets
-        parts = self._parts
-        cap = self._part_words
-        while offsets[-1] < needed:
-            last = parts[-1]
-            width = last.shape[1]
-            if width < cap:
-                grown = width
-                while offsets[-2] + grown < needed and grown < cap:
-                    grown *= 2
-                grown = min(grown, cap)
-                wider = np.zeros((last.shape[0], grown), dtype=np.uint64)
-                wider[:, :width] = last
-                parts[-1] = wider
-                offsets[-1] = offsets[-2] + grown
-            else:
-                width = min(cap, needed - offsets[-1])
-                parts.append(np.zeros((last.shape[0], width), dtype=np.uint64))
-                offsets.append(offsets[-1] + width)
-
-    def _part_of(self, word: int) -> tuple[int, int]:
-        """``(part, column)`` holding logical word ``word``."""
-        b = bisect.bisect_right(self._offsets, word) - 1
-        return b, word - self._offsets[b]
+        """Grow until ``bit`` is addressable, doubling the width."""
+        words = self._words
+        width = words.shape[1]
+        if bit < width * 64:
+            return
+        grown = width
+        while grown * 64 <= bit:
+            grown *= 2
+        wider = np.zeros((words.shape[0], grown), dtype=np.uint64)
+        wider[:, :width] = words
+        self._words = wider
 
     def _set_bit(self, i: int, bit: int) -> None:
         """Set one addressable bit in row ``i`` (no growth, no caches)."""
-        word, offset = divmod(bit, 64)
-        b, w = self._part_of(word)
-        self._parts[b][i, w] |= np.uint64(1 << offset)
+        self._words[i, bit >> 6] |= np.uint64(1 << (bit & 63))
 
     def _mask_of_row(self, i: int) -> int:
         """Recompute row ``i`` as an arbitrary-precision Python-int bitmask."""
-        return int.from_bytes(
-            b"".join(part[i].tobytes() for part in self._parts), "little"
-        )
+        return int.from_bytes(self._words[i].tobytes(), "little")
 
     def _or_row_storage(self, i: int, mask: int) -> None:
         """OR an addressable ``mask`` into row ``i`` (no growth, no caches)."""
-        offsets = self._offsets
-        data = np.frombuffer(
-            mask.to_bytes(offsets[-1] * 8, "little"), dtype=np.uint64
+        words = self._words
+        words[i] |= np.frombuffer(
+            mask.to_bytes(words.shape[1] * 8, "little"), dtype=np.uint64
         )
-        for b, part in enumerate(self._parts):
-            part[i] |= data[offsets[b] : offsets[b + 1]]
 
     def _load_masks(self, masks: Sequence[int]) -> None:
         """Bulk-load per-node masks into fresh zeroed storage."""
-        spans = list(zip(self._parts, self._offsets, self._offsets[1:]))
-        size = self._offsets[-1] * 8
+        words = self._words
+        size = words.shape[1] * 8
         for i, mask in enumerate(masks):
             if mask:
-                data = np.frombuffer(mask.to_bytes(size, "little"), dtype=np.uint64)
-                for part, lo, hi in spans:
-                    part[i] = data[lo:hi]
+                words[i] = np.frombuffer(
+                    mask.to_bytes(size, "little"), dtype=np.uint64
+                )
 
     # -- packed-row plumbing --------------------------------------------
     def _row_mask(self, i: int) -> int:
@@ -670,20 +544,18 @@ class VectorState:
             snapshots[i] = None
             masks[i] = None
 
-    def _bit_location(self, rumor: Hashable) -> Optional[tuple[int, int, np.uint64]]:
-        """``(part, column, bit mask)`` of ``rumor``, or ``None`` when it
-        was never interned or lies beyond the storage."""
+    def _bit_location(self, rumor: Hashable) -> Optional[tuple[int, np.uint64]]:
+        """``(column, bit mask)`` of ``rumor``, or ``None`` when it was
+        never interned or lies beyond the storage."""
         bit = self._space.index.get(rumor)
-        if bit is None or bit >= self._offsets[-1] * 64:
+        if bit is None or bit >= self._words.shape[1] * 64:
             return None
-        word, offset = divmod(bit, 64)
-        b, w = self._part_of(word)
-        return b, w, np.uint64(1 << offset)
+        return bit >> 6, np.uint64(1 << (bit & 63))
 
     # -- memory accounting ----------------------------------------------
     def state_nbytes(self) -> int:
-        """Resident bytes of the rumor-state storage (all parts)."""
-        return int(sum(part.nbytes for part in self._parts))
+        """Resident bytes of the rumor-state matrix."""
+        return int(self._words.nbytes)
 
     # -- NetworkState API -----------------------------------------------
     def nodes(self) -> list[Node]:
@@ -711,12 +583,11 @@ class VectorState:
         return self._space.unpack(self._row_mask(self._node_index[node]))
 
     def rumor_count(self, node: Node) -> int:
-        """How many rumors ``node`` knows (one vectorized popcount per part)."""
-        i = self._node_index[node]
-        return sum(int(_popcount_rows(part[i])) for part in self._parts)
+        """How many rumors ``node`` knows (one vectorized popcount)."""
+        return int(_popcount_rows(self._words[self._node_index[node]]))
 
     def min_rumor_count(self) -> int:
-        """The smallest per-node rumor count (one matrix popcount per part).
+        """The smallest per-node rumor count (one matrix popcount).
 
         Multi-rumor phase gates ("every node knows >= m rumors") reduce to
         ``min_rumor_count() >= m``; see
@@ -724,52 +595,44 @@ class VectorState:
         """
         if not self._node_list:
             return 0
-        return int(_row_counts(self._parts).min())
+        return int(_popcount_rows(self._words).min())
 
     def knows(self, node: Node, rumor: Hashable) -> bool:
         """Whether ``node`` knows ``rumor``."""
         at = self._bit_location(rumor)
         if at is None:
             return False
-        b, w, bit = at
-        return bool(self._parts[b][self._node_index[node], w] & bit)
+        w, bit = at
+        return bool(self._words[self._node_index[node], w] & bit)
 
     def count_knowing(self, rumor: Hashable) -> int:
         """How many nodes know ``rumor`` (one column reduction)."""
         at = self._bit_location(rumor)
         if at is None:
             return 0
-        b, w, bit = at
-        return int(np.count_nonzero(self._parts[b][:, w] & bit))
+        w, bit = at
+        return int(np.count_nonzero(self._words[:, w] & bit))
 
     def knows_every(
         self, nodes: Iterable[Node], rumors: Iterable[Hashable]
     ) -> bool:
         """Whether every node in ``nodes`` knows every rumor in ``rumors``.
 
-        One vectorized mask comparison per part over the packed rows
-        instead of materializing per-node rumor frozensets (which is
-        O(n²) on an all-to-all completeness check); each pass copies at
-        most one budget-bounded ``len(nodes) × part`` slice.
+        One vectorized mask comparison over the packed rows instead of
+        materializing per-node rumor frozensets (which is O(n²) on an
+        all-to-all completeness check).
         """
         index = self._space.index
-        offsets = self._offsets
-        required = np.zeros(offsets[-1], dtype=np.uint64)
+        words = self._words
+        width = words.shape[1]
+        required = np.zeros(width, dtype=np.uint64)
         for rumor in rumors:
             bit = index.get(rumor)
-            if bit is None or bit >= offsets[-1] * 64:
+            if bit is None or bit >= width * 64:
                 return False
-            word, offset = divmod(bit, 64)
-            required[word] |= np.uint64(1 << offset)
-        picks = [self._node_index[node] for node in nodes]
-        for b, part in enumerate(self._parts):
-            need = required[offsets[b] : offsets[b + 1]]
-            if not need.any():
-                continue
-            rows = part[picks]
-            if not ((rows & need) == need).all():
-                return False
-        return True
+            required[bit >> 6] |= np.uint64(1 << (bit & 63))
+        rows = words[[self._node_index[node] for node in nodes]]
+        return bool(((rows & required) == required).all())
 
     # -- notes ----------------------------------------------------------
     def publish_note(self, origin: Node, **data: Any) -> None:
@@ -850,8 +713,8 @@ class VectorState:
         at = self._bit_location(rumor)
         if at is None:
             return np.zeros(rows.shape[0], dtype=bool)
-        b, w, bit = at
-        return (self._parts[b][rows, w] & bit) != 0
+        w, bit = at
+        return (self._words[rows, w] & bit) != 0
 
     def _k_knows_pairs(self, rows: np.ndarray, bits: np.ndarray) -> np.ndarray:
         """Boolean array: whether state row ``rows[k]`` has bit ``bits[k]``
@@ -859,14 +722,7 @@ class VectorState:
         out = np.zeros(rows.shape[0], dtype=bool)
         ok = bits >= 0
         bit = bits[ok]
-        rows = rows[ok]
-        words = bit >> 6
-        offsets = np.asarray(self._offsets, dtype=np.int64)
-        part_of = np.searchsorted(offsets, words, side="right") - 1
-        values = np.zeros(bit.shape[0], dtype=np.uint64)
-        for b, part in enumerate(self._parts):
-            pick = np.flatnonzero(part_of == b)
-            values[pick] = part[rows[pick], words[pick] - offsets[b]]
+        values = self._words[rows[ok], bit >> 6]
         out[ok] = (values >> (bit & 63).astype(np.uint64)) & np.uint64(1) != 0
         return out
 
@@ -1017,8 +873,8 @@ def vector_refusal(
 class _DeliveryStage:
     """The array round's in-flight exchanges, merged at their delivery round.
 
-    The stage works on a bit matrix stored as column ``parts`` — a
-    :class:`VectorState`'s storage, or one rumor block of a streamed run —
+    The stage works on one uint64 bit matrix ``words`` — a
+    :class:`VectorState`'s matrix, or one rumor block of a streamed run —
     whose set bits are all among its first ``rumors`` bits, and keeps
     ``counts``, each row's popcount, exact through every merge.  A row
     whose count reaches ``rumors`` is *saturated*: knowledge only grows,
@@ -1032,31 +888,33 @@ class _DeliveryStage:
     * :meth:`deliver` skips target rows that saturated since the send.
 
     ``due`` maps a delivery round to its entries ``(rows, pack, sent)``:
-    the target rows, the payload pack (one array per part; pack row
-    ``k`` merges into ``rows[k]``) or the full-row marker, and the round
+    the target rows, the payload pack (an array of gathered rows; pack
+    row ``k`` merges into ``rows[k]``) or the full-row marker, and the round
     the exchanges were initiated in.  Each entry owns its arrays, so a
     delivered entry frees its bytes at once instead of pinning a
     round-wide gather until the slowest latency is due.  ``invalidate``
     is called with every row set a delivery changed.
+
+    The stage holds ``words`` itself, so a :class:`VectorState` that
+    grows after the stage is built leaves it with a stale matrix; the
+    owning :class:`VectorEngine` raises before its next step then.
     """
 
     def __init__(
         self,
-        parts: list[np.ndarray],
+        words: np.ndarray,
         rumors: int,
         invalidate: Optional[Callable[[np.ndarray], None]] = None,
     ) -> None:
-        self.parts = parts
+        self.words = words
         self.rumors = rumors
-        self.counts = _row_counts(parts)
-        self.due: dict[int, list[tuple[np.ndarray, Optional[list], int]]] = {}
+        self.counts = _popcount_rows(words)
+        self.due: dict[
+            int, list[tuple[np.ndarray, Optional[np.ndarray], int]]
+        ] = {}
         self._exchanges: dict[int, int] = {}
         self._invalidate = invalidate
-        self._full: Optional[list[np.ndarray]] = None
-
-    def gather(self, rows: np.ndarray) -> list[np.ndarray]:
-        """A pack: a copy of ``rows``, one array per part."""
-        return [part[rows] for part in self.parts]
+        self._full: Optional[np.ndarray] = None
 
     def _by_latency(
         self,
@@ -1098,7 +956,7 @@ class _DeliveryStage:
                     entries.append((dst[full], None, rnd))
                     src, dst = src[~full], dst[~full]
                 if src.shape[0]:
-                    entries.append((dst, self.gather(src), rnd))
+                    entries.append((dst, self.words[src], rnd))
 
     def send_all(
         self,
@@ -1112,7 +970,7 @@ class _DeliveryStage:
         ``[responders; initiators]`` and whose pack is a copy of
         ``[initiators; responders]``."""
         for entries, a, b in self._by_latency(rnd, initiators, responders, latencies):
-            pack = self.gather(np.concatenate((a, b)))
+            pack = self.words[np.concatenate((a, b))]
             entries.append((np.concatenate((b, a)), pack, rnd))
 
     def take(self, rnd: int) -> tuple[int, list]:
@@ -1132,24 +990,21 @@ class _DeliveryStage:
                 if not rows.shape[0]:
                     continue
                 if pack is not None:
-                    pack = [payload[live] for payload in pack]
+                    pack = pack[live]
             if pack is None:
                 self._fill(rows)
             else:
                 self.merge(rows, pack)
         return exchanges
 
-    def merge(self, rows: np.ndarray, pack: list[np.ndarray]) -> None:
+    def merge(self, rows: np.ndarray, pack: np.ndarray) -> None:
         """OR pack row ``k`` into row ``rows[k]`` (duplicate-safe) and
         recount the merged rows."""
         targets, merged = _merge_by_row(rows, pack)
-        updated = []
-        for part, payload in zip(self.parts, merged):
-            now = part[targets]
-            now |= payload
-            part[targets] = now
-            updated.append(now)
-        self.counts[targets] = _row_counts(updated)
+        now = self.words[targets]
+        now |= merged
+        self.words[targets] = now
+        self.counts[targets] = _popcount_rows(now)
         if self._invalidate is not None:
             self._invalidate(targets)
 
@@ -1158,10 +1013,8 @@ class _DeliveryStage:
         if self._full is None:
             # The marker was sent from a saturated row, so the largest
             # count is one.
-            donor = int(np.argmax(self.counts))
-            self._full = [part[donor].copy() for part in self.parts]
-        for part, row in zip(self.parts, self._full):
-            part[rows] = row
+            self._full = self.words[int(np.argmax(self.counts))].copy()
+        self.words[rows] = self._full
         self.counts[rows] = self.rumors
         if self._invalidate is not None:
             self._invalidate(rows)
@@ -1544,7 +1397,7 @@ class VectorEngine(Engine):
         # Built after every setup(), so its counts start from the state
         # the first round sees.
         self._stage = _DeliveryStage(
-            self.state._parts,
+            self.state._words,
             len(self.state._space.tokens),
             self.state._invalidate_rows,
         )
@@ -1673,9 +1526,9 @@ class VectorEngine(Engine):
         knows = self.state._k_knows_column(self._row_of[ids], rumor)
         return ~knows if condition == "not_knows" else knows
 
-    def _state_shape(self) -> tuple[tuple[int, ...], int]:
-        """The state's part offsets and interned-rumor count."""
-        return tuple(self.state._offsets), len(self.state._space.tokens)
+    def _state_shape(self) -> tuple[int, int]:
+        """The state's matrix width and interned-rumor count."""
+        return self.state._words.shape[1], len(self.state._space.tokens)
 
     def _check_fingerprint(self) -> None:
         if self._state_shape() != self._fingerprint:
@@ -1879,7 +1732,7 @@ class VectorEngine(Engine):
                 sel = sequence[order[rank == t]]
                 target_rows = rows[sel]
                 before = counts[target_rows]
-                stage.merge(target_rows, [payload[sel] for payload in pack])
+                stage.merge(target_rows, pack[sel])
                 learned[sel] = counts[target_rows] - before
             for a, b, learned_a, learned_b in zip(
                 rows[m:].tolist(),

@@ -17,10 +17,8 @@ after any :mod:`repro.sim` refactor (and wired into ``repro check``):
 """
 
 from repro.testing.differential import (
-    LAYOUT_LEGS,
     DifferentialReport,
     assert_engines_agree,
-    layout_state,
     run_differential,
 )
 from repro.testing.reference import ReferenceEngine, ReferenceNetworkState
@@ -42,7 +40,6 @@ try:  # pragma: no cover - exercised implicitly by environments without hypothes
         large_dense_graphs,
         latency_models,
         seeds,
-        state_layouts,
         sweep_recipes,
         trial_plans,
     )
@@ -54,13 +51,11 @@ except ImportError:  # hypothesis not installed; strategies stay unavailable
     large_dense_graphs = None
     latency_models = None
     seeds = None
-    state_layouts = None
     sweep_recipes = None
     trial_plans = None
 
 __all__ = [
     "DifferentialReport",
-    "LAYOUT_LEGS",
     "ReferenceEngine",
     "ReferenceNetworkState",
     "ReplayReport",
@@ -73,12 +68,10 @@ __all__ = [
     "fault_points",
     "large_dense_graphs",
     "latency_models",
-    "layout_state",
     "record_and_replay",
     "replay",
     "run_differential",
     "seeds",
-    "state_layouts",
     "sweep_recipes",
     "trial_plans",
 ]

@@ -22,35 +22,13 @@ from repro.errors import SimulationError
 from repro.graphs.latency_graph import LatencyGraph, Node
 from repro.sim.engine import Engine, ProtocolFactory
 from repro.sim.state import NetworkState
-from repro.sim.vector import VectorState
 from repro.testing.reference import ReferenceEngine
 
 __all__ = [
     "DifferentialReport",
-    "LAYOUT_LEGS",
     "assert_engines_agree",
-    "layout_state",
     "run_differential",
 ]
-
-#: The rumor-state layouts the vector differential matrices cover.
-LAYOUT_LEGS = ("chunked", "dense")
-
-
-def layout_state(state: NetworkState, layout: str) -> VectorState:
-    """``state`` copied into one of the :data:`LAYOUT_LEGS`.
-
-    ``"dense"`` is the bitset storage at the default budget.
-    ``"chunked"`` is the same storage under a one-word part budget
-    (``n * 8`` bytes), so any universe past 64 rumors — at construction
-    or grown mid-run — spans several parts.
-    """
-    if layout == "chunked":
-        return VectorState.from_network_state(
-            state, max_state_bytes=max(1, len(state.nodes())) * 8
-        )
-    return VectorState.from_network_state(state)
-
 
 @dataclasses.dataclass(frozen=True)
 class DifferentialReport:

@@ -35,7 +35,6 @@ __all__ = [
     "large_dense_graphs",
     "crash_schedules",
     "engine_configs",
-    "state_layouts",
     "sweep_recipes",
     "fault_points",
     "trial_plans",
@@ -163,18 +162,6 @@ def crash_schedules(
         )
     )
     return CrashSchedule(dict(zip(victims, rounds)))
-
-
-def state_layouts() -> st.SearchStrategy[str]:
-    """One of the vector backend's rumor-state layout legs.
-
-    Draws from :data:`repro.testing.differential.LAYOUT_LEGS`
-    (``chunked``, ``dense``); build the state with
-    :func:`~repro.testing.differential.layout_state`.
-    """
-    from repro.testing.differential import LAYOUT_LEGS
-
-    return st.sampled_from(LAYOUT_LEGS)
 
 
 @st.composite

@@ -9,14 +9,14 @@ crashes, caps or a recorder fall back to the scalar engine over the
 the all-scalar run — same per-phase rounds and exchanges, same totals,
 same final per-node knowledge — for EID, a chained ℓ-DTG schedule, and
 Path Discovery's ``T(k)`` sequence, crossed with crash schedules,
-incoming caps, and every rumor-state layout the vector leg can start
-from.
+incoming caps, and a vector leg that starts from a
+:class:`~repro.sim.vector.VectorState`.
 
 The golden leg records one composite EID run and pins the event stream
 byte for byte: the scalar run blesses the file, and the vector run must
 reproduce it exactly — once with the recorder alone (RR Broadcast on the
 batched mirror path) and once inside ``checked()`` (RR Broadcast on the
-scalar engine's per-exchange step over the layout state, the ℓ-DTG
+scalar engine's per-exchange step over the vector state, the ℓ-DTG
 phases on the scalar fallback).  Re-bless with ``REPRO_UPDATE_GOLDEN=1``
 after a deliberate semantic change.
 """
@@ -39,13 +39,8 @@ from repro.protocols.eid import run_eid
 from repro.protocols.path_discovery import run_t_sequence
 from repro.sim import invariants
 from repro.sim.state import NetworkState
-from repro.testing import (
-    connected_latency_graphs,
-    crash_schedules,
-    layout_state,
-    seeds,
-    state_layouts,
-)
+from repro.sim.vector import VectorState
+from repro.testing import connected_latency_graphs, crash_schedules, seeds
 
 GOLDEN_DIR = pathlib.Path(__file__).parent / "golden"
 
@@ -83,13 +78,13 @@ CRASH_MAX_ROUNDS = 600
 
 
 def run_composite(
-    name, graph, backend, engine_kwargs=None, layout=None, max_rounds=5_000
+    name, graph, backend, engine_kwargs=None, vector_state=False, max_rounds=5_000
 ):
     """One all-to-all-seeded composite run; returns the finished runner."""
     state = NetworkState(graph.nodes())
     state.seed_self_rumors()
-    if layout is not None:
-        state = layout_state(state, layout)
+    if vector_state:
+        state = VectorState.from_network_state(state)
     runner = PhaseRunner(
         graph, state=state, backend=backend, engine_kwargs=engine_kwargs
     )
@@ -123,7 +118,7 @@ def assert_composites_agree(graph, scalar, vector):
 
 
 class TestCompositeMatrix:
-    """EID / ℓ-DTG / Path Discovery x {crashes, caps, layouts}."""
+    """EID / ℓ-DTG / Path Discovery x {crashes, caps, vector state}."""
 
     @pytest.mark.parametrize("name", sorted(COMPOSITES))
     @given(connected_latency_graphs(min_nodes=4, max_nodes=9), st.data())
@@ -151,11 +146,12 @@ class TestCompositeMatrix:
         assert_composites_agree(graph, scalar, vector)
 
     @pytest.mark.parametrize("name", sorted(COMPOSITES))
-    @given(connected_latency_graphs(min_nodes=4, max_nodes=9), state_layouts())
+    @given(connected_latency_graphs(min_nodes=4, max_nodes=9))
     @settings(max_examples=5, deadline=None)
-    def test_layout_family_agrees(self, name, graph, layout):
+    def test_layout_family_agrees(self, name, graph):
+        # The vector leg starts from the bitset layout itself.
         scalar = run_composite(name, graph, backend=None)
-        vector = run_composite(name, graph, backend="vector", layout=layout)
+        vector = run_composite(name, graph, backend="vector", vector_state=True)
         assert_composites_agree(graph, scalar, vector)
 
     @given(connected_latency_graphs(min_nodes=4, max_nodes=9), seeds(100))

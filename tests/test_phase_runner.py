@@ -406,13 +406,13 @@ class TestBackendDispatch:
             return state
 
         vstate = VectorState.from_network_state(seeded())
-        assert [part.shape[1] for part in vstate._parts] == [1]
+        assert vstate._words.shape == (n, 1)
         vector = run(vstate, "vector")
         scalar = run(seeded(), "scalar")
         assert vector.state is vstate
         assert [p.backend for p in vector.phases] == ["vector", "vector"]
         assert vstate.layout == "dense"
-        assert [part.shape[1] for part in vstate._parts] == [-(-n // 64)]
+        assert vstate._words.shape == (n, -(-(n + 1) // 64))
         assert vector.total_rounds == scalar.total_rounds
         for node in g.nodes():
             assert vstate.rumors(node) == scalar.state.rumors(node)

@@ -133,6 +133,21 @@ class TestStreamReport:
         with pytest.raises(SimulationError, match="block_rumors"):
             run_streamed_all_to_all(small_graph(), block_rumors=0, max_rounds=ROUNDS)
 
+    @pytest.mark.parametrize("budget", [0, -5])
+    def test_non_positive_max_state_bytes_rejected(self, budget):
+        # Even with an explicit block size, the budget must be >= 1.
+        with pytest.raises(SimulationError, match="max_state_bytes must be >= 1"):
+            run_streamed_all_to_all(
+                small_graph(), max_state_bytes=budget, max_rounds=ROUNDS
+            )
+        with pytest.raises(SimulationError, match="max_state_bytes must be >= 1"):
+            run_streamed_all_to_all(
+                small_graph(),
+                max_state_bytes=budget,
+                block_rumors=16,
+                max_rounds=ROUNDS,
+            )
+
     def test_stalled_runs_fail_on_their_round_budget(self):
         # Two components never complete an all-to-all run: both runners
         # must stop at the budget, not spin to the default million.

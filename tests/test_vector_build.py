@@ -272,13 +272,19 @@ def test_broadcast_round_gathers_no_payload(graph):
 
 
 def test_rumor_interned_mid_run_raises():
-    """A new rumor that fits the state's first word changes no part
-    offset, but it changes what a saturated row is."""
-    engine = _all_to_all(star(8))
-    engine.step()
-    engine.state.add_rumor(engine.graph.nodes()[0], "late")
-    with pytest.raises(SimulationError, match="rumor space grew mid-run"):
+    """A new rumor that fits the state's first word leaves the matrix
+    width unchanged, but it changes what a saturated row is; rumors past
+    that word widen the state into a new matrix, which leaves the
+    delivery stage holding a stale one."""
+    for late in (["late"], [("late", i) for i in range(64)]):
+        engine = _all_to_all(star(8))
         engine.step()
+        for rumor in late:
+            engine.state.add_rumor(engine.graph.nodes()[0], rumor)
+        widened = engine.state._words is not engine._stage.words
+        assert widened == (len(late) > 1)
+        with pytest.raises(SimulationError, match="rumor space grew mid-run"):
+            engine.step()
 
 
 def test_delivery_stage_is_spanned():

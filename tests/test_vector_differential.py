@@ -8,7 +8,10 @@ activated edges), under random graphs, seeds, engine configs, crash
 schedules, and responder caps.  Protocols that are not oblivious must be
 rejected loudly at construction, and the invariant checkers (which put
 the vector backend on the scalar engine's per-exchange step) must keep
-their teeth.
+their teeth.  The rumor state is one bitset matrix that widens in place
+(``add_rumor``, merges, ℓ-DTG token interning, EID between phases)
+without changing any rumor set, and RR Broadcast's custom target tables
+replay the scalar run.
 """
 
 import random
@@ -19,10 +22,13 @@ from hypothesis import strategies as st
 
 from repro.errors import ProtocolError, SimulationError
 from repro.graphs.generators import erdos_renyi, ring_of_cliques
+from repro.graphs.latency_graph import LatencyGraph
 from repro.graphs.latency_models import uniform_latency
 from repro.obs.recorder import Recorder
-from repro.protocols.base import per_node_rng_factory
+from repro.protocols.base import PhaseRunner, per_node_rng_factory
 from repro.protocols.discovery import LatencyDiscoveryProtocol
+from repro.protocols.dtg import ldtg_factory
+from repro.protocols.eid import run_eid
 from repro.protocols.flooding import FloodingProtocol
 from repro.protocols.push_pull import (
     PullProtocol,
@@ -30,6 +36,8 @@ from repro.protocols.push_pull import (
     PushPullProtocol,
     run_push_pull,
 )
+from repro.protocols.rr_broadcast import rr_broadcast_factory
+from repro.protocols.spanner import DirectedSpanner
 from repro.sim.engine import Engine, NodeProtocol
 from repro.sim.failures import CrashSchedule
 from repro.sim.invariants import checked, default_checkers
@@ -70,6 +78,14 @@ RNG_PROTOCOLS = {
     "push-pull": lambda rumor: (lambda rng: PushPullProtocol(rng)),
     "push": lambda rumor: (lambda rng: PushProtocol(rng, rumor)),
     "pull": lambda rumor: (lambda rng: PullProtocol(rng, rumor)),
+}
+
+#: The gated protocols — push, pull and knows-gated (push-only) flooding
+#: — for the engine-config matrix; push--pull has its own config leg.
+CONFIG_PROTOCOLS = {
+    "push": RNG_PROTOCOLS["push"],
+    "pull": RNG_PROTOCOLS["pull"],
+    "flooding": lambda rumor: (lambda rng: FloodingProtocol(rumor)),
 }
 
 
@@ -181,6 +197,68 @@ class TestVectorVsScalar:
             reference_cls=Engine,
         )
         assert_engines_agree(report)
+
+    @pytest.mark.parametrize("variant", sorted(CONFIG_PROTOCOLS))
+    @given(connected_latency_graphs(max_nodes=12), seeds(), engine_configs())
+    @settings(max_examples=6, deadline=None)
+    def test_protocols_bit_identical_to_scalar(self, variant, graph, seed, config):
+        rumor, make_state = broadcast_setup(graph)
+        build = CONFIG_PROTOCOLS[variant](rumor)
+
+        def make_factory():
+            make_rng = per_node_rng_factory(seed)
+            return lambda node: build(make_rng(node))
+
+        report = run_differential(
+            graph,
+            make_factory=make_factory,
+            make_state=lambda: VectorState.from_network_state(make_state()),
+            make_reference_state=make_state,
+            predicate=broadcast_complete(rumor),
+            fresh_snapshots=config["fresh_snapshots"],
+            max_incoming_per_round=config["max_incoming_per_round"],
+            max_rounds=5_000,
+            backend="vector",
+            reference_cls=Engine,
+        )
+        assert_engines_agree(report)
+        # A responder cap gives no liveness guarantee (docs/MODEL.md §4),
+        # so completion is only owed to uncapped runs.
+        if config["max_incoming_per_round"] is None:
+            assert report.rounds is not None
+
+    @pytest.mark.parametrize("seed", [0, 1, 85])
+    def test_cap_starvation_never_completes_on_any_engine(self, seed):
+        # The cap is first-come-first-served in node scan order: node 1
+        # takes node 3's only slot every round and node 0 takes node 2's,
+        # so the rumor never crosses edge 2-3.  Every engine must agree on
+        # that non-completion and on the metrics.
+        graph = LatencyGraph(nodes=[0, 1, 2, 3], edges=[(0, 2, 6), (2, 3, 5), (3, 1, 4)])
+        rumor, make_state = broadcast_setup(graph)
+
+        def make_factory():
+            make_rng = per_node_rng_factory(seed)
+            return lambda node: PushPullProtocol(make_rng(node))
+
+        def make_vector_state():
+            return VectorState.from_network_state(make_state())
+
+        candidates = (
+            {"engine_cls": Engine, "make_state": make_state},
+            {"backend": "vector", "make_state": make_vector_state},
+        )
+        for candidate in candidates:
+            report = run_differential(
+                graph,
+                make_factory=make_factory,
+                make_reference_state=make_state,
+                predicate=broadcast_complete(rumor),
+                max_incoming_per_round=1,
+                max_rounds=300,
+                **candidate,
+            )
+            assert_engines_agree(report)
+            assert report.rounds is None and report.reference_rounds is None
 
     @pytest.mark.parametrize("extra", ["enforce_blocking", "note_boards"])
     @given(connected_latency_graphs(max_nodes=12), seeds(), engine_configs())
@@ -448,6 +526,130 @@ class TestEligibility:
             VectorEngine(self.GRAPH, factory, state=state)
 
 
+class TestOneMatrix:
+    """A :class:`VectorState` is one ``n x words`` matrix that widens in
+    place, and widening never changes a rumor set: each leg keeps a
+    scalar :class:`NetworkState` mirror and compares every node."""
+
+    N = 100
+
+    def _seeded(self, nodes=None):
+        """70 rumors over 100 nodes: a two-word matrix."""
+        base = NetworkState(nodes if nodes is not None else range(self.N))
+        order = base.nodes()
+        for r in range(70):
+            base.add_rumor(order[r], ("r", r))
+        vector = VectorState.from_network_state(base)
+        assert vector._words.shape == (self.N, 2)
+        return base, vector
+
+    def _assert_mirrors(self, vector, mirror, words):
+        assert vector.layout == "dense"
+        assert vector._words.shape == (len(mirror.nodes()), words)
+        assert vector.state_nbytes() == len(mirror.nodes()) * words * 8
+        for node in mirror.nodes():
+            assert vector.rumors(node) == mirror.rumors(node)
+
+    def test_broadcast_is_one_word_per_node(self):
+        base = NetworkState(range(64))
+        base.add_rumor(0, "r")
+        assert base.state_nbytes() == 1  # scalar masks: one set bit
+        self._assert_mirrors(VectorState.from_network_state(base), base, 1)
+
+    def test_add_rumor_grows_matrix(self):
+        base, vector = self._seeded()
+        for r in range(70, 200):
+            base.add_rumor(r % self.N, ("r", r))
+            vector.add_rumor(r % self.N, ("r", r))
+        self._assert_mirrors(vector, base, 4)  # 200 rumors: 2 -> 4 words
+
+    def test_merge_grows_matrix(self):
+        donor = NetworkState(range(self.N))
+        for r in range(200):
+            donor.add_rumor(0, ("r", r))
+        payload = donor.snapshot(0)
+        base, vector = self._seeded()
+        assert base.merge(5, payload)
+        assert vector.merge(5, payload)
+        self._assert_mirrors(vector, base, 4)
+
+    def test_ldtg_token_interning_grows_matrix(self):
+        graph = ring_of_cliques(10, 10, inter_latency=2, rng=random.Random(3))
+        factory = ldtg_factory(graph, 1, run_tag="grow")
+        base, vector = self._seeded(graph.nodes())
+        scalar = Engine(graph, factory, state=base, latencies_known=True)
+        engine = VectorEngine(graph, factory, state=vector, latencies_known=True)
+        # 70 rumors + 100 tokens, interned at the build: 2 -> 4 words.
+        self._assert_mirrors(vector, base, 4)
+        while not scalar.all_done():
+            scalar.step()
+            engine.step()
+        assert engine.all_done() and engine.round == scalar.round
+        assert engine.metrics == scalar.metrics
+        self._assert_mirrors(vector, base, 4)
+
+    def test_eid_grows_matrix_between_phases(self):
+        # n self-rumors fit one word; the ℓ-DTG tokens EID interns push
+        # the universe past 64 bits between phases.
+        graph = ring_of_cliques(5, 8, inter_latency=3, rng=random.Random(1))
+
+        def run(backend):
+            state = NetworkState(graph.nodes())
+            state.seed_self_rumors()
+            runner = PhaseRunner(graph, state=state, backend=backend)
+            report = run_eid(graph, diameter=graph.weighted_diameter(), runner=runner)
+            return runner, report
+
+        vector, vector_report = run("vector")
+        scalar, scalar_report = run(None)
+        assert isinstance(vector.state, VectorState)
+        assert vector.state._words.shape[1] > 1
+        assert vector_report == scalar_report
+        assert vector.total_rounds == scalar.total_rounds
+        assert vector.total_exchanges == scalar.total_exchanges
+        assert vector.total_messages == scalar.total_messages
+        assert [(p.name, p.rounds, p.exchanges) for p in vector.phases] == [
+            (p.name, p.rounds, p.exchanges) for p in scalar.phases
+        ]
+        for node in graph.nodes():
+            assert vector.state.rumors(node) == scalar.state.rumors(node)
+
+
+def _oriented_spanner(graph) -> DirectedSpanner:
+    """The graph itself, oriented from repr-lower to repr-higher node."""
+    out_edges = {v: [] for v in graph.nodes()}
+    for u, v, _ in graph.edges():
+        tail, head = (u, v) if repr(u) <= repr(v) else (v, u)
+        out_edges[tail].append(head)
+    return DirectedSpanner(graph=graph, out_edges=out_edges, k=1)
+
+
+class TestRRBroadcastVector:
+    """RR Broadcast (fixed-duration round-robin over custom targets)."""
+
+    GRAPH = ring_of_cliques(4, 4, inter_latency=2, rng=random.Random(2))
+
+    def _run(self, backend, state=None):
+        runner = PhaseRunner(self.GRAPH, state=state, backend=backend)
+        runner.run_phase(
+            rr_broadcast_factory(_oriented_spanner(self.GRAPH), 3),
+            latencies_known=True,
+        )
+        return (
+            runner.total_rounds,
+            {v: runner.state.rumors(v) for v in self.GRAPH.nodes()},
+        )
+
+    def test_vector_backend_matches_scalar(self):
+        assert self._run("vector") == self._run("scalar")
+
+    def test_seeded_vector_state_matches_scalar(self):
+        seeded = NetworkState(self.GRAPH.nodes())
+        seeded.seed_self_rumors()
+        vector = VectorState.from_network_state(seeded)
+        assert self._run("vector", state=vector) == self._run("scalar")
+
+
 class TestVectorInvariants:
     """I1–I5 accept the vector backend and still catch a broken run."""
 
@@ -476,8 +678,7 @@ class TestVectorInvariants:
         # not another step: a delivery in the next round could
         # legitimately restore the wiped knowledge first.)
         assert engine.state.layout == "dense"
-        for part in engine.state._parts:
-            part[0] = 0
+        engine.state._words[0] = 0
         # Direct storage mutation bypasses the copy-on-write caches;
         # drop them so the checker reads the wiped row.
         engine.state._masks_cache[0] = None

@@ -9,8 +9,8 @@ run must match both the scalar :class:`~repro.sim.engine.Engine` and the
 naive :class:`~repro.testing.ReferenceEngine` — knowledge, every engine
 counter, termination — and the protocol instances it hands back must
 carry the same ``iterations_used`` and ``measured_latencies``.  The
-matrix crosses ``ℓ`` (1 and the largest latency), run tags, graph-read
-and measured fast lists, and every rumor-state layout.
+matrix crosses ``ℓ`` (1 and the largest latency), run tags, and
+graph-read and measured fast lists.
 
 A sabotaged fast list (an edge slower than ``ℓ``) breaks the lockstep;
 the plan must refuse to continue rather than diverge quietly.
@@ -36,8 +36,6 @@ from repro.testing import (
     ReferenceEngine,
     ReferenceNetworkState,
     connected_latency_graphs,
-    layout_state,
-    state_layouts,
 )
 
 
@@ -61,14 +59,14 @@ def _observe(engine, graph):
     }
 
 
-def _engines(graph, factory, layout, latencies_known):
+def _engines(graph, factory, latencies_known):
     scalar_state = NetworkState(graph.nodes())
     scalar_state.seed_self_rumors()
     reference_state = ReferenceNetworkState(graph.nodes())
     reference_state.seed_self_rumors()
     vector_state = NetworkState(graph.nodes())
     vector_state.seed_self_rumors()
-    vector_state = layout_state(vector_state, layout)
+    vector_state = VectorState.from_network_state(vector_state)
     kwargs = {"latencies_known": latencies_known}
     return (
         Engine(graph, factory, state=scalar_state, **kwargs),
@@ -82,23 +80,19 @@ def _engines(graph, factory, layout, latencies_known):
     use_max_ell=st.booleans(),
     run_tag=st.sampled_from([None, "t"]),
     measured=st.booleans(),
-    layout=state_layouts(),
 )
 @settings(max_examples=40, deadline=None)
-def test_vector_dtg_matches_scalar_and_reference(
-    graph, use_max_ell, run_tag, measured, layout
-):
+def test_vector_dtg_matches_scalar_and_reference(graph, use_max_ell, run_tag, measured):
     ell = max(1, graph.max_latency()) if use_max_ell else 1
     table = None
     if measured:
         table = run_latency_discovery(graph, window=max(1, graph.max_latency()))
     factory = ldtg_factory(graph, ell, measured=table, run_tag=run_tag)
-    _assert_agree_every_round(graph, factory, layout, latencies_known=not measured)
+    _assert_agree_every_round(graph, factory, latencies_known=not measured)
 
 
-@pytest.mark.parametrize("layout", ["dense", "chunked"])
 @pytest.mark.parametrize("ell", [1, 2, 4])
-def test_multi_iteration_exchange_order(layout, ell):
+def test_multi_iteration_exchange_order(ell):
     # Denser, larger graphs run several iterations, where the order of the
     # push/pull sequences over the linked list becomes observable in the
     # payload counters and the knowledge timeline.
@@ -106,11 +100,11 @@ def test_multi_iteration_exchange_order(layout, ell):
         40, 0.25, latency_model=uniform_latency(1, 4), rng=random.Random(ell)
     )
     factory = ldtg_factory(graph, ell, run_tag="order")
-    _assert_agree_every_round(graph, factory, layout, latencies_known=True)
+    _assert_agree_every_round(graph, factory, latencies_known=True)
 
 
-def _assert_agree_every_round(graph, factory, layout, latencies_known):
-    scalar, reference, vector = _engines(graph, factory, layout, latencies_known)
+def _assert_agree_every_round(graph, factory, latencies_known):
+    scalar, reference, vector = _engines(graph, factory, latencies_known)
     assert vector._plans, "the ℓ-DTG phase must run as a vector plan"
     for _ in range(100_000):
         expected = _observe(scalar, graph)
@@ -131,7 +125,7 @@ def test_all_dtg_engine_runs_the_scalar_round_count():
     for u, v, latency in [(0, 1, 1), (1, 2, 2), (2, 3, 1), (3, 0, 2), (0, 2, 1)]:
         graph.add_edge(u, v, latency)
     factory = ldtg_factory(graph, 2, run_tag="r")
-    scalar, _, vector = _engines(graph, factory, "dense", latencies_known=True)
+    scalar, _, vector = _engines(graph, factory, latencies_known=True)
     assert not vector.all_done()
     assert vector.run() == scalar.run() > 0
     assert vector.metrics.exchanges == scalar.metrics.exchanges
@@ -143,7 +137,7 @@ def test_isolated_members_stop_after_one_round():
     graph = LatencyGraph()
     graph.add_edge("a", "b", 5)
     factory = ldtg_factory(graph, 1)
-    scalar, _, vector = _engines(graph, factory, "dense", latencies_known=True)
+    scalar, _, vector = _engines(graph, factory, latencies_known=True)
     assert vector.run() == scalar.run() == 1
     assert vector.metrics.exchanges == 0
 

@@ -2,18 +2,25 @@
 
 A parallel :func:`~repro.experiments.harness.map_trials` run of
 vector-backend simulations must be bit-identical to the serial run —
-results, merged span counts, and merged metric values alike.  The trial
-function lives at module level so it pickles into the worker processes.
+results, merged span counts, and merged metric values alike.  Every
+trial runs under its caller's backend and ``checked()`` scopes, whichever
+scopes were active when the shared pool started.  The trial functions
+live at module level so they pickle into the worker processes.
 """
 
 import random
 
+import pytest
+
+from repro.experiments import harness
 from repro.experiments.harness import map_trials
 from repro.graphs import generators
 from repro.graphs.latency_models import uniform_latency
 from repro.obs.metrics import metrics_since, metrics_snapshot
 from repro.obs.profile import span_snapshot, spans_since
 from repro.protocols.push_pull import run_push_pull
+from repro.sim.invariants import checked, checking_enabled
+from repro.sim.vector import current_engine_backend, engine_backend
 
 
 def _vector_trial(seed):
@@ -59,3 +66,34 @@ def test_parallel_vector_trials_merge_spans_and_metrics(monkeypatch):
     # identical to the serial ones — runs, rounds, and all.
     assert parallel_metrics == serial_metrics
     assert serial_metrics["sim_runs_total"]["cells"]
+
+
+def _scope_probe(_):
+    """The backend and ``checked()`` scopes a trial runs under."""
+    return current_engine_backend(), checking_enabled()
+
+
+@pytest.mark.parametrize("scoped_first", [True, False])
+def test_pool_trials_run_in_the_callers_scopes(monkeypatch, scoped_first):
+    # The pool starts inside the first call; a forked worker must not
+    # keep that call's scopes for the second.
+    monkeypatch.setenv("REPRO_JOBS", "2")
+    harness._shutdown_pool()
+    items = list(range(4))
+
+    def scoped():
+        with engine_backend("vector"), checked():
+            return map_trials(_scope_probe, items)
+
+    def plain():
+        return map_trials(_scope_probe, items)
+
+    try:
+        if scoped_first:
+            inside, outside = scoped(), plain()
+        else:
+            outside, inside = plain(), scoped()
+    finally:
+        harness._shutdown_pool()
+    assert inside == [("vector", True)] * len(items)
+    assert outside == [("scalar", False)] * len(items)
