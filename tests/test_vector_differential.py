@@ -10,8 +10,7 @@ rejected loudly at construction, and the invariant checkers (which put
 the vector backend on the scalar engine's per-exchange step) must keep
 their teeth.  The rumor state is one bitset matrix that widens in place
 (``add_rumor``, merges, ℓ-DTG token interning, EID between phases)
-without changing any rumor set, and RR Broadcast's custom target tables
-replay the scalar run.
+without changing any rumor set.
 """
 
 import random
@@ -22,7 +21,6 @@ from hypothesis import strategies as st
 
 from repro.errors import ProtocolError, SimulationError
 from repro.graphs.generators import erdos_renyi, ring_of_cliques
-from repro.graphs.latency_graph import LatencyGraph
 from repro.graphs.latency_models import uniform_latency
 from repro.obs.recorder import Recorder
 from repro.protocols.base import PhaseRunner, per_node_rng_factory
@@ -36,8 +34,6 @@ from repro.protocols.push_pull import (
     PushPullProtocol,
     run_push_pull,
 )
-from repro.protocols.rr_broadcast import rr_broadcast_factory
-from repro.protocols.spanner import DirectedSpanner
 from repro.sim.engine import Engine, NodeProtocol
 from repro.sim.failures import CrashSchedule
 from repro.sim.invariants import checked, default_checkers
@@ -78,14 +74,6 @@ RNG_PROTOCOLS = {
     "push-pull": lambda rumor: (lambda rng: PushPullProtocol(rng)),
     "push": lambda rumor: (lambda rng: PushProtocol(rng, rumor)),
     "pull": lambda rumor: (lambda rng: PullProtocol(rng, rumor)),
-}
-
-#: The gated protocols — push, pull and knows-gated (push-only) flooding
-#: — for the engine-config matrix; push--pull has its own config leg.
-CONFIG_PROTOCOLS = {
-    "push": RNG_PROTOCOLS["push"],
-    "pull": RNG_PROTOCOLS["pull"],
-    "flooding": lambda rumor: (lambda rng: FloodingProtocol(rumor)),
 }
 
 
@@ -197,68 +185,6 @@ class TestVectorVsScalar:
             reference_cls=Engine,
         )
         assert_engines_agree(report)
-
-    @pytest.mark.parametrize("variant", sorted(CONFIG_PROTOCOLS))
-    @given(connected_latency_graphs(max_nodes=12), seeds(), engine_configs())
-    @settings(max_examples=6, deadline=None)
-    def test_protocols_bit_identical_to_scalar(self, variant, graph, seed, config):
-        rumor, make_state = broadcast_setup(graph)
-        build = CONFIG_PROTOCOLS[variant](rumor)
-
-        def make_factory():
-            make_rng = per_node_rng_factory(seed)
-            return lambda node: build(make_rng(node))
-
-        report = run_differential(
-            graph,
-            make_factory=make_factory,
-            make_state=lambda: VectorState.from_network_state(make_state()),
-            make_reference_state=make_state,
-            predicate=broadcast_complete(rumor),
-            fresh_snapshots=config["fresh_snapshots"],
-            max_incoming_per_round=config["max_incoming_per_round"],
-            max_rounds=5_000,
-            backend="vector",
-            reference_cls=Engine,
-        )
-        assert_engines_agree(report)
-        # A responder cap gives no liveness guarantee (docs/MODEL.md §4),
-        # so completion is only owed to uncapped runs.
-        if config["max_incoming_per_round"] is None:
-            assert report.rounds is not None
-
-    @pytest.mark.parametrize("seed", [0, 1, 85])
-    def test_cap_starvation_never_completes_on_any_engine(self, seed):
-        # The cap is first-come-first-served in node scan order: node 1
-        # takes node 3's only slot every round and node 0 takes node 2's,
-        # so the rumor never crosses edge 2-3.  Every engine must agree on
-        # that non-completion and on the metrics.
-        graph = LatencyGraph(nodes=[0, 1, 2, 3], edges=[(0, 2, 6), (2, 3, 5), (3, 1, 4)])
-        rumor, make_state = broadcast_setup(graph)
-
-        def make_factory():
-            make_rng = per_node_rng_factory(seed)
-            return lambda node: PushPullProtocol(make_rng(node))
-
-        def make_vector_state():
-            return VectorState.from_network_state(make_state())
-
-        candidates = (
-            {"engine_cls": Engine, "make_state": make_state},
-            {"backend": "vector", "make_state": make_vector_state},
-        )
-        for candidate in candidates:
-            report = run_differential(
-                graph,
-                make_factory=make_factory,
-                make_reference_state=make_state,
-                predicate=broadcast_complete(rumor),
-                max_incoming_per_round=1,
-                max_rounds=300,
-                **candidate,
-            )
-            assert_engines_agree(report)
-            assert report.rounds is None and report.reference_rounds is None
 
     @pytest.mark.parametrize("extra", ["enforce_blocking", "note_boards"])
     @given(connected_latency_graphs(max_nodes=12), seeds(), engine_configs())
@@ -613,41 +539,6 @@ class TestOneMatrix:
         ]
         for node in graph.nodes():
             assert vector.state.rumors(node) == scalar.state.rumors(node)
-
-
-def _oriented_spanner(graph) -> DirectedSpanner:
-    """The graph itself, oriented from repr-lower to repr-higher node."""
-    out_edges = {v: [] for v in graph.nodes()}
-    for u, v, _ in graph.edges():
-        tail, head = (u, v) if repr(u) <= repr(v) else (v, u)
-        out_edges[tail].append(head)
-    return DirectedSpanner(graph=graph, out_edges=out_edges, k=1)
-
-
-class TestRRBroadcastVector:
-    """RR Broadcast (fixed-duration round-robin over custom targets)."""
-
-    GRAPH = ring_of_cliques(4, 4, inter_latency=2, rng=random.Random(2))
-
-    def _run(self, backend, state=None):
-        runner = PhaseRunner(self.GRAPH, state=state, backend=backend)
-        runner.run_phase(
-            rr_broadcast_factory(_oriented_spanner(self.GRAPH), 3),
-            latencies_known=True,
-        )
-        return (
-            runner.total_rounds,
-            {v: runner.state.rumors(v) for v in self.GRAPH.nodes()},
-        )
-
-    def test_vector_backend_matches_scalar(self):
-        assert self._run("vector") == self._run("scalar")
-
-    def test_seeded_vector_state_matches_scalar(self):
-        seeded = NetworkState(self.GRAPH.nodes())
-        seeded.seed_self_rumors()
-        vector = VectorState.from_network_state(seeded)
-        assert self._run("vector", state=vector) == self._run("scalar")
 
 
 class TestVectorInvariants:

@@ -1,23 +1,19 @@
-"""Differential matrix for the vector backend's rumor-state layouts.
+"""Differential legs for a caller-built vector rumor state.
 
 The vector engine stores rumor knowledge in one
-:class:`~repro.sim.vector.VectorState`: a bitset matrix in budget-bounded
-column parts, labelled ``dense`` while it is one part and ``chunked``
-once it spans several.  The ``chunked`` leg runs that storage under a
-one-word part budget, so every universe past 64 rumors spans parts.
-The layout is a *representation* choice, so every layout must be
-bit-identical to the scalar :class:`~repro.sim.engine.Engine`: same
-completion rounds, same per-node knowledge, same metrics, for every
-oblivious protocol, under crash schedules and responder caps (a crash
-schedule runs the scalar engine's own per-exchange step over the layout
-state, so those legs pin that path per layout).  This suite pins that
-with a hypothesis matrix over
-layouts x {push--pull, push, pull, flooding} x engine configs, plus
-deterministic legs for layout labels, multi-part chunked runs,
-part budgets under growth (add_rumor, merge, ℓ-DTG token interning, an
-EID run crossing parts mid-run),
-RR Broadcast on custom target tables, and a committed golden event
-stream each layout must reproduce byte for byte (re-bless with
+:class:`~repro.sim.vector.VectorState`: a single ``n x words`` bitset
+matrix whose layout label is the constant ``dense``.  Every leg here
+builds that state itself (``VectorState.from_network_state``) and hands
+it to the engine, instead of letting the backend convert a scalar state,
+and checks the label it carries.  The state is a *representation*
+choice, so it must be bit-identical to the scalar
+:class:`~repro.sim.engine.Engine`: same completion rounds, same per-node
+knowledge, same metrics, for every oblivious protocol, under crash
+schedules and responder caps.  This suite pins that with a hypothesis
+matrix over {push--pull, push, pull, flooding} x engine configs, plus
+deterministic legs for responder-cap starvation, RR Broadcast on custom
+target tables, and a committed golden event stream built with explicit
+engines that must match byte for byte (re-bless with
 ``REPRO_UPDATE_GOLDEN=1`` after a deliberate semantic change).
 """
 
@@ -34,8 +30,6 @@ from repro.graphs.latency_graph import LatencyGraph
 from repro.graphs.latency_models import uniform_latency
 from repro.obs import Recorder, events_to_jsonl
 from repro.protocols.base import PhaseRunner, per_node_rng_factory
-from repro.protocols.dtg import ldtg_factory
-from repro.protocols.eid import run_eid
 from repro.protocols.flooding import FloodingProtocol
 from repro.protocols.push_pull import (
     PullProtocol,
@@ -45,32 +39,27 @@ from repro.protocols.push_pull import (
 from repro.protocols.rr_broadcast import rr_broadcast_factory
 from repro.protocols.spanner import DirectedSpanner
 from repro.sim.engine import Engine
-from repro.sim.runner import all_to_all_complete, broadcast_complete, run_until_complete
+from repro.sim.runner import broadcast_complete, run_until_complete
 from repro.sim.state import NetworkState
-from repro.sim.vector import (
-    DEFAULT_MAX_STATE_BYTES,
-    VectorEngine,
-    VectorState,
-    current_max_state_bytes,
-    state_budget,
-)
+from repro.sim.vector import VectorEngine, VectorState
 from repro.testing import (
-    LAYOUT_LEGS,
     assert_engines_agree,
     connected_latency_graphs,
     crash_schedules,
     engine_configs,
-    layout_state,
     run_differential,
     seeds,
-    state_layouts,
 )
 
 GOLDEN_DIR = pathlib.Path(__file__).parent / "golden"
 
+#: The layout labels a :class:`VectorState` can carry: one matrix, one
+#: label.  Each leg asserts the state it built carries its label.
+LAYOUT_LEGS = ("dense",)
+
 #: name -> builder(rumor) -> per-node protocol constructor over an rng.
 #: ``flooding`` is the knows-gated (push-only) variant, so the matrix
-#: also exercises the gated fast path on every layout.
+#: also exercises the gated fast path.
 PROTOCOLS = {
     "push-pull": lambda rumor: (lambda rng: PushPullProtocol(rng)),
     "push": lambda rumor: (lambda rng: PushProtocol(rng, rumor)),
@@ -91,8 +80,15 @@ def broadcast_setup(graph):
     return rumor, make_state
 
 
+def layout_state(base, layout):
+    """A bitset copy of ``base`` that carries the label ``layout``."""
+    state = VectorState.from_network_state(base)
+    assert state.layout == layout
+    return state
+
+
 def forced_layout(make_base, layout):
-    """A state builder yielding ``make_base()`` in the given layout."""
+    """A state builder yielding ``make_base()`` as a labelled bitset."""
 
     def make_state():
         return layout_state(make_base(), layout)
@@ -101,7 +97,7 @@ def forced_layout(make_base, layout):
 
 
 class TestLayoutMatrix:
-    """Every layout x every oblivious protocol vs the scalar engine."""
+    """The caller-built state x every oblivious protocol vs the scalar engine."""
 
     @pytest.mark.parametrize("layout", LAYOUT_LEGS)
     @pytest.mark.parametrize("variant", sorted(PROTOCOLS))
@@ -139,8 +135,8 @@ class TestLayoutMatrix:
     def test_cap_starvation_never_completes_on_any_engine(self, seed):
         # The cap is first-come-first-served in node scan order: node 1
         # takes node 3's only slot every round and node 0 takes node 2's,
-        # so the rumor never crosses edge 2-3.  Every engine and layout
-        # must agree on that non-completion and on the metrics.
+        # so the rumor never crosses edge 2-3.  Every engine must agree on
+        # that non-completion and on the metrics.
         graph = LatencyGraph(nodes=[0, 1, 2, 3], edges=[(0, 2, 6), (2, 3, 5), (3, 1, 4)])
         rumor, make_base = broadcast_setup(graph)
 
@@ -166,7 +162,7 @@ class TestLayoutMatrix:
             assert report.rounds is None and report.reference_rounds is None
 
     @given(
-        state_layouts(),
+        st.sampled_from(LAYOUT_LEGS),
         connected_latency_graphs(min_nodes=6, max_nodes=12),
         seeds(100),
         st.data(),
@@ -192,197 +188,6 @@ class TestLayoutMatrix:
             reference_cls=Engine,
         )
         assert_engines_agree(report)
-
-    def test_chunked_multi_block_all_to_all_agrees(self):
-        # 80 self-rumors need 2 bitset words; a budget of n*8 bytes caps
-        # parts at one word each, so the run genuinely spans parts.
-        graph = generators.erdos_renyi(
-            80, 0.08, latency_model=uniform_latency(1, 4), rng=random.Random(7)
-        )
-
-        def make_base():
-            state = NetworkState(graph.nodes())
-            state.seed_self_rumors()
-            return state
-
-        def make_state():
-            with state_budget(len(graph.nodes()) * 8):
-                state = VectorState.from_network_state(make_base())
-            assert state.layout == "chunked"
-            assert len(state._parts) == 2
-            return state
-
-        def make_factory():
-            make_rng = per_node_rng_factory(11)
-            return lambda node: PushPullProtocol(make_rng(node))
-
-        report = run_differential(
-            graph,
-            make_factory=make_factory,
-            make_state=make_state,
-            make_reference_state=make_base,
-            predicate=all_to_all_complete(),
-            max_rounds=5_000,
-            backend="vector",
-            reference_cls=Engine,
-        )
-        assert_engines_agree(report)
-        assert report.rounds is not None
-
-
-class TestLayoutSelection:
-    """The layout label follows the part count of the observed universe."""
-
-    def test_medium_universe_within_budget_stays_dense(self):
-        state = NetworkState(range(10))
-        state.seed_self_rumors()
-        vector = VectorState.from_network_state(state)
-        assert vector.layout == "dense"
-        assert len(vector._parts) == 1
-
-    def test_over_budget_universe_chunks(self):
-        state = NetworkState(range(100))
-        state.seed_self_rumors()  # dense would need n * 2 words * 8 bytes
-        vector = VectorState.from_network_state(state, max_state_bytes=100 * 8)
-        assert vector.layout == "chunked"
-        assert [part.nbytes for part in vector._parts] == [100 * 8, 100 * 8]
-
-    @pytest.mark.parametrize("layout", LAYOUT_LEGS)
-    def test_forced_layout_is_respected(self, layout):
-        # 70 rumors: two bitset words, so the one-word chunked leg splits.
-        state = NetworkState(range(6))
-        for r in range(70):
-            state.add_rumor(r % 6, ("r", r))
-        vector = layout_state(state, layout)
-        assert vector.layout == layout
-        for node in range(6):
-            assert vector.rumors(node) == state.rumors(node)
-
-    def test_budget_scope_and_env_var(self, monkeypatch):
-        monkeypatch.delenv("REPRO_MAX_STATE_BYTES", raising=False)
-        assert current_max_state_bytes() == DEFAULT_MAX_STATE_BYTES
-        monkeypatch.setenv("REPRO_MAX_STATE_BYTES", "4096")
-        assert current_max_state_bytes() == 4096
-        with state_budget(123):
-            assert current_max_state_bytes() == 123
-        assert current_max_state_bytes() == 4096
-
-    def test_state_nbytes_tracks_layout(self):
-        base = NetworkState(range(64))
-        base.add_rumor(0, "r")
-        # scalar masks: one node holds bit 0 -> one byte
-        assert base.state_nbytes() == 1
-        # a broadcast is the one-part, one-word bitset: n * 8 bytes
-        dense = VectorState.from_network_state(base)
-        assert dense.state_nbytes() == 64 * 8
-        assert dense.layout == "dense"
-        assert [part.shape[1] for part in dense._parts] == [1]
-        chunked = layout_state(base, "chunked")
-        assert chunked.state_nbytes() == 64 * 8  # one one-word part
-        assert chunked.layout == "dense"  # one part reads dense
-
-
-class TestPartBudget:
-    """A bitset state never holds a part bigger than its budget, however
-    it grows, and growth never changes the rumor sets."""
-
-    N = 100
-    BUDGET = 1600  # two words per part at n = 100
-
-    def _pick_within_budget(self, nodes=None):
-        """70 rumors over 100 nodes: two words, exactly one full part."""
-        base = NetworkState(nodes if nodes is not None else range(self.N))
-        order = base.nodes()
-        for r in range(70):
-            base.add_rumor(order[r], ("r", r))
-        vector = VectorState.from_network_state(base)
-        assert vector.layout == "dense"
-        assert vector.state_nbytes() == self.BUDGET
-        return base, vector
-
-    def _assert_parts_fit(self, vector):
-        if vector.layout == "dense":  # one part: the whole storage
-            assert vector.state_nbytes() <= self.BUDGET
-        else:
-            assert max(part.nbytes for part in vector._parts) <= self.BUDGET
-
-    def _assert_grown_within_budget(self, vector, mirror):
-        self._assert_parts_fit(vector)
-        assert vector.layout == "chunked"
-        for node in mirror.nodes():
-            assert vector.rumors(node) == mirror.rumors(node)
-
-    def test_add_rumor_appends_parts(self):
-        with state_budget(self.BUDGET):
-            base, vector = self._pick_within_budget()
-            for r in range(70, 200):
-                base.add_rumor(r % self.N, ("r", r))
-                vector.add_rumor(r % self.N, ("r", r))
-                self._assert_parts_fit(vector)
-        self._assert_grown_within_budget(vector, base)
-        assert [part.shape[1] for part in vector._parts] == [2, 2]
-
-    def test_merge_appends_parts(self):
-        donor = NetworkState(range(self.N))
-        for r in range(200):
-            donor.add_rumor(0, ("r", r))
-        payload = donor.snapshot(0)
-        with state_budget(self.BUDGET):
-            base, vector = self._pick_within_budget()
-            assert base.merge(5, payload)
-            assert vector.merge(5, payload)
-        self._assert_grown_within_budget(vector, base)
-
-    def test_ldtg_token_interning_appends_parts(self):
-        graph = generators.ring_of_cliques(
-            10, 10, inter_latency=2, rng=random.Random(3)
-        )
-        factory = ldtg_factory(graph, 1, run_tag="grow")
-        with state_budget(self.BUDGET):
-            base, vector = self._pick_within_budget(graph.nodes())
-            scalar = Engine(graph, factory, state=base, latencies_known=True)
-            engine = VectorEngine(graph, factory, state=vector, latencies_known=True)
-        self._assert_grown_within_budget(vector, base)
-        # 70 rumors + 100 tokens: three words, the third in a new part.
-        assert [part.shape[1] for part in vector._parts] == [2, 1]
-        while not scalar.all_done():
-            scalar.step()
-            engine.step()
-        assert engine.all_done() and engine.round == scalar.round
-        assert engine.metrics == scalar.metrics
-        self._assert_grown_within_budget(vector, base)
-
-    def test_eid_crosses_parts_mid_run(self):
-        # n self-rumors fit one word; the ℓ-DTG tokens EID interns push
-        # the universe past 64 bits, so a one-word part budget makes the
-        # vector state append parts between phases.
-        graph = generators.ring_of_cliques(
-            5, 8, inter_latency=3, rng=random.Random(1)
-        )
-        n = graph.num_nodes
-
-        def run(backend):
-            state = NetworkState(graph.nodes())
-            state.seed_self_rumors()
-            runner = PhaseRunner(graph, state=state, backend=backend)
-            report = run_eid(graph, diameter=graph.weighted_diameter(), runner=runner)
-            return runner, report
-
-        with state_budget(n * 8):
-            vector, vector_report = run("vector")
-        scalar, scalar_report = run(None)
-        assert vector.state.layout == "chunked"
-        assert len(vector.state._parts) > 1
-        assert max(part.nbytes for part in vector.state._parts) <= n * 8
-        assert vector_report == scalar_report
-        assert vector.total_rounds == scalar.total_rounds
-        assert vector.total_exchanges == scalar.total_exchanges
-        assert vector.total_messages == scalar.total_messages
-        assert [(p.name, p.rounds, p.exchanges) for p in vector.phases] == [
-            (p.name, p.rounds, p.exchanges) for p in scalar.phases
-        ]
-        for node in graph.nodes():
-            assert vector.state.rumors(node) == scalar.state.rumors(node)
 
 
 def _oriented_spanner(graph) -> DirectedSpanner:
@@ -426,7 +231,7 @@ def _bucketed_trace(backend, layout=None) -> str:
 
     The recorder puts the vector engine on its batched mirror path,
     which must replay the scalar engine's canonical stream byte for
-    byte whatever the storage layout underneath.
+    byte over a caller-built bitset state.
     """
     graph = generators.erdos_renyi(
         16, 0.3, latency_model=uniform_latency(1, 5), rng=random.Random(3)
@@ -455,7 +260,8 @@ def _bucketed_trace(backend, layout=None) -> str:
 
 
 #: The bucketed stream ``tests/test_vector_golden.py`` owns: this suite
-#: builds it a second way (explicit engines, every layout) and must match.
+#: builds it a second way (explicit engines, caller-built state) and must
+#: match.
 GOLDEN_FILE = "push_pull_vector_bucketed.jsonl"
 
 
@@ -484,5 +290,5 @@ class TestLayoutGoldenTraces:
         generated = _bucketed_trace("vector", layout=layout)
         assert path.read_bytes() == generated.encode("ascii"), (
             f"layout {layout!r} diverged from the committed golden stream — "
-            "every layout must replay the scalar engine byte for byte"
+            "the caller-built state must replay the scalar engine byte for byte"
         )
