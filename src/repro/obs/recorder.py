@@ -1,9 +1,10 @@
 """The :class:`Recorder` and its pluggable event sinks.
 
-The engine takes an optional recorder; when absent (the default) the hot
-path pays exactly one ``is None`` check per instrumentation site, so
-recording is zero-cost when disabled.  When present, every event is
-fanned out to the recorder's sinks:
+The engine takes an optional recorder; when neither a recorder nor an
+invariant checker is attached (the default) the hot path pays exactly one
+``is None`` check per instrumentation site, so recording is zero-cost
+when disabled.  When present, every event is fanned out to the
+recorder's sinks:
 
 * :class:`MemorySink` — unbounded in-process list (tests, ``repro trace``);
 * :class:`RingBufferSink` — fixed-capacity deque keeping the most recent
@@ -12,7 +13,11 @@ fanned out to the recorder's sinks:
   golden-trace format).
 
 :class:`~repro.obs.metrics.MetricsSink` aggregates the stream into a
-metrics registry without retaining events.
+metrics registry without retaining events.  The model-invariant checkers
+(:class:`~repro.sim.invariants.InvariantChecker`) are sinks too: with
+checkers attached the engine hands each event to its recorder (if any),
+then to a :class:`RingBufferSink` that keeps the excerpt a violation
+message shows, then to each checker.
 
 Sinks are intentionally tiny: anything with ``write(event)`` (and an
 optional ``close()``) qualifies, so experiment-specific sinks can be
@@ -112,9 +117,9 @@ class JsonlSink:
 class Recorder:
     """Fans engine events out to one or more sinks.
 
-    The engine guards every call site with ``if recorder is not None``, so
-    building events (and this fan-out) only happens when a recorder was
-    actually attached.
+    The engine guards every call site with one ``is None`` check, so
+    building events (and this fan-out) only happens when a recorder or a
+    checker was actually attached.
     """
 
     def __init__(self, *sinks: Sink) -> None:

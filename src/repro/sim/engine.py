@@ -20,7 +20,6 @@ them).  The engine is fully deterministic given the protocol's RNG seeds.
 from __future__ import annotations
 
 import abc
-import collections
 import dataclasses
 from typing import Callable, Optional, Sequence
 
@@ -29,22 +28,23 @@ from repro.graphs.latency_graph import LatencyGraph, Node
 from repro.obs.events import (
     BlockedInitiationEvent,
     DeliveryEvent,
+    Event,
     InitiationEvent,
     RejectedInitiationEvent,
     RoundEvent,
     VoidExchangeEvent,
     WakeupEvent,
 )
-from repro.obs.recorder import Recorder
+from repro.obs.recorder import Recorder, RingBufferSink
 from repro.sim import invariants as _invariants
 from repro.sim.failures import FailureModel
-from repro.sim.invariants import DeliveryView, ExchangeView, InvariantChecker
+from repro.sim.invariants import InvariantChecker
 from repro.sim.metrics import EngineMetrics
 from repro.sim.state import NetworkState, Payload
 
 __all__ = ["Delivery", "NodeContext", "NodeProtocol", "Engine"]
 
-#: How many recent events the violation trace excerpt keeps.
+#: How many recent events a checker's violation excerpt shows.
 _CHECKER_LOG_SIZE = 24
 
 
@@ -229,9 +229,11 @@ class Engine:
         flight raises :class:`~repro.errors.ProtocolError`.  Push--pull is
         expected to violate it; ℓ-DTG / T(k) / Path Discovery must not.
     checkers:
-        Optional :class:`~repro.sim.invariants.InvariantChecker` instances
-        observing every round/initiation/delivery and raising
-        :class:`~repro.errors.SimulationError` on a model violation.  With
+        Optional :class:`~repro.sim.invariants.InvariantChecker` instances:
+        sinks that read the run's event stream (the events a ``recorder``
+        would record, the same objects in the same order) and raise
+        :class:`~repro.errors.SimulationError` on a model violation, with
+        the most recent events as its excerpt.  With
         the default ``None``, a fresh set of
         :func:`~repro.sim.invariants.default_checkers` is attached when a
         :func:`~repro.sim.invariants.checked` scope is active, and nothing
@@ -241,9 +243,12 @@ class Engine:
         Optional :class:`~repro.obs.recorder.Recorder` receiving typed
         events (initiations, deliveries with coverage deltas, wakeups,
         void exchanges, blocked/rejected initiations, per-round
-        summaries).  ``None`` (the default) costs the hot path exactly one
-        ``is None`` check per potential event site — the recorder-off run
-        is bit-identical to a recorder-on run of the same seed.
+        summaries).  The engine emits each event once, to the recorder
+        first and then to the checkers; with neither (the default) the
+        hot path pays exactly one ``is None`` check per potential event
+        site.  Observing never changes a run: it is bit-identical with
+        and without a recorder or checkers, and the recorder's bytes are
+        the same with and without checkers.
     """
 
     #: The backend label a phase on this engine records
@@ -322,9 +327,15 @@ class Engine:
                 else ()
             )
         self._checkers: tuple[InvariantChecker, ...] = tuple(checkers)
-        self._checker_log: collections.deque[str] = collections.deque(
-            maxlen=_CHECKER_LOG_SIZE
-        )
+        #: Where every event goes, once: ``None`` when nothing observes
+        #: the run, the recorder alone, or the checked fan-out.
+        self._emit: Optional[Callable[[Event], None]] = None
+        if self._checkers:
+            #: The recent events a checker's violation message shows.
+            self._recent_events = RingBufferSink(_CHECKER_LOG_SIZE)
+            self._emit = self._emit_checked
+        elif recorder is not None:
+            self._emit = recorder.record
         for checker in self._checkers:
             checker.on_attach(self)
 
@@ -355,24 +366,23 @@ class Engine:
         """Number of exchanges still in flight."""
         return self._pending_count
 
-    def recent_checker_events(self) -> list[str]:
-        """The most recent logged events (the violation trace excerpt)."""
-        return list(self._checker_log)
-
-    def _log_event(self, event: str) -> None:
-        if self._checkers:
-            self._checker_log.append(event)
+    def _emit_checked(self, event: Event) -> None:
+        """Hand one event to the recorder, the recent-event ring, then
+        every checker."""
+        if self.recorder is not None:
+            self.recorder.record(event)
+        self._recent_events.write(event)
+        for checker in self._checkers:
+            checker.write(event)
 
     # ------------------------------------------------------------------
     def step(self) -> None:
         """Execute one round: deliver due exchanges, then collect initiations."""
         self.last_initiations = []
-        for checker in self._checkers:
-            checker.on_round_start(self)
         delivered = self._deliver_due()
         if self._woken:
             self._wake_parked()
-        recorder = self.recorder
+        emit = self._emit
         incoming: dict[Node, int] = {}
         failure_model = self.failure_model
         protocols = self._protocols
@@ -403,8 +413,8 @@ class Engine:
                 accepted = incoming.get(target, 0)
                 if accepted >= self.max_incoming_per_round:
                     self.metrics.rejected_initiations += 1
-                    if recorder is not None:
-                        recorder.record(
+                    if emit is not None:
+                        emit(
                             RejectedInitiationEvent(
                                 round=self.round, initiator=node, responder=target
                             )
@@ -413,10 +423,8 @@ class Engine:
                 incoming[target] = accepted + 1
             self._initiate(node, target)
         self._active = survivors
-        for checker in self._checkers:
-            checker.on_round_end(self)
-        if recorder is not None:
-            recorder.record(
+        if emit is not None:
+            emit(
                 RoundEvent(
                     round=self.round,
                     initiations=len(self.last_initiations),
@@ -483,8 +491,8 @@ class Engine:
         latency = self.graph.latency(initiator, responder)
         if self.enforce_blocking and self._in_flight_initiations.get(initiator, 0):
             self.metrics.blocked_initiations += 1
-            if self.recorder is not None:
-                self.recorder.record(
+            if self._emit is not None:
+                self._emit(
                     BlockedInitiationEvent(
                         round=self.round, initiator=initiator, responder=responder
                     )
@@ -497,8 +505,8 @@ class Engine:
         lost = self.failure_model is not None and self.failure_model.exchange_lost(
             initiator, responder, self.round
         )
-        if self.recorder is not None:
-            self.recorder.record(
+        if self._emit is not None:
+            self._emit(
                 InitiationEvent(
                     round=self.round,
                     initiator=initiator,
@@ -508,24 +516,6 @@ class Engine:
                     lost=lost,
                 )
             )
-        if self._checkers:
-            self._log_event(
-                f"round {self.round}: {initiator!r} -> {responder!r} initiate "
-                f"(latency {latency}"
-                + (", ping" if ping_only else "")
-                + (", lost" if lost else "")
-                + ")"
-            )
-            view = ExchangeView(
-                initiator=initiator,
-                responder=responder,
-                round=self.round,
-                latency=latency,
-                ping_only=ping_only,
-                lost=lost,
-            )
-            for checker in self._checkers:
-                checker.on_initiation(self, view)
         if lost:
             # Lost on the wire: the initiator simply never hears back.
             self.metrics.lost_exchanges += 1
@@ -597,20 +587,12 @@ class Engine:
             responder_alive = not self.failure_model.node_crashed(
                 exchange.responder, self.round
             )
-        if self._checkers:
-            delivery_view = DeliveryView(
-                initiator=exchange.initiator,
-                responder=exchange.responder,
-                initiated_at=exchange.initiated_at,
-                delivered_at=self.round,
-                ping_only=exchange.ping_only,
-                initiator_alive=initiator_alive,
-            )
+        emit = self._emit
         if not responder_alive:
             # No response was ever produced: the exchange is void.
             self.metrics.lost_exchanges += 1
-            if self.recorder is not None:
-                self.recorder.record(
+            if emit is not None:
+                emit(
                     VoidExchangeEvent(
                         round=self.round,
                         initiator=exchange.initiator,
@@ -618,14 +600,6 @@ class Engine:
                         initiated_at=exchange.initiated_at,
                     )
                 )
-            if self._checkers:
-                self._log_event(
-                    f"round {self.round}: exchange {exchange.initiator!r} -> "
-                    f"{exchange.responder!r} (from round "
-                    f"{exchange.initiated_at}) void: responder crashed"
-                )
-                for checker in self._checkers:
-                    checker.on_exchange_void(self, delivery_view)
             return
         if exchange.ping_only:
             initiator_payload = responder_payload = _EMPTY_PAYLOAD
@@ -638,8 +612,7 @@ class Engine:
             # vice versa (conservative initiation-time semantics).
             initiator_payload = exchange.initiator_payload
             responder_payload = exchange.responder_payload
-        recorder = self.recorder
-        if recorder is not None:
+        if emit is not None:
             before_responder = self.state.rumor_count(exchange.responder)
             before_initiator = (
                 self.state.rumor_count(exchange.initiator) if initiator_alive else 0
@@ -647,8 +620,8 @@ class Engine:
         self.state.merge(exchange.responder, initiator_payload)
         if initiator_alive:
             self.state.merge(exchange.initiator, responder_payload)
-        if recorder is not None:
-            recorder.record(
+        if emit is not None:
+            emit(
                 DeliveryEvent(
                     round=self.round,
                     initiator=exchange.initiator,
@@ -666,17 +639,6 @@ class Engine:
                     ),
                 )
             )
-        if self._checkers:
-            self._log_event(
-                f"round {self.round}: {exchange.initiator!r} <-> "
-                f"{exchange.responder!r} deliver (initiated at "
-                f"{exchange.initiated_at}"
-                + (", ping" if exchange.ping_only else "")
-                + ("" if initiator_alive else ", initiator crashed")
-                + ")"
-            )
-            for checker in self._checkers:
-                checker.on_delivery(self, delivery_view)
         endpoints = [(exchange.responder, False)]
         if initiator_alive:
             endpoints.insert(0, (exchange.initiator, True))
@@ -697,5 +659,5 @@ class Engine:
                 # done: re-activate it for this round's scan.
                 parked.discard(node)
                 self._woken.append(node)
-                if recorder is not None:
-                    recorder.record(WakeupEvent(round=self.round, node=node))
+                if emit is not None:
+                    emit(WakeupEvent(round=self.round, node=node))

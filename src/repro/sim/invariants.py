@@ -3,23 +3,26 @@
 Every theorem reproduced in this library (Theorems 12, 14, 19, 20) is only
 as trustworthy as the simulator's fidelity to the paper's synchronous
 non-blocking latency model.  This module turns the prose of
-``docs/MODEL.md`` into executable checks: an :class:`InvariantChecker`
-plugs into either engine backend — both run the scalar
-:class:`~repro.sim.engine.Engine` whenever checkers are attached, the
-``vector`` backend over a :class:`~repro.sim.vector.VectorState`, so
-I1–I5 observe the exact same event stream on both backends — opt-in via
-``Engine(..., checkers=default_checkers())``, and observes every round,
-initiation, and delivery.  A violation raises
-:class:`~repro.errors.SimulationError` carrying a round-stamped excerpt of
-the most recent events, so a broken engine refactor fails loudly at the
-exact round the model was first violated.
+``docs/MODEL.md`` into executable checks.  An :class:`InvariantChecker`
+is an ``obs`` sink: it reads the engine's one event stream (the
+``initiate`` / ``deliver`` / ``void`` / ``round`` / ... events a
+:class:`~repro.obs.recorder.Recorder` on the same run records), opt-in via
+``Engine(..., checkers=default_checkers())``.  Both engine backends run
+the scalar :class:`~repro.sim.engine.Engine` whenever checkers are
+attached, the ``vector`` backend over a
+:class:`~repro.sim.vector.VectorState`, so I1–I5 read the exact same
+stream on both.  A violation raises :class:`~repro.errors.SimulationError`
+carrying the round and the most recent events as canonical JSONL lines,
+so a broken engine refactor fails loudly at the exact round the model was
+first violated.
 
 The invariants (numbered as in ``docs/MODEL.md`` section 6):
 
 I1. **Single initiation** — each node initiates at most one exchange per
     round.
 I2. **Exact latency** — an exchange over an edge of latency ``ℓ``
-    initiated at round ``t`` delivers at exactly ``t + ℓ``.
+    initiated at round ``t`` delivers (or is voided at its crashed
+    responder) at exactly ``t + ℓ``.
 I3. **Monotone knowledge** — rumor sets only grow, and note versions only
     increase (knowledge is never forgotten).
 I4. **Symmetric merge** — at delivery, both live endpoints know at least
@@ -45,18 +48,16 @@ Usage::
 from __future__ import annotations
 
 import contextlib
-import dataclasses
-from typing import TYPE_CHECKING, NoReturn, Optional
+from typing import TYPE_CHECKING, NoReturn
 
 from repro.errors import SimulationError
 from repro.graphs.latency_graph import Node
+from repro.obs.events import Event, event_to_json
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard (sim.engine imports us)
     from repro.sim.engine import Engine
 
 __all__ = [
-    "ExchangeView",
-    "DeliveryView",
     "InvariantChecker",
     "SingleInitiationChecker",
     "DeliveryLatencyChecker",
@@ -69,59 +70,18 @@ __all__ = [
 ]
 
 
-@dataclasses.dataclass(frozen=True)
-class ExchangeView:
-    """What a checker sees when an exchange is initiated.
-
-    Attributes
-    ----------
-    initiator, responder:
-        The endpoints (``initiator`` chose this contact).
-    round:
-        The initiation round.
-    latency:
-        The edge latency the engine believes it is using.
-    ping_only:
-        Whether the initiating protocol sends no payload.
-    lost:
-        Whether the failure model voided the exchange on the wire (it will
-        never deliver, but it still consumes the initiator's turn).
-    """
-
-    initiator: Node
-    responder: Node
-    round: int
-    latency: int
-    ping_only: bool
-    lost: bool
-
-
-@dataclasses.dataclass(frozen=True)
-class DeliveryView:
-    """What a checker sees when an exchange delivers (or is voided).
-
-    ``initiator_alive`` is ``False`` when the initiator crashed while the
-    exchange was in flight: the responder still merges the request payload
-    but the response goes nowhere.
-    """
-
-    initiator: Node
-    responder: Node
-    initiated_at: int
-    delivered_at: int
-    ping_only: bool
-    initiator_alive: bool
-
-
 class InvariantChecker:
-    """Base class: observes engine events, raises on model violations.
+    """Base class: an ``obs`` sink that raises on model violations.
 
-    All hooks default to no-ops; subclasses override the ones they need
-    and call :meth:`fail` on a violation.  One instance observes one
-    engine run.  The ``engine`` the hooks receive is duck-typed: any
-    backend exposing ``graph``/``state``/``round``/``failure_model`` and
-    ``recent_checker_events()`` works (the scalar ``Engine`` does, over
-    either state; ``VectorEngine`` takes no checkers).
+    A checker reads the engine's one event stream: :meth:`write` receives
+    every event the engine emits (the objects a
+    :class:`~repro.obs.recorder.Recorder` on the same run records, in the
+    same order) just after the engine acted on it, and subclasses dispatch
+    on ``event.kind`` and call :meth:`fail` on a violation.  One instance
+    observes one engine run: :meth:`on_attach` binds it to the engine,
+    whose ``graph``/``state``/``round``/``failure_model`` the checks read
+    (the scalar ``Engine`` over either state; ``VectorEngine`` takes no
+    checkers).
     """
 
     #: Short name used in violation messages.
@@ -129,37 +89,31 @@ class InvariantChecker:
 
     def on_attach(self, engine: "Engine") -> None:
         """Called once from ``Engine.__init__`` (protocols already set up)."""
+        self.engine = engine
 
-    def on_round_start(self, engine: "Engine") -> None:
-        """Called at the top of every ``Engine.step()``."""
-
-    def on_initiation(self, engine: "Engine", exchange: ExchangeView) -> None:
-        """Called for every accepted initiation (including lost ones)."""
-
-    def on_delivery(self, engine: "Engine", delivery: DeliveryView) -> None:
-        """Called after both merges of a delivered exchange, before the
-        protocols' ``on_deliver`` callbacks run."""
-
-    def on_exchange_void(self, engine: "Engine", delivery: DeliveryView) -> None:
-        """Called when a due exchange is voided (responder crashed)."""
-
-    def on_round_end(self, engine: "Engine") -> None:
-        """Called at the bottom of every ``Engine.step()`` (same round)."""
+    def write(self, event: Event) -> None:
+        """Read one event of the run (deliveries after both merges, before
+        the protocols' ``on_deliver`` callbacks)."""
 
     def on_run_end(self, engine: "Engine") -> None:
         """Called from ``Engine.finish_checks()`` when a run completes."""
 
     # ------------------------------------------------------------------
-    def fail(self, engine: "Engine", message: str) -> NoReturn:
-        """Raise :class:`SimulationError` with a round-stamped trace excerpt."""
-        excerpt = engine.recent_checker_events()
+    def fail(self, message: str) -> NoReturn:
+        """Raise :class:`SimulationError` with a round-stamped trace excerpt.
+
+        The excerpt is the engine's ring of recent events, one canonical
+        JSONL line each.
+        """
+        engine = self.engine
+        excerpt = engine._recent_events.events
         lines = [
             f"model invariant violated [{self.name}] at round {engine.round}: "
             f"{message}"
         ]
         if excerpt:
             lines.append("recent events:")
-            lines.extend(f"  {event}" for event in excerpt)
+            lines.extend(f"  {event_to_json(event)}" for event in excerpt)
         raise SimulationError("\n".join(lines))
 
 
@@ -169,46 +123,57 @@ class SingleInitiationChecker(InvariantChecker):
     name = "single-initiation"
 
     def __init__(self) -> None:
+        self._round = -1
         self._initiated_this_round: set[Node] = set()
 
-    def on_round_start(self, engine: "Engine") -> None:
-        self._initiated_this_round.clear()
-
-    def on_initiation(self, engine: "Engine", exchange: ExchangeView) -> None:
-        if exchange.initiator in self._initiated_this_round:
+    def write(self, event: Event) -> None:
+        if event.kind != "initiate":
+            return
+        if event.round != self._round:
+            self._round = event.round
+            self._initiated_this_round.clear()
+        if event.initiator in self._initiated_this_round:
             self.fail(
-                engine,
-                f"node {exchange.initiator!r} initiated twice in round "
-                f"{exchange.round}",
+                f"node {event.initiator!r} initiated twice in round "
+                f"{event.round}",
             )
-        self._initiated_this_round.add(exchange.initiator)
+        self._initiated_this_round.add(event.initiator)
 
 
 class DeliveryLatencyChecker(InvariantChecker):
-    """I2: every delivery lands exactly ``latency(edge)`` after initiation."""
+    """I2: every exchange lands exactly ``latency(edge)`` after initiation.
+
+    Delivered and voided (responder crashed) exchanges alike: a void is
+    the exchange arriving at a crashed node, so it is due at ``t + ℓ`` too.
+    """
 
     name = "delivery-latency"
 
-    def on_delivery(self, engine: "Engine", delivery: DeliveryView) -> None:
-        if not engine.graph.has_edge(delivery.initiator, delivery.responder):
+    def write(self, event: Event) -> None:
+        if event.kind not in ("deliver", "void"):
+            return
+        graph = self.engine.graph
+        if not graph.has_edge(event.initiator, event.responder):
             self.fail(
-                engine,
-                f"delivery over non-edge ({delivery.initiator!r}, "
-                f"{delivery.responder!r})",
+                f"delivery over non-edge ({event.initiator!r}, "
+                f"{event.responder!r})",
             )
-        expected = engine.graph.latency(delivery.initiator, delivery.responder)
-        elapsed = delivery.delivered_at - delivery.initiated_at
+        expected = graph.latency(event.initiator, event.responder)
+        elapsed = event.round - event.initiated_at
         if elapsed != expected:
             self.fail(
-                engine,
-                f"exchange {delivery.initiator!r} -> {delivery.responder!r} "
-                f"initiated at {delivery.initiated_at} delivered after "
+                f"exchange {event.initiator!r} -> {event.responder!r} "
+                f"initiated at {event.initiated_at} delivered after "
                 f"{elapsed} rounds; edge latency is {expected}",
             )
 
 
 class MonotoneKnowledgeChecker(InvariantChecker):
-    """I3: rumor sets never shrink; note versions never decrease."""
+    """I3: rumor sets never shrink; note versions never decrease.
+
+    Scans every node on attach, at each round's end (the ``round`` event)
+    and at run end.
+    """
 
     name = "monotone-knowledge"
 
@@ -217,15 +182,18 @@ class MonotoneKnowledgeChecker(InvariantChecker):
         self._note_versions: dict[tuple[Node, Node], int] = {}
 
     def on_attach(self, engine: "Engine") -> None:
-        self._scan(engine, initial=True)
+        super().on_attach(engine)
+        self._scan(initial=True)
 
-    def on_round_end(self, engine: "Engine") -> None:
-        self._scan(engine)
+    def write(self, event: Event) -> None:
+        if event.kind == "round":
+            self._scan()
 
     def on_run_end(self, engine: "Engine") -> None:
-        self._scan(engine)
+        self._scan()
 
-    def _scan(self, engine: "Engine", initial: bool = False) -> None:
+    def _scan(self, initial: bool = False) -> None:
+        engine = self.engine
         state = engine.state
         for node in engine.graph.nodes():
             current = state.rumors(node)
@@ -234,7 +202,6 @@ class MonotoneKnowledgeChecker(InvariantChecker):
                 if not previous <= current:
                     lost = sorted(previous - current, key=repr)
                     self.fail(
-                        engine,
                         f"node {node!r} forgot rumors {lost[:5]!r} "
                         f"(knowledge must be monotone)",
                     )
@@ -246,7 +213,6 @@ class MonotoneKnowledgeChecker(InvariantChecker):
                 key = (node, origin)
                 if not initial and note.version < self._note_versions.get(key, 0):
                     self.fail(
-                        engine,
                         f"node {node!r} regressed note of {origin!r} to "
                         f"version {note.version} (had "
                         f"{self._note_versions[key]})",
@@ -260,10 +226,10 @@ class SymmetricMergeChecker(InvariantChecker):
     The checker snapshots both endpoints' rumor sets *independently* at
     initiation (it does not trust the payload the engine shipped) and, at
     delivery, asserts each live endpoint's knowledge covers the peer's
-    snapshot.  Ping exchanges are exempt by design; under
-    ``fresh_snapshots`` the engine ships delivery-time state, which is a
-    superset of the initiation-time snapshot whenever I3 holds, so the
-    check remains sound.
+    snapshot; a voided exchange drops its snapshot.  Ping exchanges are
+    exempt by design; under ``fresh_snapshots`` the engine ships
+    delivery-time state, which is a superset of the initiation-time
+    snapshot whenever I3 holds, so the check remains sound.
     """
 
     name = "symmetric-merge"
@@ -271,55 +237,53 @@ class SymmetricMergeChecker(InvariantChecker):
     def __init__(self) -> None:
         self._pending: dict[tuple[Node, Node, int], tuple[frozenset, frozenset]] = {}
 
-    def on_initiation(self, engine: "Engine", exchange: ExchangeView) -> None:
-        if exchange.ping_only or exchange.lost:
-            return
-        key = (exchange.initiator, exchange.responder, exchange.round)
-        self._pending[key] = (
-            engine.state.rumors(exchange.initiator),
-            engine.state.rumors(exchange.responder),
-        )
+    def write(self, event: Event) -> None:
+        kind = event.kind
+        if kind == "initiate":
+            if event.ping or event.lost:
+                return
+            state = self.engine.state
+            key = (event.initiator, event.responder, event.round)
+            self._pending[key] = (
+                state.rumors(event.initiator),
+                state.rumors(event.responder),
+            )
+        elif kind == "deliver":
+            self._check_delivery(event)
+        elif kind == "void":
+            self._pending.pop(
+                (event.initiator, event.responder, event.initiated_at), None
+            )
 
-    def on_delivery(self, engine: "Engine", delivery: DeliveryView) -> None:
-        if delivery.ping_only:
+    def _check_delivery(self, event: Event) -> None:
+        if event.ping:
             return
-        key = (delivery.initiator, delivery.responder, delivery.initiated_at)
+        state = self.engine.state
+        key = (event.initiator, event.responder, event.initiated_at)
         snapshots = self._pending.pop(key, None)
         if snapshots is None:
             self.fail(
-                engine,
-                f"delivery {delivery.initiator!r} -> {delivery.responder!r} "
-                f"(initiated at {delivery.initiated_at}) has no matching "
+                f"delivery {event.initiator!r} -> {event.responder!r} "
+                f"(initiated at {event.initiated_at}) has no matching "
                 "initiation",
             )
         initiator_knew, responder_knew = snapshots
-        if not initiator_knew <= engine.state.rumors(delivery.responder):
-            missing = sorted(
-                initiator_knew - engine.state.rumors(delivery.responder), key=repr
-            )
+        if not initiator_knew <= state.rumors(event.responder):
+            missing = sorted(initiator_knew - state.rumors(event.responder), key=repr)
             self.fail(
-                engine,
-                f"responder {delivery.responder!r} did not learn "
-                f"{missing[:5]!r} from {delivery.initiator!r} "
-                f"(round-{delivery.initiated_at} knowledge)",
+                f"responder {event.responder!r} did not learn "
+                f"{missing[:5]!r} from {event.initiator!r} "
+                f"(round-{event.initiated_at} knowledge)",
             )
-        if delivery.initiator_alive and not responder_knew <= engine.state.rumors(
-            delivery.initiator
+        if event.initiator_alive and not responder_knew <= state.rumors(
+            event.initiator
         ):
-            missing = sorted(
-                responder_knew - engine.state.rumors(delivery.initiator), key=repr
-            )
+            missing = sorted(responder_knew - state.rumors(event.initiator), key=repr)
             self.fail(
-                engine,
-                f"initiator {delivery.initiator!r} did not learn "
-                f"{missing[:5]!r} from {delivery.responder!r} "
-                f"(round-{delivery.initiated_at} knowledge)",
+                f"initiator {event.initiator!r} did not learn "
+                f"{missing[:5]!r} from {event.responder!r} "
+                f"(round-{event.initiated_at} knowledge)",
             )
-
-    def on_exchange_void(self, engine: "Engine", delivery: DeliveryView) -> None:
-        self._pending.pop(
-            (delivery.initiator, delivery.responder, delivery.initiated_at), None
-        )
 
 
 class CrashedSilenceChecker(InvariantChecker):
@@ -327,13 +291,14 @@ class CrashedSilenceChecker(InvariantChecker):
 
     name = "crashed-silence"
 
-    def on_initiation(self, engine: "Engine", exchange: ExchangeView) -> None:
-        model = engine.failure_model
-        if model is not None and model.node_crashed(exchange.initiator, exchange.round):
+    def write(self, event: Event) -> None:
+        if event.kind != "initiate":
+            return
+        model = self.engine.failure_model
+        if model is not None and model.node_crashed(event.initiator, event.round):
             self.fail(
-                engine,
-                f"crashed node {exchange.initiator!r} initiated an exchange "
-                f"with {exchange.responder!r}",
+                f"crashed node {event.initiator!r} initiated an exchange "
+                f"with {event.responder!r}",
             )
 
 

@@ -1,23 +1,30 @@
 """Tests for the model-invariant checkers (src/repro/sim/invariants.py).
 
-Two halves: clean runs must pass with all checkers attached, and each
-deliberately broken engine mutation must be caught by the matching
-checker with a round-stamped message.
+Two halves: clean runs must pass with all checkers attached (and the
+checkers read exactly the recorder's event stream), and each deliberately
+broken engine mutation must be caught by the matching checker with a
+round-stamped message.
 """
 
+import json
 
 import pytest
 
 from repro.errors import SimulationError
 from repro.graphs.generators import clique, ring_of_cliques, star
+from repro.graphs.latency_models import constant_latency
+from repro.obs import MemorySink, Recorder
+from repro.obs.events import Event
 from repro.protocols.base import per_node_rng_factory
+from repro.protocols.discovery import LatencyDiscoveryProtocol
 from repro.protocols.push_pull import PushPullProtocol, run_push_pull
 from repro.protocols.flooding import run_flooding
-from repro.sim.engine import Engine
-from repro.sim.failures import CrashSchedule, MessageLoss
+from repro.sim.engine import _CHECKER_LOG_SIZE, Engine
+from repro.sim.failures import CompositeFailure, CrashSchedule, MessageLoss
 from repro.sim.invariants import (
     CrashedSilenceChecker,
     DeliveryLatencyChecker,
+    InvariantChecker,
     MonotoneKnowledgeChecker,
     SingleInitiationChecker,
     SymmetricMergeChecker,
@@ -110,6 +117,44 @@ class TestCleanRuns:
             assert result.complete
             assert run_flooding(graph).complete
 
+    def test_checker_reads_the_recorders_stream(self):
+        """A checker receives exactly the recorder's events: same objects,
+        same order, every kind the run emits."""
+
+        class Collector(InvariantChecker):
+            def __init__(self):
+                self.events = []
+
+            def write(self, event):
+                self.events.append(event)
+
+        graph = star(6)
+        collector = Collector()
+        recorder = Recorder(MemorySink())
+        engine = Engine(
+            graph,
+            lambda node: LatencyDiscoveryProtocol(1),
+            failure_model=CompositeFailure(
+                [CrashSchedule({graph.nodes()[-1]: 2}), MessageLoss(p=0.2, seed=1)]
+            ),
+            max_incoming_per_round=1,
+            checkers=[collector],
+            recorder=recorder,
+        )
+        for _ in range(30):
+            engine.step()
+        engine.finish_checks()
+        # The pick: this seed makes the run emit every kind it can (the
+        # star's leaves contend for the centre; one ping is lost on the
+        # wire, one voided at the crashed leaf, one parked node woken).
+        kinds = {event.kind for event in recorder.events}
+        assert kinds == {"initiate", "deliver", "void", "rejected", "wakeup", "round"}
+        assert any(event.lost for event in recorder.events_of("initiate"))
+        assert len(collector.events) == len(recorder.events)
+        assert all(
+            mine is theirs for mine, theirs in zip(collector.events, recorder.events)
+        )
+
 
 # ---------------------------------------------------------------------------
 # Broken engines: each mutation caught by the matching checker
@@ -163,6 +208,25 @@ class ForgetfulState(NetworkState):
         return changed
 
 
+class EarlyVoidOnCrash(Engine):
+    """Voids exchanges to a crashed responder one round early (broken
+    latency handling on the failure path only)."""
+
+    def _initiate(self, initiator, responder):
+        before = self.pending_exchanges()
+        super()._initiate(initiator, responder)
+        if self.pending_exchanges() == before:
+            return  # the exchange was dropped (lost/rejected), nothing queued
+        due = self.round + self.graph.latency(initiator, responder)
+        if not self.failure_model.node_crashed(responder, due - 1):
+            return
+        exchange = self._in_flight[due].pop()
+        if not self._in_flight[due]:
+            del self._in_flight[due]
+        exchange.delivers_at = due - 1
+        self._in_flight.setdefault(due - 1, []).append(exchange)
+
+
 class LossyMergeState(NetworkState):
     """Silently drops one rumor from every received payload (lossy merge)."""
 
@@ -190,6 +254,20 @@ class TestBrokenEnginesCaught:
         assert "delivery-latency" in message
         assert "at round" in message
         assert "recent events" in message  # the trace excerpt rode along
+
+    def test_early_void_caught(self):
+        graph = clique(6, latency_model=constant_latency(3))
+        crashed = graph.nodes()[-1]
+        engine, _ = make_push_pull_engine(
+            graph,
+            engine_cls=EarlyVoidOnCrash,
+            failure_model=CrashSchedule({crashed: 0}),
+            checkers=[DeliveryLatencyChecker()],
+        )
+        with pytest.raises(SimulationError, match="delivery-latency") as excinfo:
+            engine.run(until=lambda engine_: engine_.round >= 30)
+        assert f"-> {crashed!r} initiated at" in str(excinfo.value)
+        assert "delivered after 2 rounds; edge latency is 3" in str(excinfo.value)
 
     def test_double_initiation_caught(self):
         graph = clique(6)
@@ -254,3 +332,10 @@ class TestBrokenEnginesCaught:
         message = str(excinfo.value)
         assert "model invariant violated" in message
         assert "initiate" in message or "deliver" in message
+        # The excerpt is the ring of recent events, one canonical JSONL
+        # line per event.
+        excerpt = message.split("recent events:\n", 1)[1].splitlines()
+        assert 0 < len(excerpt) <= _CHECKER_LOG_SIZE
+        event_kinds = {cls.kind for cls in Event.__subclasses__()}
+        for line in excerpt:
+            assert json.loads(line)["kind"] in event_kinds

@@ -7,7 +7,9 @@ Two families of guarantees:
   same final knowledge, same metrics, for plain runs, crash schedules,
   and the restricted in-degree model.  The engine only *observes* through
   the recorder; any divergence means an instrumentation site leaked into
-  the semantics.
+  the semantics.  Invariant checkers read the same event stream, so a
+  checked recorded run must match the unchecked one, recorded bytes
+  included.
 * **Telemetry shape** — the coverage curve is monotone non-decreasing,
   starts at the single informed source, and (on complete runs) ends at
   ``n``; the in-flight curve has one sample per executed round.
@@ -19,9 +21,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.obs import MemorySink, MetricsRegistry, MetricsSink, Recorder
+from repro.obs.events import events_to_jsonl
 from repro.protocols.base import per_node_rng_factory
 from repro.protocols.push_pull import PushPullProtocol, run_push_pull
 from repro.sim.engine import Engine
+from repro.sim.invariants import default_checkers
 from repro.sim.runner import broadcast_complete, run_until_complete
 from repro.sim.state import NetworkState
 from repro.testing.strategies import (
@@ -40,7 +44,10 @@ def _broadcast_state(graph):
     return source, rumor, state
 
 
-def _run_engine(graph, seed, rounds, *, recorder=None, failure_model=None, config=None):
+def _run_engine(
+    graph, seed, rounds, *, recorder=None, failure_model=None, config=None,
+    checkers=None,
+):
     """Step a push--pull engine ``rounds`` times; return the engine."""
     _, _, state = _broadcast_state(graph)
     make_rng = per_node_rng_factory(seed)
@@ -50,6 +57,7 @@ def _run_engine(graph, seed, rounds, *, recorder=None, failure_model=None, confi
         state=state,
         failure_model=failure_model,
         recorder=recorder,
+        checkers=checkers,
         **(config or {}),
     )
     for _ in range(rounds):
@@ -62,6 +70,15 @@ def _assert_same_run(plain, observed):
     assert plain.metrics == observed.metrics
     for node in plain.graph.nodes():
         assert plain.state.rumors(node) == observed.state.rumors(node)
+
+
+def _assert_same_checked_run(recorded, checked):
+    """A checked recorded run matches the unchecked one, recorded bytes too."""
+    checked.finish_checks()
+    _assert_same_run(recorded, checked)
+    assert events_to_jsonl(checked.recorder.events) == events_to_jsonl(
+        recorded.recorder.events
+    )
 
 
 class TestRecorderNonPerturbation:
@@ -98,6 +115,11 @@ class TestRecorderNonPerturbation:
             recorder=Recorder.in_memory(),
         )
         _assert_same_run(plain, observed)
+        checked = _run_engine(
+            graph, seed, rounds=20, failure_model=crashes,
+            recorder=Recorder.in_memory(), checkers=default_checkers(),
+        )
+        _assert_same_checked_run(observed, checked)
 
     @given(connected_latency_graphs(max_nodes=10), seeds(100), engine_configs())
     @settings(max_examples=20, deadline=None)
@@ -108,6 +130,14 @@ class TestRecorderNonPerturbation:
             graph, seed, rounds=15, config=config, recorder=Recorder.ring(64)
         )
         _assert_same_run(plain, observed)
+        recorded = _run_engine(
+            graph, seed, rounds=15, config=config, recorder=Recorder.in_memory()
+        )
+        checked = _run_engine(
+            graph, seed, rounds=15, config=config,
+            recorder=Recorder.in_memory(), checkers=default_checkers(),
+        )
+        _assert_same_checked_run(recorded, checked)
 
 
 class TestTelemetryShape:

@@ -53,7 +53,7 @@ class TestRecorder:
         assert sum(len(by_node[v]) for v in g.nodes()) == len(initiations)
 
     def test_model_invariants_hold(self):
-        # The checkers raise InvariantViolation on a second initiation in
+        # The checkers raise SimulationError on a second initiation in
         # one round (I1) or a delivery before its edge latency (I2).
         g = generators.ring_of_cliques(3, 4, inter_latency=3)
         trace, engine = traced_push_pull(g, rounds=15, checkers=default_checkers())
