@@ -225,9 +225,5 @@ class PhaseRunner:
         )
         self.total_exchanges += engine.metrics.exchanges
         self.total_messages += engine.metrics.messages
-        # Last look for any attached invariant checkers before the phase's
-        # engine is retired (duck-typed: ReferenceEngine has a no-op).
-        finish = getattr(engine, "finish_checks", None)
-        if finish is not None:
-            finish()
+        engine.finish_checks()
         return engine

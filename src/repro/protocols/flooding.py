@@ -9,6 +9,10 @@ Two variants:
   pull, information exchange takes ``Ω(nD)`` time on a star: the center can
   push to only one leaf per round.  This variant exists to demonstrate that
   separation (see the ablation benchmark).
+
+Both are one ``kind="round_robin"`` :class:`~repro.sim.vector.VectorProgram`
+(push-only adds a knows-gate), run by
+:class:`~repro.sim.vector.ObliviousProtocol` on every engine.
 """
 
 from __future__ import annotations
@@ -16,16 +20,15 @@ from __future__ import annotations
 from typing import Hashable, Optional
 
 from repro.graphs.latency_graph import LatencyGraph, Node
-from repro.sim.engine import Engine, NodeContext, NodeProtocol
 from repro.sim.metrics import DisseminationResult
 from repro.sim.runner import broadcast_complete, run_until_complete
 from repro.sim.state import NetworkState
-from repro.sim.vector import VectorProgram, resolve_engine_backend
+from repro.sim.vector import ObliviousProtocol, VectorProgram, resolve_engine_backend
 
 __all__ = ["FloodingProtocol", "run_flooding"]
 
 
-class FloodingProtocol(NodeProtocol):
+class FloodingProtocol(ObliviousProtocol):
     """Cycle deterministically through neighbors, one initiation per round.
 
     Parameters
@@ -36,32 +39,8 @@ class FloodingProtocol(NodeProtocol):
     """
 
     def __init__(self, push_only_rumor: Optional[Hashable] = None) -> None:
-        self._push_only_rumor = push_only_rumor
-        self._neighbors: list[Node] = []
-        self._next = 0
-
-    def setup(self, ctx: NodeContext) -> None:
-        self._neighbors = sorted(ctx.neighbors(), key=repr)
-
-    def on_round(self, ctx: NodeContext) -> Optional[Node]:
-        if not self._neighbors:
-            return None
-        if self._push_only_rumor is not None and not ctx.state.knows(
-            ctx.node, self._push_only_rumor
-        ):
-            return None
-        target = self._neighbors[self._next % len(self._neighbors)]
-        self._next += 1
-        return target
-
-    def vector_program(self) -> VectorProgram:
-        """Oblivious: deterministic round-robin, optionally knows-gated."""
-        gate = (
-            ("knows", self._push_only_rumor)
-            if self._push_only_rumor is not None
-            else None
-        )
-        return VectorProgram(kind="round_robin", gate=gate, start=self._next)
+        gate = ("knows", push_only_rumor) if push_only_rumor is not None else None
+        super().__init__(VectorProgram(kind="round_robin", gate=gate))
 
 
 def run_flooding(

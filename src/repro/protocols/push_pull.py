@@ -9,18 +9,22 @@ latency graph this completes one-to-all broadcast w.h.p. within
 
 The protocol needs no knowledge of latencies, the diameter, or ``n`` — it is
 the "unknown everything" workhorse of Section 4.1.
+
+Push--pull and its push-only and pull-only variants are oblivious: each
+class only builds a ``kind="random"``
+:class:`~repro.sim.vector.VectorProgram` (the variants add a knows or
+not-knows gate on the rumor), and
+:class:`~repro.sim.vector.ObliviousProtocol` runs it on every engine.
 """
 
 from __future__ import annotations
 
 import random
-from typing import Callable, Optional
-
-from typing import Hashable
+from typing import Hashable, Optional
 
 from repro.graphs.latency_graph import LatencyGraph, Node
 from repro.obs.recorder import Recorder
-from repro.sim.engine import Engine, NodeContext, NodeProtocol
+from repro.sim.engine import Engine
 from repro.sim.metrics import DisseminationResult
 from repro.sim.runner import (
     all_to_all_complete,
@@ -29,30 +33,17 @@ from repro.sim.runner import (
     run_until_complete,
 )
 from repro.sim.state import NetworkState
-from repro.sim.vector import VectorProgram, resolve_engine_backend
+from repro.sim.vector import ObliviousProtocol, VectorProgram, resolve_engine_backend
 from repro.protocols.base import per_node_rng_factory
 
 __all__ = ["PushPullProtocol", "PushProtocol", "PullProtocol", "run_push_pull"]
 
 
-class PushPullProtocol(NodeProtocol):
+class PushPullProtocol(ObliviousProtocol):
     """One node's push--pull behaviour: contact a uniform random neighbor."""
 
     def __init__(self, rng: random.Random) -> None:
-        self._rng = rng
-        self._neighbors: list[Node] = []
-
-    def setup(self, ctx: NodeContext) -> None:
-        self._neighbors = sorted(ctx.neighbors(), key=repr)
-
-    def on_round(self, ctx: NodeContext) -> Optional[Node]:
-        if not self._neighbors:
-            return None
-        return self._rng.choice(self._neighbors)
-
-    def vector_program(self) -> VectorProgram:
-        """Oblivious: a uniform random neighbor, every round, no gate."""
-        return VectorProgram(kind="random", rng=self._rng)
+        super().__init__(VectorProgram(kind="random", rng=rng))
 
 
 class PushProtocol(PushPullProtocol):
@@ -64,20 +55,8 @@ class PushProtocol(PushPullProtocol):
     """
 
     def __init__(self, rng: random.Random, rumor: Hashable) -> None:
-        super().__init__(rng)
-        self._rumor = rumor
-
-    def on_round(self, ctx: NodeContext) -> Optional[Node]:
-        if not self._neighbors:
-            return None
-        if not ctx.state.knows(ctx.node, self._rumor):
-            return None
-        return self._rng.choice(self._neighbors)
-
-    def vector_program(self) -> VectorProgram:
-        """Oblivious with a knows-gate: informed nodes pick randomly."""
-        return VectorProgram(
-            kind="random", rng=self._rng, gate=("knows", self._rumor)
+        ObliviousProtocol.__init__(
+            self, VectorProgram(kind="random", rng=rng, gate=("knows", rumor))
         )
 
 
@@ -89,20 +68,8 @@ class PullProtocol(PushPullProtocol):
     """
 
     def __init__(self, rng: random.Random, rumor: Hashable) -> None:
-        super().__init__(rng)
-        self._rumor = rumor
-
-    def on_round(self, ctx: NodeContext) -> Optional[Node]:
-        if not self._neighbors:
-            return None
-        if ctx.state.knows(ctx.node, self._rumor):
-            return None
-        return self._rng.choice(self._neighbors)
-
-    def vector_program(self) -> VectorProgram:
-        """Oblivious with a not-knows-gate: uninformed nodes pick randomly."""
-        return VectorProgram(
-            kind="random", rng=self._rng, gate=("not_knows", self._rumor)
+        ObliviousProtocol.__init__(
+            self, VectorProgram(kind="random", rng=rng, gate=("not_knows", rumor))
         )
 
 

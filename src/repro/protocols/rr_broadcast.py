@@ -10,6 +10,11 @@ turn plus the hop latency, and the hop count and latency sum are both
 
 On the ``O(log n)``-stretch spanner with ``Δ_out = O(log n)`` this gives the
 ``O(D log² n)`` broadcast step of Corollary 16.
+
+The protocol is oblivious: one ``kind="round_robin"``
+:class:`~repro.sim.vector.VectorProgram` over the out-edges as
+``targets`` with the budget as ``duration``, run by
+:class:`~repro.sim.vector.ObliviousProtocol` on every engine.
 """
 
 from __future__ import annotations
@@ -18,8 +23,7 @@ from typing import Callable, Optional
 
 from repro.errors import ProtocolError
 from repro.graphs.latency_graph import Node
-from repro.sim.engine import NodeContext, NodeProtocol
-from repro.sim.vector import VectorProgram
+from repro.sim.vector import ObliviousProtocol, VectorProgram
 from repro.protocols.spanner import DirectedSpanner
 
 __all__ = ["RRBroadcastProtocol", "rr_broadcast_factory", "rr_broadcast_duration"]
@@ -30,40 +34,17 @@ def rr_broadcast_duration(k: int, max_out_degree: int) -> int:
     return k * max_out_degree + k
 
 
-class RRBroadcastProtocol(NodeProtocol):
-    """One node's RR Broadcast behaviour: cycle out-edges for a fixed budget."""
+class RRBroadcastProtocol(ObliviousProtocol):
+    """One node's RR Broadcast behaviour: cycle out-edges for a fixed budget.
+
+    Raises :class:`~repro.errors.ProtocolError` for a negative ``duration``.
+    """
 
     def __init__(self, out_neighbors: list[Node], duration: int) -> None:
-        if duration < 0:
-            raise ProtocolError(f"duration must be >= 0, got {duration}")
-        self._out_neighbors = out_neighbors
-        self._duration = duration
-        self._next = 0
-        self._rounds_run = 0
-
-    def on_round(self, ctx: NodeContext) -> Optional[Node]:
-        self._rounds_run += 1
-        if not self._out_neighbors:
-            return None
-        target = self._out_neighbors[self._next % len(self._out_neighbors)]
-        self._next += 1
-        return target
-
-    def is_done(self, ctx: NodeContext) -> bool:
-        return self._rounds_run >= self._duration
-
-    def vector_program(self) -> VectorProgram:
-        """Oblivious: cycle the fixed out-edge list for a fixed budget.
-
-        A live node initiates exactly in its first ``duration`` scans
-        (``on_round`` runs only while ``is_done`` is false), so the
-        remaining budget at adoption time is ``duration - rounds_run``.
-        """
-        return VectorProgram(
-            kind="round_robin",
-            targets=tuple(self._out_neighbors),
-            duration=max(self._duration - self._rounds_run, 0),
-            start=self._next,
+        super().__init__(
+            VectorProgram(
+                kind="round_robin", targets=tuple(out_neighbors), duration=duration
+            )
         )
 
 

@@ -34,6 +34,7 @@ from repro.sim.state import NetworkState, Note, Payload
 from repro.sim.stream import StreamReport, run_streamed_all_to_all
 from repro.sim.vector import (
     ENGINE_BACKENDS,
+    ObliviousProtocol,
     VectorEngine,
     VectorProgram,
     VectorState,
@@ -46,6 +47,7 @@ __all__ = [
     "Command",
     "CompositeFailure",
     "ENGINE_BACKENDS",
+    "ObliviousProtocol",
     "VectorEngine",
     "VectorProgram",
     "VectorState",

@@ -168,11 +168,7 @@ def run_until_complete(
             in_flight.append(engine.pending_exchanges())
     if track_progress is not None:
         history.append(track_progress(engine))
-    # Last look for any attached invariant checkers (duck-typed so the
-    # testing package's ReferenceEngine can run through this helper too).
-    finish = getattr(engine, "finish_checks", None)
-    if finish is not None:
-        finish()
+    engine.finish_checks()
     run_telemetry = None
     if telemetry:
         run_telemetry = RunTelemetry(

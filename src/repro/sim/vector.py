@@ -56,8 +56,12 @@ beyond a fixed knows/not-knows gate and which take no per-delivery
 actions — can be replayed as whole-round array ops.  Protocols declare
 eligibility by returning a :class:`VectorProgram` from a
 ``vector_program()`` method; a protocol that locally terminates must
-declare its fixed round budget via :attr:`VectorProgram.duration`
-(RR Broadcast does); anything else is refused (see below).
+declare its fixed round budget via :attr:`VectorProgram.duration`;
+anything else is refused (see below).  Push--pull, push, pull, flooding
+and RR Broadcast are :class:`ObliviousProtocol` instances: the program
+is their whole declaration, which :meth:`ObliviousProtocol.on_round`
+runs one node at a time for the per-exchange engines and the array
+round replays.
 The one adaptive protocol replayed is ℓ-DTG (``kind="dtg"``): in a plain
 run it is in lockstep, so it adapts only at iteration boundaries shared
 by every node, and the engine replays it as a per-iteration plan
@@ -122,6 +126,7 @@ from repro.sim.state import NetworkState, Note, Payload, _RumorSpace
 from repro.sim.streams import SeedStream, StreamWindow
 
 __all__ = [
+    "ObliviousProtocol",
     "VectorProgram",
     "VectorState",
     "VectorEngine",
@@ -406,6 +411,71 @@ class VectorProgram:
     duration: Optional[int] = None
     period: Optional[int] = None
     tag: Optional[Hashable] = None
+
+
+class ObliviousProtocol(NodeProtocol):
+    """A ``random`` or ``round_robin`` :class:`VectorProgram`, run one
+    exchange at a time for the per-exchange engines.
+
+    The program is the protocol's whole declaration: the array round
+    replays it, and :meth:`on_round` runs it for one node.  A round first
+    checks the gate (a gated-out node touches neither its rng nor its
+    round-robin counter), then either picks ``rng.choice`` over the
+    repr-sorted neighbor list or cycles that list (or ``targets``) from
+    ``start``.  The list is built on first use.  :meth:`is_done` counts
+    rounds against ``duration``.
+    """
+
+    def __init__(self, program: VectorProgram) -> None:
+        if program.kind not in ("random", "round_robin"):
+            raise ProtocolError(
+                "ObliviousProtocol runs 'random' or 'round_robin' programs, "
+                f"got {program.kind!r}"
+            )
+        if program.gate is not None and program.gate[0] not in ("knows", "not_knows"):
+            raise ProtocolError(f"unknown gate {program.gate[0]!r}")
+        if program.duration is not None and program.duration < 0:
+            raise ProtocolError(f"duration must be >= 0, got {program.duration}")
+        self._program = program
+        self._rng = program.rng
+        self._targets: Optional[Sequence[Node]] = program.targets
+        self._next = program.start
+        self._rounds = 0
+
+    def on_round(self, ctx: NodeContext) -> Optional[Node]:
+        self._rounds += 1
+        gate = self._program.gate
+        if gate is not None and ctx.state.knows(ctx.node, gate[1]) != (
+            gate[0] == "knows"
+        ):
+            return None
+        targets = self._targets
+        if targets is None:
+            targets = self._targets = sorted(ctx.neighbors(), key=repr)
+        if not targets:
+            return None
+        if self._program.kind == "random":
+            return self._rng.choice(targets)
+        target = targets[self._next % len(targets)]
+        self._next += 1
+        return target
+
+    def is_done(self, ctx: NodeContext) -> bool:
+        duration = self._program.duration
+        return duration is not None and self._rounds >= duration
+
+    def vector_program(self) -> VectorProgram:
+        """The program, with the round-robin offset and the budget left
+        after the rounds this protocol already ran."""
+        program = self._program
+        if not self._rounds:
+            return program
+        duration = program.duration
+        return dataclasses.replace(
+            program,
+            start=self._next,
+            duration=None if duration is None else max(duration - self._rounds, 0),
+        )
 
 
 # ----------------------------------------------------------------------
@@ -736,6 +806,9 @@ class VectorState:
 #: latency bookkeeping (and its own termination rule).
 _REPLAYED_ON_DELIVER = (NodeProtocol.on_deliver,)
 _REPLAYED_ON_DELIVER_DTG = (NodeProtocol.on_deliver, ProgramProtocol.on_deliver)
+#: The ``is_done`` implementations replayed without a declared duration:
+#: the default, and ObliviousProtocol's count of its program's budget.
+_REPLAYED_IS_DONE = (NodeProtocol.is_done, ObliviousProtocol.is_done)
 
 
 def vector_refusal(
@@ -829,7 +902,7 @@ def vector_refusal(
             return "ineligible", (
                 f"{name} declares a negative duration ({program.duration})"
             )
-        if cls.is_done is not NodeProtocol.is_done and program.duration is None:
+        if cls.is_done not in _REPLAYED_IS_DONE and program.duration is None:
             return "adaptive-termination", (
                 f"protocol {name} overrides is_done() but its VectorProgram "
                 "declares no duration; only fixed-round-budget termination "

@@ -124,7 +124,7 @@ class _Terminating(PushPullProtocol):
 
 class _BadKind(PushPullProtocol):
     def vector_program(self):
-        return VectorProgram(kind="telepathy", rng=self._rng)
+        return VectorProgram(kind="telepathy", rng=super().vector_program().rng)
 
 
 def _variant_factory(protocol_cls):

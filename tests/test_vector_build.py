@@ -13,8 +13,8 @@ Guards on :class:`~repro.sim.vector.VectorEngine`'s array paths:
   subclass, and of all kinds of rng mixed in one window.  Recorded runs
   under an in-degree cap must emit the scalar engine's rejections.
 * **Allocation and cycle budget.**  A fast-path or mirror-path build
-  allocates at most four GC-tracked objects per node (rng, protocol, its
-  neighbor list, its program), holds no reference cycle — a dropped
+  allocates at most three GC-tracked objects per node (rng, protocol, its
+  program), holds no reference cycle — a dropped
   engine is freed by reference counting alone — and the in-flight
   entries one round sends share no memory, so each frees its rows when
   delivered.  A broadcast round gathers no payload row at all: every
@@ -208,7 +208,7 @@ def test_build_allocation_and_cycle_budget(graph, recorder_factory):
         before = len(gc.get_objects())
         engine = _build(graph, recorder_factory)
         grown = len(gc.get_objects()) - before
-        assert grown <= 4 * N + SLACK, f"{grown} tracked objects for n={N}"
+        assert grown <= 3 * N + SLACK, f"{grown} tracked objects for n={N}"
         for _ in range(5):
             engine.step()
         assert engine.metrics.exchanges > 0

@@ -13,6 +13,7 @@ their teeth.  The rumor state is one bitset matrix that widens in place
 without changing any rumor set.
 """
 
+import io
 import random
 
 import pytest
@@ -40,6 +41,7 @@ from repro.sim.invariants import checked, default_checkers
 from repro.sim.runner import all_to_all_complete, broadcast_complete
 from repro.sim.state import NetworkState
 from repro.sim.vector import (
+    ObliviousProtocol,
     VectorEngine,
     VectorProgram,
     VectorState,
@@ -322,6 +324,81 @@ class TestVectorVsScalar:
         assert_engines_agree(report)
 
 
+@st.composite
+def unshipped_programs(draw, graph, rumor):
+    """node -> builder(rng) -> VectorProgram, drawn from programs no
+    shipped protocol declares: ``random`` with a ``duration`` (optionally
+    gated), and a knows/not_knows-gated ``round_robin`` over explicit
+    ``targets`` with a ``duration`` and a non-zero ``start``."""
+    builders = {}
+    for node in graph.nodes():
+        neighbors = sorted(graph.neighbors(node), key=repr)
+        duration = draw(st.integers(0, 8))
+        if draw(st.booleans()):
+            gate = draw(
+                st.sampled_from([None, ("knows", rumor), ("not_knows", rumor)])
+            )
+            builders[node] = lambda rng, gate=gate, duration=duration: VectorProgram(
+                kind="random", rng=rng, gate=gate, duration=duration
+            )
+        else:
+            program = VectorProgram(
+                kind="round_robin",
+                gate=(draw(st.sampled_from(["knows", "not_knows"])), rumor),
+                targets=tuple(draw(st.lists(st.sampled_from(neighbors), max_size=4))),
+                duration=duration,
+                start=draw(st.integers(1, 5)),
+            )
+            builders[node] = lambda rng, program=program: program
+    return builders
+
+
+class TestUnshippedPrograms:
+    """:class:`ObliviousProtocol` runs any random or round-robin program
+    the same way on the reference oracle, the scalar engine and the array
+    round, including programs no shipped protocol declares."""
+
+    @given(connected_latency_graphs(max_nodes=12), seeds(), st.data())
+    @settings(max_examples=25, deadline=None)
+    def test_three_engines_agree(self, graph, seed, data):
+        rumor, make_state = broadcast_setup(graph)
+        builders = data.draw(unshipped_programs(graph, rumor))
+        # Past every budget (<= 8 rounds) and its last exchanges' delivery.
+        horizon = 8 + max(graph.max_latency(), 1) + 2
+
+        def run(engine_cls, recorded=False):
+            rngs = {}
+
+            def factory(node):
+                rng = rngs[node] = random.Random(f"{seed}:{node}")
+                return ObliviousProtocol(builders[node](rng))
+
+            stream = io.StringIO()
+            options = {"recorder": Recorder.to_jsonl(stream)} if recorded else {}
+            engine = engine_cls(graph, factory, state=make_state(), **options)
+            rounds = []
+            while engine.round < horizon:
+                engine.step()
+                rounds.append(
+                    (
+                        engine.all_done(),
+                        [engine.state.rumors(node) for node in graph.nodes()],
+                    )
+                )
+            rng_states = {node: rng.getstate() for node, rng in rngs.items()}
+            return engine, rounds, rng_states, stream.getvalue().encode()
+
+        reference, ref_rounds, ref_rngs, _ = run(ReferenceEngine)
+        scalar, scalar_rounds, scalar_rngs, _ = run(Engine)
+        vector, vector_rounds, vector_rngs, _ = run(VectorEngine)
+        assert vector_rounds == scalar_rounds == ref_rounds
+        assert vector.metrics == scalar.metrics == reference.metrics
+        assert vector_rngs == scalar_rngs == ref_rngs
+        scalar_bytes = run(Engine, recorded=True)[3]
+        vector_bytes = run(VectorEngine, recorded=True)[3]
+        assert scalar_bytes and vector_bytes == scalar_bytes
+
+
 class _NoProgram(NodeProtocol):
     """Oblivious-looking protocol that declares no vector program."""
 
@@ -351,7 +428,7 @@ class _PingOnly(PushPullProtocol):
 
 class _BadKind(PushPullProtocol):
     def vector_program(self):
-        return VectorProgram(kind="telepathy", rng=self._rng)
+        return VectorProgram(kind="telepathy", rng=super().vector_program().rng)
 
 
 class _RandomWithoutRng(PushPullProtocol):
