@@ -41,7 +41,6 @@ from repro.benchmarking import (
     run_microbenchmarks,
     write_report,
 )
-from repro.protocols.base import per_node_rng_factory
 from repro.protocols.push_pull import PushPullProtocol
 from repro.sim.runner import broadcast_complete
 from repro.sim.state import NetworkState
@@ -61,11 +60,13 @@ MEMORY_CEILING_BYTES = 3 * (1 << 29)
 #: The n=10^5 broadcast leg's own, tighter ceiling (graph and CSR tables
 #: dominate; the rumor state itself is 800 kB).  With seed-addressed
 #: partner streams (no ``random.Random`` per node: an n x 128 uint32
-#: word window, 51 MB, instead of ~290 MB of twister objects) the leg's
-#: smallest passing RLIMIT_DATA, found by bisection to 8 MiB, is 465 MiB;
-#: this allows 20% more.  Building one ``random.Random`` per node, as
-#: before the streams, needs 674 MiB and dies under it.
-BROADCAST_CEILING_BYTES = 560 << 20
+#: word window, 51 MB, instead of ~290 MB of twister objects) and a
+#: declared cohort (no protocol, program or handle per node) the leg's
+#: smallest passing RLIMIT_DATA, found by bisection to 8 MiB, is 315 MiB
+#: (356 MiB with a protocol and a handle per node); this allows 20%
+#: more.  Building one ``random.Random`` per node, as before the
+#: streams, needs 674 MiB and dies under it.
+BROADCAST_CEILING_BYTES = 378 << 20
 
 #: Ceiling for the n=10^6 substrate leg: G(10^6, 8/n) (~5·10^6 edges)
 #: and its CSR tables peak around 1.3 GB resident when the graph is
@@ -207,16 +208,15 @@ def test_scale_broadcast_stream_oracle():
     covers refills), are replayed
     with a fresh ``random.Random(key)`` calling ``choice`` over the
     repr-sorted neighbours once per round, as the scalar protocol does,
-    and must end in the state each node's protocol reports.
+    and must end in the state each node's protocol reports (built on
+    demand from the declared cohort, its handle linked to the node's
+    window row).
     """
     graph = _vector_bench_graph(100_000, 8.0, 8)
     nodes = graph.nodes()
-    make_rng = per_node_rng_factory(0)
     state = NetworkState(nodes)
     state.add_rumor(nodes[0], "r")
-    engine = VectorEngine(
-        graph, lambda node: PushPullProtocol(make_rng(node)), state=state
-    )
+    engine = VectorEngine(graph, PushPullProtocol.cohort(0), state=state)
     engine.run(until=broadcast_complete("r"), max_rounds=10_000)
     handles = [engine.protocol(node)._rng for node in nodes]
     consumed = sorted(range(len(nodes)), key=lambda i: handles[i].position())

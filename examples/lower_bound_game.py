@@ -27,7 +27,6 @@ from repro.lowerbounds.strategies import (
     random_guessing_strategy,
     systematic_sweep_strategy,
 )
-from repro.protocols.base import per_node_rng_factory
 from repro.protocols.push_pull import PushPullProtocol
 
 
@@ -71,10 +70,7 @@ def main() -> None:
     delta = 16
     rng = random.Random(0)
     gadget = theorem6_network(2 * delta + 12, delta, rng)
-    make_rng = per_node_rng_factory(99)
-    outcome = simulate_gossip_as_guessing(
-        gadget, lambda node: PushPullProtocol(make_rng(node))
-    )
+    outcome = simulate_gossip_as_guessing(gadget, PushPullProtocol.cohort(99))
     print(
         f"gadget with Δ = {delta}: local broadcast finished at round "
         f"{outcome.gossip_rounds};\nthe hidden fast edge was hit at round "

@@ -251,7 +251,7 @@ def _composite_chain_workload(
     """
 
     def run() -> dict[str, Any]:
-        from repro.protocols.base import PhaseRunner, per_node_rng_factory
+        from repro.protocols.base import PhaseRunner
         from repro.protocols.push_pull import PushPullProtocol
         from repro.sim.runner import min_rumors_complete
         from repro.sim.state import NetworkState
@@ -261,15 +261,15 @@ def _composite_chain_workload(
         state = NetworkState(nodes)
         state.add_rumor(nodes[0], "chain-seed")
         runner = PhaseRunner(graph, state=state, backend=backend)
-        make_rng = per_node_rng_factory(0)
+        cohort = PushPullProtocol.cohort(0)
         runner.run_phase(
-            lambda node: PushPullProtocol(make_rng(node)),
+            cohort,
             until=min_rumors_complete(1),
             name="broadcast",
         )
         runner.state.seed_self_rumors()
         runner.run_phase(
-            lambda node: PushPullProtocol(make_rng(node)),
+            cohort,
             until=min_rumors_complete(n + 1),
             name="all-to-all",
         )

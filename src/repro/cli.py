@@ -251,7 +251,6 @@ def _check_differential(seed: int, backend: str = "scalar") -> list[str]:
     (docs/MODEL.md §8) against a plain scalar run.
     """
     from repro.graphs import generators
-    from repro.protocols.base import per_node_rng_factory
     from repro.protocols.eid import run_general_eid
     from repro.protocols.flooding import FloodingProtocol
     from repro.protocols.push_pull import PushPullProtocol
@@ -282,13 +281,8 @@ def _check_differential(seed: int, backend: str = "scalar") -> list[str]:
             return state
 
         protocols = [
-            (
-                "push-pull",
-                lambda seed=seed: (
-                    lambda make_rng: (lambda node: PushPullProtocol(make_rng(node)))
-                )(per_node_rng_factory(seed)),
-            ),
-            ("flooding", lambda rumor=rumor: (lambda node: FloodingProtocol(None))),
+            ("push-pull", lambda seed=seed: PushPullProtocol.cohort(seed)),
+            ("flooding", FloodingProtocol.cohort),
         ]
         for protocol_name, make_factory in protocols:
             for reference_cls, leg_name in legs:
@@ -332,7 +326,6 @@ def _check_replay(seed: int) -> list[str]:
     """Record-and-replay determinism oracle on push--pull."""
     from repro.errors import SimulationError
     from repro.graphs import generators
-    from repro.protocols.base import per_node_rng_factory
     from repro.protocols.push_pull import PushPullProtocol
     from repro.sim.runner import broadcast_complete
     from repro.sim.state import NetworkState
@@ -349,8 +342,7 @@ def _check_replay(seed: int) -> list[str]:
         return state
 
     def make_factory():
-        make_rng = per_node_rng_factory(seed)
-        return lambda node: PushPullProtocol(make_rng(node))
+        return PushPullProtocol.cohort(seed)
 
     try:
         report = record_and_replay(

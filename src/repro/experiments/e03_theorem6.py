@@ -20,7 +20,6 @@ import statistics
 from repro.analysis.scaling import loglog_slope
 from repro.graphs.gadgets import theorem6_network
 from repro.lowerbounds.reduction import simulate_gossip_as_guessing
-from repro.protocols.base import per_node_rng_factory
 from repro.protocols.push_pull import PushPullProtocol
 from repro.experiments.harness import (
     ExperimentTable,
@@ -37,10 +36,8 @@ def _hit_rounds(n: int, delta: int, seed: int) -> int:
     """One seed-ladder trial (module-level so it pickles for REPRO_JOBS)."""
     rng = random.Random(seed)
     gadget = theorem6_network(n, delta, rng)
-    make_rng = per_node_rng_factory(seed + 1000)
     outcome = simulate_gossip_as_guessing(
-        gadget,
-        lambda node: PushPullProtocol(make_rng(node)),
+        gadget, PushPullProtocol.cohort(seed + 1000)
     )
     if not outcome.lemma3_holds:
         raise AssertionError("Lemma 3 violated in E3 run")

@@ -25,7 +25,7 @@ import random
 import statistics
 
 from repro.graphs import generators
-from repro.protocols.base import PhaseRunner, per_node_rng_factory
+from repro.protocols.base import PhaseRunner
 from repro.protocols.dtg import ldtg_factory
 from repro.protocols.push_pull import PushPullProtocol
 from repro.sim.engine import Engine
@@ -47,10 +47,9 @@ def _push_pull_rounds_with_cap(graph, cap, seed, max_rounds=100_000):
     rumor = ("rumor", source)
     state = NetworkState(graph.nodes())
     state.add_rumor(source, rumor)
-    make_rng = per_node_rng_factory(seed)
     engine = Engine(
         graph,
-        lambda node: PushPullProtocol(make_rng(node)),
+        PushPullProtocol.cohort(seed),
         state=state,
         max_incoming_per_round=cap,
     )
@@ -113,10 +112,9 @@ def _payload_config(n: int) -> dict:
     rumor = ("rumor", source)
     state = NetworkState(graph.nodes())
     state.add_rumor(source, rumor)
-    make_rng = per_node_rng_factory(7)
     engine = Engine(
         graph,
-        lambda node: PushPullProtocol(make_rng(node)),
+        PushPullProtocol.cohort(7),
         state=state,
     )
     done = broadcast_complete(rumor)

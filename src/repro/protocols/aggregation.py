@@ -27,7 +27,6 @@ from repro.errors import ProtocolError
 from repro.graphs.latency_graph import LatencyGraph, Node
 from repro.sim.engine import Engine
 from repro.sim.state import NetworkState
-from repro.protocols.base import per_node_rng_factory
 from repro.protocols.push_pull import PushPullProtocol
 
 __all__ = ["AggregateReport", "AGGREGATE_OPS", "run_aggregate"]
@@ -122,10 +121,9 @@ def run_aggregate(
         return all(tokens <= state.rumors(node) for node in nodes)
 
     if protocol == "push-pull":
-        make_rng = per_node_rng_factory(seed)
         engine = Engine(
             graph,
-            lambda node: PushPullProtocol(make_rng(node)),
+            PushPullProtocol.cohort(seed),
             state=state,
         )
         while not all_values_everywhere():

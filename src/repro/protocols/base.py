@@ -46,7 +46,7 @@ from repro.obs.recorder import Recorder
 from repro.obs.telemetry import PhaseTiming
 from repro.sim.engine import Engine, NodeProtocol
 from repro.sim.state import NetworkState
-from repro.sim.streams import SeedStream
+from repro.sim.streams import SeedStream, seed_key
 from repro.sim.vector import resolve_engine_backend
 
 __all__ = ["per_node_rng_factory", "PhaseRunner"]
@@ -65,7 +65,7 @@ def per_node_rng_factory(seed: int) -> Callable[[Node], SeedStream]:
     """
 
     def make(node: Node) -> SeedStream:
-        return SeedStream(f"{seed}:{node!r}")
+        return SeedStream(seed_key(seed, node))
 
     return make
 

@@ -12,7 +12,8 @@ Two variants:
 
 Both are one ``kind="round_robin"`` :class:`~repro.sim.vector.VectorProgram`
 (push-only adds a knows-gate), run by
-:class:`~repro.sim.vector.ObliviousProtocol` on every engine.
+:class:`~repro.sim.vector.ObliviousProtocol` on every engine;
+``FloodingProtocol.cohort(...)`` declares it once for every node.
 """
 
 from __future__ import annotations
@@ -23,7 +24,12 @@ from repro.graphs.latency_graph import LatencyGraph, Node
 from repro.sim.metrics import DisseminationResult
 from repro.sim.runner import broadcast_complete, run_until_complete
 from repro.sim.state import NetworkState
-from repro.sim.vector import ObliviousProtocol, VectorProgram, resolve_engine_backend
+from repro.sim.vector import (
+    ObliviousCohort,
+    ObliviousProtocol,
+    VectorProgram,
+    resolve_engine_backend,
+)
 
 __all__ = ["FloodingProtocol", "run_flooding"]
 
@@ -39,8 +45,17 @@ class FloodingProtocol(ObliviousProtocol):
     """
 
     def __init__(self, push_only_rumor: Optional[Hashable] = None) -> None:
+        super().__init__(self._program(push_only_rumor))
+
+    @staticmethod
+    def _program(push_only_rumor: Optional[Hashable]) -> VectorProgram:
         gate = ("knows", push_only_rumor) if push_only_rumor is not None else None
-        super().__init__(VectorProgram(kind="round_robin", gate=gate))
+        return VectorProgram(kind="round_robin", gate=gate)
+
+    @classmethod
+    def cohort(cls, push_only_rumor: Optional[Hashable] = None) -> ObliviousCohort:
+        """Every node's flooding, sharing one program."""
+        return ObliviousCohort(cls, cls._program(push_only_rumor))
 
 
 def run_flooding(
@@ -64,7 +79,7 @@ def run_flooding(
     state.add_rumor(source, rumor)
     engine = resolve_engine_backend(backend)(
         graph,
-        lambda node: FloodingProtocol(rumor if push_only else None),
+        FloodingProtocol.cohort(rumor if push_only else None),
         state=state,
         latencies_known=False,
     )

@@ -11,10 +11,14 @@ The protocol needs no knowledge of latencies, the diameter, or ``n`` — it is
 the "unknown everything" workhorse of Section 4.1.
 
 Push--pull and its push-only and pull-only variants are oblivious: each
-class only builds a ``kind="random"``
+class only declares a ``kind="random"``
 :class:`~repro.sim.vector.VectorProgram` (the variants add a knows or
 not-knows gate on the rumor), and
 :class:`~repro.sim.vector.ObliviousProtocol` runs it on every engine.
+A run declares its nodes once, as a cohort: ``PushPullProtocol.cohort(seed)``
+(``PushProtocol.cohort(seed, rumor)``, ...) is the protocol factory
+whose node ``v`` draws from ``per_node_rng_factory(seed)(v)``'s stream,
+and the vector engine builds no per-node object from it.
 """
 
 from __future__ import annotations
@@ -33,20 +37,53 @@ from repro.sim.runner import (
     run_until_complete,
 )
 from repro.sim.state import NetworkState
-from repro.sim.vector import ObliviousProtocol, VectorProgram, resolve_engine_backend
-from repro.protocols.base import per_node_rng_factory
+from repro.sim.vector import (
+    ObliviousCohort,
+    ObliviousProtocol,
+    VectorProgram,
+    resolve_engine_backend,
+)
 
 __all__ = ["PushPullProtocol", "PushProtocol", "PullProtocol", "run_push_pull"]
+
+#: Push--pull's program, shared by every node (the rng is the node's own).
+_PUSH_PULL = VectorProgram(kind="random")
 
 
 class PushPullProtocol(ObliviousProtocol):
     """One node's push--pull behaviour: contact a uniform random neighbor."""
 
     def __init__(self, rng: random.Random) -> None:
-        super().__init__(VectorProgram(kind="random", rng=rng))
+        super().__init__(_PUSH_PULL, rng)
+
+    @classmethod
+    def cohort(cls, seed: int) -> ObliviousCohort:
+        """Every node's push--pull, node ``v`` drawing from
+        ``per_node_rng_factory(seed)(v)``'s stream."""
+        return ObliviousCohort(cls, _PUSH_PULL, seed)
 
 
-class PushProtocol(PushPullProtocol):
+class _GatedPushPull(PushPullProtocol):
+    """Push--pull that initiates only while the gate on ``rumor`` holds."""
+
+    #: The gate's condition, ``"knows"`` or ``"not_knows"``.
+    GATE: str
+
+    def __init__(self, rng: random.Random, rumor: Hashable) -> None:
+        ObliviousProtocol.__init__(self, self._program(rumor), rng)
+
+    @classmethod
+    def _program(cls, rumor: Hashable) -> VectorProgram:
+        return VectorProgram(kind="random", gate=(cls.GATE, rumor))
+
+    @classmethod
+    def cohort(cls, seed: int, rumor: Hashable) -> ObliviousCohort:
+        """Every node's protocol gated on ``rumor``, node ``v`` drawing
+        from ``per_node_rng_factory(seed)(v)``'s stream."""
+        return ObliviousCohort(cls, cls._program(rumor), seed)
+
+
+class PushProtocol(_GatedPushPull):
     """Push-only gossip: only nodes already knowing ``rumor`` initiate.
 
     The exchange itself stays bidirectional (responding is automatic in
@@ -54,23 +91,17 @@ class PushProtocol(PushPullProtocol):
     spread is driven purely by informed nodes pushing outward.
     """
 
-    def __init__(self, rng: random.Random, rumor: Hashable) -> None:
-        ObliviousProtocol.__init__(
-            self, VectorProgram(kind="random", rng=rng, gate=("knows", rumor))
-        )
+    GATE = "knows"
 
 
-class PullProtocol(PushPullProtocol):
+class PullProtocol(_GatedPushPull):
     """Pull-only gossip: only nodes *not* knowing ``rumor`` initiate.
 
     Uninformed nodes keep asking random neighbors until the rumor
     arrives, then go quiet — the mirror image of :class:`PushProtocol`.
     """
 
-    def __init__(self, rng: random.Random, rumor: Hashable) -> None:
-        ObliviousProtocol.__init__(
-            self, VectorProgram(kind="random", rng=rng, gate=("not_knows", rumor))
-        )
+    GATE = "not_knows"
 
 
 def run_push_pull(
@@ -151,9 +182,8 @@ def run_push_pull(
     else:
         raise ValueError(f"unknown mode {mode!r}")
 
-    make_rng = per_node_rng_factory(seed)
     if variant == "push-pull":
-        factory = lambda node: PushPullProtocol(make_rng(node))  # noqa: E731
+        factory = PushPullProtocol.cohort(seed)
     elif variant in ("push", "pull"):
         if mode != "broadcast":
             raise ValueError(
@@ -161,7 +191,7 @@ def run_push_pull(
                 'only mode="broadcast" is supported'
             )
         cls = PushProtocol if variant == "push" else PullProtocol
-        factory = lambda node: cls(make_rng(node), rumor)  # noqa: E731
+        factory = cls.cohort(seed, rumor)
     else:
         raise ValueError(f"unknown variant {variant!r}")
     engine = resolve_engine_backend(backend)(

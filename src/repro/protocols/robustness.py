@@ -32,7 +32,6 @@ from repro.graphs.latency_graph import LatencyGraph, Node
 from repro.sim.engine import Engine
 from repro.sim.failures import CrashSchedule, FailureModel
 from repro.sim.state import NetworkState
-from repro.protocols.base import per_node_rng_factory
 from repro.protocols.push_pull import PushPullProtocol
 from repro.protocols.rr_broadcast import rr_broadcast_factory
 from repro.protocols.spanner import baswana_sen_spanner
@@ -133,10 +132,9 @@ def run_push_pull_under_failures(
     rumor = ("rumor", source)
     state = NetworkState(graph.nodes())
     state.add_rumor(source, rumor)
-    make_rng = per_node_rng_factory(seed)
     engine = Engine(
         graph,
-        lambda node: PushPullProtocol(make_rng(node)),
+        PushPullProtocol.cohort(seed),
         state=state,
         failure_model=failures,
     )

@@ -34,6 +34,7 @@ from repro.sim.state import NetworkState, Note, Payload
 from repro.sim.stream import StreamReport, run_streamed_all_to_all
 from repro.sim.vector import (
     ENGINE_BACKENDS,
+    ObliviousCohort,
     ObliviousProtocol,
     VectorEngine,
     VectorProgram,
@@ -47,6 +48,7 @@ __all__ = [
     "Command",
     "CompositeFailure",
     "ENGINE_BACKENDS",
+    "ObliviousCohort",
     "ObliviousProtocol",
     "VectorEngine",
     "VectorProgram",

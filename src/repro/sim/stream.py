@@ -89,8 +89,8 @@ class _RecordedSchedule:
     """
 
     def __init__(self, engine: VectorEngine) -> None:
-        for program in engine._programs:
-            if program.gate is not None:
+        for cohort in engine._cohorts:
+            if cohort["gate"] is not None:
                 raise SimulationError(
                     "streamed all-to-all requires an ungated oblivious "
                     "protocol: a gate makes partner selection depend on "
@@ -190,7 +190,6 @@ def run_streamed_all_to_all(
         Explicit rumors-per-block override (tests use a tiny value to
         force multi-block streaming on small graphs).
     """
-    from repro.protocols.base import per_node_rng_factory
     from repro.protocols.push_pull import PushPullProtocol
 
     nodes = graph.nodes()
@@ -203,14 +202,13 @@ def run_streamed_all_to_all(
         )
     block = _pick_block_rumors(n, graph.max_latency(), max_state_bytes, block_rumors)
 
-    make_rng = per_node_rng_factory(seed)
     # Selection-only engine over an empty dense state: it never delivers,
     # only draws partners (identical RNG consumption to a monolithic run
-    # of the same factory).  No checker could see the blocks' deliveries,
+    # of the same cohort).  No checker could see the blocks' deliveries,
     # so it takes none, even inside checked().
     recorder_engine = VectorEngine(
         graph,
-        lambda node: PushPullProtocol(make_rng(node)),
+        PushPullProtocol.cohort(seed),
         state=VectorState(nodes),
         checkers=(),
     )

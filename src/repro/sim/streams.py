@@ -47,7 +47,7 @@ from typing import Any, Optional, Sequence
 
 import numpy as np
 
-__all__ = ["SeedStream", "StreamWindow", "first_words", "stream_words"]
+__all__ = ["SeedStream", "StreamWindow", "first_words", "seed_key", "stream_words"]
 
 #: Words per row of a :class:`StreamWindow` (51 MB at n = 10⁵).  A
 #: G(10⁵, 8/n) broadcast consumes ~62 words per node; 128 leaves most
@@ -80,6 +80,11 @@ def _genrand_base() -> list:
 
 _BASE = _genrand_base()
 _INDEX = [np.uint32(i) for i in range(_N)]
+
+
+def seed_key(seed: int, node: Any) -> str:
+    """The key of node ``node``'s stream under ``seed``: ``f"{seed}:{node!r}"``."""
+    return f"{seed}:{node!r}"
 
 
 def stream_words(key: str, start: int, count: int) -> np.ndarray:
@@ -347,10 +352,12 @@ del _name
 class StreamWindow:
     """Many streams as word windows: ``Random.choice`` in bulk.
 
-    Row ``t`` stands for ``rngs[t]``.  A fresh :class:`SeedStream` handle
-    is a *window row*: it holds words ``base[t] .. base[t] + WINDOW`` of
-    the handle's stream and a read pointer, and is refilled through
-    :func:`stream_words` when it runs out.  Every other rng (a plain
+    Row ``t`` stands for ``rngs[t]``.  A fresh :class:`SeedStream` handle,
+    or a key string naming a fresh stream that no handle holds yet, is a
+    *window row*: it holds words ``base[t] .. base[t] + WINDOW`` of the
+    stream and a read pointer, and is refilled through
+    :func:`stream_words` when it runs out; :meth:`handle` links a key
+    row's handle when something asks for it.  Every other rng (a plain
     ``random.Random`` or a subclass, or a handle that is materialised,
     linked to another window, or restored part-way through its stream) is
     a *live row*, and so is a handle that materialises later because
@@ -371,7 +378,9 @@ class StreamWindow:
         self._live: dict[int, Any] = {}
         self._is_live = np.zeros(size, dtype=bool)
         for t, rng in enumerate(rngs):
-            if type(rng) is not SeedStream:
+            if type(rng) is str:
+                self._keys[t] = rng
+            elif type(rng) is not SeedStream:
                 self.detach(t, rng)
             elif rng._rng is None and rng._window is None and not rng._pos:
                 rng._window = self
@@ -388,6 +397,15 @@ class StreamWindow:
             self._words[fresh] = first_words(
                 [self._keys[t] for t in fresh.tolist()], WINDOW
             )
+
+    def handle(self, row: int) -> SeedStream:
+        """A handle on key row ``row``'s stream, linked to the row, so it
+        reads its position from here until it materialises."""
+        assert not self._is_live[row], "a live row's stream has its handle"
+        handle = SeedStream(self._keys[row])
+        handle._window = self
+        handle._row = row
+        return handle
 
     def position(self, row: int) -> int:
         """Words row ``row`` has consumed since its stream was seeded."""

@@ -61,7 +61,12 @@ anything else is refused (see below).  Push--pull, push, pull, flooding
 and RR Broadcast are :class:`ObliviousProtocol` instances: the program
 is their whole declaration, which :meth:`ObliviousProtocol.on_round`
 runs one node at a time for the per-exchange engines and the array
-round replays.
+round replays.  A run whose nodes share one program declares it once,
+as an :class:`ObliviousCohort` (``PushPullProtocol.cohort(seed)``): the
+engine then builds its arrays and its stream window from the
+declaration and the seed keys alone, with no protocol, program, context
+or rng per node, and builds a node's protocol only when
+:meth:`VectorEngine.protocol` asks for it.
 The one adaptive protocol replayed is ℓ-DTG (``kind="dtg"``): in a plain
 run it is in lockstep, so it adapts only at iteration boundaries shared
 by every node, and the engine replays it as a per-iteration plan
@@ -89,8 +94,9 @@ the refusal.  Every other run gets a :class:`VectorEngine`, which only
 runs the array round: plain, or with a recorder (the **batched
 mirror**), which delivers rank by rank and emits the scalar event
 stream; without it observation costs nothing.  A :class:`VectorEngine`
-built directly asks the same rule about every node's protocol and
-raises :class:`~repro.errors.SimulationError` with its reason.
+built directly asks the same rule about every node's protocol (one
+probe for a declared cohort) and raises
+:class:`~repro.errors.SimulationError` with its reason.
 """
 
 from __future__ import annotations
@@ -123,9 +129,10 @@ from repro.sim.invariants import InvariantChecker
 from repro.sim.metrics import EngineMetrics
 from repro.sim.programs import ProgramProtocol
 from repro.sim.state import NetworkState, Note, Payload, _RumorSpace
-from repro.sim.streams import SeedStream, StreamWindow
+from repro.sim.streams import SeedStream, StreamWindow, seed_key
 
 __all__ = [
+    "ObliviousCohort",
     "ObliviousProtocol",
     "VectorProgram",
     "VectorState",
@@ -362,10 +369,12 @@ class VectorProgram:
     rng:
         For ``kind="random"``: the protocol's own per-node stream, a
         :class:`random.Random` or a :class:`~repro.sim.streams.SeedStream`
-        handle.  The backend consumes it exactly as ``Random.choice``
-        over the repr-sorted neighbor list would, so scalar and vector
-        runs of the same seed pick the same partners and leave every
-        stream in the same state.  On the array paths fresh handles
+        handle (an :class:`ObliviousProtocol` holds it itself and puts it
+        here in :meth:`~ObliviousProtocol.vector_program`, so its shared
+        program carries none).  The backend consumes it exactly as
+        ``Random.choice`` over the repr-sorted neighbor list would, so
+        scalar and vector runs of the same seed pick the same partners
+        and leave every stream in the same state.  On the array paths fresh handles
         are drawn from word windows and build no ``Random``, and any
         other rng is drawn live through its ``_randbelow``; reading a
         handle (``getstate()``, ``choice``, ...) at any time gives the
@@ -413,6 +422,20 @@ class VectorProgram:
     tag: Optional[Hashable] = None
 
 
+def _check_oblivious(program: VectorProgram) -> None:
+    """Raise :class:`~repro.errors.ProtocolError` unless
+    :class:`ObliviousProtocol` can run ``program``."""
+    if program.kind not in ("random", "round_robin"):
+        raise ProtocolError(
+            "ObliviousProtocol runs 'random' or 'round_robin' programs, "
+            f"got {program.kind!r}"
+        )
+    if program.gate is not None and program.gate[0] not in ("knows", "not_knows"):
+        raise ProtocolError(f"unknown gate {program.gate[0]!r}")
+    if program.duration is not None and program.duration < 0:
+        raise ProtocolError(f"duration must be >= 0, got {program.duration}")
+
+
 class ObliviousProtocol(NodeProtocol):
     """A ``random`` or ``round_robin`` :class:`VectorProgram`, run one
     exchange at a time for the per-exchange engines.
@@ -424,20 +447,16 @@ class ObliviousProtocol(NodeProtocol):
     repr-sorted neighbor list or cycles that list (or ``targets``) from
     ``start``.  The list is built on first use.  :meth:`is_done` counts
     rounds against ``duration``.
+
+    ``rng`` is the node's stream (``program.rng`` when omitted), so many
+    nodes can share one rng-free program: the shipped protocols share one
+    per class and gate (see :class:`ObliviousCohort`).
     """
 
-    def __init__(self, program: VectorProgram) -> None:
-        if program.kind not in ("random", "round_robin"):
-            raise ProtocolError(
-                "ObliviousProtocol runs 'random' or 'round_robin' programs, "
-                f"got {program.kind!r}"
-            )
-        if program.gate is not None and program.gate[0] not in ("knows", "not_knows"):
-            raise ProtocolError(f"unknown gate {program.gate[0]!r}")
-        if program.duration is not None and program.duration < 0:
-            raise ProtocolError(f"duration must be >= 0, got {program.duration}")
+    def __init__(self, program: VectorProgram, rng: Optional[Any] = None) -> None:
+        _check_oblivious(program)
         self._program = program
-        self._rng = program.rng
+        self._rng = program.rng if rng is None else rng
         self._targets: Optional[Sequence[Node]] = program.targets
         self._next = program.start
         self._rounds = 0
@@ -465,17 +484,78 @@ class ObliviousProtocol(NodeProtocol):
         return duration is not None and self._rounds >= duration
 
     def vector_program(self) -> VectorProgram:
-        """The program, with the round-robin offset and the budget left
-        after the rounds this protocol already ran."""
+        """The program with this node's rng, and with the round-robin
+        offset and the budget left after the rounds this protocol already
+        ran."""
         program = self._program
-        if not self._rounds:
-            return program
-        duration = program.duration
-        return dataclasses.replace(
-            program,
-            start=self._next,
-            duration=None if duration is None else max(duration - self._rounds, 0),
-        )
+        changes: dict[str, Any] = {}
+        if self._rng is not program.rng:
+            changes["rng"] = self._rng
+        if self._rounds:
+            duration = program.duration
+            changes["start"] = self._next
+            changes["duration"] = (
+                None if duration is None else max(duration - self._rounds, 0)
+            )
+        return dataclasses.replace(program, **changes) if changes else program
+
+
+class ObliviousCohort:
+    """A declared oblivious cohort: the protocol factory of a run in which
+    every node runs one shared, rng-free program.
+
+    Called with a node, it builds ``cls`` (an :class:`ObliviousProtocol`
+    class) around ``program``, so every engine takes it as a factory.  A
+    ``"random"`` program draws node ``v``'s stream from ``seed``: the fresh
+    :class:`~repro.sim.streams.SeedStream` ``seed_key(seed, v)``, the
+    stream :func:`~repro.protocols.base.per_node_rng_factory` gives it.  A
+    ``"round_robin"`` program takes no seed.  The program cycles (or
+    draws from) the graph neighbors, so it declares no ``targets``.
+
+    :class:`VectorEngine` reads the declaration instead of calling it:
+    it validates the class and program once and builds no per-node
+    object, only the protocol :meth:`VectorEngine.protocol` asks for.
+    ``cls.__init__`` is not run (the cohort binds ``program`` itself),
+    and ``cls`` may not override ``setup``, which such a build never
+    calls.
+    """
+
+    __slots__ = ("cls", "program", "seed")
+
+    def __init__(
+        self,
+        cls: type,
+        program: VectorProgram,
+        seed: Optional[int] = None,
+    ) -> None:
+        if not (isinstance(cls, type) and issubclass(cls, ObliviousProtocol)):
+            raise ProtocolError(
+                f"a cohort runs an ObliviousProtocol class, got {cls!r}"
+            )
+        if cls.setup is not NodeProtocol.setup:
+            raise ProtocolError(
+                f"{cls.__name__} overrides setup(), which a declared cohort never calls"
+            )
+        _check_oblivious(program)
+        if program.rng is not None or program.targets is not None:
+            raise ProtocolError("a cohort's program carries no rng and no targets")
+        if (program.kind == "random") != (seed is not None):
+            raise ProtocolError(
+                "a cohort seeds every stream of a 'random' program, and only of one"
+            )
+        self.cls = cls
+        self.program = program
+        self.seed = seed
+
+    def __call__(self, node: Node) -> ObliviousProtocol:
+        rng = None if self.seed is None else SeedStream(seed_key(self.seed, node))
+        return self.build(rng)
+
+    def build(self, rng: Optional[SeedStream]) -> ObliviousProtocol:
+        """A node's protocol over ``rng``."""
+        protocol = self.cls.__new__(self.cls)
+        ObliviousProtocol.__init__(protocol, self.program, rng)
+        return protocol
 
 
 # ----------------------------------------------------------------------
@@ -989,22 +1069,15 @@ class _DeliveryStage:
         self._invalidate = invalidate
         self._full: Optional[np.ndarray] = None
 
-    def _by_latency(
-        self,
-        rnd: int,
-        initiators: np.ndarray,
-        responders: np.ndarray,
-        latencies: np.ndarray,
-    ) -> Iterator[tuple[list, np.ndarray, np.ndarray]]:
-        """Per latency, in increasing order: the entry list of its delivery
-        round and its exchanges' ``(initiators, responders)`` rows, in
-        initiation order, counted as due in that round."""
-        for latency in np.unique(latencies).tolist():
-            pick = latencies == latency
-            a = initiators[pick]
+    def _count_due(self, rnd: int, latencies: np.ndarray) -> list[int]:
+        """Count every exchange sent in round ``rnd`` as due in round
+        ``rnd + latency``; returns the distinct latencies, increasing."""
+        distinct, sizes = np.unique(latencies, return_counts=True)
+        distinct = distinct.tolist()
+        for latency, size in zip(distinct, sizes.tolist()):
             due = rnd + latency
-            self._exchanges[due] = self._exchanges.get(due, 0) + a.shape[0]
-            yield self.due.setdefault(due, []), a, responders[pick]
+            self._exchanges[due] = self._exchanges.get(due, 0) + size
+        return distinct
 
     def send(
         self,
@@ -1016,20 +1089,27 @@ class _DeliveryStage:
         """Queue both payloads of each exchange initiated in round ``rnd``
         (row ``initiators[k]`` with row ``responders[k]``, delivered at
         ``rnd + latencies[k]``), snapshotting the rows now."""
+        self._count_due(rnd, latencies)
         counts = self.counts
         rumors = self.rumors
-        for entries, a, b in self._by_latency(rnd, initiators, responders, latencies):
-            for src, dst in ((a, b), (b, a)):
-                held = counts[src]
-                keep = (held > 0) & (counts[dst] < rumors)
-                if not keep.all():
-                    src, dst, held = src[keep], dst[keep], held[keep]
-                full = held >= rumors
-                if full.any():
-                    entries.append((dst[full], None, rnd))
-                    src, dst = src[~full], dst[~full]
-                if src.shape[0]:
-                    entries.append((dst, self.words[src], rnd))
+        # Skips first, then one stable sort of the kept pairs by (latency,
+        # partial sender): a due round's entries are forward full, forward
+        # partial, backward full, backward partial, each in initiation order.
+        for src, dst in ((initiators, responders), (responders, initiators)):
+            held = counts[src]
+            keep = np.flatnonzero((held > 0) & (counts[dst] < rumors))
+            if not keep.shape[0]:
+                continue
+            src, dst = src[keep], dst[keep]
+            keys = 2 * latencies[keep] + (held[keep] < rumors)
+            order = np.argsort(keys, kind="stable")
+            keys = keys[order]
+            cuts = (np.flatnonzero(keys[1:] != keys[:-1]) + 1).tolist()
+            for lo, hi in zip([0] + cuts, cuts + [keys.shape[0]]):
+                key = int(keys[lo])
+                pick = order[lo:hi]
+                pack = self.words[src[pick]] if key & 1 else None
+                self.due.setdefault(rnd + (key >> 1), []).append((dst[pick], pack, rnd))
 
     def send_all(
         self,
@@ -1042,9 +1122,13 @@ class _DeliveryStage:
         delivery: one entry per latency, whose rows are
         ``[responders; initiators]`` and whose pack is a copy of
         ``[initiators; responders]``."""
-        for entries, a, b in self._by_latency(rnd, initiators, responders, latencies):
+        for latency in self._count_due(rnd, latencies):
+            pick = latencies == latency
+            a, b = initiators[pick], responders[pick]
             pack = self.words[np.concatenate((a, b))]
-            entries.append((np.concatenate((b, a)), pack, rnd))
+            self.due.setdefault(rnd + latency, []).append(
+                (np.concatenate((b, a)), pack, rnd)
+            )
 
     def take(self, rnd: int) -> tuple[int, list]:
         """``(exchanges, entries)`` due in round ``rnd``, removed."""
@@ -1117,7 +1201,13 @@ class _LDTGPlan:
     is the slot member ``p`` linked in iteration ``j + 1``.
     """
 
-    def __init__(self, engine: "VectorEngine", members: list[int], ell: int) -> None:
+    def __init__(
+        self,
+        engine: "VectorEngine",
+        members: list[int],
+        ell: int,
+        programs: list[VectorProgram],
+    ) -> None:
         self.ell = ell
         self.ids = np.asarray(members, dtype=np.int64)
         self.order = order = engine._order
@@ -1126,9 +1216,8 @@ class _LDTGPlan:
         owner: list[int] = []
         nbrs: list[int] = []
         bits: list[int] = []
-        for p, i in enumerate(members):
+        for p, (i, program) in enumerate(zip(members, programs)):
             node = order[i]
-            program = engine._programs[i]
             if program.targets is not None:
                 fast = sorted(program.targets, key=repr)
             else:
@@ -1283,7 +1372,9 @@ class VectorEngine(Engine):
     Accepts the same constructor arguments and exposes the same run-facing
     surface, but requires every protocol instance to export a
     :class:`VectorProgram` (oblivious protocols only — see module
-    docstring) and only runs the array round: plain runs take the fast
+    docstring; an :class:`ObliviousCohort` factory is read as a
+    declaration and builds no protocol until :meth:`protocol` asks) and
+    only runs the array round: plain runs take the fast
     path and a run whose only observer is a recorder takes the batched
     mirror.  Any run :func:`vector_refusal` refuses — for a node's
     protocol or for a per-exchange option (checkers, a failure model,
@@ -1341,22 +1432,34 @@ class VectorEngine(Engine):
                 f"state does not track graph node {exc.args[0]!r}"
             ) from None
 
-        # Contexts serve setup() only: dropped, they leave no reference
-        # cycle (unless a protocol keeps its ctx), so a finished engine is
-        # freed by reference counting, not by the next full collection.
+        declared = (
+            protocol_factory if isinstance(protocol_factory, ObliviousCohort) else None
+        )
+        #: A per-node factory's protocols, every node's; a declared cohort's,
+        #: only those :meth:`protocol` was asked for.
         self._protocols: dict[Node, NodeProtocol] = {}
-        contexts: dict[Node, NodeContext] = {}
-        for node in self._order:
-            self._protocols[node] = protocol_factory(node)
-            contexts[node] = NodeContext(self, node)
-        for node in self._order:
-            self._protocols[node].setup(contexts[node])
-        del contexts
-        self._programs: list[VectorProgram] = []
+        self._declared = declared
+        programs: Optional[list[VectorProgram]] = None
+        if declared is not None:
+            # One probe stands for every node: same class, same program.
+            probes = [declared(self._order[0])] if n else []
+        else:
+            # Contexts serve setup() only: dropped, they leave no reference
+            # cycle (unless a protocol keeps its ctx), so a finished engine
+            # is freed by reference counting, not by the next full collection.
+            contexts: dict[Node, NodeContext] = {}
+            for node in self._order:
+                self._protocols[node] = protocol_factory(node)
+                contexts[node] = NodeContext(self, node)
+            for node in self._order:
+                self._protocols[node].setup(contexts[node])
+            del contexts
+            probes = self._protocols.values()
+            programs = []
         refusal = vector_refusal(
-            self._protocols.values(),
+            probes,
             self.state,
-            self._programs,
+            programs,
             checkers=checkers,
             recorder=recorder,
             failure_model=failure_model,
@@ -1382,41 +1485,73 @@ class VectorEngine(Engine):
             functools.partial(_fold_edges, self._edge_active, us, vs, self._order)
         )
 
-        custom = self._build_target_tables(n)
-
         # Selection cohorts: nodes sharing (kind, gate, duration, custom
         # targets?) advance together over one slot table; ℓ-DTG nodes
-        # sharing ℓ advance together through one plan.
-        cohorts: dict[tuple, list[int]] = {}
+        # sharing ℓ advance together through one plan.  ``streams`` are
+        # the random programs' rngs (or key strings), in dense-id order;
+        # ``budgets`` every node's duration (-1: none), ``counted`` those
+        # of the non-ℓ-DTG programs.
+        custom = None
         plan_members: dict[int, list[int]] = {}
-        drawn: list[int] = []
-        for i, program in enumerate(self._programs):
-            if program.kind == "dtg":
-                plan_members.setdefault(program.period, []).append(i)
-                continue
-            fan_out = (
-                len(program.targets) if program.targets is not None else deg[i]
+        if declared is not None:
+            program = declared.program
+            ids = np.flatnonzero(deg > 0)
+            groups = (
+                {(program.kind, program.gate, program.duration, False): ids}
+                if ids.shape[0]
+                else {}
             )
-            if fan_out:
-                key = (
-                    program.kind,
-                    program.gate,
-                    program.duration,
-                    program.targets is not None,
+            drawn = ids if program.kind == "random" else ids[:0]
+            order = self._order
+            streams = [seed_key(declared.seed, order[i]) for i in drawn.tolist()]
+            self._rr_next = np.full(n, program.start, dtype=np.int64)
+            budget = -1 if program.duration is None else program.duration
+            budgets = counted = np.full(n, budget, dtype=np.int64)
+        else:
+            custom = self._build_target_tables(n, programs)
+            members: dict[tuple, list[int]] = {}
+            drawn_ids: list[int] = []
+            for i, program in enumerate(programs):
+                if program.kind == "dtg":
+                    plan_members.setdefault(program.period, []).append(i)
+                    continue
+                fan_out = (
+                    len(program.targets) if program.targets is not None else deg[i]
                 )
-                cohorts.setdefault(key, []).append(i)
-                if program.kind == "random":
-                    drawn.append(i)
+                if fan_out:
+                    key = (
+                        program.kind,
+                        program.gate,
+                        program.duration,
+                        program.targets is not None,
+                    )
+                    members.setdefault(key, []).append(i)
+                    if program.kind == "random":
+                        drawn_ids.append(i)
+            groups = {
+                key: np.array(ids_list, dtype=np.int64)
+                for key, ids_list in members.items()
+            }
+            drawn = np.asarray(drawn_ids, dtype=np.int64)
+            streams = [programs[i].rng for i in drawn_ids]
+            self._rr_next = np.fromiter(
+                (program.start for program in programs), dtype=np.int64, count=n
+            )
+            budgets = np.fromiter(
+                (-1 if p.duration is None else p.duration for p in programs),
+                dtype=np.int64,
+                count=n,
+            )
+            counted = budgets[
+                np.fromiter((p.kind != "dtg" for p in programs), dtype=bool, count=n)
+            ]
         # One StreamWindow for every random program, rows in dense-id order.
-        self._window_ids = np.asarray(drawn, dtype=np.int64)
-        self._window_degs = deg[self._window_ids]
-        self._window = StreamWindow(
-            [self._programs[i].rng for i in drawn], self._window_degs.tolist()
-        )
+        self._window_ids = drawn
+        self._window_degs = deg[drawn]
+        self._window = StreamWindow(streams, self._window_degs.tolist())
         self._csr = (off, nbr, lat, eid)
         self._cohorts = []
-        for (kind, gate, duration, is_custom), ids_list in cohorts.items():
-            ids = np.array(ids_list, dtype=np.int64)
+        for (kind, gate, duration, is_custom), ids in groups.items():
             tdeg, toff, tnbr, tlat, teid = (
                 custom if is_custom else (deg, off, nbr, lat, eid)
             )
@@ -1434,24 +1569,16 @@ class VectorEngine(Engine):
             if kind == "random":
                 entry["rows"] = np.searchsorted(self._window_ids, ids)
             self._cohorts.append(entry)
-        self._rr_next = np.fromiter(
-            (program.start for program in self._programs), dtype=np.int64, count=n
-        )
         # ℓ-DTG members stop when their plan says so (see all_done), so
         # only the other programs' budgets count here — vacuously all of
         # them in an engine of ℓ-DTG members only.
-        durations = [p.duration for p in self._programs if p.kind != "dtg"]
-        self._all_durations = all(d is not None for d in durations)
-        self._max_duration = max(
-            (d for d in durations if d is not None), default=0
-        )
+        self._all_durations = bool((counted >= 0).all())
+        self._max_duration = int(counted.max(initial=0))
 
-        self._plans: list[_LDTGPlan] = []
-        if plan_members:
-            self._plans = [
-                _LDTGPlan(self, members, ell)
-                for ell, members in plan_members.items()
-            ]
+        self._plans = [
+            _LDTGPlan(self, members, ell, [programs[i] for i in members])
+            for ell, members in plan_members.items()
+        ]
         #: Engine round at which the plans last wrote protocol state back.
         self._written_back = -1
         if self._mirror:
@@ -1459,13 +1586,11 @@ class VectorEngine(Engine):
             # program declares duration d parks at round d's scan, so it is
             # parked during the delivery stage of round r iff r > d.
             # Indexed by state row, as the mirror's deliveries are.
-            self._duration_list = [-1] * len(self.state._node_list)
-            for row, program in zip(self._row_of.tolist(), self._programs):
-                if program.duration is not None:
-                    self._duration_list[row] = program.duration
-            self._min_duration = min(
-                (d for d in self._duration_list if d >= 0), default=None
-            )
+            by_row = np.full(len(self.state._node_list), -1, dtype=np.int64)
+            by_row[self._row_of] = budgets
+            self._duration_list = by_row.tolist()
+            parking = budgets[budgets >= 0]
+            self._min_duration = int(parking.min()) if parking.shape[0] else None
         self._fingerprint = self._state_shape()
         # Built after every setup(), so its counts start from the state
         # the first round sees.
@@ -1479,7 +1604,9 @@ class VectorEngine(Engine):
         self._last_list: Optional[list[tuple[Node, Node]]] = []
 
     # ------------------------------------------------------------------
-    def _build_target_tables(self, n: int) -> Optional[tuple]:
+    def _build_target_tables(
+        self, n: int, programs: list[VectorProgram]
+    ) -> Optional[tuple]:
         """CSR-style slot tables for programs cycling explicit targets.
 
         Returns ``(deg, off, nbr, lat, eid)`` over all nodes (zero
@@ -1489,15 +1616,13 @@ class VectorEngine(Engine):
         :class:`~repro.errors.ProtocolError` on first contact; the
         vector backend front-loads that check to construction.
         """
-        if not any(
-            p.targets is not None and p.kind == "round_robin" for p in self._programs
-        ):
+        if not any(p.targets is not None and p.kind == "round_robin" for p in programs):
             return None
         index_of = self.graph.index_of
         tdeg = np.zeros(n, dtype=np.int64)
         flat: list[int] = []
         srcs: list[int] = []
-        for i, program in enumerate(self._programs):
+        for i, program in enumerate(programs):
             if program.targets is None or program.kind != "round_robin":
                 continue
             tdeg[i] = len(program.targets)
@@ -1533,15 +1658,40 @@ class VectorEngine(Engine):
     def protocol(self, node: Node) -> NodeProtocol:
         """The protocol instance for ``node`` (for post-run inspection).
 
-        ℓ-DTG instances never run on this engine; their plan writes the
-        inspectable state (``iterations_used``, ``measured_latencies``)
-        back first, so it reads as after the scalar run of these rounds.
+        A declared cohort's is built on the first ask (see
+        :meth:`_declared_protocol`).  ℓ-DTG instances never run on this
+        engine; their plan writes the inspectable state
+        (``iterations_used``, ``measured_latencies``) back first, so it
+        reads as after the scalar run of these rounds.
         """
         if self._written_back != self.round:
             for plan in self._plans:
                 plan.write_back(self)
             self._written_back = self.round
-        return self._protocols[node]
+        protocol = self._protocols.get(node)
+        if protocol is None:
+            protocol = self._protocols[node] = self._declared_protocol(node)
+        return protocol
+
+    def _declared_protocol(self, node: Node) -> NodeProtocol:
+        """A declared cohort's protocol for ``node``, built when first asked
+        for.  Its stream is a handle linked to the node's window row, so it
+        reads as the scalar run leaves it: position, ``getstate()``, and
+        materialising mid-run all behave as for a handle the factory built.
+        """
+        declared = self._declared
+        if declared is None:
+            raise KeyError(node)
+        i = self.graph.index_of(node)
+        rng = None
+        if declared.seed is not None:
+            row = int(np.searchsorted(self._window_ids, i))
+            if row < self._window_ids.shape[0] and self._window_ids[row] == i:
+                rng = self._window.handle(row)
+            else:
+                # Never drawn (no neighbor): still the fresh stream.
+                rng = SeedStream(seed_key(declared.seed, node))
+        return declared.build(rng)
 
     def all_done(self) -> bool:
         """Local-termination check.

@@ -10,7 +10,11 @@
   ``protocol(node)._rng.getstate()`` must equal the scalar engine's after
   runs long enough to refill every window at least twice, for push--pull,
   push and pull, plain and recorded, also when some handles are read
-  mid-run (which hands their rows to the live ``Random``).
+  mid-run (which hands their rows to the live ``Random``).  Each case
+  runs twice on the vector engine: from a per-node factory of handles,
+  and from the declared cohort (``PushPullProtocol.cohort(seed)``), whose
+  protocols are built only when ``protocol(node)`` asks, with handles
+  linked to their window rows.
 * **Handles.**  Inspecting, copying or pickling a handle neither builds
   its ``Random`` nor loses its position.
 """
@@ -97,9 +101,14 @@ def _graphs():
     }
 
 
-def _run(engine_cls, graph, variant, holders, rounds, recorded, read_at=None):
-    """``rounds`` rounds of ``variant`` from ``per_node_rng_factory(5)``;
-    at round ``read_at`` every third node's rng state is read."""
+def _factory(variant, declared):
+    """``variant``'s protocols over ``per_node_rng_factory(5)``'s streams:
+    the declared cohort, or a per-node factory of handles."""
+    if declared:
+        if variant == "push-pull":
+            return PushPullProtocol.cohort(5)
+        cls = PushProtocol if variant == "push" else PullProtocol
+        return cls.cohort(5, RUMOR)
     make_rng = per_node_rng_factory(5)
 
     def factory(node):
@@ -108,6 +117,16 @@ def _run(engine_cls, graph, variant, holders, rounds, recorded, read_at=None):
             return PushPullProtocol(rng)
         cls = PushProtocol if variant == "push" else PullProtocol
         return cls(rng, RUMOR)
+
+    return factory
+
+
+def _run(
+    engine_cls, graph, variant, holders, rounds, recorded, read_at=None, declared=False
+):
+    """``rounds`` rounds of ``variant`` from ``per_node_rng_factory(5)``;
+    at round ``read_at`` every third node's rng state is read."""
+    factory = _factory(variant, declared)
 
     state = NetworkState(graph.nodes())
     for node in holders(graph.nodes()):
@@ -123,23 +142,31 @@ def _run(engine_cls, graph, variant, holders, rounds, recorded, read_at=None):
 
 
 def _assert_parity(graph, variant, holders, rounds, recorded, read_at=None):
-    vector, vector_events = _run(
-        VectorEngine, graph, variant, holders, rounds, recorded, read_at
-    )
-    assert vector._mirror == recorded
-    window = vector._window
-    live = vector._window_ids[sorted(window._live)].tolist()
+    """Both vector runs (per-node handles, declared cohort) against the
+    scalar run; returns the per-node run's window and live node ids."""
     scalar, scalar_events = _run(
         Engine, graph, variant, holders, rounds, recorded, read_at
     )
-    assert (vector.round, vector.metrics) == (scalar.round, scalar.metrics)
-    assert vector_events == scalar_events
-    for node in graph.nodes():
-        assert vector.state.rumors(node) == scalar.state.rumors(node)
-        assert (
-            vector.protocol(node)._rng.getstate()
-            == scalar.protocol(node)._rng.getstate()
-        ), node
+    runs = []
+    for declared in (False, True):
+        vector, vector_events = _run(
+            VectorEngine, graph, variant, holders, rounds, recorded, read_at, declared
+        )
+        assert vector._mirror == recorded
+        window = vector._window
+        live = vector._window_ids[sorted(window._live)].tolist()
+        assert (vector.round, vector.metrics) == (scalar.round, scalar.metrics)
+        assert vector_events == scalar_events
+        for node in graph.nodes():
+            assert vector.state.rumors(node) == scalar.state.rumors(node)
+            assert (
+                vector.protocol(node)._rng.getstate()
+                == scalar.protocol(node)._rng.getstate()
+            ), (declared, node)
+        runs.append((window, live))
+    (window, live), (declared_window, declared_live) = runs
+    assert declared_live == live
+    assert (declared_window._base == window._base).all()
     return window, live
 
 
@@ -234,30 +261,38 @@ def test_handle_is_its_random():
 
 
 def test_inspecting_or_pickling_does_not_materialise():
+    """For handles from a per-node factory and for the handles a declared
+    cohort's protocols are built with on demand."""
     graph = _graphs()["er60"]
     make_rng = per_node_rng_factory(2)
-    engine = VectorEngine(graph, lambda node: PushPullProtocol(make_rng(node)))
-    for _ in range(30):
-        engine.step()
-    node = graph.nodes()[4]
-    handle = engine.protocol(node)._rng
-    position = handle.position()
-    assert position >= 30
-    clones = [
-        copy.copy(handle),
-        copy.deepcopy(handle),
-        pickle.loads(pickle.dumps(handle)),
+    factories = [
+        lambda node: PushPullProtocol(make_rng(node)),
+        PushPullProtocol.cohort(2),
     ]
-    assert repr(handle) == f"SeedStream({'2:' + repr(node)!r}, position={position})"
-    assert not hasattr(handle, "__getnewargs_ex__")
-    assert not hasattr(handle, "no_such_attribute")
-    assert not handle.materialised
-    for clone in clones:
-        assert not clone.materialised and clone.position() == position
-    twin = random.Random(f"2:{node!r}")
-    twin.getrandbits(32 * position)
-    for clone in clones + [handle]:
-        assert clone.getstate() == twin.getstate()
+    for factory in factories:
+        engine = VectorEngine(graph, factory)
+        for _ in range(30):
+            engine.step()
+        node = graph.nodes()[4]
+        handle = engine.protocol(node)._rng
+        assert engine.protocol(node)._rng is handle
+        position = handle.position()
+        assert position >= 30
+        clones = [
+            copy.copy(handle),
+            copy.deepcopy(handle),
+            pickle.loads(pickle.dumps(handle)),
+        ]
+        assert repr(handle) == f"SeedStream({'2:' + repr(node)!r}, position={position})"
+        assert not hasattr(handle, "__getnewargs_ex__")
+        assert not hasattr(handle, "no_such_attribute")
+        assert not handle.materialised
+        for clone in clones:
+            assert not clone.materialised and clone.position() == position
+        twin = random.Random(f"2:{node!r}")
+        twin.getrandbits(32 * position)
+        for clone in clones + [handle]:
+            assert clone.getstate() == twin.getstate()
 
 
 def test_copies_of_a_materialised_handle_are_independent():

@@ -13,9 +13,12 @@ Guards on :class:`~repro.sim.vector.VectorEngine`'s array paths:
   subclass, and of all kinds of rng mixed in one window.  Recorded runs
   under an in-degree cap must emit the scalar engine's rejections.
 * **Allocation and cycle budget.**  A fast-path or mirror-path build
-  allocates at most three GC-tracked objects per node (rng, protocol, its
-  program), holds no reference cycle — a dropped
-  engine is freed by reference counting alone — and the in-flight
+  from a declared cohort (``PushPullProtocol.cohort(seed)``) allocates a
+  constant number of GC-tracked objects, whatever ``n``: no protocol,
+  program, context or rng.  From a per-node factory it allocates at most
+  two per node (the rng and the protocol; the program is shared).
+  Neither holds a reference cycle — a dropped engine is freed by
+  reference counting alone — and the in-flight
   entries one round sends share no memory, so each frees its rows when
   delivered.  A broadcast round gathers no payload row at all: every
   sender is saturated, so its payload is the shared full-row marker.
@@ -173,9 +176,9 @@ def test_parity_graphs_reject_draws():
 
 # ----------------------------------------------------------------------
 N = 2000
-#: Objects a build may keep besides its four per-node ones: the engine,
-#: its dicts and lists, metrics, cohort tables, and the like.
-SLACK = 100
+#: Objects a build may keep besides its per-node ones: the engine, its
+#: dicts and lists, metrics, cohort tables, and the like.
+SLACK = 50
 
 
 @pytest.fixture(scope="module")
@@ -183,15 +186,16 @@ def graph():
     return erdos_renyi_fast(N, 8 / N, uniform_latency(1, 8), random.Random(0))
 
 
-def _build(graph, recorder_factory):
+def _per_node_factory():
     make_rng = per_node_rng_factory(0)
+    return lambda node: PushPullProtocol(make_rng(node))
+
+
+def _build(graph, recorder_factory, make_factory=_per_node_factory):
     state = NetworkState(graph.nodes())
     state.add_rumor(graph.nodes()[0], RUMOR)
     return VectorEngine(
-        graph,
-        lambda node: PushPullProtocol(make_rng(node)),
-        state=state,
-        recorder=recorder_factory(),
+        graph, make_factory(), state=state, recorder=recorder_factory()
     )
 
 
@@ -201,23 +205,30 @@ def _build(graph, recorder_factory):
     ids=["fast", "mirror"],
 )
 def test_build_allocation_and_cycle_budget(graph, recorder_factory):
-    _build(graph, recorder_factory)  # warm class and CSR caches
-    enabled = gc.isenabled()
-    gc.disable()
-    try:
-        before = len(gc.get_objects())
-        engine = _build(graph, recorder_factory)
-        grown = len(gc.get_objects()) - before
-        assert grown <= 3 * N + SLACK, f"{grown} tracked objects for n={N}"
-        for _ in range(5):
-            engine.step()
-        assert engine.metrics.exchanges > 0
-        ref = weakref.ref(engine)
-        del engine
-        assert ref() is None, "engine kept alive by a reference cycle"
-    finally:
-        if enabled:
-            gc.enable()
+    legs = [
+        ("per-node", _per_node_factory, 2 * N + SLACK),
+        ("declared", lambda: PushPullProtocol.cohort(0), SLACK),
+    ]
+    for leg, make_factory, budget in legs:
+        _build(graph, recorder_factory, make_factory)  # warm class and CSR caches
+        enabled = gc.isenabled()
+        gc.disable()
+        try:
+            before = len(gc.get_objects())
+            engine = _build(graph, recorder_factory, make_factory)
+            grown = len(gc.get_objects()) - before
+            assert grown <= budget, f"{leg}: {grown} tracked objects for n={N}"
+            for _ in range(5):
+                engine.step()
+            assert engine.metrics.exchanges > 0
+            # A protocol built on demand keeps no cycle either.
+            assert engine.protocol(graph.nodes()[1])._rng.position() > 0
+            ref = weakref.ref(engine)
+            del engine
+            assert ref() is None, f"{leg}: engine kept alive by a reference cycle"
+        finally:
+            if enabled:
+                gc.enable()
 
 
 def _buffer(array):

@@ -41,6 +41,7 @@ from repro.sim.invariants import checked, default_checkers
 from repro.sim.runner import all_to_all_complete, broadcast_complete
 from repro.sim.state import NetworkState
 from repro.sim.vector import (
+    ObliviousCohort,
     ObliviousProtocol,
     VectorEngine,
     VectorProgram,
@@ -140,6 +141,112 @@ class TestVectorVsReference:
         )
         assert_engines_agree(report)
         assert report.rounds is not None
+
+
+def _per_node(build):
+    """``make(seed, rumor)``: the per-node factory whose node runs
+    ``build(rng, rumor)`` over ``per_node_rng_factory(seed)``'s stream."""
+
+    def make(seed, rumor):
+        make_rng = per_node_rng_factory(seed)
+        return lambda node: build(make_rng(node), rumor)
+
+    return make
+
+
+OFFSET_BUDGET = VectorProgram(kind="round_robin", start=3, duration=6)
+
+#: name -> (declared cohort, per-node factory), each made by make(seed, rumor).
+DECLARED = {
+    "push-pull": (
+        lambda seed, rumor: PushPullProtocol.cohort(seed),
+        _per_node(lambda rng, rumor: PushPullProtocol(rng)),
+    ),
+    "push": (PushProtocol.cohort, _per_node(PushProtocol)),
+    "pull": (PullProtocol.cohort, _per_node(PullProtocol)),
+    "flooding": (
+        lambda seed, rumor: FloodingProtocol.cohort(),
+        lambda seed, rumor: lambda node: FloodingProtocol(None),
+    ),
+    # A program no shipped cohort declares: a round-robin offset and a
+    # budget, so the run stops when every node is done.
+    "offset-budget": (
+        lambda seed, rumor: ObliviousCohort(FloodingProtocol, OFFSET_BUDGET),
+        lambda seed, rumor: lambda node: ObliviousProtocol(OFFSET_BUDGET),
+    ),
+}
+
+
+class TestDeclaredCohort:
+    """A declared cohort (``PushPullProtocol.cohort(seed)``, ...) is the
+    per-node factory it replaces, on every engine: the same rounds,
+    knowledge, metrics, rng states and event bytes.  The vector engine
+    builds no node protocol from it, only those ``protocol(node)`` asks
+    for."""
+
+    @pytest.mark.parametrize("variant", sorted(DECLARED))
+    @given(connected_latency_graphs(max_nodes=16), seeds())
+    @settings(max_examples=10, deadline=None)
+    def test_declared_equals_per_node(self, variant, graph, seed):
+        rumor, make_state = broadcast_setup(graph)
+        complete = broadcast_complete(rumor)
+
+        def done(engine):
+            return complete(engine) or engine.all_done()
+
+        def run(engine_cls, make_factory):
+            options = {}
+            stream = io.StringIO()
+            if engine_cls is not ReferenceEngine:
+                options["recorder"] = Recorder.to_jsonl(stream)
+            engine = engine_cls(
+                graph, make_factory(seed, rumor), state=make_state(), **options
+            )
+            engine.run(until=done, max_rounds=5_000)
+            rngs = [
+                getattr(engine.protocol(node), "_rng", None) for node in graph.nodes()
+            ]
+            return (
+                engine.round,
+                engine.metrics,
+                [engine.state.rumors(node) for node in graph.nodes()],
+                [None if rng is None else rng.getstate() for rng in rngs],
+                stream.getvalue(),
+            )
+
+        declared, per_node = DECLARED[variant]
+        for engine_cls in (Engine, VectorEngine, ReferenceEngine):
+            assert run(engine_cls, declared) == run(engine_cls, per_node), engine_cls
+        assert run(VectorEngine, declared) == run(Engine, declared)
+
+    def test_vector_build_makes_no_protocol(self):
+        graph = ring_of_cliques(3, 3, inter_latency=2, rng=random.Random(0))
+        engine = VectorEngine(graph, PushPullProtocol.cohort(0))
+        assert engine._protocols == {}
+        node = graph.nodes()[2]
+        protocol = engine.protocol(node)
+        assert type(protocol) is PushPullProtocol
+        assert engine.protocol(node) is protocol
+        assert list(engine._protocols) == [node]
+
+    @pytest.mark.parametrize(
+        "cls, program, seed, pattern",
+        [
+            (PushPullProtocol, VectorProgram(kind="random"), None, "seeds"),
+            (FloodingProtocol, VectorProgram(kind="round_robin"), 0, "seeds"),
+            (
+                FloodingProtocol,
+                VectorProgram(kind="round_robin", targets=(1,)),
+                None,
+                "targets",
+            ),
+            (NodeProtocol, VectorProgram(kind="round_robin"), None, "Oblivious"),
+        ],
+        ids=["random-unseeded", "round-robin-seeded", "targets", "not-oblivious"],
+    )
+    def test_malformed_cohorts_rejected(self, cls, program, seed, pattern):
+        with pytest.raises(ProtocolError, match=pattern):
+            ObliviousCohort(cls, program, seed)
 
 
 class TestVectorVsScalar:
