@@ -11,18 +11,18 @@ latency ``t' - t``; edges that never respond within the window have latency
 returns the per-node measured latency tables, ready to feed the known-
 latency algorithms (via ``ldtg_factory(..., measured=...)``).  With unknown
 ``Δ``/``D``, :func:`run_general_eid_unknown_latencies` wraps the whole
-pipeline in the usual guess-and-double loop, realizing the
-``O((D + Δ) log³ n)`` branch of Theorem 20.
+pipeline in the guess-and-double loop every all-to-all algorithm shares
+(:func:`~repro.protocols.eid.run_guess_and_double`, which checks Lemma
+18's unanimous verdicts here too), realizing the ``O((D + Δ) log³ n)``
+branch of Theorem 20.
 """
 
 from __future__ import annotations
 
-import dataclasses
-import math
 import random
-from typing import Iterator, Optional
+from typing import Callable, Iterator, Optional
 
-from repro.errors import ProtocolError, SimulationError
+from repro.errors import ProtocolError
 from repro.graphs.latency_graph import LatencyGraph, Node
 from repro.sim.engine import NodeContext
 from repro.sim.programs import Command, ProgramProtocol, contact, wait
@@ -30,7 +30,8 @@ from repro.sim.state import NetworkState
 from repro.protocols.base import PhaseRunner
 from repro.protocols.dtg import ldtg_factory
 from repro.protocols.eid import (
-    run_termination_check,
+    GeneralEIDReport,
+    run_guess_and_double,
     spanner_iterations,
 )
 from repro.protocols.rr_broadcast import rr_broadcast_factory
@@ -102,15 +103,9 @@ def run_latency_discovery(
     return measured
 
 
-@dataclasses.dataclass(frozen=True)
-class UnknownLatencyReport:
-    """Outcome of the discover-then-EID pipeline with unknown latencies."""
-
-    rounds: int
-    exchanges: int
-    final_estimate: int
-    iterations: int
-    first_complete_round: Optional[int]
+#: The discover-then-EID pipeline's report: the loop that fills it is
+#: General EID's.
+UnknownLatencyReport = GeneralEIDReport
 
 
 def run_general_eid_unknown_latencies(
@@ -119,30 +114,21 @@ def run_general_eid_unknown_latencies(
     n_hat: Optional[int] = None,
     max_rounds: int = 5_000_000,
     engine_factory=None,
-) -> UnknownLatencyReport:
+) -> GeneralEIDReport:
     """Guess-and-double EID where latencies must first be measured.
 
     Each iteration with estimate ``k``: (1) probe all neighbors and wait
     ``k`` rounds, measuring every adjacent latency ``<= k``; (2) run the
     EID(k) phases using only *measured* fast edges; (3) Termination
-    Check(k).  Realizes the ``O((D + Δ) log³ n)`` bound of Section 4.2 /
-    Theorem 20 without ever reading the latency oracle.
+    Check(k) (:func:`~repro.protocols.eid.run_guess_and_double`).
+    Realizes the ``O((D + Δ) log³ n)`` bound of Section 4.2 / Theorem 20
+    without ever reading the latency oracle.
     """
     nodes = graph.nodes()
-    universe = set(nodes)
     n_hat = n_hat if n_hat is not None else graph.num_nodes
     rng = random.Random(seed)
 
-    def all_to_all_done(state: NetworkState) -> bool:
-        return all(universe <= state.rumors(node) for node in nodes)
-
-    runner = PhaseRunner(graph, watch=all_to_all_done, engine_factory=engine_factory)
-    absolute_cap = 4 * max(1, (graph.num_nodes - 1) * max(1, graph.max_latency()))
-    k = 1
-    iterations = 0
-    while True:
-        iterations += 1
-        tag = f"ueid:{seed}:{k}"
+    def iteration(runner: PhaseRunner, k: int, tag: str) -> Callable[[str], None]:
         measured = run_latency_discovery(graph, window=k, runner=runner)
         repetitions = spanner_iterations(n_hat)
         for repetition in range(repetitions):
@@ -174,19 +160,12 @@ def run_general_eid_unknown_latencies(
             )
 
         broadcast("main")
-        check = run_termination_check(runner, graph, k, broadcast, iteration_tag=tag)
-        if check.passed:
-            break
-        k *= 2
-        if k > absolute_cap:
-            raise SimulationError(
-                f"unknown-latency EID estimate k={k} exceeded the diameter cap "
-                f"{absolute_cap} without passing the termination check"
-            )
-    return UnknownLatencyReport(
-        rounds=runner.total_rounds,
-        exchanges=runner.total_exchanges,
-        final_estimate=k,
-        iterations=iterations,
-        first_complete_round=runner.first_complete_round,
+        return broadcast
+
+    return run_guess_and_double(
+        graph,
+        "unknown-latency EID",
+        f"ueid:{seed}:",
+        iteration,
+        engine_factory=engine_factory,
     )

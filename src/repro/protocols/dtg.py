@@ -15,6 +15,11 @@ exactly one neighbor per iteration since round 0 — which preserves the
 lockstep the binomial *i-tree* analysis needs.  A node goes inactive once it
 knows the rumor of every ℓ-neighbor; inactive nodes still answer exchanges.
 
+The schedule (fast-list order, run token, link order, iteration starts) is
+declared once, as the ``dtg_*`` functions of :mod:`repro.sim.vector`:
+:class:`LDTGProtocol` runs it one node at a time and the vector backend's
+lockstep plan replays it as array ops.
+
 Implementation note: Algorithm 5 pipelines the fresh working sets ``R'`` and
 ``R''``; we ship the node's full rumor set instead.  The round structure
 (who contacts whom, and when) is identical, and shipping supersets can only
@@ -33,7 +38,7 @@ from repro.sim.metrics import DisseminationResult
 from repro.sim.programs import Command, ProgramProtocol, contact_and_wait
 from repro.sim.runner import local_broadcast_complete
 from repro.sim.state import NetworkState
-from repro.sim.vector import VectorProgram
+from repro.sim.vector import VectorProgram, dtg_fast_order, dtg_link, dtg_token
 from repro.protocols.base import PhaseRunner, per_node_rng_factory
 
 __all__ = ["LDTGProtocol", "ldtg_factory", "run_ldtg"]
@@ -100,13 +105,10 @@ class LDTGProtocol(ProgramProtocol):
         self._rng = rng
         self.iterations_used = 0
 
-    def _token(self, node: Node):
-        return node if self._run_tag is None else (self._run_tag, node)
-
     def setup(self, ctx: NodeContext) -> None:
         # Seed this run's token before round 0 so the very first snapshots
         # taken of this node already carry it.
-        ctx.state.add_rumor(ctx.node, self._token(ctx.node))
+        ctx.state.add_rumor(ctx.node, dtg_token(self._run_tag, ctx.node))
         super().setup(ctx)
 
     def vector_program(self) -> VectorProgram:
@@ -129,49 +131,31 @@ class LDTGProtocol(ProgramProtocol):
     def program(self, ctx: NodeContext) -> Iterator[Command]:
         ell = self._ell
         if self._fast_neighbors is not None:
-            fast = sorted(self._fast_neighbors, key=repr)
+            fast = self._fast_neighbors
         else:
-            fast = sorted(
-                (v for v, latency in ctx.known_latencies().items() if latency <= ell),
-                key=repr,
-            )
-        # Rotate the deterministic order to start just past this node's own
-        # id.  "Link any new neighbor" is arbitrary in Algorithm 5, but if
-        # every node picked the globally smallest id they would all funnel
-        # through one accidental hub, hiding the binomial-tree dynamics the
-        # analysis (and Figure 4) is about.
-        own = repr(ctx.node)
-        pivot = next((i for i, v in enumerate(fast) if repr(v) > own), 0)
-        fast = fast[pivot:] + fast[:pivot]
+            fast = (v for v, latency in ctx.known_latencies().items() if latency <= ell)
+        fast = dtg_fast_order(ctx.node, fast)
+        tag = self._run_tag
         linked: list[Node] = []
         while True:
             known = ctx.state.rumors(ctx.node)
-            if all(self._token(neighbor) in known for neighbor in fast):
+            if all(dtg_token(tag, neighbor) in known for neighbor in fast):
                 return
             fresh = [
-                v for v in fast if self._token(v) not in known and v not in linked
+                v for v in fast if dtg_token(tag, v) not in known and v not in linked
             ]
             if fresh:
                 new = self._rng.choice(fresh) if self._selection == "random" else fresh[0]
             else:
                 # Everyone unheard-from is already linked; re-run the
                 # sequences over the linked set until their tokens arrive.
-                new = next(v for v in fast if self._token(v) not in known)
+                new = next(v for v in fast if dtg_token(tag, v) not in known)
             if new not in linked:
                 linked.append(new)
             self.iterations_used += 1
             i = len(linked)
-            # PUSH: j = i downto 1.
-            for j in range(i, 0, -1):
-                yield contact_and_wait(linked[j - 1], rounds=ell)
-            # PULL: j = 1 to i.
-            for j in range(1, i + 1):
-                yield contact_and_wait(linked[j - 1], rounds=ell)
-            # Second PULL then PUSH (symmetry sequence with R'').
-            for j in range(1, i + 1):
-                yield contact_and_wait(linked[j - 1], rounds=ell)
-            for j in range(i, 0, -1):
-                yield contact_and_wait(linked[j - 1], rounds=ell)
+            for k in range(4 * i):
+                yield contact_and_wait(linked[dtg_link(i, k)], rounds=ell)
 
 
 def ldtg_factory(

@@ -11,10 +11,16 @@ This module implements the known-latency algorithms of Section 5:
   (set when some neighbor's rumor is missing); a broadcast round spreads
   them; any mismatch or raised flag fails the check, and a second broadcast
   spreads the failure so *all* nodes reach the same verdict (Lemma 18).
-* :func:`run_general_eid` — **General EID** (Algorithm 4): guess-and-double
-  on the unknown diameter, running EID(k) + Termination Check(k) for
-  ``k = 1, 2, 4, ...`` until the check passes.  Total time ``O(D log³ n)``
-  by the geometric sum (Theorem 19).
+* :func:`run_guess_and_double` — the guess-and-double loop every
+  all-to-all algorithm shares: for ``k = 1, 2, 4, ...`` run the
+  algorithm's phases for ``k``, then Termination Check(k), until the check
+  passes; disagreeing verdicts violate Lemma 18 and raise.  General EID,
+  Path Discovery (:mod:`repro.protocols.path_discovery`) and
+  unknown-latency EID (:mod:`repro.protocols.discovery`) are thin callers
+  that differ only in their phases, and all three return a
+  :class:`GeneralEIDReport`.
+* :func:`run_general_eid` — **General EID** (Algorithm 4): the loop over
+  EID(k).  Total time ``O(D log³ n)`` by the geometric sum (Theorem 19).
 
 The per-node *decisions* of the spanner construction are executed centrally
 (zero charged rounds) exactly as the paper charges them — "all computations
@@ -45,6 +51,7 @@ __all__ = [
     "run_eid",
     "run_termination_check",
     "run_general_eid",
+    "run_guess_and_double",
 ]
 
 
@@ -100,7 +107,8 @@ class TerminationCheckReport:
 
 @dataclasses.dataclass(frozen=True)
 class GeneralEIDReport:
-    """Outcome of a General EID run (unknown diameter).
+    """Outcome of a guess-and-double run (:func:`run_guess_and_double`):
+    General EID, Path Discovery or unknown-latency EID.
 
     Attributes
     ----------
@@ -330,46 +338,38 @@ def run_termination_check(
     )
 
 
-def run_general_eid(
+def run_guess_and_double(
     graph: LatencyGraph,
-    seed: int = 0,
-    n_hat: Optional[int] = None,
-    max_rounds: int = 5_000_000,
-    require_unanimous: bool = True,
+    label: str,
+    tag_prefix: str,
+    iteration: Callable[[PhaseRunner, int, str], Callable[[str], None]],
     engine_factory=None,
     recorder: Optional[Recorder] = None,
     backend: Optional[str] = None,
 ) -> GeneralEIDReport:
-    """Run General EID — Algorithm 4 — with an unknown diameter (Theorem 19).
+    """The guess-and-double loop of Algorithms 4 and 6 and Theorem 20.
 
-    Starts with diameter estimate ``k = 1``; runs EID(k) then Termination
-    Check(k); doubles ``k`` on failure.  Also validates Lemma 18: all nodes
-    must reach the same verdict each iteration.
+    Starts with estimate ``k = 1``.  Each iteration calls
+    ``iteration(runner, k, tag)``, with ``tag = tag_prefix + str(k)``,
+    which runs the algorithm's phases for ``k`` on ``runner`` and returns
+    the broadcast its Termination Check(k) uses; a passing check ends the
+    loop, a failing one doubles ``k``.  The runner watches for the first
+    round at which all-to-all dissemination held.
 
     Raises
     ------
     ProtocolError
-        If ``require_unanimous`` and a check produced disagreeing verdicts.
+        If a check produced disagreeing verdicts (Lemma 18 says they
+        agree).
     SimulationError
-        If ``k`` exceeds every possible diameter (protocol bug guard).
+        If ``k`` exceeds every possible diameter (protocol bug guard);
+        the message names the algorithm by ``label``.
     """
     nodes = graph.nodes()
     universe = set(nodes)
-    n_hat = n_hat if n_hat is not None else graph.num_nodes
-    rng = random.Random(seed)
-
-    def all_to_all_done(state: NetworkState) -> bool:
-        # O(n) bitset check on states that support it (VectorState and
-        # NetworkState do); the per-node set comparison is the
-        # fallback for exotic state substitutes.
-        knows_every = getattr(state, "knows_every", None)
-        if knows_every is not None:
-            return knows_every(nodes, universe)
-        return all(universe <= state.rumors(node) for node in nodes)
-
     runner = PhaseRunner(
         graph,
-        watch=all_to_all_done,
+        watch=lambda state: state.knows_every(nodes, universe),
         engine_factory=engine_factory,
         recorder=recorder,
         backend=backend,
@@ -380,7 +380,51 @@ def run_general_eid(
     iterations = 0
     while True:
         iterations += 1
-        tag = f"geid:{seed}:{k}"
+        tag = f"{tag_prefix}{k}"
+        broadcast = iteration(runner, k, tag)
+        check = run_termination_check(runner, graph, k, broadcast, iteration_tag=tag)
+        if not check.unanimous:
+            raise ProtocolError(
+                f"termination check verdicts disagree at k={k} (violates Lemma 18)"
+            )
+        if check.passed:
+            break
+        k *= 2
+        if k > absolute_cap:
+            raise SimulationError(
+                f"{label} estimate k={k} exceeded the diameter cap "
+                f"{absolute_cap} without passing the termination check"
+            )
+    return GeneralEIDReport(
+        rounds=runner.total_rounds,
+        exchanges=runner.total_exchanges,
+        final_estimate=k,
+        iterations=iterations,
+        first_complete_round=runner.first_complete_round,
+        phases=tuple(runner.phases),
+    )
+
+
+def run_general_eid(
+    graph: LatencyGraph,
+    seed: int = 0,
+    n_hat: Optional[int] = None,
+    max_rounds: int = 5_000_000,
+    engine_factory=None,
+    recorder: Optional[Recorder] = None,
+    backend: Optional[str] = None,
+) -> GeneralEIDReport:
+    """Run General EID — Algorithm 4 — with an unknown diameter (Theorem 19).
+
+    Starts with diameter estimate ``k = 1``; runs EID(k) then Termination
+    Check(k); doubles ``k`` on failure (:func:`run_guess_and_double`,
+    which also validates Lemma 18: all nodes must reach the same verdict
+    each iteration).
+    """
+    n_hat = n_hat if n_hat is not None else graph.num_nodes
+    rng = random.Random(seed)
+
+    def iteration(runner: PhaseRunner, k: int, tag: str) -> Callable[[str], None]:
         spanner, rr_parameter = _eid_phases(
             runner, graph, k, n_hat, rng, tag=tag, max_rounds=max_rounds
         )
@@ -393,25 +437,14 @@ def run_general_eid(
                 name=f"check broadcast {phase_tag}",
             )
 
-        check = run_termination_check(runner, graph, k, broadcast, iteration_tag=tag)
-        if require_unanimous and not check.unanimous:
-            raise ProtocolError(
-                f"termination check verdicts disagree at k={k} "
-                "(violates Lemma 18)"
-            )
-        if check.passed:
-            break
-        k *= 2
-        if k > absolute_cap:
-            raise SimulationError(
-                f"General EID estimate k={k} exceeded the diameter cap "
-                f"{absolute_cap} without passing the termination check"
-            )
-    return GeneralEIDReport(
-        rounds=runner.total_rounds,
-        exchanges=runner.total_exchanges,
-        final_estimate=k,
-        iterations=iterations,
-        first_complete_round=runner.first_complete_round,
-        phases=tuple(runner.phases),
+        return broadcast
+
+    return run_guess_and_double(
+        graph,
+        "General EID",
+        f"geid:{seed}:",
+        iteration,
+        engine_factory=engine_factory,
+        recorder=recorder,
+        backend=backend,
     )

@@ -12,25 +12,23 @@ induction that after executing ``T(k)`` every pair of nodes at weighted
 distance ``<= k`` has exchanged rumors; Lemma 25 gives the total time
 ``O(k log² n log k)``.
 
-:func:`run_path_discovery` wraps ``T(k)`` in the same guess-and-double +
-Termination Check loop as General EID (Algorithm 6), using another ``T(k)``
-as the check's broadcast primitive, for total time ``O(D log² n log D)``
-(Lemma 26).
+:func:`run_path_discovery` wraps ``T(k)`` in the guess-and-double +
+Termination Check loop General EID uses too
+(:func:`~repro.protocols.eid.run_guess_and_double`, Algorithm 6), with
+another ``T(k)`` as the check's broadcast primitive, for total time
+``O(D log² n log D)`` (Lemma 26).
 """
 
 from __future__ import annotations
 
-import dataclasses
-from typing import Optional
+from typing import Callable, Optional
 
-from repro.errors import ProtocolError, SimulationError
+from repro.errors import ProtocolError
 from repro.graphs.latency_graph import LatencyGraph
 from repro.obs.recorder import Recorder
-from repro.obs.telemetry import PhaseTiming
-from repro.sim.state import NetworkState
 from repro.protocols.base import PhaseRunner
 from repro.protocols.dtg import ldtg_factory
-from repro.protocols.eid import run_termination_check
+from repro.protocols.eid import GeneralEIDReport, run_guess_and_double
 
 __all__ = ["t_sequence", "run_t_sequence", "PathDiscoveryReport", "run_path_discovery"]
 
@@ -67,57 +65,25 @@ def run_t_sequence(
     return runner.total_rounds - rounds_before
 
 
-@dataclasses.dataclass(frozen=True)
-class PathDiscoveryReport:
-    """Outcome of a Path Discovery run.
-
-    Attributes mirror :class:`~repro.protocols.eid.GeneralEIDReport`,
-    including the ``compare=False`` per-phase timings.
-    """
-
-    rounds: int
-    exchanges: int
-    final_estimate: int
-    iterations: int
-    first_complete_round: Optional[int]
-    phases: tuple[PhaseTiming, ...] = dataclasses.field(default=(), compare=False)
+#: Path Discovery's report: the loop that fills it is General EID's.
+PathDiscoveryReport = GeneralEIDReport
 
 
 def run_path_discovery(
     graph: LatencyGraph,
     max_rounds: int = 5_000_000,
-    require_unanimous: bool = True,
     engine_factory=None,
     recorder: Optional[Recorder] = None,
     backend: Optional[str] = None,
-) -> PathDiscoveryReport:
+) -> GeneralEIDReport:
     """Run Path Discovery — Algorithm 6 — solving all-to-all dissemination.
 
     No knowledge of ``n`` or ``D`` is required; the ``T(k)`` schedule is
-    repeated with doubling ``k`` until the Termination Check passes.
+    repeated with doubling ``k`` until the Termination Check passes
+    (:func:`~repro.protocols.eid.run_guess_and_double`).
     """
-    nodes = graph.nodes()
-    universe = set(nodes)
 
-    def all_to_all_done(state: NetworkState) -> bool:
-        knows_every = getattr(state, "knows_every", None)
-        if knows_every is not None:
-            return knows_every(nodes, universe)
-        return all(universe <= state.rumors(node) for node in nodes)
-
-    runner = PhaseRunner(
-        graph,
-        watch=all_to_all_done,
-        engine_factory=engine_factory,
-        recorder=recorder,
-        backend=backend,
-    )
-    absolute_cap = 4 * max(1, (graph.num_nodes - 1) * max(1, graph.max_latency()))
-    k = 1
-    iterations = 0
-    while True:
-        iterations += 1
-        tag = f"pathdisc:{k}"
+    def iteration(runner: PhaseRunner, k: int, tag: str) -> Callable[[str], None]:
         run_t_sequence(runner, graph, k, tag=tag, max_rounds=max_rounds)
 
         def broadcast(phase_tag: str) -> None:
@@ -125,24 +91,14 @@ def run_path_discovery(
                 runner, graph, k, tag=f"{tag}:{phase_tag}", max_rounds=max_rounds
             )
 
-        check = run_termination_check(runner, graph, k, broadcast, iteration_tag=tag)
-        if require_unanimous and not check.unanimous:
-            raise ProtocolError(
-                f"termination check verdicts disagree at k={k} (violates Lemma 18)"
-            )
-        if check.passed:
-            break
-        k *= 2
-        if k > absolute_cap:
-            raise SimulationError(
-                f"Path Discovery estimate k={k} exceeded the diameter cap "
-                f"{absolute_cap} without passing the termination check"
-            )
-    return PathDiscoveryReport(
-        rounds=runner.total_rounds,
-        exchanges=runner.total_exchanges,
-        final_estimate=k,
-        iterations=iterations,
-        first_complete_round=runner.first_complete_round,
-        phases=tuple(runner.phases),
+        return broadcast
+
+    return run_guess_and_double(
+        graph,
+        "Path Discovery",
+        "pathdisc:",
+        iteration,
+        engine_factory=engine_factory,
+        recorder=recorder,
+        backend=backend,
     )

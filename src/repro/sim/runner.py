@@ -42,11 +42,7 @@ def broadcast_complete(rumor) -> Callable[[Engine], bool]:
         state = engine.state
         if state.count_knowing(rumor) < engine.graph.num_nodes:
             return False
-        nodes = engine.graph.nodes()
-        knows_every = getattr(state, "knows_every", None)
-        if knows_every is not None:
-            return knows_every(nodes, (rumor,))
-        return all(state.knows(node, rumor) for node in nodes)
+        return state.knows_every(engine.graph.nodes(), (rumor,))
 
     return predicate
 
@@ -63,11 +59,7 @@ def all_to_all_complete() -> Callable[[Engine], bool]:
         for node in nodes:
             if state.rumor_count(node) < n:
                 return False
-        knows_every = getattr(state, "knows_every", None)
-        if knows_every is not None:
-            return knows_every(nodes, nodes)
-        everyone = set(nodes)
-        return all(everyone <= state.rumors(node) for node in nodes)
+        return state.knows_every(nodes, nodes)
 
     return predicate
 

@@ -70,7 +70,11 @@ or rng per node, and builds a node's protocol only when
 The one adaptive protocol replayed is ℓ-DTG (``kind="dtg"``): in a plain
 run it is in lockstep, so it adapts only at iteration boundaries shared
 by every node, and the engine replays it as a per-iteration plan
-(:class:`_LDTGPlan`).
+(:class:`_LDTGPlan`).  The plan and the per-node
+:class:`~repro.protocols.dtg.LDTGProtocol` read one schedule, declared
+here (``dtg_*``); the plan runs no member protocol, and
+:meth:`VectorEngine.protocol` fills in the asked node's inspectable
+state from its plan row.
 
 Exactness contract: for the same graph, seeds, and engine options, a
 ``VectorEngine`` run is **field-identical** to the scalar ``Engine`` run —
@@ -360,12 +364,13 @@ class VectorProgram:
         its gated push/pull variants) — ``"round_robin"`` — cycle the
         repr-sorted neighbor list (flooding) or the explicit ``targets``
         list (RR Broadcast) deterministically — or ``"dtg"`` — the
-        lockstep ℓ-DTG plan (Algorithm 5): at each iteration boundary the
-        node stops once it knows the token of every fast neighbor, else
-        links its first unheard one, then runs 4·i exchanges spaced
-        ``period`` rounds apart over its linked list.  The engine
-        replays a ``"dtg"`` program only in plain runs (see
-        :func:`vector_refusal`).
+        lockstep ℓ-DTG plan (Algorithm 5): at each iteration boundary
+        (:func:`dtg_iteration_start`) the node stops once it knows the
+        token (:func:`dtg_token`) of every fast neighbor, else links its
+        first unheard one in :func:`dtg_fast_order`, then runs 4·i
+        exchanges spaced ``period`` rounds apart over its linked list in
+        :func:`dtg_link` order.  The engine replays a ``"dtg"`` program
+        only in plain runs (see :func:`vector_refusal`).
     rng:
         For ``kind="random"``: the protocol's own per-node stream, a
         :class:`random.Random` or a :class:`~repro.sim.streams.SeedStream`
@@ -420,6 +425,47 @@ class VectorProgram:
     duration: Optional[int] = None
     period: Optional[int] = None
     tag: Optional[Hashable] = None
+
+
+# The ℓ-DTG schedule (Algorithm 5): LDTGProtocol runs it one node at a
+# time, _LDTGPlan replays it as array ops.
+def dtg_fast_order(node: Node, fast: Iterable[Node]) -> list:
+    """``node``'s fast neighbors in the order it links them: repr-sorted,
+    rotated to start just past its own repr.
+
+    "Link any new neighbor" is arbitrary in Algorithm 5, but if every
+    node picked the globally smallest id they would all funnel through
+    one accidental hub, hiding the binomial-tree dynamics the analysis
+    (and Figure 4) is about.
+    """
+    fast = sorted(fast, key=repr)
+    own = repr(node)
+    pivot = next((k for k, v in enumerate(fast) if repr(v) > own), 0)
+    return fast[pivot:] + fast[:pivot]
+
+
+def dtg_token(tag: Optional[Hashable], node: Node) -> Hashable:
+    """The token ``node`` seeds in a run tagged ``tag``: ``node`` itself,
+    or ``(tag, node)``."""
+    return node if tag is None else (tag, node)
+
+
+def dtg_link(i: int, k: int) -> int:
+    """The linked-list index (0-based) contacted at step ``k`` of
+    iteration ``i``: PUSH ``j = i..1``, PULL ``j = 1..i``, PULL
+    ``j = 1..i``, PUSH ``j = i..1``, for ``0 <= k < 4·i``."""
+    if k < i:
+        return i - 1 - k
+    if k < 3 * i:
+        return (k - i) % i
+    return 4 * i - 1 - k
+
+
+def dtg_iteration_start(ell: int, i: int) -> int:
+    """The round iteration ``i`` (1-based) starts at in a lockstep run:
+    ``2ℓ·i·(i−1)``, after ``4·j`` steps of ``ℓ`` rounds for each
+    ``j < i``.  It is also when a node first contacts its ``i``-th link."""
+    return 2 * ell * i * (i - 1)
 
 
 def _check_oblivious(program: VectorProgram) -> None:
@@ -1188,17 +1234,17 @@ class _LDTGPlan:
     """One ℓ-DTG selection cohort, replayed iteration by iteration.
 
     In a plain run ℓ-DTG is in lockstep: every member starts iteration
-    ``i`` at round ``T_i = 2ℓ·i·(i-1)``.  At that boundary one column test
+    ``i`` at :func:`dtg_iteration_start`.  At that boundary one column test
     on the rumor bitsets decides, for every member at once, whether it
     stops (it knows the token of every fast neighbor) or links its first
     unheard one.  Its ``4·i`` exchanges are then fixed: one every ``ℓ``
-    rounds over the linked list, in Algorithm 5's push/pull/pull/push
-    order — the same column of the linked-slot matrix for every member.
+    rounds over the linked list, in :func:`dtg_link` order — the same
+    column of the linked-slot matrix for every member.
 
-    Slots are the members' fast lists flattened in member order, each
-    list repr-sorted and rotated past the member's own id exactly as
-    :class:`~repro.protocols.dtg.LDTGProtocol` orders it; ``linked[p, j]``
-    is the slot member ``p`` linked in iteration ``j + 1``.
+    Slots are the members' fast lists flattened in member order, each in
+    :func:`dtg_fast_order`; ``linked[p, j]`` is the slot member ``p``
+    linked in iteration ``j + 1``.  The members' protocols never run:
+    :meth:`read` sets what the scalar run would have left on one of them.
     """
 
     def __init__(
@@ -1219,22 +1265,17 @@ class _LDTGPlan:
         for p, (i, program) in enumerate(zip(members, programs)):
             node = order[i]
             if program.targets is not None:
-                fast = sorted(program.targets, key=repr)
+                fast = program.targets
             else:
                 if not engine.latencies_known:
                     raise ProtocolError("edge latencies are unknown in this model")
-                fast = sorted(
-                    (
-                        v
-                        for v, latency in engine.graph.neighbor_latencies(node).items()
-                        if latency <= ell
-                    ),
-                    key=repr,
+                fast = (
+                    v
+                    for v, latency in engine.graph.neighbor_latencies(node).items()
+                    if latency <= ell
                 )
-            own = repr(node)
-            pivot = next((k for k, v in enumerate(fast) if repr(v) > own), 0)
             tag = program.tag
-            for v in fast[pivot:] + fast[:pivot]:
+            for v in dtg_fast_order(node, fast):
                 try:
                     nbrs.append(index_of(v))
                 except Exception:
@@ -1242,7 +1283,7 @@ class _LDTGPlan:
                         f"node {node!r} tried to contact non-neighbor {v!r}"
                     ) from None
                 owner.append(p)
-                bits.append(index.get(v if tag is None else (tag, v), -1))
+                bits.append(index.get(dtg_token(tag, v), -1))
         m = len(members)
         self.owner = np.asarray(owner, dtype=np.int64)
         self.nbr = np.asarray(nbrs, dtype=np.int64)
@@ -1271,15 +1312,7 @@ class _LDTGPlan:
         step, offset = divmod(rnd - self.start, self.ell)
         if offset:
             return None
-        i = self.iteration
-        # PUSH j = i..1, PULL j = 1..i, PULL j = 1..i, PUSH j = i..1.
-        if step < i:
-            column = i - 1 - step
-        elif step < 3 * i:
-            column = (step - i) % i
-        else:
-            column = 4 * i - 1 - step
-        slots = self.linked[self.active, column]
+        slots = self.linked[self.active, dtg_link(self.iteration, step)]
         return self.ids[self.active], self.nbr[slots], self.lat[slots], self.eid[slots]
 
     def _boundary(self, rnd: int, state: VectorState) -> None:
@@ -1319,36 +1352,32 @@ class _LDTGPlan:
         self.count[going] = i + 1
         self.iteration = i + 1
         self.start = rnd
-        self.next_boundary = rnd + 4 * (i + 1) * self.ell
+        self.next_boundary = dtg_iteration_start(self.ell, i + 2)
 
-    def write_back(self, engine: "VectorEngine") -> None:
-        """Set each member protocol's ``iterations_used``,
-        ``measured_latencies`` and done flag as the scalar run would have
-        them by now.
+    def read(self, i: int, protocol: NodeProtocol, rnd: int) -> None:
+        """Set member ``i``'s ``iterations_used``, ``measured_latencies``
+        and done flag on ``protocol`` as the scalar run leaves them after
+        ``rnd`` rounds; a node outside the plan is left alone.
 
-        Member ``p`` first contacts its ``j``-th link (0-based) at round
-        ``2ℓ·j·(j+1)``; that exchange's delivery, if it has happened,
-        recorded the edge latency — in delivery order, ties by initiation.
+        Its ``j``-th link is first contacted when iteration ``j`` starts;
+        that exchange's delivery, if it has happened, recorded the edge
+        latency — in delivery order, ties by initiation.
         """
+        p = int(np.searchsorted(self.ids, i))
+        if p == self.ids.shape[0] or self.ids[p] != i:
+            return
+        count = int(self.count[p])
+        protocol.iterations_used = count
+        protocol._finished = not (self.active == p).any()
+        heard = []
+        for j, slot in enumerate(self.linked[p, :count].tolist(), start=1):
+            sent = dtg_iteration_start(self.ell, j)
+            latency = int(self.lat[slot])
+            if sent + latency < rnd:
+                heard.append((sent + latency, sent, int(self.nbr[slot]), latency))
+        heard.sort()
         order = self.order
-        delivered_by = engine.round - 1
-        running = np.zeros(self.ids.shape[0], dtype=bool)
-        running[self.active] = True
-        for p, i in enumerate(self.ids.tolist()):
-            protocol = engine._protocols[order[i]]
-            count = int(self.count[p])
-            protocol.iterations_used = count
-            protocol._finished = not running[p]
-            heard = []
-            for j, slot in enumerate(self.linked[p, :count].tolist()):
-                sent = 2 * self.ell * j * (j + 1)
-                latency = int(self.lat[slot])
-                if sent + latency <= delivered_by:
-                    heard.append((sent + latency, sent, int(self.nbr[slot]), latency))
-            heard.sort()
-            protocol.measured_latencies = {
-                order[v]: latency for _, _, v, latency in heard
-            }
+        protocol.measured_latencies = {order[v]: latency for _, _, v, latency in heard}
 
 
 def _vector_state(graph: LatencyGraph, state: Any) -> VectorState:
@@ -1579,8 +1608,6 @@ class VectorEngine(Engine):
             _LDTGPlan(self, members, ell, [programs[i] for i in members])
             for ell, members in plan_members.items()
         ]
-        #: Engine round at which the plans last wrote protocol state back.
-        self._written_back = -1
         if self._mirror:
             # Done-node parking replayed as a pure function: a node whose
             # program declares duration d parks at round d's scan, so it is
@@ -1660,17 +1687,15 @@ class VectorEngine(Engine):
 
         A declared cohort's is built on the first ask (see
         :meth:`_declared_protocol`).  ℓ-DTG instances never run on this
-        engine; their plan writes the inspectable state
-        (``iterations_used``, ``measured_latencies``) back first, so it
-        reads as after the scalar run of these rounds.
+        engine; the node's plan row fills in its inspectable state
+        (``iterations_used``, ``measured_latencies``, done flag) as the
+        scalar run of these rounds leaves it (:meth:`_LDTGPlan.read`).
         """
-        if self._written_back != self.round:
-            for plan in self._plans:
-                plan.write_back(self)
-            self._written_back = self.round
         protocol = self._protocols.get(node)
         if protocol is None:
             protocol = self._protocols[node] = self._declared_protocol(node)
+        for plan in self._plans:
+            plan.read(self.graph.index_of(node), protocol, self.round)
         return protocol
 
     def _declared_protocol(self, node: Node) -> NodeProtocol:

@@ -76,6 +76,10 @@ class ReferenceNetworkState:
     def count_knowing(self, rumor: Any) -> int:
         return sum(1 for rumors in self._rumors.values() if rumor in rumors)
 
+    def knows_every(self, nodes: Iterable[Node], rumors: Iterable[Any]) -> bool:
+        required = set(rumors)
+        return all(required <= self._rumors[node] for node in nodes)
+
     # -- notes ----------------------------------------------------------
     def publish_note(self, origin: Node, **data: Any) -> None:
         old = self._notes[origin].get(origin)

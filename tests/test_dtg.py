@@ -8,6 +8,7 @@ from repro.graphs.latency_graph import LatencyGraph
 from repro.protocols.base import PhaseRunner
 from repro.protocols.dtg import LDTGProtocol, ldtg_factory, run_ldtg
 from repro.sim.runner import local_broadcast_complete
+from repro.sim.vector import dtg_fast_order, dtg_iteration_start, dtg_link, dtg_token
 
 
 class TestRunLDTG:
@@ -128,3 +129,42 @@ class TestIterationAccounting:
             return max(engine.protocol(v).iterations_used for v in g.nodes())
 
         assert max_iterations(32) >= max_iterations(8)
+
+
+class _Named:
+    """A node whose repr is only its name, so two nodes can share one."""
+
+    def __init__(self, name):
+        self.name = name
+
+    def __repr__(self):
+        return self.name
+
+
+class TestSchedule:
+    """The one ℓ-DTG schedule both backends read, pinned to Algorithm 5.
+
+    The scalar and vector runs share it, so the differential suites cannot
+    see a change to it; these literal values can.
+    """
+
+    def test_fast_order_rotates_strictly_past_own_repr(self):
+        assert dtg_fast_order(3, [5, 1, 4, 2]) == [4, 5, 1, 2]
+        assert dtg_fast_order(9, [5, 1, 4, 2]) == [1, 2, 4, 5]
+        a, b, twin, c = _Named("a"), _Named("b"), _Named("b"), _Named("c")
+        assert dtg_fast_order(b, [c, twin, a]) == [c, a, twin]
+
+    def test_run_token(self):
+        assert dtg_token(None, 5) == 5
+        assert dtg_token("t", 5) == ("t", 5)
+
+    def test_link_order_push_pull_pull_push(self):
+        # PUSH j = 3..1, PULL j = 1..3, PULL j = 1..3, PUSH j = 3..1.
+        assert [dtg_link(3, k) for k in range(12)] == [
+            2, 1, 0, 0, 1, 2, 0, 1, 2, 2, 1, 0,
+        ]
+        assert [dtg_link(1, k) for k in range(4)] == [0, 0, 0, 0]
+
+    def test_iteration_start_rounds(self):
+        # Iteration i runs 4·i steps of ℓ rounds each.
+        assert [dtg_iteration_start(2, i) for i in (1, 2, 3, 4)] == [0, 8, 24, 48]

@@ -4,16 +4,20 @@ import random
 
 import pytest
 
-from repro.errors import ProtocolError
+from repro.errors import ProtocolError, SimulationError
 from repro.graphs import generators
 from repro.graphs.latency_graph import LatencyGraph
+from repro.protocols import eid
 from repro.protocols.base import PhaseRunner
+from repro.protocols.discovery import run_general_eid_unknown_latencies
 from repro.protocols.eid import (
+    TerminationCheckReport,
     run_eid,
     run_general_eid,
     run_termination_check,
     spanner_iterations,
 )
+from repro.protocols.path_discovery import run_path_discovery
 
 
 def all_to_all_done(graph, state) -> bool:
@@ -147,3 +151,50 @@ class TestGeneralEID:
         report = run_general_eid(g, seed=2)
         assert report.final_estimate == 1
         assert report.iterations == 1
+
+
+_DRIVERS = {
+    "General EID": run_general_eid,
+    "Path Discovery": run_path_discovery,
+    "unknown-latency EID": run_general_eid_unknown_latencies,
+}
+
+
+@pytest.mark.parametrize("label", list(_DRIVERS))
+class TestGuessAndDoubleLoop:
+    """The one loop every all-to-all driver runs, with a stubbed check."""
+
+    GRAPH = LatencyGraph(edges=[(0, 1, 1), (1, 2, 1)])
+    CAP = 4 * (3 - 1) * 1  # 4 · (n − 1) · ℓmax
+
+    def _stub_check(self, monkeypatch, verdicts):
+        estimates = []
+
+        def check(runner, graph, k, broadcast, iteration_tag):
+            estimates.append(k)
+            values = set(verdicts.values())
+            return TerminationCheckReport(
+                verdicts=dict(verdicts),
+                passed=values == {True},
+                unanimous=len(values) == 1,
+                rounds=0,
+            )
+
+        monkeypatch.setattr(eid, "run_termination_check", check)
+        return estimates
+
+    def test_disagreeing_verdicts_violate_lemma_18(self, monkeypatch, label):
+        estimates = self._stub_check(monkeypatch, {0: True, 1: False, 2: True})
+        with pytest.raises(ProtocolError, match="violates Lemma 18"):
+            _DRIVERS[label](self.GRAPH)
+        assert estimates == [1]
+
+    def test_a_check_that_never_passes_hits_the_cap(self, monkeypatch, label):
+        estimates = self._stub_check(monkeypatch, {0: False, 1: False, 2: False})
+        with pytest.raises(SimulationError) as info:
+            _DRIVERS[label](self.GRAPH)
+        assert str(info.value) == (
+            f"{label} estimate k={2 * self.CAP} exceeded the diameter cap "
+            f"{self.CAP} without passing the termination check"
+        )
+        assert estimates == [1, 2, 4, 8]

@@ -47,6 +47,11 @@ def _assert_observations_equal(fast: NetworkState, ref: ReferenceNetworkState):
             assert fast.knows(node, rumor) == ref.knows(node, rumor)
     for rumor in RUMORS + list(range(N_NODES)):
         assert fast.count_knowing(rumor) == ref.count_knowing(rumor)
+    everyone = list(range(N_NODES))
+    for rumors in ([], RUMORS[:1], RUMORS, everyone, RUMORS + ["never-seen"]):
+        assert fast.knows_every(everyone, rumors) == ref.knows_every(everyone, rumors)
+        for node in everyone:
+            assert fast.knows_every([node], rumors) == ref.knows_every([node], rumors)
 
 
 class TestBackendEquivalence:
