@@ -3,7 +3,7 @@
 Unlike the experiment benchmarks in this directory, this suite times the
 raw simulation core via :mod:`repro.benchmarking` — the scalar and
 vector backends running the *same* seeded push--pull workloads on the
-*same* cached graph, NetworkState churn, done-node scheduling and the
+*same* cached graph, rumor-state churn, done-node scheduling and the
 composite phase chain — and writes ``benchmarks/results/BENCH_engine.json``.
 When the committed baseline (``BENCH_engine_baseline.json``) is present,
 the report embeds per-workload speedup factors — regressions show up as

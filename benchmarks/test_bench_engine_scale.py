@@ -43,7 +43,7 @@ from repro.benchmarking import (
 )
 from repro.protocols.push_pull import PushPullProtocol
 from repro.sim.runner import broadcast_complete
-from repro.sim.state import NetworkState
+from repro.sim.state import VectorState
 from repro.sim.vector import VectorEngine
 
 REPO_ROOT = pathlib.Path(__file__).resolve().parents[1]
@@ -214,7 +214,7 @@ def test_scale_broadcast_stream_oracle():
     """
     graph = _vector_bench_graph(100_000, 8.0, 8)
     nodes = graph.nodes()
-    state = NetworkState(nodes)
+    state = VectorState(nodes)
     state.add_rumor(nodes[0], "r")
     engine = VectorEngine(graph, PushPullProtocol.cohort(0), state=state)
     engine.run(until=broadcast_complete("r"), max_rounds=10_000)

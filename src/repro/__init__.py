@@ -63,7 +63,7 @@ from repro.sim import (
     DisseminationResult,
     Engine,
     InvariantChecker,
-    NetworkState,
+    VectorState,
     checked,
     default_checkers,
 )
@@ -82,11 +82,11 @@ __all__ = [
     "GuessingGame",
     "InvariantChecker",
     "LatencyGraph",
-    "NetworkState",
     "ProtocolError",
     "ReproError",
     "SimulationError",
     "StronglyEdgeInducedGraph",
+    "VectorState",
     "WeightedConductance",
     "baswana_sen_spanner",
     "checked",

@@ -7,7 +7,7 @@ report and one baseline file per suite, read by this runner, by the
 gate and by ``repro regress``.  Its suites:
 
 * ``engine`` — the simulation core: scalar/vector push--pull pairs on
-  shared graphs, raw :class:`~repro.sim.state.NetworkState` churn,
+  shared graphs, raw rumor-state churn (:class:`~repro.sim.state.VectorState`),
   done-node scheduling overhead, the phase-chained composite, the ℓ-DTG
   pair and vector flooding at ``n = 2.5·10^5``; writes
   ``BENCH_engine.json``.
@@ -113,9 +113,9 @@ class Workload:
 
 def _state_ops_workload(n: int, sweeps: int, repeats: int) -> Workload:
     def run() -> dict[str, Any]:
-        from repro.sim.state import NetworkState
+        from repro.sim.state import VectorState
 
-        state = NetworkState(range(n))
+        state = VectorState(range(n))
         state.seed_self_rumors()
         merges = 0
         for _ in range(sweeps):
@@ -129,7 +129,7 @@ def _state_ops_workload(n: int, sweeps: int, repeats: int) -> Workload:
     return Workload(
         name=f"state_ops_n{n}",
         description=(
-            f"raw NetworkState churn: {sweeps} ring sweeps of "
+            f"raw rumor-state churn: {sweeps} ring sweeps of "
             "snapshot+merge plus count_knowing over every rumor"
         ),
         run=run,
@@ -254,11 +254,11 @@ def _composite_chain_workload(
         from repro.protocols.base import PhaseRunner
         from repro.protocols.push_pull import PushPullProtocol
         from repro.sim.runner import min_rumors_complete
-        from repro.sim.state import NetworkState
+        from repro.sim.state import VectorState
 
         graph = _vector_bench_graph(n, avg_degree, 8)
         nodes = graph.nodes()
-        state = NetworkState(nodes)
+        state = VectorState(nodes)
         state.add_rumor(nodes[0], "chain-seed")
         runner = PhaseRunner(graph, state=state, backend=backend)
         cohort = PushPullProtocol.cohort(0)

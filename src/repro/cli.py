@@ -256,8 +256,8 @@ def _check_differential(seed: int, backend: str = "scalar") -> list[str]:
     from repro.protocols.push_pull import PushPullProtocol
     from repro.sim.engine import Engine
     from repro.sim.runner import broadcast_complete
-    from repro.sim.state import NetworkState
-    from repro.testing import ReferenceEngine, run_differential
+    from repro.sim.state import VectorState
+    from repro.testing import ReferenceEngine, ReferenceNetworkState, run_differential
 
     failures: list[str] = []
     rng = random.Random(seed)
@@ -266,30 +266,35 @@ def _check_differential(seed: int, backend: str = "scalar") -> list[str]:
         ("star", generators.star(12)),
         ("erdos-renyi", generators.erdos_renyi(16, 0.3, rng=random.Random(seed))),
     ]
-    # The candidate engine is always compared against the reference oracle;
-    # on the vector backend it is also compared against the scalar engine.
-    legs = [(ReferenceEngine, "reference")]
+    # The candidate engine is always compared against the reference oracle
+    # over its set-backed state; on the vector backend it is also compared
+    # against the scalar engine.
+    legs = [(ReferenceEngine, ReferenceNetworkState, "reference")]
     if backend == "vector":
-        legs.append((Engine, "scalar"))
+        legs.append((Engine, VectorState, "scalar"))
     for graph_name, graph in graphs:
         source = graph.nodes()[0]
         rumor = ("rumor", source)
 
-        def make_state(graph=graph, source=source, rumor=rumor):
-            state = NetworkState(graph.nodes())
-            state.add_rumor(source, rumor)
-            return state
+        def seeded(state_cls, graph=graph, source=source, rumor=rumor):
+            def make_state():
+                state = state_cls(graph.nodes())
+                state.add_rumor(source, rumor)
+                return state
+
+            return make_state
 
         protocols = [
             ("push-pull", lambda seed=seed: PushPullProtocol.cohort(seed)),
             ("flooding", FloodingProtocol.cohort),
         ]
         for protocol_name, make_factory in protocols:
-            for reference_cls, leg_name in legs:
+            for reference_cls, reference_state_cls, leg_name in legs:
                 report = run_differential(
                     graph,
                     make_factory=make_factory,
-                    make_state=make_state,
+                    make_state=seeded(VectorState),
+                    make_reference_state=seeded(reference_state_cls),
                     predicate=broadcast_complete(rumor),
                     reference_cls=reference_cls,
                     backend=backend,
@@ -328,7 +333,7 @@ def _check_replay(seed: int) -> list[str]:
     from repro.graphs import generators
     from repro.protocols.push_pull import PushPullProtocol
     from repro.sim.runner import broadcast_complete
-    from repro.sim.state import NetworkState
+    from repro.sim.state import VectorState
     from repro.testing import record_and_replay
 
     failures: list[str] = []
@@ -337,7 +342,7 @@ def _check_replay(seed: int) -> list[str]:
     rumor = ("rumor", source)
 
     def make_state():
-        state = NetworkState(graph.nodes())
+        state = VectorState(graph.nodes())
         state.add_rumor(source, rumor)
         return state
 

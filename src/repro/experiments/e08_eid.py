@@ -21,7 +21,6 @@ import statistics
 
 from repro.graphs import generators
 from repro.protocols.eid import run_eid, run_general_eid
-from repro.sim.state import NetworkState
 from repro.protocols.base import PhaseRunner
 from repro.experiments import artifacts
 from repro.experiments.harness import (

@@ -30,7 +30,7 @@ from repro.protocols.dtg import ldtg_factory
 from repro.protocols.push_pull import PushPullProtocol
 from repro.sim.engine import Engine
 from repro.sim.runner import broadcast_complete
-from repro.sim.state import NetworkState
+from repro.sim.state import VectorState
 from repro.experiments.harness import (
     ExperimentTable,
     Profile,
@@ -45,7 +45,7 @@ __all__ = ["run_e16", "run_e17"]
 def _push_pull_rounds_with_cap(graph, cap, seed, max_rounds=100_000):
     source = graph.nodes()[0]
     rumor = ("rumor", source)
-    state = NetworkState(graph.nodes())
+    state = VectorState(graph.nodes())
     state.add_rumor(source, rumor)
     engine = Engine(
         graph,
@@ -110,7 +110,7 @@ def _payload_config(n: int) -> dict:
     # Push--pull one-to-all broadcast: a single rumor spreads.
     source = graph.nodes()[0]
     rumor = ("rumor", source)
-    state = NetworkState(graph.nodes())
+    state = VectorState(graph.nodes())
     state.add_rumor(source, rumor)
     engine = Engine(
         graph,

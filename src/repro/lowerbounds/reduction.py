@@ -25,7 +25,7 @@ from repro.graphs.gadgets import GadgetNetwork
 from repro.graphs.latency_graph import Node
 from repro.sim.engine import Engine, NodeProtocol
 from repro.sim.runner import local_broadcast_complete
-from repro.sim.state import NetworkState
+from repro.sim.state import VectorState
 from repro.lowerbounds.game import GuessingGame, target_from_gadget
 
 __all__ = ["ReductionOutcome", "simulate_gossip_as_guessing"]
@@ -84,7 +84,7 @@ def simulate_gossip_as_guessing(
     left_index = {node: i for i, node in enumerate(gadget.left)}
     right_index = {node: m + j for j, node in enumerate(gadget.right)}
 
-    state = NetworkState(gadget.graph.nodes())
+    state = VectorState(gadget.graph.nodes())
     state.seed_self_rumors()
     engine = Engine(gadget.graph, protocol_factory, state=state, latencies_known=False)
     threshold = (

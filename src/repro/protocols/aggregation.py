@@ -26,7 +26,7 @@ from typing import Any, Callable, Mapping, Union
 from repro.errors import ProtocolError
 from repro.graphs.latency_graph import LatencyGraph, Node
 from repro.sim.engine import Engine
-from repro.sim.state import NetworkState
+from repro.sim.state import VectorState
 from repro.protocols.push_pull import PushPullProtocol
 
 __all__ = ["AggregateReport", "AGGREGATE_OPS", "run_aggregate"]
@@ -72,7 +72,7 @@ def _value_token(node: Node, value: Any) -> tuple:
     return ("value", node, value)
 
 
-def _fold(state: NetworkState, node: Node, op: Aggregator) -> Any:
+def _fold(state: VectorState, node: Node, op: Aggregator) -> Any:
     values = [
         token[2]
         for token in state.rumors(node)
@@ -110,7 +110,7 @@ def run_aggregate(
         raise ProtocolError(f"missing values for nodes: {missing[:5]}")
     aggregator: Aggregator = AGGREGATE_OPS[op] if isinstance(op, str) else op
 
-    state = NetworkState(nodes)
+    state = VectorState(nodes)
     state.seed_self_rumors()
     for node in nodes:
         state.add_rumor(node, _value_token(node, values[node]))

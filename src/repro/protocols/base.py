@@ -1,7 +1,7 @@
 """Shared protocol plumbing: per-node RNG streams and multi-phase execution.
 
 Composite algorithms (EID, General EID, Path Discovery) run several protocol
-*phases* back to back over the same :class:`~repro.sim.state.NetworkState` —
+*phases* back to back over the same :class:`~repro.sim.state.VectorState` —
 for example "log n rounds of D-DTG, then RR Broadcast on the spanner".
 :class:`PhaseRunner` owns that state, accumulates the total round count
 across phases, and (optionally) watches for the first round at which a
@@ -17,15 +17,14 @@ unstarted probe protocol of the phase and the run's options, and
 
 * a phase it does not refuse runs on
   :class:`~repro.sim.vector.VectorEngine` — the rumor state stays one
-  :class:`~repro.sim.vector.VectorState` object between phases (a phase
-  that grows the rumor universe widens it in place), never densifying
-  back to a scalar state;
+  :class:`~repro.sim.state.VectorState` object between phases (a phase
+  that grows the rumor universe widens it in place);
 * a refused phase (ping-only latency discovery, an ℓ-DTG phase in a run
   whose recorder, checkers, failure model or incoming cap rule out its
   lockstep plan, or any phase of a per-exchange run) runs on the scalar
-  :class:`~repro.sim.engine.Engine` *over the same state*, which
-  implements the full :class:`~repro.sim.state.NetworkState` API — the
-  handoff is bit-identical in both directions.
+  :class:`~repro.sim.engine.Engine` *over the same state* — both
+  engines read and write the one rumor state, so the handoff is
+  bit-identical in both directions.
 
 The runner reads each phase's backend label and refusal off its engine:
 :attr:`PhaseRunner.phases` (``PhaseTiming.backend``),
@@ -45,7 +44,7 @@ from repro.obs.profile import span
 from repro.obs.recorder import Recorder
 from repro.obs.telemetry import PhaseTiming
 from repro.sim.engine import Engine, NodeProtocol
-from repro.sim.state import NetworkState
+from repro.sim.state import VectorState
 from repro.sim.streams import SeedStream, seed_key
 from repro.sim.vector import resolve_engine_backend
 
@@ -112,8 +111,8 @@ class PhaseRunner:
     def __init__(
         self,
         graph: LatencyGraph,
-        state: Optional[NetworkState] = None,
-        watch: Optional[Callable[[NetworkState], bool]] = None,
+        state: Optional[VectorState] = None,
+        watch: Optional[Callable[[VectorState], bool]] = None,
         engine_factory: Optional[Callable[..., Engine]] = None,
         recorder: Optional[Recorder] = None,
         backend: Optional[str] = None,
@@ -128,7 +127,7 @@ class PhaseRunner:
         self.recorder = recorder
         self.engine_kwargs = dict(engine_kwargs) if engine_kwargs else {}
         if state is None:
-            state = NetworkState(graph.nodes())
+            state = VectorState(graph.nodes())
             state.seed_self_rumors()
         self.state = state
         self.total_rounds = 0
@@ -151,7 +150,7 @@ class PhaseRunner:
         latencies_known: bool = True,
         max_rounds: int = 1_000_000,
         name: str = "phase",
-        until: Optional[Callable[[NetworkState], bool]] = None,
+        until: Optional[Callable[[VectorState], bool]] = None,
     ) -> Engine:
         """Run one phase until every node's protocol is done.
 
@@ -174,12 +173,6 @@ class PhaseRunner:
             latencies_known=latencies_known,
             **extra,
         )
-        # The vector backend adopts a converted copy of a plain
-        # NetworkState; follow it so the watch predicate and later phases
-        # see the state the engine actually mutates.
-        engine_state = getattr(engine, "state", None)
-        if engine_state is not None and engine_state is not self.state:
-            self.state = engine_state
         with span(f"phase.{name}") as timer:
             while not engine.all_done():
                 if until is not None and until(self.state):

@@ -26,7 +26,7 @@ from repro.errors import ProtocolError
 from repro.graphs.latency_graph import LatencyGraph, Node
 from repro.sim.engine import NodeContext
 from repro.sim.programs import Command, ProgramProtocol, contact, wait
-from repro.sim.state import NetworkState
+from repro.sim.state import VectorState
 from repro.protocols.base import PhaseRunner
 from repro.protocols.dtg import ldtg_factory
 from repro.protocols.eid import (
@@ -77,7 +77,7 @@ class LatencyDiscoveryProtocol(ProgramProtocol):
 def run_latency_discovery(
     graph: LatencyGraph,
     window: int,
-    state: Optional[NetworkState] = None,
+    state: Optional[VectorState] = None,
     runner: Optional[PhaseRunner] = None,
 ) -> dict[Node, dict[Node, int]]:
     """Measure adjacent latencies at every node (Section 4.2).

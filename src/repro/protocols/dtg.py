@@ -37,7 +37,7 @@ from repro.sim.engine import NodeContext
 from repro.sim.metrics import DisseminationResult
 from repro.sim.programs import Command, ProgramProtocol, contact_and_wait
 from repro.sim.runner import local_broadcast_complete
-from repro.sim.state import NetworkState
+from repro.sim.state import VectorState
 from repro.sim.vector import VectorProgram, dtg_fast_order, dtg_link, dtg_token
 from repro.protocols.base import PhaseRunner, per_node_rng_factory
 
@@ -212,7 +212,7 @@ def ldtg_factory(
 def run_ldtg(
     graph: LatencyGraph,
     max_latency: int,
-    state: Optional[NetworkState] = None,
+    state: Optional[VectorState] = None,
     max_rounds: int = 1_000_000,
     engine_factory=None,
     backend: Optional[str] = None,
@@ -250,6 +250,6 @@ def run_ldtg(
 class _StateView:
     """Minimal engine-like view for reusing runner predicates on raw state."""
 
-    def __init__(self, graph: LatencyGraph, state: NetworkState) -> None:
+    def __init__(self, graph: LatencyGraph, state: VectorState) -> None:
         self.graph = graph
         self.state = state

@@ -38,7 +38,7 @@ from repro.errors import ProtocolError, SimulationError
 from repro.graphs.latency_graph import LatencyGraph, Node
 from repro.obs.recorder import Recorder
 from repro.obs.telemetry import PhaseTiming
-from repro.sim.state import NetworkState
+from repro.sim.state import VectorState
 from repro.protocols.base import PhaseRunner
 from repro.protocols.dtg import ldtg_factory
 from repro.protocols.rr_broadcast import rr_broadcast_factory
@@ -136,7 +136,7 @@ class GeneralEIDReport:
     phases: tuple[PhaseTiming, ...] = dataclasses.field(default=(), compare=False)
 
 
-def _node_rumor_fingerprint(state: NetworkState, node: Node, universe: set) -> int:
+def _node_rumor_fingerprint(state: VectorState, node: Node, universe: set) -> int:
     """Order-independent fingerprint of the node-id rumors ``node`` knows."""
     relevant = frozenset(r for r in state.rumors(node) if r in universe)
     return hash(relevant)
@@ -185,7 +185,7 @@ def run_eid(
     diameter: int,
     seed: int = 0,
     n_hat: Optional[int] = None,
-    state: Optional[NetworkState] = None,
+    state: Optional[VectorState] = None,
     runner: Optional[PhaseRunner] = None,
     max_rounds: int = 5_000_000,
     engine_factory=None,

@@ -23,7 +23,7 @@ from typing import Hashable, Optional
 from repro.graphs.latency_graph import LatencyGraph, Node
 from repro.sim.metrics import DisseminationResult
 from repro.sim.runner import broadcast_complete, run_until_complete
-from repro.sim.state import NetworkState
+from repro.sim.state import VectorState
 from repro.sim.vector import (
     ObliviousCohort,
     ObliviousProtocol,
@@ -75,7 +75,7 @@ def run_flooding(
     if source is None:
         source = graph.nodes()[0]
     rumor = ("rumor", source)
-    state = NetworkState(graph.nodes())
+    state = VectorState(graph.nodes())
     state.add_rumor(source, rumor)
     engine = resolve_engine_backend(backend)(
         graph,

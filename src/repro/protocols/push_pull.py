@@ -36,7 +36,7 @@ from repro.sim.runner import (
     local_broadcast_complete,
     run_until_complete,
 )
-from repro.sim.state import NetworkState
+from repro.sim.state import VectorState
 from repro.sim.vector import (
     ObliviousCohort,
     ObliviousProtocol,
@@ -162,7 +162,7 @@ def run_push_pull(
         scope (scalar by default); both backends are result-identical
         for the same seed.
     """
-    state = NetworkState(graph.nodes())
+    state = VectorState(graph.nodes())
     progress = None
     if mode == "broadcast":
         if source is None:

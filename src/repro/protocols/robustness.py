@@ -31,7 +31,7 @@ from typing import Optional
 from repro.graphs.latency_graph import LatencyGraph, Node
 from repro.sim.engine import Engine
 from repro.sim.failures import CrashSchedule, FailureModel
-from repro.sim.state import NetworkState
+from repro.sim.state import VectorState
 from repro.protocols.push_pull import PushPullProtocol
 from repro.protocols.rr_broadcast import rr_broadcast_factory
 from repro.protocols.spanner import baswana_sen_spanner
@@ -108,7 +108,7 @@ def _reachable_survivors(
     return sorted(seen, key=repr)
 
 
-def _coverage(state: NetworkState, rumor, targets: list[Node]) -> float:
+def _coverage(state: VectorState, rumor, targets: list[Node]) -> float:
     if not targets:
         return 1.0
     return sum(1 for node in targets if state.knows(node, rumor)) / len(targets)
@@ -130,7 +130,7 @@ def run_push_pull_under_failures(
     if source is None:
         source = graph.nodes()[0]
     rumor = ("rumor", source)
-    state = NetworkState(graph.nodes())
+    state = VectorState(graph.nodes())
     state.add_rumor(source, rumor)
     engine = Engine(
         graph,
@@ -228,7 +228,7 @@ def run_spanner_pipeline_under_failures(
     if source is None:
         source = graph.nodes()[0]
     rumor = ("rumor", source)
-    state = NetworkState(graph.nodes())
+    state = VectorState(graph.nodes())
     state.add_rumor(source, rumor)
     spanner = _pipeline_spanner(graph, seed)
     k_rr = graph.weighted_diameter() * (2 * spanner.k - 1)

@@ -30,7 +30,7 @@ from repro.sim.runner import (
 )
 from repro.obs.recorder import Recorder
 from repro.obs.telemetry import PhaseTiming, RunTelemetry
-from repro.sim.state import NetworkState, Note, Payload
+from repro.sim.state import Note, Payload, VectorState
 from repro.sim.stream import StreamReport, run_streamed_all_to_all
 from repro.sim.vector import (
     ENGINE_BACKENDS,
@@ -38,7 +38,6 @@ from repro.sim.vector import (
     ObliviousProtocol,
     VectorEngine,
     VectorProgram,
-    VectorState,
     current_engine_backend,
     engine_backend,
     resolve_engine_backend,
@@ -69,7 +68,6 @@ __all__ = [
     "MessageLoss",
     "MonotoneKnowledgeChecker",
     "NoFailures",
-    "NetworkState",
     "NodeContext",
     "NodeProtocol",
     "Note",

@@ -11,7 +11,8 @@ Model recap (Section 1 of the paper):
 * Communication is **non-blocking**: a node may initiate a new exchange every
   round even while earlier exchanges are still in flight.
 
-Knowledge lives in a shared :class:`~repro.sim.state.NetworkState`; protocol
+Knowledge lives in a shared :class:`~repro.sim.state.VectorState` — the one
+rumor state, which the vector engine's array round reads too; protocol
 logic is supplied as one :class:`NodeProtocol` instance per node (see
 :mod:`repro.sim.programs` for a sequential, generator-based way to write
 them).  The engine is fully deterministic given the protocol's RNG seeds.
@@ -40,7 +41,7 @@ from repro.sim import invariants as _invariants
 from repro.sim.failures import FailureModel
 from repro.sim.invariants import InvariantChecker
 from repro.sim.metrics import EngineMetrics
-from repro.sim.state import NetworkState, Payload
+from repro.sim.state import Payload, VectorState
 
 __all__ = ["Delivery", "NodeContext", "NodeProtocol", "Engine"]
 
@@ -89,7 +90,7 @@ class NodeContext:
         return self._engine.round
 
     @property
-    def state(self) -> NetworkState:
+    def state(self) -> VectorState:
         """The shared network state (read/write your own node's entries only)."""
         return self._engine.state
 
@@ -198,8 +199,8 @@ class Engine:
     protocol_factory:
         Called once per node to create its :class:`NodeProtocol`.
     state:
-        Optional pre-seeded :class:`NetworkState` (used to chain protocol
-        phases); a fresh empty one is created by default.
+        Optional pre-seeded :class:`~repro.sim.state.VectorState` (used
+        to chain protocol phases); a fresh empty one is created by default.
     latencies_known:
         Whether protocols may read adjacent latencies (Section 5 model)
         or must measure them (Sections 3--4 model).
@@ -264,7 +265,7 @@ class Engine:
         self,
         graph: LatencyGraph,
         protocol_factory: ProtocolFactory,
-        state: Optional[NetworkState] = None,
+        state: Optional[VectorState] = None,
         latencies_known: bool = False,
         fresh_snapshots: bool = False,
         failure_model: Optional["FailureModel"] = None,
@@ -278,7 +279,7 @@ class Engine:
                 f"max_incoming_per_round must be >= 1, got {max_incoming_per_round}"
             )
         self.graph = graph
-        self.state = state if state is not None else NetworkState(graph.nodes())
+        self.state = state if state is not None else VectorState(graph.nodes())
         self.latencies_known = latencies_known
         self.fresh_snapshots = fresh_snapshots
         self.failure_model = failure_model

@@ -8,10 +8,9 @@ is an ``obs`` sink: it reads the engine's one event stream (the
 ``initiate`` / ``deliver`` / ``void`` / ``round`` / ... events a
 :class:`~repro.obs.recorder.Recorder` on the same run records), opt-in via
 ``Engine(..., checkers=default_checkers())``.  Both engine backends run
-the scalar :class:`~repro.sim.engine.Engine` whenever checkers are
-attached, the ``vector`` backend over a
-:class:`~repro.sim.vector.VectorState`, so I1–I5 read the exact same
-stream on both.  A violation raises :class:`~repro.errors.SimulationError`
+the scalar :class:`~repro.sim.engine.Engine` over a
+:class:`~repro.sim.state.VectorState` whenever checkers are attached, so
+I1–I5 read the exact same stream on both.  A violation raises :class:`~repro.errors.SimulationError`
 carrying the round and the most recent events as canonical JSONL lines,
 so a broken engine refactor fails loudly at the exact round the model was
 first violated.
@@ -80,8 +79,8 @@ class InvariantChecker:
     on ``event.kind`` and call :meth:`fail` on a violation.  One instance
     observes one engine run: :meth:`on_attach` binds it to the engine,
     whose ``graph``/``state``/``round``/``failure_model`` the checks read
-    (the scalar ``Engine`` over either state; ``VectorEngine`` takes no
-    checkers).
+    (the scalar ``Engine`` over the production or the oracle state;
+    ``VectorEngine`` takes no checkers).
     """
 
     #: Short name used in violation messages.

@@ -71,19 +71,14 @@ def min_rumors_complete(m: int):
     ``PhaseRunner.run_phase(..., until=min_rumors_complete(m))`` to end a
     phase as soon as universal coverage of ``m`` rumors is reached,
     whatever those rumors are.  Takes the *state* (not the engine), like
-    ``PhaseRunner``'s ``watch``; uses the state's one-pass
-    ``min_rumor_count()`` when available (both
-    :class:`~repro.sim.vector.VectorState` and
-    :class:`~repro.sim.state.NetworkState` provide it).
+    ``PhaseRunner``'s ``watch``; reads the state's one-pass
+    ``min_rumor_count()``.
     """
     if m < 0:
         raise SimulationError(f"min_rumors_complete needs m >= 0, got {m}")
 
     def predicate(state) -> bool:
-        fast = getattr(state, "min_rumor_count", None)
-        if fast is not None:
-            return fast() >= m
-        return all(state.rumor_count(node) >= m for node in state.nodes())
+        return state.min_rumor_count() >= m
 
     return predicate
 
@@ -93,16 +88,33 @@ def local_broadcast_complete(max_latency: Optional[int] = None) -> Callable[[Eng
 
     With ``max_latency`` given, only neighbors over edges of latency
     ``<= max_latency`` count (the ℓ-local broadcast of Section 5.1).
+
+    Knowledge only grows, so the predicate keeps a frontier of the
+    (node, ℓ-neighbor) pairs not yet known and drops each pair the first
+    time it is: a run costs one ``knows`` call per pair plus one per call
+    of the predicate, instead of a walk over every edge each round.  The
+    frontier is rebuilt whenever the predicate sees another state or
+    graph.
     """
+    frontier: list[tuple[Node, Node]] = []
+    seen_state = seen_graph = None
 
     def predicate(engine: Engine) -> bool:
-        state = engine.state
-        for node in engine.graph.nodes():
-            for neighbor, latency in engine.graph.neighbor_latencies(node).items():
-                if max_latency is not None and latency > max_latency:
-                    continue
-                if not state.knows(node, neighbor):
-                    return False
+        nonlocal seen_state, seen_graph
+        state, graph = engine.state, engine.graph
+        if state is not seen_state or graph is not seen_graph:
+            seen_state, seen_graph = state, graph
+            frontier[:] = [
+                (node, neighbor)
+                for node in reversed(graph.nodes())
+                for neighbor, latency in graph.neighbor_latencies(node).items()
+                if max_latency is None or latency <= max_latency
+            ]
+        knows = state.knows
+        while frontier:
+            if not knows(*frontier[-1]):
+                return False
+            frontier.pop()
         return True
 
     return predicate

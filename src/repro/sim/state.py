@@ -17,21 +17,22 @@ lets composite algorithms such as EID run several protocol *phases* over the
 same knowledge: the D-DTG phase fills the rumor sets, the RR-broadcast phase
 keeps spreading them, the termination check reads them.
 
-Data layout (the simulation fast path)
---------------------------------------
-Rumor sets are stored as **Python-int bitmasks** over an interned rumor
-space: every distinct rumor token is assigned a dense bit index on first
-sight, a node's knowledge is one arbitrary-precision integer, and merging
-two rumor sets is a single ``|`` plus a popcount.  Snapshots are
-**copy-on-write**: :meth:`snapshot` returns a cached immutable
+Data layout
+-----------
+One class, :class:`VectorState`, holds every node's rumor set for every
+engine: an ``n × ⌈k/64⌉`` uint64 bitset matrix over an interned rumor
+space (every distinct rumor token gets a dense bit index on first sight).
+The vector engine's array kernels OR whole rows at once; the scalar
+engine's per-exchange step reads the same rows through cached Python-int
+row masks, so merging two rumor sets is one ``|``.  Snapshots are
+**copy-on-write**: :meth:`VectorState.snapshot` returns a cached immutable
 :class:`Payload` that is reused until the node's state next changes, so
 repeated snapshots of an idle node are O(1) and the shipped "frozen set of
-rumors" is materialized lazily only if someone actually iterates it.
-:meth:`count_knowing` is O(1) via per-rumor coverage counters maintained
-incrementally by :meth:`add_rumor`/:meth:`merge`.  The set-of-frozensets
-reference semantics are preserved exactly — ``tests/test_state_equivalence``
-checks this implementation observation-for-observation against the naive
-set-backed :class:`~repro.testing.reference.ReferenceNetworkState`.
+rumors" is materialized lazily only if someone actually iterates it.  The
+set-of-frozensets reference semantics are preserved exactly —
+``tests/test_state_equivalence`` checks this implementation
+observation-for-observation against the naive set-backed
+:class:`~repro.testing.reference.ReferenceNetworkState`.
 """
 
 from __future__ import annotations
@@ -39,9 +40,11 @@ from __future__ import annotations
 import dataclasses
 from typing import Any, Hashable, Iterable, Optional
 
+import numpy as np
+
 from repro.graphs.latency_graph import Node
 
-__all__ = ["Note", "NetworkState", "Payload"]
+__all__ = ["Note", "Payload", "VectorState"]
 
 Rumor = Hashable
 
@@ -136,12 +139,53 @@ class Payload:
         return f"Payload(rumors={self.rumors!r}, notes={self.notes!r})"
 
 
-class NetworkState:
-    """Rumor sets and note boards for every node in the network."""
+# ----------------------------------------------------------------------
+# Popcount: hardware instruction when numpy provides it, byte LUT otherwise.
+if hasattr(np, "bitwise_count"):
 
-    #: Layout name surfaced in metrics/manifests (``sim_state_layout``);
-    #: the vector state's one bitset matrix reports ``dense``.
-    layout = "scalar"
+    def _popcount_rows(matrix: np.ndarray) -> np.ndarray:
+        """Per-row popcount of a uint64 bit matrix (vectorized)."""
+        return np.bitwise_count(matrix).sum(axis=-1, dtype=np.int64)
+
+else:  # pragma: no cover - exercised only on numpy < 2.0
+    _POPCOUNT_LUT = np.array(
+        [bin(i).count("1") for i in range(256)], dtype=np.uint8
+    )
+
+    def _popcount_rows(matrix: np.ndarray) -> np.ndarray:
+        """Per-row popcount via a byte lookup table (numpy < 2 fallback)."""
+        return _POPCOUNT_LUT[matrix.view(np.uint8)].sum(axis=-1, dtype=np.int64)
+
+
+class VectorState:
+    """Rumor sets and note boards for every node in the network.
+
+    The one rumor state: rumors, coverage, note boards and snapshot/merge
+    interop via :class:`Payload` over an ``n × words`` uint64 matrix, so
+    the vector engine's array kernels and every scalar consumer
+    (completion predicates, invariant checkers, the scalar engine's
+    per-exchange step) read the same storage.
+
+    The matrix (``_words``) is one array, ``n·⌈k/64⌉·8`` bytes for ``k``
+    interned rumors.  Interning past its width rebinds ``_words`` to a
+    copy at least twice as wide, so an array held across a growth is
+    stale (a running :class:`~repro.sim.vector.VectorEngine` checks for
+    that each step).
+    """
+
+    #: Layout name surfaced in metrics/manifests (``sim_state_layout``).
+    layout = "dense"
+
+    __slots__ = (
+        "_node_index",
+        "_node_list",
+        "_space",
+        "_words",
+        "_notes",
+        "_snapshots",
+        "_masks_cache",
+        "_cache_filled",
+    )
 
     def __init__(self, nodes: Iterable[Node]) -> None:
         self._node_index: dict[Node, int] = {}
@@ -152,91 +196,169 @@ class NetworkState:
                 self._node_list.append(node)
         n = len(self._node_list)
         self._space = _RumorSpace()
-        self._masks: list[int] = [0] * n
-        self._coverage: list[int] = []  # per rumor bit: nodes knowing it
         self._notes: list[dict[Node, Note]] = [{} for _ in range(n)]
-        # Copy-on-write snapshot cache, invalidated per node on change.
+        # Copy-on-write caches, invalidated per node on change: reused
+        # Payload snapshots and Python-int row masks, so the per-exchange
+        # path's snapshot/merge hotspots stop re-packing unchanged rows.
         self._snapshots: list[Optional[Payload]] = [None] * n
+        self._masks_cache: list[Optional[int]] = [None] * n
+        self._cache_filled = False
+        self._words = np.zeros((n, 1), dtype=np.uint64)
 
+    # -- storage primitives ---------------------------------------------
+    def _ensure_bit(self, bit: int) -> None:
+        """Grow until ``bit`` is addressable: to at least twice the width,
+        or straight to the width ``bit`` needs when that is wider."""
+        words = self._words
+        width = words.shape[1]
+        if bit < width * 64:
+            return
+        grown = max(2 * width, bit // 64 + 1)
+        wider = np.zeros((words.shape[0], grown), dtype=np.uint64)
+        wider[:, :width] = words
+        self._words = wider
+
+    def _set_bit(self, i: int, bit: int) -> None:
+        """Set one addressable bit in row ``i`` (no growth, no caches)."""
+        self._words[i, bit >> 6] |= np.uint64(1 << (bit & 63))
+
+    def _mask_of_row(self, i: int) -> int:
+        """Recompute row ``i`` as an arbitrary-precision Python-int bitmask."""
+        return int.from_bytes(self._words[i].tobytes(), "little")
+
+    def _or_row_storage(self, i: int, mask: int) -> None:
+        """OR an addressable ``mask`` into row ``i`` (no growth, no caches)."""
+        words = self._words
+        words[i] |= np.frombuffer(
+            mask.to_bytes(words.shape[1] * 8, "little"), dtype=np.uint64
+        )
+
+    # -- packed-row plumbing --------------------------------------------
+    def _row_mask(self, i: int) -> int:
+        """Row ``i`` as a Python-int bitmask (cached until the row changes)."""
+        cached = self._masks_cache[i]
+        if cached is None:
+            cached = self._mask_of_row(i)
+            self._masks_cache[i] = cached
+            self._cache_filled = True
+        return cached
+
+    def _invalidate_rows(self, rows: np.ndarray) -> None:
+        """Drop cached masks/snapshots for rows an array kernel mutated."""
+        if not self._cache_filled:
+            return
+        snapshots = self._snapshots
+        masks = self._masks_cache
+        for i in set(rows.tolist()):
+            snapshots[i] = None
+            masks[i] = None
+
+    def _bit_location(self, rumor: Hashable) -> Optional[tuple[int, np.uint64]]:
+        """``(column, bit mask)`` of ``rumor``, or ``None`` when it was
+        never interned or lies beyond the storage."""
+        bit = self._space.index.get(rumor)
+        if bit is None or bit >= self._words.shape[1] * 64:
+            return None
+        return bit >> 6, np.uint64(1 << (bit & 63))
+
+    # -- memory accounting ----------------------------------------------
+    def state_nbytes(self) -> int:
+        """Resident bytes of the rumor-state matrix."""
+        return int(self._words.nbytes)
+
+    # -- rumors ---------------------------------------------------------
     def nodes(self) -> list[Node]:
         """All nodes this state tracks, in insertion order."""
         return list(self._node_list)
 
-    def state_nbytes(self) -> int:
-        """Resident bytes of the rumor-state storage (the mask integers)."""
-        return sum((mask.bit_length() + 7) // 8 for mask in self._masks)
-
-    # -- rumors ---------------------------------------------------------
-    def add_rumor(self, node: Node, rumor: Rumor) -> None:
+    def add_rumor(self, node: Node, rumor: Hashable) -> None:
         """Give ``node`` knowledge of ``rumor``."""
         i = self._node_index[node]
         bit = self._space.intern(rumor)
-        if bit >= len(self._coverage):
-            self._coverage.append(0)
-        flag = 1 << bit
-        if not self._masks[i] & flag:
-            self._masks[i] |= flag
-            self._coverage[bit] += 1
-            self._snapshots[i] = None
+        self._ensure_bit(bit)
+        self._set_bit(i, bit)
+        cached = self._masks_cache[i]
+        if cached is not None:
+            self._masks_cache[i] = cached | (1 << bit)
+        self._snapshots[i] = None
 
     def seed_self_rumors(self) -> None:
-        """Give every node its own id as a rumor (all-to-all dissemination)."""
-        for node in self._node_list:
-            self.add_rumor(node, node)
+        """Give every node its own id as a rumor (all-to-all dissemination).
+
+        Interns every id first and widens once, to the exact word count,
+        then sets the diagonal in one array op: ``n`` single-rumor growths
+        would double past it (256 words instead of 157 at ``n = 10⁴``).
+        """
+        n = len(self._node_list)
+        if not n:
+            return
+        intern = self._space.intern
+        bits = np.fromiter(
+            (intern(node) for node in self._node_list), dtype=np.int64, count=n
+        )
+        self._ensure_bit(int(bits.max()))
+        self._words[np.arange(n), bits >> 6] |= np.left_shift(
+            np.uint64(1), (bits & 63).astype(np.uint64)
+        )
+        if self._cache_filled:
+            self._snapshots[:] = [None] * n
+            self._masks_cache[:] = [None] * n
 
     def rumors(self, node: Node) -> frozenset:
         """The rumors ``node`` currently knows."""
-        return self.snapshot(node).rumors
+        return self._space.unpack(self._row_mask(self._node_index[node]))
 
     def rumor_count(self, node: Node) -> int:
-        """How many rumors ``node`` knows (O(1) popcount)."""
-        return self._masks[self._node_index[node]].bit_count()
+        """How many rumors ``node`` knows (one vectorized popcount)."""
+        return int(_popcount_rows(self._words[self._node_index[node]]))
 
     def min_rumor_count(self) -> int:
-        """The smallest per-node rumor count (0 for an empty state).
+        """The smallest per-node rumor count (one matrix popcount).
 
-        One popcount pass over the mask list — the backing primitive for
-        the ``min_rumors_complete`` phase gate ("every node knows ≥ m
-        rumors") without per-node Python round trips.
+        Multi-rumor phase gates ("every node knows >= m rumors") reduce to
+        ``min_rumor_count() >= m``; see
+        :func:`~repro.sim.runner.min_rumors_complete`.
         """
-        if not self._masks:
+        if not self._node_list:
             return 0
-        return min(mask.bit_count() for mask in self._masks)
+        return int(_popcount_rows(self._words).min())
 
-    def knows(self, node: Node, rumor: Rumor) -> bool:
+    def knows(self, node: Node, rumor: Hashable) -> bool:
         """Whether ``node`` knows ``rumor``."""
-        bit = self._space.index.get(rumor)
-        if bit is None:
+        at = self._bit_location(rumor)
+        if at is None:
             return False
-        return bool(self._masks[self._node_index[node]] >> bit & 1)
+        w, bit = at
+        return bool(self._words[self._node_index[node], w] & bit)
 
-    def count_knowing(self, rumor: Rumor) -> int:
-        """How many nodes know ``rumor`` (O(1) incremental counter)."""
-        bit = self._space.index.get(rumor)
-        if bit is None:
+    def count_knowing(self, rumor: Hashable) -> int:
+        """How many nodes know ``rumor`` (one column reduction)."""
+        at = self._bit_location(rumor)
+        if at is None:
             return 0
-        return self._coverage[bit]
+        w, bit = at
+        return int(np.count_nonzero(self._words[:, w] & bit))
 
-    def knows_every(self, nodes: Iterable[Node], rumors: Iterable[Rumor]) -> bool:
+    def knows_every(
+        self, nodes: Iterable[Node], rumors: Iterable[Hashable]
+    ) -> bool:
         """Whether every node in ``nodes`` knows every rumor in ``rumors``.
 
-        One integer mask test per node instead of materializing each
-        node's rumor frozenset — on an n-node all-to-all run the final
-        completeness check is O(n) bitmask ANDs rather than O(n²) set
-        inserts.
+        One vectorized mask comparison over the packed rows instead of
+        materializing per-node rumor frozensets (which is O(n²) on an
+        all-to-all completeness check).
         """
         index = self._space.index
-        required = 0
+        words = self._words
+        width = words.shape[1]
+        required = np.zeros(width, dtype=np.uint64)
         for rumor in rumors:
             bit = index.get(rumor)
-            if bit is None:
+            if bit is None or bit >= width * 64:
                 return False
-            required |= 1 << bit
-        masks = self._masks
-        node_index = self._node_index
-        return all(
-            masks[node_index[node]] & required == required for node in nodes
-        )
+            required[bit >> 6] |= np.uint64(1 << (bit & 63))
+        rows = words[[self._node_index[node] for node in nodes]]
+        return bool(((rows & required) == required).all())
 
     # -- notes ----------------------------------------------------------
     def publish_note(self, origin: Node, **data: Any) -> None:
@@ -244,7 +366,9 @@ class NetworkState:
         i = self._node_index[origin]
         old = self._notes[i].get(origin)
         version = (old.version + 1) if old is not None else 1
-        self._notes[i][origin] = Note(version=version, data=tuple(sorted(data.items())))
+        self._notes[i][origin] = Note(
+            version=version, data=tuple(sorted(data.items()))
+        )
         self._snapshots[i] = None
 
     def note_of(self, reader: Node, origin: Node) -> Optional[Note]:
@@ -256,7 +380,7 @@ class NetworkState:
         return list(self._notes[self._node_index[reader]])
 
     def clear_notes(self) -> None:
-        """Drop every note board (used between guess-and-double iterations)."""
+        """Drop every note board."""
         for i, board in enumerate(self._notes):
             if board:
                 board.clear()
@@ -267,59 +391,62 @@ class NetworkState:
         """An immutable snapshot of everything ``node`` knows right now.
 
         Copy-on-write: the returned :class:`Payload` is cached and reused
-        until the node's rumors or note board next change, so snapshotting
-        an unchanged node is O(1).
+        until the node's rumors or note board next change, so
+        snapshotting an unchanged node is O(1).
         """
         i = self._node_index[node]
         payload = self._snapshots[i]
         if payload is None:
             payload = Payload(
                 notes=tuple(self._notes[i].items()),
-                mask=self._masks[i],
+                mask=self._row_mask(i),
                 space=self._space,
             )
             self._snapshots[i] = payload
+            self._cache_filled = True
         return payload
 
     def merge(self, node: Node, payload: Payload) -> bool:
-        """Merge a received snapshot into ``node``'s knowledge.
-
-        Returns ``True`` if anything new was learned.  Payloads produced by
-        this state's own :meth:`snapshot` merge as one ``or`` over bitmasks;
-        foreign payloads (hand-built, or from another state instance) fall
-        back to interning their rumor tokens.
-        """
+        """Merge a received snapshot; returns ``True`` if anything was new."""
         i = self._node_index[node]
-        mine = self._masks[i]
-        if payload._space is self._space:
-            added = payload._mask & ~mine
+        if payload._space is self._space and payload._mask is not None:
+            incoming = payload._mask
         else:
-            added = 0
-            coverage_len = len(self._coverage)
+            incoming = 0
             for rumor in payload.rumors:
-                bit = self._space.intern(rumor)
-                if bit >= coverage_len:
-                    self._coverage.append(0)
-                    coverage_len += 1
-                flag = 1 << bit
-                if not mine & flag:
-                    added |= flag
+                incoming |= 1 << self._space.intern(rumor)
+        mine = self._row_mask(i)
         changed = False
-        if added:
-            self._masks[i] = mine | added
-            coverage = self._coverage
-            bits = added
-            while bits:
-                low = bits & -bits
-                coverage[low.bit_length() - 1] += 1
-                bits ^= low
+        if incoming & ~mine:
+            self._ensure_bit(incoming.bit_length() - 1)
+            self._or_row_storage(i, incoming)
+            self._masks_cache[i] = mine | incoming
+            self._snapshots[i] = None
             changed = True
         board = self._notes[i]
         for origin, note in payload.notes:
             current = board.get(origin)
             if current is None or note.version > current.version:
                 board[origin] = note
+                self._snapshots[i] = None
                 changed = True
-        if changed:
-            self._snapshots[i] = None
         return changed
+
+    # -- array kernels (the vector fast path) ----------------------------
+    def _k_knows_column(self, rows: np.ndarray, rumor: Hashable) -> np.ndarray:
+        """Boolean array: whether each given state row knows ``rumor``."""
+        at = self._bit_location(rumor)
+        if at is None:
+            return np.zeros(rows.shape[0], dtype=bool)
+        w, bit = at
+        return (self._words[rows, w] & bit) != 0
+
+    def _k_knows_pairs(self, rows: np.ndarray, bits: np.ndarray) -> np.ndarray:
+        """Boolean array: whether state row ``rows[k]`` has bit ``bits[k]``
+        set (``False`` for bit ``-1``, a rumor never interned)."""
+        out = np.zeros(rows.shape[0], dtype=bool)
+        ok = bits >= 0
+        bit = bits[ok]
+        values = self._words[rows[ok], bit >> 6]
+        out[ok] = (values >> (bit & 63).astype(np.uint64)) & np.uint64(1) != 0
+        return out

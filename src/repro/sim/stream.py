@@ -53,7 +53,8 @@ from repro.graphs.latency_graph import LatencyGraph
 from repro.obs.metrics import default_registry
 from repro.obs.telemetry import PhaseTiming
 from repro.sim.metrics import DisseminationResult
-from repro.sim.vector import VectorEngine, VectorState, _DeliveryStage
+from repro.sim.state import VectorState
+from repro.sim.vector import VectorEngine, _DeliveryStage
 
 __all__ = ["StreamReport", "run_streamed_all_to_all"]
 

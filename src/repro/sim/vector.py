@@ -5,7 +5,8 @@ calls each round, which caps experiments near ``n ≈ 10⁴``.  This module
 provides a second backend, :class:`VectorEngine`, that advances an entire
 round as a handful of numpy array operations:
 
-* **State** is a packed bitset (:class:`VectorState`, see below), so
+* **State** is the one packed bitset
+  (:class:`~repro.sim.state.VectorState`, see below), so
   merging all of a round's deliveries is one duplicate-safe segmented
   OR (:func:`_merge_by_row`) instead of per-exchange Python merges.
 * **Partner selection** reads a CSR layout built from
@@ -42,9 +43,11 @@ round as a handful of numpy array operations:
 
 State layout (the ``n = 10⁶`` memory story)
 -------------------------------------------
-:class:`VectorState` stores one ``n × ceil(B/64)`` uint64 bitset matrix
-(``B`` = rumor-space size), ``n·⌈B/64⌉·8`` bytes, grown by doubling its
-width in place; its layout label is the constant ``"dense"``.  A
+:class:`~repro.sim.state.VectorState` stores one ``n × ceil(B/64)``
+uint64 bitset matrix (``B`` = rumor-space size), ``n·⌈B/64⌉·8`` bytes,
+grown by at least doubling its width in place (seeding every node's own
+id widens it once, to the exact width); its layout label is the
+constant ``"dense"``.  A
 broadcast (one rumor) is the one-word case: ``8·n`` bytes.  An
 all-to-all at ``n = 10⁶`` would need ~125 GB, so that run is the
 streamed one (:mod:`repro.sim.stream`), which replays rumor blocks
@@ -132,14 +135,13 @@ from repro.sim.failures import FailureModel
 from repro.sim.invariants import InvariantChecker
 from repro.sim.metrics import EngineMetrics
 from repro.sim.programs import ProgramProtocol
-from repro.sim.state import NetworkState, Note, Payload, _RumorSpace
+from repro.sim.state import VectorState, _popcount_rows
 from repro.sim.streams import SeedStream, StreamWindow, seed_key
 
 __all__ = [
     "ObliviousCohort",
     "ObliviousProtocol",
     "VectorProgram",
-    "VectorState",
     "VectorEngine",
     "ENGINE_BACKENDS",
     "current_engine_backend",
@@ -148,24 +150,6 @@ __all__ = [
     "vector_backend",
     "vector_refusal",
 ]
-
-
-# ----------------------------------------------------------------------
-# Popcount: hardware instruction when numpy provides it, byte LUT otherwise.
-if hasattr(np, "bitwise_count"):
-
-    def _popcount_rows(matrix: np.ndarray) -> np.ndarray:
-        """Per-row popcount of a uint64 bit matrix (vectorized)."""
-        return np.bitwise_count(matrix).sum(axis=-1, dtype=np.int64)
-
-else:  # pragma: no cover - exercised only on numpy < 2.0
-    _POPCOUNT_LUT = np.array(
-        [bin(i).count("1") for i in range(256)], dtype=np.uint8
-    )
-
-    def _popcount_rows(matrix: np.ndarray) -> np.ndarray:
-        """Per-row popcount via a byte lookup table (numpy < 2 fallback)."""
-        return _POPCOUNT_LUT[matrix.view(np.uint8)].sum(axis=-1, dtype=np.int64)
 
 
 def _merge_by_row(
@@ -602,325 +586,6 @@ class ObliviousCohort:
         protocol = self.cls.__new__(self.cls)
         ObliviousProtocol.__init__(protocol, self.program, rng)
         return protocol
-
-
-# ----------------------------------------------------------------------
-class VectorState:
-    """Packed-bitset network state: one row of uint64 rumor bits per node.
-
-    Implements the full :class:`~repro.sim.state.NetworkState` API
-    (rumors, coverage, note boards, snapshot/merge interop via
-    :class:`~repro.sim.state.Payload`) over an ``n × words`` uint64
-    matrix, so the vector engine's array kernels and every scalar
-    consumer (completion predicates, invariant checkers, the scalar
-    engine's per-exchange step) read the same storage.
-
-    The matrix (``_words``) is one array, ``n·⌈k/64⌉·8`` bytes for ``k``
-    interned rumors.  Interning past its width rebinds ``_words`` to a
-    copy at least twice as wide, so an array held across a growth is
-    stale (a running :class:`VectorEngine` checks for that each step).
-    """
-
-    #: Layout name surfaced in metrics/manifests (``sim_state_layout``).
-    layout = "dense"
-
-    __slots__ = (
-        "_node_index",
-        "_node_list",
-        "_space",
-        "_words",
-        "_notes",
-        "_snapshots",
-        "_masks_cache",
-        "_cache_filled",
-    )
-
-    def __init__(self, nodes: Iterable[Node]) -> None:
-        self._node_index: dict[Node, int] = {}
-        self._node_list: list[Node] = []
-        for node in nodes:
-            if node not in self._node_index:
-                self._node_index[node] = len(self._node_list)
-                self._node_list.append(node)
-        n = len(self._node_list)
-        self._space = _RumorSpace()
-        self._notes: list[dict[Node, Note]] = [{} for _ in range(n)]
-        # Copy-on-write caches, invalidated per node on change (the
-        # NetworkState pattern): reused Payload snapshots and Python-int
-        # row masks, so the per-exchange path's snapshot/merge hotspots
-        # stop re-packing unchanged rows.
-        self._snapshots: list[Optional[Payload]] = [None] * n
-        self._masks_cache: list[Optional[int]] = [None] * n
-        self._cache_filled = False
-        self._init_storage(n, 0)
-
-    @classmethod
-    def from_network_state(cls, state: NetworkState) -> "VectorState":
-        """A bitset copy of a scalar state (same tokens, same bit indices).
-
-        The matrix addresses the **observed** rumor universe — one word
-        for a broadcast.
-        """
-        n = len(state._node_list)
-        out = cls.__new__(cls)
-        out._node_index = dict(state._node_index)
-        out._node_list = list(state._node_list)
-        out._space = _RumorSpace()
-        out._space.index = dict(state._space.index)
-        out._space.tokens = list(state._space.tokens)
-        out._notes = [dict(board) for board in state._notes]
-        out._snapshots = [None] * n
-        out._masks_cache = [None] * n
-        out._cache_filled = False
-        out._init_storage(n, len(state._space.tokens))
-        out._load_masks(state._masks)
-        return out
-
-    # -- storage primitives ---------------------------------------------
-    def _init_storage(self, n: int, bits: int) -> None:
-        """Allocate a zeroed matrix addressing bit indices ``0..bits-1``
-        (at least one word wide)."""
-        self._words = np.zeros((n, max(1, (bits + 63) // 64)), dtype=np.uint64)
-
-    def _ensure_bit(self, bit: int) -> None:
-        """Grow until ``bit`` is addressable, doubling the width."""
-        words = self._words
-        width = words.shape[1]
-        if bit < width * 64:
-            return
-        grown = width
-        while grown * 64 <= bit:
-            grown *= 2
-        wider = np.zeros((words.shape[0], grown), dtype=np.uint64)
-        wider[:, :width] = words
-        self._words = wider
-
-    def _set_bit(self, i: int, bit: int) -> None:
-        """Set one addressable bit in row ``i`` (no growth, no caches)."""
-        self._words[i, bit >> 6] |= np.uint64(1 << (bit & 63))
-
-    def _mask_of_row(self, i: int) -> int:
-        """Recompute row ``i`` as an arbitrary-precision Python-int bitmask."""
-        return int.from_bytes(self._words[i].tobytes(), "little")
-
-    def _or_row_storage(self, i: int, mask: int) -> None:
-        """OR an addressable ``mask`` into row ``i`` (no growth, no caches)."""
-        words = self._words
-        words[i] |= np.frombuffer(
-            mask.to_bytes(words.shape[1] * 8, "little"), dtype=np.uint64
-        )
-
-    def _load_masks(self, masks: Sequence[int]) -> None:
-        """Bulk-load per-node masks into fresh zeroed storage."""
-        words = self._words
-        size = words.shape[1] * 8
-        for i, mask in enumerate(masks):
-            if mask:
-                words[i] = np.frombuffer(
-                    mask.to_bytes(size, "little"), dtype=np.uint64
-                )
-
-    # -- packed-row plumbing --------------------------------------------
-    def _row_mask(self, i: int) -> int:
-        """Row ``i`` as a Python-int bitmask (cached until the row changes)."""
-        cached = self._masks_cache[i]
-        if cached is None:
-            cached = self._mask_of_row(i)
-            self._masks_cache[i] = cached
-            self._cache_filled = True
-        return cached
-
-    def _invalidate_rows(self, rows: np.ndarray) -> None:
-        """Drop cached masks/snapshots for rows an array kernel mutated."""
-        if not self._cache_filled:
-            return
-        snapshots = self._snapshots
-        masks = self._masks_cache
-        for i in set(rows.tolist()):
-            snapshots[i] = None
-            masks[i] = None
-
-    def _bit_location(self, rumor: Hashable) -> Optional[tuple[int, np.uint64]]:
-        """``(column, bit mask)`` of ``rumor``, or ``None`` when it was
-        never interned or lies beyond the storage."""
-        bit = self._space.index.get(rumor)
-        if bit is None or bit >= self._words.shape[1] * 64:
-            return None
-        return bit >> 6, np.uint64(1 << (bit & 63))
-
-    # -- memory accounting ----------------------------------------------
-    def state_nbytes(self) -> int:
-        """Resident bytes of the rumor-state matrix."""
-        return int(self._words.nbytes)
-
-    # -- NetworkState API -----------------------------------------------
-    def nodes(self) -> list[Node]:
-        """All nodes this state tracks, in insertion order."""
-        return list(self._node_list)
-
-    def add_rumor(self, node: Node, rumor: Hashable) -> None:
-        """Give ``node`` knowledge of ``rumor``."""
-        i = self._node_index[node]
-        bit = self._space.intern(rumor)
-        self._ensure_bit(bit)
-        self._set_bit(i, bit)
-        cached = self._masks_cache[i]
-        if cached is not None:
-            self._masks_cache[i] = cached | (1 << bit)
-        self._snapshots[i] = None
-
-    def seed_self_rumors(self) -> None:
-        """Give every node its own id as a rumor (all-to-all dissemination)."""
-        for node in self._node_list:
-            self.add_rumor(node, node)
-
-    def rumors(self, node: Node) -> frozenset:
-        """The rumors ``node`` currently knows."""
-        return self._space.unpack(self._row_mask(self._node_index[node]))
-
-    def rumor_count(self, node: Node) -> int:
-        """How many rumors ``node`` knows (one vectorized popcount)."""
-        return int(_popcount_rows(self._words[self._node_index[node]]))
-
-    def min_rumor_count(self) -> int:
-        """The smallest per-node rumor count (one matrix popcount).
-
-        Multi-rumor phase gates ("every node knows >= m rumors") reduce to
-        ``min_rumor_count() >= m``; see
-        :func:`~repro.sim.runner.min_rumors_complete`.
-        """
-        if not self._node_list:
-            return 0
-        return int(_popcount_rows(self._words).min())
-
-    def knows(self, node: Node, rumor: Hashable) -> bool:
-        """Whether ``node`` knows ``rumor``."""
-        at = self._bit_location(rumor)
-        if at is None:
-            return False
-        w, bit = at
-        return bool(self._words[self._node_index[node], w] & bit)
-
-    def count_knowing(self, rumor: Hashable) -> int:
-        """How many nodes know ``rumor`` (one column reduction)."""
-        at = self._bit_location(rumor)
-        if at is None:
-            return 0
-        w, bit = at
-        return int(np.count_nonzero(self._words[:, w] & bit))
-
-    def knows_every(
-        self, nodes: Iterable[Node], rumors: Iterable[Hashable]
-    ) -> bool:
-        """Whether every node in ``nodes`` knows every rumor in ``rumors``.
-
-        One vectorized mask comparison over the packed rows instead of
-        materializing per-node rumor frozensets (which is O(n²) on an
-        all-to-all completeness check).
-        """
-        index = self._space.index
-        words = self._words
-        width = words.shape[1]
-        required = np.zeros(width, dtype=np.uint64)
-        for rumor in rumors:
-            bit = index.get(rumor)
-            if bit is None or bit >= width * 64:
-                return False
-            required[bit >> 6] |= np.uint64(1 << (bit & 63))
-        rows = words[[self._node_index[node] for node in nodes]]
-        return bool(((rows & required) == required).all())
-
-    # -- notes ----------------------------------------------------------
-    def publish_note(self, origin: Node, **data: Any) -> None:
-        """Write/overwrite ``origin``'s own note, bumping its version."""
-        i = self._node_index[origin]
-        old = self._notes[i].get(origin)
-        version = (old.version + 1) if old is not None else 1
-        self._notes[i][origin] = Note(
-            version=version, data=tuple(sorted(data.items()))
-        )
-        self._snapshots[i] = None
-
-    def note_of(self, reader: Node, origin: Node) -> Optional[Note]:
-        """The note of ``origin`` as currently known by ``reader`` (or ``None``)."""
-        return self._notes[self._node_index[reader]].get(origin)
-
-    def known_note_origins(self, reader: Node) -> list[Node]:
-        """All origins whose notes ``reader`` has seen."""
-        return list(self._notes[self._node_index[reader]])
-
-    def clear_notes(self) -> None:
-        """Drop every note board."""
-        for i, board in enumerate(self._notes):
-            if board:
-                board.clear()
-                self._snapshots[i] = None
-
-    # -- exchange plumbing ----------------------------------------------
-    def snapshot(self, node: Node) -> Payload:
-        """An immutable snapshot of everything ``node`` knows right now.
-
-        Copy-on-write: the returned :class:`Payload` is cached and reused
-        until the node's rumors or note board next change, so
-        snapshotting an unchanged node is O(1) — the same contract as
-        :meth:`NetworkState.snapshot`.
-        """
-        i = self._node_index[node]
-        payload = self._snapshots[i]
-        if payload is None:
-            payload = Payload(
-                notes=tuple(self._notes[i].items()),
-                mask=self._row_mask(i),
-                space=self._space,
-            )
-            self._snapshots[i] = payload
-            self._cache_filled = True
-        return payload
-
-    def merge(self, node: Node, payload: Payload) -> bool:
-        """Merge a received snapshot; returns ``True`` if anything was new."""
-        i = self._node_index[node]
-        if payload._space is self._space and payload._mask is not None:
-            incoming = payload._mask
-        else:
-            incoming = 0
-            for rumor in payload.rumors:
-                incoming |= 1 << self._space.intern(rumor)
-        mine = self._row_mask(i)
-        changed = False
-        if incoming & ~mine:
-            self._ensure_bit(incoming.bit_length() - 1)
-            self._or_row_storage(i, incoming)
-            self._masks_cache[i] = mine | incoming
-            self._snapshots[i] = None
-            changed = True
-        board = self._notes[i]
-        for origin, note in payload.notes:
-            current = board.get(origin)
-            if current is None or note.version > current.version:
-                board[origin] = note
-                self._snapshots[i] = None
-                changed = True
-        return changed
-
-    # -- array kernels (the vector fast path) ----------------------------
-    def _k_knows_column(self, rows: np.ndarray, rumor: Hashable) -> np.ndarray:
-        """Boolean array: whether each given state row knows ``rumor``."""
-        at = self._bit_location(rumor)
-        if at is None:
-            return np.zeros(rows.shape[0], dtype=bool)
-        w, bit = at
-        return (self._words[rows, w] & bit) != 0
-
-    def _k_knows_pairs(self, rows: np.ndarray, bits: np.ndarray) -> np.ndarray:
-        """Boolean array: whether state row ``rows[k]`` has bit ``bits[k]``
-        set (``False`` for bit ``-1``, a rumor never interned)."""
-        out = np.zeros(rows.shape[0], dtype=bool)
-        ok = bits >= 0
-        bit = bits[ok]
-        values = self._words[rows[ok], bit >> 6]
-        out[ok] = (values >> (bit & 63).astype(np.uint64)) & np.uint64(1) != 0
-        return out
 
 
 # ----------------------------------------------------------------------
@@ -1381,17 +1046,14 @@ class _LDTGPlan:
 
 
 def _vector_state(graph: LatencyGraph, state: Any) -> VectorState:
-    """The bitset state a ``vector``-backend run mutates: ``state`` itself,
-    a converted copy of a :class:`NetworkState`, or a fresh one."""
+    """The state a ``vector``-backend run mutates: ``state`` itself, or a
+    fresh one."""
     if state is None:
         return VectorState(graph.nodes())
     if isinstance(state, VectorState):
         return state
-    if isinstance(state, NetworkState):
-        return VectorState.from_network_state(state)
     raise SimulationError(
-        "the vector backend needs a NetworkState or VectorState, got "
-        f"{type(state).__name__}"
+        f"the vector backend needs a VectorState, got {type(state).__name__}"
     )
 
 

@@ -21,8 +21,8 @@ from typing import Callable, Optional
 from repro.errors import SimulationError
 from repro.graphs.latency_graph import LatencyGraph, Node
 from repro.sim.engine import Engine, ProtocolFactory
-from repro.sim.state import NetworkState
-from repro.testing.reference import ReferenceEngine
+from repro.sim.state import VectorState
+from repro.testing.reference import ReferenceEngine, ReferenceNetworkState
 
 __all__ = [
     "DifferentialReport",
@@ -55,7 +55,10 @@ class DifferentialReport:
 
 
 def _knowledge_mismatches(
-    graph: LatencyGraph, round_number: int, state: NetworkState, reference: NetworkState
+    graph: LatencyGraph,
+    round_number: int,
+    state: VectorState,
+    reference: ReferenceNetworkState,
 ) -> list[str]:
     out = []
     for node in graph.nodes():
@@ -73,8 +76,10 @@ def _knowledge_mismatches(
 def run_differential(
     graph: LatencyGraph,
     make_factory: Callable[[], ProtocolFactory],
-    make_state: Optional[Callable[[], NetworkState]] = None,
-    make_reference_state: Optional[Callable[[], NetworkState]] = None,
+    make_state: Optional[Callable[[], VectorState]] = None,
+    make_reference_state: Optional[
+        Callable[[], VectorState | ReferenceNetworkState]
+    ] = None,
     predicate: Optional[Callable] = None,
     latencies_known: bool = False,
     fresh_snapshots: bool = False,
@@ -97,14 +102,16 @@ def run_differential(
         state and RNG streams.
     make_state:
         Optional zero-argument builder for the initial
-        :class:`NetworkState` (e.g. seeding the source rumor); called once
+        :class:`VectorState` (e.g. seeding the source rumor); called once
         per engine.  Defaults to each engine's own default state, which
         cross-tests the bitset-backed production state against the
         set-backed reference state for free.
     make_reference_state:
         Optional separate state builder for the reference engine; defaults
-        to ``make_state``.  Pass distinct builders to pit the two state
-        backends against each other on a seeded initial state.
+        to ``make_state``.  Pass a
+        :class:`~repro.testing.reference.ReferenceNetworkState` builder to
+        pit the production state against the oracle on a seeded initial
+        state.
     predicate:
         Completion condition evaluated against each engine (e.g.
         ``broadcast_complete(rumor)``).  Defaults to ``all_done()``.

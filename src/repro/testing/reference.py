@@ -30,7 +30,7 @@ from repro.graphs.latency_graph import LatencyGraph, Node
 from repro.sim.engine import Delivery, NodeContext, NodeProtocol, ProtocolFactory
 from repro.sim.failures import FailureModel
 from repro.sim.metrics import EngineMetrics
-from repro.sim.state import NetworkState, Note, Payload
+from repro.sim.state import Note, Payload, VectorState
 
 __all__ = ["ReferenceEngine", "ReferenceNetworkState"]
 
@@ -38,15 +38,14 @@ _EMPTY_PAYLOAD = Payload(rumors=frozenset(), notes=())
 
 
 class ReferenceNetworkState:
-    """The original hash-set-backed :class:`~repro.sim.state.NetworkState`.
+    """The naive rumor state: one hash set of rumors per node.
 
-    One plain ``set`` per node, no interning, no caches: this is the
-    pre-optimization data layout, preserved verbatim as the oracle the
-    bitset-backed production state is checked against (see
-    ``tests/test_state_equivalence.py`` and the differential suites).  It
-    mirrors the full ``NetworkState`` API and ships interchangeable
-    :class:`~repro.sim.state.Payload` objects, so either state backend can
-    drive either engine.
+    One plain ``set`` per node, no interning, no caches: the oracle the
+    bitset-backed production :class:`~repro.sim.state.VectorState` is
+    checked against (see ``tests/test_state_equivalence.py`` and the
+    differential suites).  It mirrors the full ``VectorState`` API and
+    ships interchangeable :class:`~repro.sim.state.Payload` objects, so
+    either state can drive either engine.
     """
 
     def __init__(self, nodes: Iterable[Node]) -> None:
@@ -69,6 +68,9 @@ class ReferenceNetworkState:
 
     def rumor_count(self, node: Node) -> int:
         return len(self._rumors[node])
+
+    def min_rumor_count(self) -> int:
+        return min((len(rumors) for rumors in self._rumors.values()), default=0)
 
     def knows(self, node: Node, rumor: Any) -> bool:
         return rumor in self._rumors[node]
@@ -157,7 +159,7 @@ class ReferenceEngine:
         self,
         graph: LatencyGraph,
         protocol_factory: ProtocolFactory,
-        state: Optional["NetworkState | ReferenceNetworkState"] = None,
+        state: Optional["VectorState | ReferenceNetworkState"] = None,
         latencies_known: bool = False,
         fresh_snapshots: bool = False,
         failure_model: Optional[FailureModel] = None,

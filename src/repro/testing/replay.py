@@ -31,7 +31,7 @@ from repro.obs.recorder import Recorder
 from repro.obs.traces import Trace, diff_traces
 from repro.sim.engine import Engine, NodeContext, NodeProtocol, ProtocolFactory
 from repro.sim.metrics import EngineMetrics
-from repro.sim.state import NetworkState
+from repro.sim.state import VectorState
 
 __all__ = ["ReplayReport", "ScheduledProtocol", "replay", "record_and_replay"]
 
@@ -108,7 +108,7 @@ def replay(
     events: Iterable[Event],
     graph: LatencyGraph,
     rounds: int,
-    state: Optional[NetworkState] = None,
+    state: Optional[VectorState] = None,
     latencies_known: bool = False,
     fresh_snapshots: bool = False,
     expected_metrics: Optional[EngineMetrics] = None,
@@ -175,7 +175,7 @@ def replay(
 def record_and_replay(
     graph: LatencyGraph,
     make_factory: Callable[[], ProtocolFactory],
-    make_state: Optional[Callable[[], NetworkState]] = None,
+    make_state: Optional[Callable[[], VectorState]] = None,
     predicate: Optional[Callable[[Engine], bool]] = None,
     latencies_known: bool = False,
     fresh_snapshots: bool = False,
@@ -189,7 +189,7 @@ def record_and_replay(
     metrics.
     """
     recorder = Recorder.in_memory()
-    state = make_state() if make_state is not None else NetworkState(graph.nodes())
+    state = make_state() if make_state is not None else VectorState(graph.nodes())
     engine = Engine(
         graph,
         make_factory(),
@@ -206,7 +206,7 @@ def record_and_replay(
             )
         engine.step()
     replay_state = (
-        make_state() if make_state is not None else NetworkState(graph.nodes())
+        make_state() if make_state is not None else VectorState(graph.nodes())
     )
     return replay(
         recorder.events,

@@ -10,11 +10,11 @@ from repro.protocols.dtg import ldtg_factory
 from repro.protocols.discovery import LatencyDiscoveryProtocol
 from repro.protocols.push_pull import PushPullProtocol
 from repro.sim.engine import Engine
-from repro.sim.state import NetworkState
+from repro.sim.state import VectorState
 
 
 def run_blocking_phase(graph, factory, max_rounds=100_000, latencies_known=True):
-    state = NetworkState(graph.nodes())
+    state = VectorState(graph.nodes())
     state.seed_self_rumors()
     engine = Engine(
         graph,

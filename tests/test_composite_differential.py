@@ -9,8 +9,8 @@ crashes, caps or a recorder fall back to the scalar engine over the
 the all-scalar run — same per-phase rounds and exchanges, same totals,
 same final per-node knowledge — for EID, a chained ℓ-DTG schedule, and
 Path Discovery's ``T(k)`` sequence, crossed with crash schedules,
-incoming caps, and a vector leg that starts from a
-:class:`~repro.sim.vector.VectorState`.
+incoming caps, and a scalar leg over the set-backed
+:class:`~repro.testing.reference.ReferenceNetworkState`.
 
 The golden leg records one composite EID run and pins the event stream
 byte for byte: the scalar run blesses the file, and the vector run must
@@ -38,9 +38,13 @@ from repro.protocols.dtg import ldtg_factory
 from repro.protocols.eid import run_eid
 from repro.protocols.path_discovery import run_t_sequence
 from repro.sim import invariants
-from repro.sim.state import NetworkState
-from repro.sim.vector import VectorState
-from repro.testing import connected_latency_graphs, crash_schedules, seeds
+from repro.sim.state import VectorState
+from repro.testing import (
+    ReferenceNetworkState,
+    connected_latency_graphs,
+    crash_schedules,
+    seeds,
+)
 
 GOLDEN_DIR = pathlib.Path(__file__).parent / "golden"
 
@@ -78,13 +82,11 @@ CRASH_MAX_ROUNDS = 600
 
 
 def run_composite(
-    name, graph, backend, engine_kwargs=None, vector_state=False, max_rounds=5_000
+    name, graph, backend, engine_kwargs=None, state_cls=VectorState, max_rounds=5_000
 ):
     """One all-to-all-seeded composite run; returns the finished runner."""
-    state = NetworkState(graph.nodes())
+    state = state_cls(graph.nodes())
     state.seed_self_rumors()
-    if vector_state:
-        state = VectorState.from_network_state(state)
     runner = PhaseRunner(
         graph, state=state, backend=backend, engine_kwargs=engine_kwargs
     )
@@ -94,7 +96,7 @@ def run_composite(
 
 def run_crash_leg(name, graph, backend, engine_kwargs):
     """A phase-bounded composite run; returns ``(runner, parked)``."""
-    state = NetworkState(graph.nodes())
+    state = VectorState(graph.nodes())
     state.seed_self_rumors()
     runner = PhaseRunner(graph, state=state, backend=backend, engine_kwargs=engine_kwargs)
     try:
@@ -149,9 +151,12 @@ class TestCompositeMatrix:
     @given(connected_latency_graphs(min_nodes=4, max_nodes=9))
     @settings(max_examples=5, deadline=None)
     def test_layout_family_agrees(self, name, graph):
-        # The vector leg starts from the bitset layout itself.
-        scalar = run_composite(name, graph, backend=None)
-        vector = run_composite(name, graph, backend="vector", vector_state=True)
+        # The scalar leg runs over the set-backed oracle state, the
+        # vector leg over the caller-built bitset state.
+        scalar = run_composite(
+            name, graph, backend=None, state_cls=ReferenceNetworkState
+        )
+        vector = run_composite(name, graph, backend="vector")
         assert_composites_agree(graph, scalar, vector)
 
     @given(connected_latency_graphs(min_nodes=4, max_nodes=9), seeds(100))

@@ -32,7 +32,7 @@ from repro.protocols.unified import run_unified
 from repro.sim.engine import Engine
 from repro.sim.failures import MessageLoss
 from repro.sim.runner import broadcast_complete
-from repro.sim.state import NetworkState
+from repro.sim.state import VectorState
 from repro.testing import record_and_replay, replay
 
 
@@ -116,7 +116,7 @@ class TestReplayOracle:
         rumor = ("rumor", source)
 
         def make_state():
-            state = NetworkState(graph.nodes())
+            state = VectorState(graph.nodes())
             state.add_rumor(source, rumor)
             return state
 
@@ -150,7 +150,7 @@ class TestReplayOracle:
         """The oracle sees knowledge: the first delivery merges differently."""
         graph = small_graph()
         events, _ = _recorded_push_pull(graph, rounds=20)
-        wrong = NetworkState(graph.nodes())
+        wrong = VectorState(graph.nodes())
         wrong.add_rumor(graph.nodes()[0], "only rumor")
         with pytest.raises(SimulationError, match="replay diverged") as error:
             replay(events, graph, rounds=20, state=wrong)
@@ -202,7 +202,7 @@ class TestReplayOracle:
 
 
 def _self_rumors(graph):
-    state = NetworkState(graph.nodes())
+    state = VectorState(graph.nodes())
     state.seed_self_rumors()
     return state
 

@@ -20,7 +20,7 @@ from repro.protocols.push_pull import PushPullProtocol
 from repro.sim.engine import Engine, NodeProtocol
 from repro.sim.failures import MessageLoss
 from repro.sim.runner import broadcast_complete
-from repro.sim.state import NetworkState
+from repro.sim.state import VectorState
 from repro.testing import (
     ReferenceEngine,
     assert_engines_agree,
@@ -38,7 +38,7 @@ def broadcast_setup(graph):
     rumor = ("rumor", source)
 
     def make_state():
-        state = NetworkState(graph.nodes())
+        state = VectorState(graph.nodes())
         state.add_rumor(source, rumor)
         return state
 

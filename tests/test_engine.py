@@ -7,7 +7,7 @@ import pytest
 from repro.errors import ProtocolError, SimulationError
 from repro.graphs.latency_graph import LatencyGraph
 from repro.sim.engine import Delivery, Engine, NodeContext, NodeProtocol
-from repro.sim.state import NetworkState
+from repro.sim.state import VectorState
 
 
 class Idle(NodeProtocol):
@@ -56,7 +56,7 @@ class TestExchangeSemantics:
         assert not engine.protocol(1).deliveries[0].initiated_by_me
 
     def test_knowledge_merged_both_ways(self):
-        state = NetworkState([0, 1])
+        state = VectorState([0, 1])
         state.add_rumor(0, "a")
         state.add_rumor(1, "b")
         engine = Engine(
@@ -72,7 +72,7 @@ class TestExchangeSemantics:
         assert state.knows(0, "b")
 
     def test_snapshot_taken_at_initiation(self):
-        state = NetworkState([0, 1])
+        state = VectorState([0, 1])
         engine = Engine(
             pair_graph(3),
             lambda v: ContactOnce(1 if v == 0 else None),
@@ -85,7 +85,7 @@ class TestExchangeSemantics:
         assert not state.knows(1, "late")
 
     def test_fresh_snapshot_mode_ships_delivery_time_state(self):
-        state = NetworkState([0, 1])
+        state = VectorState([0, 1])
         engine = Engine(
             pair_graph(3),
             lambda v: ContactOnce(1 if v == 0 else None),
@@ -194,7 +194,7 @@ class TestRunLoop:
             engine.run(max_rounds=10)
 
     def test_done_nodes_stop_initiating_but_respond(self):
-        state = NetworkState([0, 1])
+        state = VectorState([0, 1])
         state.add_rumor(1, "from-done")
 
         class DoneImmediately(NodeProtocol):

@@ -22,7 +22,7 @@ from repro.sim.failures import (
     NoFailures,
 )
 from repro.sim.runner import broadcast_complete
-from repro.sim.state import NetworkState
+from repro.sim.state import VectorState
 
 
 class ContactForever(NodeProtocol):
@@ -126,7 +126,7 @@ class TestEngineWithFailures:
 
     def test_crashed_responder_voids_exchange(self):
         g = LatencyGraph(edges=[(0, 1, 5)])
-        state = NetworkState([0, 1])
+        state = VectorState([0, 1])
         state.add_rumor(0, "x")
         engine = Engine(
             g,
@@ -141,7 +141,7 @@ class TestEngineWithFailures:
 
     def test_crashed_initiator_still_informs_responder(self):
         g = LatencyGraph(edges=[(0, 1, 5)])
-        state = NetworkState([0, 1])
+        state = VectorState([0, 1])
         state.add_rumor(0, "x")
 
         def factory(v):
@@ -215,7 +215,7 @@ class TestBoundedInDegree:
 
         def run(cap):
             rumor = ("rumor", 0)
-            state = NetworkState(star.nodes())
+            state = VectorState(star.nodes())
             state.add_rumor(0, rumor)
             make_rng = per_node_rng_factory(4)
             engine = Engine(
@@ -238,7 +238,7 @@ class TestBoundedInDegree:
     def test_cap_still_completes(self):
         g = generators.random_regular(16, 4, rng=random.Random(5))
         rumor = ("rumor", 0)
-        state = NetworkState(g.nodes())
+        state = VectorState(g.nodes())
         state.add_rumor(0, rumor)
         make_rng = per_node_rng_factory(5)
         engine = Engine(
@@ -256,7 +256,7 @@ class TestBoundedInDegree:
 class TestMessageAccounting:
     def test_tokens_counted(self):
         g = LatencyGraph(edges=[(0, 1, 1)])
-        state = NetworkState([0, 1])
+        state = VectorState([0, 1])
         state.add_rumor(0, "a")
         state.add_rumor(0, "b")
         state.add_rumor(1, "c")
@@ -271,7 +271,7 @@ class TestMessageAccounting:
         from repro.protocols.discovery import LatencyDiscoveryProtocol
 
         g = LatencyGraph(edges=[(0, 1, 1)])
-        state = NetworkState([0, 1])
+        state = VectorState([0, 1])
         state.add_rumor(0, "a")
         engine = Engine(g, lambda v: LatencyDiscoveryProtocol(2), state=state)
         for _ in range(5):

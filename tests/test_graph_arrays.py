@@ -29,7 +29,7 @@ from repro.protocols.base import per_node_rng_factory
 from repro.protocols.push_pull import PushPullProtocol, run_push_pull
 from repro.sim import stream
 from repro.sim.runner import broadcast_complete
-from repro.sim.state import NetworkState
+from repro.sim.state import VectorState
 from repro.sim.vector import VectorEngine, _csr_arrays, _repr_ranks
 
 
@@ -413,7 +413,7 @@ class TestVectorRunsNeverBuildTheDict:
         through the edge arrays, not the dict."""
         engines = []
         for g in graphs:
-            state = NetworkState(g.nodes())
+            state = VectorState(g.nodes())
             state.add_rumor(0, "r")
             make_rng = per_node_rng_factory(3)
             engine = VectorEngine(

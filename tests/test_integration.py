@@ -18,7 +18,7 @@ from repro.protocols.eid import run_eid, run_general_eid
 from repro.protocols.flooding import run_flooding
 from repro.protocols.path_discovery import run_path_discovery, run_t_sequence
 from repro.protocols.push_pull import run_push_pull
-from repro.sim.state import NetworkState
+from repro.sim.state import VectorState
 
 
 GRAPHS = {

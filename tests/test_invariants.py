@@ -8,6 +8,7 @@ round-stamped message.
 
 import json
 
+import numpy as np
 import pytest
 
 from repro.errors import SimulationError
@@ -33,13 +34,13 @@ from repro.sim.invariants import (
     default_checkers,
 )
 from repro.sim.runner import broadcast_complete
-from repro.sim.state import NetworkState, Payload
+from repro.sim.state import Payload, VectorState
 
 
 def make_push_pull_engine(graph, seed=0, engine_cls=Engine, **kwargs):
     source = graph.nodes()[0]
     rumor = ("rumor", source)
-    state = NetworkState(graph.nodes())
+    state = VectorState(graph.nodes())
     state.add_rumor(source, rumor)
     make_rng = per_node_rng_factory(seed)
     engine = engine_cls(
@@ -187,7 +188,7 @@ class DoubleInitiation(Engine):
         super()._initiate(initiator, responder)
 
 
-class ForgetfulState(NetworkState):
+class ForgetfulState(VectorState):
     """Drops a previously known rumor after enough merges (amnesia bug)."""
 
     def __init__(self, nodes):
@@ -199,11 +200,12 @@ class ForgetfulState(NetworkState):
         self._merges += 1
         if self._merges == 40:
             i = self._node_index[node]
-            mask = self._masks[i]
-            if mask:  # clear the lowest set bit: one rumor forgotten
-                low = mask & -mask
-                self._masks[i] = mask ^ low
-                self._coverage[low.bit_length() - 1] -= 1
+            row = self._words[i]
+            words = np.flatnonzero(row)
+            if words.size:  # clear the lowest set bit: one rumor forgotten
+                word = int(row[words[0]])
+                row[words[0]] = word & (word - 1)
+                self._masks_cache[i] = None
                 self._snapshots[i] = None
         return changed
 
@@ -227,7 +229,7 @@ class EarlyVoidOnCrash(Engine):
         self._in_flight.setdefault(due - 1, []).append(exchange)
 
 
-class LossyMergeState(NetworkState):
+class LossyMergeState(VectorState):
     """Silently drops one rumor from every received payload (lossy merge)."""
 
     def merge(self, node, payload):

@@ -39,7 +39,7 @@ from repro.protocols.base import per_node_rng_factory
 from repro.protocols.push_pull import PushPullProtocol, run_push_pull
 from repro.sim.engine import Engine
 from repro.sim.failures import MessageLoss
-from repro.sim.state import NetworkState
+from repro.sim.state import VectorState
 from repro.testing.strategies import connected_latency_graphs, seeds
 
 
@@ -290,7 +290,7 @@ class TestMetricsSink:
         from repro.graphs import generators
 
         graph = generators.ring_of_cliques(3, 4, inter_latency=5, rng=random.Random(0))
-        state = NetworkState(graph.nodes())
+        state = VectorState(graph.nodes())
         state.seed_self_rumors()
         make_rng = per_node_rng_factory(3)
         memory = MemorySink()

@@ -27,7 +27,7 @@ from repro.protocols.push_pull import PushPullProtocol, run_push_pull
 from repro.sim.engine import Engine
 from repro.sim.invariants import default_checkers
 from repro.sim.runner import broadcast_complete, run_until_complete
-from repro.sim.state import NetworkState
+from repro.sim.state import VectorState
 from repro.testing.strategies import (
     connected_latency_graphs,
     crash_schedules,
@@ -39,7 +39,7 @@ from repro.testing.strategies import (
 def _broadcast_state(graph):
     source = graph.nodes()[0]
     rumor = ("rumor", source)
-    state = NetworkState(graph.nodes())
+    state = VectorState(graph.nodes())
     state.add_rumor(source, rumor)
     return source, rumor, state
 

@@ -14,8 +14,9 @@ from repro.sim.engine import Engine
 from repro.sim.failures import CrashSchedule
 from repro.sim.invariants import default_checkers
 from repro.sim.runner import min_rumors_complete
-from repro.sim.state import NetworkState
-from repro.sim.vector import VectorProgram, VectorState
+from repro.sim.state import VectorState
+from repro.sim.vector import VectorProgram
+from repro.testing import ReferenceNetworkState
 
 
 class TestPerNodeRng:
@@ -47,7 +48,7 @@ class TestPhaseRunner:
 
     def test_external_state_not_reseeded(self):
         g = generators.path(3)
-        state = NetworkState(g.nodes())
+        state = VectorState(g.nodes())
         runner = PhaseRunner(g, state=state)
         assert runner.state.rumors(0) == frozenset()
 
@@ -400,15 +401,15 @@ class TestBackendDispatch:
             )
             return runner
 
-        def seeded():
-            state = NetworkState(g.nodes())
+        def seeded(state_cls):
+            state = state_cls(g.nodes())
             state.add_rumor(g.nodes()[0], "seed")
             return state
 
-        vstate = VectorState.from_network_state(seeded())
+        vstate = seeded(VectorState)
         assert vstate._words.shape == (n, 1)
         vector = run(vstate, "vector")
-        scalar = run(seeded(), "scalar")
+        scalar = run(seeded(ReferenceNetworkState), "scalar")
         assert vector.state is vstate
         assert [p.backend for p in vector.phases] == ["vector", "vector"]
         assert vstate.layout == "dense"

@@ -6,7 +6,7 @@ from repro.errors import ProtocolError
 from repro.graphs.latency_graph import LatencyGraph
 from repro.sim.engine import Engine
 from repro.sim.programs import ProgramProtocol, contact, contact_and_wait, wait
-from repro.sim.state import NetworkState
+from repro.sim.state import VectorState
 
 
 class Recorder(ProgramProtocol):
@@ -119,7 +119,7 @@ class TestLifecycle:
 
     def test_knowledge_flows_during_program(self):
         graph = LatencyGraph(edges=[(0, 1, 2)])
-        state = NetworkState([0, 1])
+        state = VectorState([0, 1])
         state.add_rumor(1, "secret")
 
         captured = {}

@@ -13,7 +13,7 @@ from repro.graphs.latency_graph import LatencyGraph
 from repro.lowerbounds.game import GuessingGame
 from repro.protocols.path_discovery import t_sequence
 from repro.protocols.spanner import baswana_sen_spanner
-from repro.sim.state import NetworkState
+from repro.sim.state import VectorState
 
 
 # ---------------------------------------------------------------------------
@@ -221,14 +221,14 @@ class TestSpannerProperties:
 
 
 # ---------------------------------------------------------------------------
-# NetworkState invariants
+# VectorState invariants
 # ---------------------------------------------------------------------------
 
 class TestStateProperties:
     @given(st.lists(st.integers(min_value=0, max_value=4), max_size=30))
     @settings(max_examples=40, deadline=None)
     def test_rumor_sets_grow_monotonically(self, merge_sequence):
-        state = NetworkState(range(5))
+        state = VectorState(range(5))
         state.seed_self_rumors()
         sizes = {v: 1 for v in range(5)}
         for target in merge_sequence:
@@ -241,7 +241,7 @@ class TestStateProperties:
     @given(st.integers(min_value=1, max_value=20))
     @settings(max_examples=20, deadline=None)
     def test_merge_idempotent(self, repeats):
-        state = NetworkState([0, 1])
+        state = VectorState([0, 1])
         state.add_rumor(0, "x")
         snapshot = state.snapshot(0)
         state.merge(1, snapshot)

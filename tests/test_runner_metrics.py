@@ -1,5 +1,6 @@
 """Tests for the run helpers, completion predicates, and result records."""
 
+import random
 import types
 
 import pytest
@@ -7,8 +8,9 @@ import pytest
 from repro.errors import SimulationError
 from repro.graphs import generators
 from repro.graphs.latency_graph import LatencyGraph
+from repro.obs.metrics import default_registry, reset_metrics
 from repro.protocols.base import per_node_rng_factory
-from repro.protocols.push_pull import PushPullProtocol
+from repro.protocols.push_pull import PushPullProtocol, run_push_pull
 from repro.sim.engine import Engine, NodeProtocol
 from repro.sim.metrics import DisseminationResult
 from repro.sim.runner import (
@@ -17,8 +19,8 @@ from repro.sim.runner import (
     local_broadcast_complete,
     run_until_complete,
 )
-from repro.sim.state import NetworkState
-from repro.sim.vector import VectorState
+from repro.sim.state import VectorState
+from repro.testing.reference import ReferenceNetworkState
 
 
 class Idle(NodeProtocol):
@@ -38,7 +40,7 @@ def push_pull_engine(graph, state=None, seed=0):
 class TestPredicates:
     def test_broadcast_complete(self):
         g = generators.path(3)
-        state = NetworkState(g.nodes())
+        state = VectorState(g.nodes())
         engine = Engine(g, lambda v: Idle(), state=state)
         predicate = broadcast_complete("r")
         assert not predicate(engine)
@@ -46,7 +48,7 @@ class TestPredicates:
             state.add_rumor(node, "r")
         assert predicate(engine)
 
-    @pytest.mark.parametrize("state_cls", [NetworkState, VectorState])
+    @pytest.mark.parametrize("state_cls", [VectorState, ReferenceNetworkState])
     def test_broadcast_complete_ignores_extra_state_nodes(self, state_cls):
         """The coverage counter reaches n through a node outside the
         graph; the exact check must still see the graph node that does
@@ -63,7 +65,7 @@ class TestPredicates:
 
     def test_all_to_all_complete(self):
         g = generators.path(3)
-        state = NetworkState(g.nodes())
+        state = VectorState(g.nodes())
         state.seed_self_rumors()
         engine = Engine(g, lambda v: Idle(), state=state)
         predicate = all_to_all_complete()
@@ -75,7 +77,7 @@ class TestPredicates:
 
     def test_local_broadcast_complete_unfiltered(self):
         g = LatencyGraph(edges=[(0, 1, 1), (1, 2, 9)])
-        state = NetworkState(g.nodes())
+        state = VectorState(g.nodes())
         state.seed_self_rumors()
         engine = Engine(g, lambda v: Idle(), state=state)
         predicate = local_broadcast_complete()
@@ -88,7 +90,7 @@ class TestPredicates:
 
     def test_local_broadcast_latency_filter(self):
         g = LatencyGraph(edges=[(0, 1, 1), (1, 2, 9)])
-        state = NetworkState(g.nodes())
+        state = VectorState(g.nodes())
         state.seed_self_rumors()
         state.add_rumor(0, 1)
         state.add_rumor(1, 0)
@@ -97,8 +99,83 @@ class TestPredicates:
         assert local_broadcast_complete(1)(engine)
         assert not local_broadcast_complete(9)(engine)
 
+    def test_local_broadcast_stays_within_knows_budget(self, monkeypatch):
+        """Over a Lemma 3 reduction run the predicate asks ``knows`` at
+        most once per ℓ-pair plus once per call: known pairs leave its
+        frontier instead of being re-walked every round."""
+        from repro.graphs.gadgets import guessing_gadget, random_target
+        from repro.lowerbounds import reduction
+
+        knows_calls = predicate_calls = 0
+
+        class CountingState(VectorState):
+            __slots__ = ()
+
+            def knows(self, node, rumor):
+                nonlocal knows_calls
+                knows_calls += 1
+                return super().knows(node, rumor)
+
+        def counted(max_latency=None):
+            inner = local_broadcast_complete(max_latency)
+
+            def predicate(engine):
+                nonlocal predicate_calls
+                predicate_calls += 1
+                return inner(engine)
+
+            return predicate
+
+        monkeypatch.setattr(reduction, "VectorState", CountingState)
+        monkeypatch.setattr(reduction, "local_broadcast_complete", counted)
+        gadget = guessing_gadget(6, random_target(6, 0.4, random.Random(2)))
+        make_rng = per_node_rng_factory(2)
+        outcome = reduction.simulate_gossip_as_guessing(
+            gadget, lambda node: PushPullProtocol(make_rng(node))
+        )
+        graph, fast = gadget.graph, gadget.fast_latency
+        pairs = sum(
+            1
+            for node in graph.nodes()
+            for latency in graph.neighbor_latencies(node).values()
+            if latency <= fast
+        )
+        assert outcome.gossip_complete and outcome.gossip_rounds > 1
+        assert knows_calls <= pairs + predicate_calls
+
+    def test_local_broadcast_predicate_follows_a_new_engine(self):
+        """One predicate object asked about a second engine (a new state)
+        rebuilds its frontier rather than trusting the first one's."""
+        g = LatencyGraph(edges=[(0, 1, 1), (1, 2, 1)])
+        predicate = local_broadcast_complete()
+        done = VectorState(g.nodes())
+        done.seed_self_rumors()
+        for u, v in [(0, 1), (1, 0), (1, 2), (2, 1)]:
+            done.add_rumor(u, v)
+        assert predicate(Engine(g, lambda v: Idle(), state=done))
+        fresh = VectorState(g.nodes())
+        fresh.seed_self_rumors()
+        assert not predicate(Engine(g, lambda v: Idle(), state=fresh))
+        fresh.add_rumor(0, 1)
+        fresh.add_rumor(1, 0)
+        fresh.add_rumor(1, 2)
+        assert not predicate(Engine(g, lambda v: Idle(), state=fresh))
+        fresh.add_rumor(2, 1)
+        assert predicate(Engine(g, lambda v: Idle(), state=fresh))
+
 
 class TestRunUntilComplete:
+    def test_scalar_push_pull_reports_dense_layout(self):
+        """The scalar engine runs over the one rumor state, so its
+        ``sim_state_layout`` gauge reads ``dense`` like the vector one."""
+        reset_metrics()
+        try:
+            run_push_pull(generators.clique(8), seed=1, backend="scalar")
+            cells = default_registry().collect()["sim_state_layout"]["values"]
+            assert {cell["labels"]["layout"] for cell in cells} == {"dense"}
+        finally:
+            reset_metrics()
+
     def test_already_complete_runs_zero_rounds(self):
         g = generators.path(3)
         engine = push_pull_engine(g)
@@ -123,7 +200,7 @@ class TestRunUntilComplete:
 
     def test_progress_includes_final_state(self):
         g = generators.clique(6)
-        state = NetworkState(g.nodes())
+        state = VectorState(g.nodes())
         state.add_rumor(0, "r")
         engine = push_pull_engine(g, state=state, seed=2)
         result = run_until_complete(
@@ -137,7 +214,7 @@ class TestRunUntilComplete:
 
     def test_no_tracking_means_no_history(self):
         g = generators.clique(4)
-        state = NetworkState(g.nodes())
+        state = VectorState(g.nodes())
         state.add_rumor(0, "r")
         engine = push_pull_engine(g, state=state, seed=3)
         result = run_until_complete(engine, broadcast_complete("r"), "pp")

@@ -1,10 +1,10 @@
-"""Tests for NetworkState: rumor sets, note boards, snapshots, merges."""
+"""Tests for VectorState: rumor sets, note boards, snapshots, merges."""
 
-from repro.sim.state import NetworkState, Note, Payload
+from repro.sim.state import Note, Payload, VectorState
 
 
 def make_state():
-    return NetworkState(nodes=[0, 1, 2])
+    return VectorState(nodes=[0, 1, 2])
 
 
 class TestRumors:

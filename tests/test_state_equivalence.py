@@ -1,9 +1,8 @@
-"""Bitset-backed NetworkState vs the original set-backed implementation.
+"""Bitset-backed VectorState vs the naive set-backed oracle.
 
-The production :class:`~repro.sim.state.NetworkState` stores rumor sets as
-interned bitmasks with copy-on-write snapshots; the pre-optimization
-hash-set layout is preserved as
-:class:`~repro.testing.reference.ReferenceNetworkState`.  These tests run
+The production :class:`~repro.sim.state.VectorState` stores rumor sets as
+interned bitset rows with copy-on-write snapshots; the naive hash-set
+layout is kept as :class:`~repro.testing.reference.ReferenceNetworkState`.  These tests run
 random operation sequences against both backends in lockstep and demand
 identical observations — rumors, counts, notes, payloads — including when
 each backend merges payloads *built by the other one* (the foreign-payload
@@ -13,7 +12,7 @@ interning path).
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.sim.state import NetworkState, Payload
+from repro.sim.state import Payload, VectorState
 from repro.testing.reference import ReferenceNetworkState
 
 N_NODES = 5
@@ -35,7 +34,7 @@ _ops = st.lists(
 )
 
 
-def _assert_observations_equal(fast: NetworkState, ref: ReferenceNetworkState):
+def _assert_observations_equal(fast: VectorState, ref: ReferenceNetworkState):
     for node in range(N_NODES):
         assert fast.rumors(node) == ref.rumors(node)
         assert fast.rumor_count(node) == ref.rumor_count(node)
@@ -47,6 +46,7 @@ def _assert_observations_equal(fast: NetworkState, ref: ReferenceNetworkState):
             assert fast.knows(node, rumor) == ref.knows(node, rumor)
     for rumor in RUMORS + list(range(N_NODES)):
         assert fast.count_knowing(rumor) == ref.count_knowing(rumor)
+    assert fast.min_rumor_count() == ref.min_rumor_count()
     everyone = list(range(N_NODES))
     for rumors in ([], RUMORS[:1], RUMORS, everyone, RUMORS + ["never-seen"]):
         assert fast.knows_every(everyone, rumors) == ref.knows_every(everyone, rumors)
@@ -58,7 +58,7 @@ class TestBackendEquivalence:
     @given(_ops)
     @settings(max_examples=200, deadline=None)
     def test_operation_sequences_agree(self, ops):
-        fast = NetworkState(range(N_NODES))
+        fast = VectorState(range(N_NODES))
         ref = ReferenceNetworkState(range(N_NODES))
         for op in ops:
             kind = op[0]
@@ -92,7 +92,7 @@ class TestBackendEquivalence:
         _assert_observations_equal(fast, ref)
 
     def test_unknown_rumor_observations(self):
-        fast = NetworkState(range(N_NODES))
+        fast = VectorState(range(N_NODES))
         ref = ReferenceNetworkState(range(N_NODES))
         assert fast.knows(0, "never-seen") == ref.knows(0, "never-seen") is False
         assert fast.count_knowing("never-seen") == ref.count_knowing("never-seen") == 0
@@ -100,7 +100,7 @@ class TestBackendEquivalence:
 
 class TestCopyOnWriteSnapshots:
     def test_snapshot_cached_until_change(self):
-        state = NetworkState(range(3))
+        state = VectorState(range(3))
         state.add_rumor(0, "a")
         first = state.snapshot(0)
         assert state.snapshot(0) is first
@@ -108,7 +108,7 @@ class TestCopyOnWriteSnapshots:
         assert state.snapshot(0) is not first
 
     def test_old_snapshot_immutable_after_change(self):
-        state = NetworkState(range(3))
+        state = VectorState(range(3))
         state.add_rumor(0, "a")
         payload = state.snapshot(0)
         state.add_rumor(0, "b")
@@ -118,7 +118,7 @@ class TestCopyOnWriteSnapshots:
         assert payload.notes == ()
 
     def test_merge_of_unchanged_neighbor_is_cached_payload(self):
-        state = NetworkState(range(2))
+        state = VectorState(range(2))
         state.seed_self_rumors()
         payload = state.snapshot(1)
         assert state.merge(0, payload) is True
@@ -127,7 +127,7 @@ class TestCopyOnWriteSnapshots:
         assert state.merge(0, state.snapshot(1)) is False
 
     def test_foreign_payload_with_new_tokens(self):
-        state = NetworkState(range(2))
+        state = VectorState(range(2))
         assert state.merge(0, Payload(rumors=frozenset({"new", "tokens"}))) is True
         assert state.rumors(0) == frozenset({"new", "tokens"})
         assert state.count_knowing("new") == 1

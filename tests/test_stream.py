@@ -25,7 +25,8 @@ from repro.protocols.push_pull import PushPullProtocol, run_push_pull
 from repro.sim import StreamReport, run_streamed_all_to_all
 from repro.sim.invariants import checked
 from repro.sim.stream import _RecordedSchedule
-from repro.sim.vector import VectorEngine, VectorState
+from repro.sim.state import VectorState
+from repro.sim.vector import VectorEngine
 
 #: Every run's round budget: these graphs complete in well under a
 #: hundred rounds, so a stalled delivery stage fails here in seconds

@@ -33,7 +33,7 @@ from repro.protocols.base import per_node_rng_factory
 from repro.protocols.push_pull import PullProtocol, PushProtocol, PushPullProtocol
 from repro.sim import streams
 from repro.sim.engine import Engine
-from repro.sim.state import NetworkState
+from repro.sim.state import VectorState
 from repro.sim.streams import SeedStream, first_words, stream_words
 from repro.sim.vector import VectorEngine
 
@@ -128,7 +128,7 @@ def _run(
     at round ``read_at`` every third node's rng state is read."""
     factory = _factory(variant, declared)
 
-    state = NetworkState(graph.nodes())
+    state = VectorState(graph.nodes())
     for node in holders(graph.nodes()):
         state.add_rumor(node, RUMOR)
     recorder = Recorder.in_memory() if recorded else None

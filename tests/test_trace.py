@@ -10,7 +10,7 @@ from repro.sim.engine import Engine
 from repro.sim.failures import CrashSchedule
 from repro.sim.invariants import default_checkers
 from repro.sim.runner import broadcast_complete
-from repro.sim.state import NetworkState
+from repro.sim.state import VectorState
 
 
 def traced_push_pull(graph, rounds=10, seed=0, **engine_kwargs):
@@ -68,7 +68,7 @@ class TestRecorder:
 
     def test_wrap_preserves_ping_semantics(self):
         g = LatencyGraph(edges=[(0, 1, 1)])
-        state = NetworkState([0, 1])
+        state = VectorState([0, 1])
         state.add_rumor(0, "x")
         recorder = Recorder.in_memory()
         engine = Engine(
@@ -108,7 +108,7 @@ class TestTimeline:
         # string nodes; the horizon ends at the last marked round even
         # though the engine stepped on to round 11.
         g = LatencyGraph(edges=[("a", "b", 1), ("b", "c", 3), ("a", "c", 2)])
-        state = NetworkState(g.nodes())
+        state = VectorState(g.nodes())
         state.seed_self_rumors()
         recorder = Recorder.in_memory()
         engine = Engine(
@@ -173,7 +173,7 @@ class TestTraceWithCompletion:
     def test_broadcast_trace_end_to_end(self):
         g = generators.clique(8)
         rumor = ("rumor", 0)
-        state = NetworkState(g.nodes())
+        state = VectorState(g.nodes())
         state.add_rumor(0, rumor)
         recorder = Recorder.in_memory()
         make_rng = per_node_rng_factory(3)

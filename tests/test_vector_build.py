@@ -54,7 +54,7 @@ from repro.sim.runner import (
     broadcast_complete,
     run_until_complete,
 )
-from repro.sim.state import NetworkState
+from repro.sim.state import VectorState
 from repro.sim.streams import SeedStream
 from repro.sim.vector import VectorEngine
 
@@ -111,7 +111,7 @@ def _run(engine_cls, graph, variant, make_rng, recorded, cap=None):
         rngs[node] = make_rng(f"5:{node!r}", position[node])
         return _protocol(variant, rngs[node])
 
-    state = NetworkState(graph.nodes())
+    state = VectorState(graph.nodes())
     state.add_rumor(graph.nodes()[0], RUMOR)
     recorder = Recorder.in_memory() if recorded else None
     engine = engine_cls(
@@ -192,7 +192,7 @@ def _per_node_factory():
 
 
 def _build(graph, recorder_factory, make_factory=_per_node_factory):
-    state = NetworkState(graph.nodes())
+    state = VectorState(graph.nodes())
     state.add_rumor(graph.nodes()[0], RUMOR)
     return VectorEngine(
         graph, make_factory(), state=state, recorder=recorder_factory()
@@ -245,7 +245,7 @@ def _entries(engine):
 
 def _all_to_all(graph):
     make_rng = per_node_rng_factory(0)
-    state = NetworkState(graph.nodes())
+    state = VectorState(graph.nodes())
     state.seed_self_rumors()
     return VectorEngine(
         graph, lambda node: PushPullProtocol(make_rng(node)), state=state
@@ -328,7 +328,7 @@ def test_counters_never_fold_activated_edges(monkeypatch):
     runs = []
     for engine_cls in (VectorEngine, Engine):
         make_rng = per_node_rng_factory(0)
-        state = NetworkState(graph.nodes())
+        state = VectorState(graph.nodes())
         state.add_rumor(graph.nodes()[0], RUMOR)
         engine = engine_cls(
             graph, lambda node: PushPullProtocol(make_rng(node)), state=state

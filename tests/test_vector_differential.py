@@ -39,17 +39,17 @@ from repro.sim.engine import Engine, NodeProtocol
 from repro.sim.failures import CrashSchedule
 from repro.sim.invariants import checked, default_checkers
 from repro.sim.runner import all_to_all_complete, broadcast_complete
-from repro.sim.state import NetworkState
+from repro.sim.state import VectorState
 from repro.sim.vector import (
     ObliviousCohort,
     ObliviousProtocol,
     VectorEngine,
     VectorProgram,
-    VectorState,
     resolve_engine_backend,
 )
 from repro.testing import (
     ReferenceEngine,
+    ReferenceNetworkState,
     assert_engines_agree,
     connected_latency_graphs,
     crash_schedules,
@@ -65,7 +65,7 @@ def broadcast_setup(graph):
     rumor = ("rumor", source)
 
     def make_state():
-        state = NetworkState(graph.nodes())
+        state = VectorState(graph.nodes())
         state.add_rumor(source, rumor)
         return state
 
@@ -123,7 +123,7 @@ class TestVectorVsReference:
     @settings(max_examples=10, deadline=None)
     def test_all_to_all_agrees(self, graph, seed):
         def make_state():
-            state = NetworkState(graph.nodes())
+            state = VectorState(graph.nodes())
             state.seed_self_rumors()
             return state
 
@@ -629,7 +629,7 @@ class TestEligibility:
             assert type(vector(self.GRAPH, factory)) is Engine
             with pytest.raises(SimulationError, match="invariant checkers"):
                 VectorEngine(self.GRAPH, factory)
-        state = NetworkState(self.GRAPH.nodes())
+        state = VectorState(self.GRAPH.nodes())
         state.publish_note(self.GRAPH.nodes()[0], hops=0)
         assert type(vector(self.GRAPH, factory, state=state)) is Engine
         with pytest.raises(SimulationError, match="note boards"):
@@ -639,17 +639,18 @@ class TestEligibility:
 class TestOneMatrix:
     """A :class:`VectorState` is one ``n x words`` matrix that widens in
     place, and widening never changes a rumor set: each leg keeps a
-    scalar :class:`NetworkState` mirror and compares every node."""
+    :class:`ReferenceNetworkState` mirror and compares every node."""
 
     N = 100
 
     def _seeded(self, nodes=None):
         """70 rumors over 100 nodes: a two-word matrix."""
-        base = NetworkState(nodes if nodes is not None else range(self.N))
-        order = base.nodes()
+        nodes = list(nodes if nodes is not None else range(self.N))
+        base = ReferenceNetworkState(nodes)
+        vector = VectorState(nodes)
         for r in range(70):
-            base.add_rumor(order[r], ("r", r))
-        vector = VectorState.from_network_state(base)
+            base.add_rumor(nodes[r], ("r", r))
+            vector.add_rumor(nodes[r], ("r", r))
         assert vector._words.shape == (self.N, 2)
         return base, vector
 
@@ -661,10 +662,11 @@ class TestOneMatrix:
             assert vector.rumors(node) == mirror.rumors(node)
 
     def test_broadcast_is_one_word_per_node(self):
-        base = NetworkState(range(64))
+        base = ReferenceNetworkState(range(64))
+        vector = VectorState(range(64))
         base.add_rumor(0, "r")
-        assert base.state_nbytes() == 1  # scalar masks: one set bit
-        self._assert_mirrors(VectorState.from_network_state(base), base, 1)
+        vector.add_rumor(0, "r")
+        self._assert_mirrors(vector, base, 1)
 
     def test_add_rumor_grows_matrix(self):
         base, vector = self._seeded()
@@ -674,7 +676,7 @@ class TestOneMatrix:
         self._assert_mirrors(vector, base, 4)  # 200 rumors: 2 -> 4 words
 
     def test_merge_grows_matrix(self):
-        donor = NetworkState(range(self.N))
+        donor = VectorState(range(self.N))
         for r in range(200):
             donor.add_rumor(0, ("r", r))
         payload = donor.snapshot(0)
@@ -682,6 +684,17 @@ class TestOneMatrix:
         assert base.merge(5, payload)
         assert vector.merge(5, payload)
         self._assert_mirrors(vector, base, 4)
+
+    def test_self_rumors_seed_the_exact_width(self):
+        """Seeding 130 ids interns them all and widens once, to three
+        words; one growth per id would double to four."""
+        vector = VectorState(range(130))
+        vector.seed_self_rumors()
+        base = ReferenceNetworkState(range(130))
+        base.seed_self_rumors()
+        self._assert_mirrors(vector, base, 3)
+        vector.add_rumor(0, "one more")  # bit 130 fits the third word
+        assert vector._words.shape == (130, 3)
 
     def test_ldtg_token_interning_grows_matrix(self):
         graph = ring_of_cliques(10, 10, inter_latency=2, rng=random.Random(3))
@@ -704,7 +717,7 @@ class TestOneMatrix:
         graph = ring_of_cliques(5, 8, inter_latency=3, rng=random.Random(1))
 
         def run(backend):
-            state = NetworkState(graph.nodes())
+            state = VectorState(graph.nodes())
             state.seed_self_rumors()
             runner = PhaseRunner(graph, state=state, backend=backend)
             report = run_eid(graph, diameter=graph.weighted_diameter(), runner=runner)

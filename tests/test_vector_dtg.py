@@ -30,8 +30,8 @@ from repro.protocols.base import PhaseRunner
 from repro.protocols.discovery import run_latency_discovery
 from repro.protocols.dtg import LDTGProtocol, ldtg_factory
 from repro.sim.engine import Engine
-from repro.sim.state import NetworkState
-from repro.sim.vector import VectorEngine, VectorState
+from repro.sim.state import VectorState
+from repro.sim.vector import VectorEngine
 from repro.testing import (
     ReferenceEngine,
     ReferenceNetworkState,
@@ -60,13 +60,12 @@ def _observe(engine, graph):
 
 
 def _engines(graph, factory, latencies_known):
-    scalar_state = NetworkState(graph.nodes())
+    scalar_state = VectorState(graph.nodes())
     scalar_state.seed_self_rumors()
     reference_state = ReferenceNetworkState(graph.nodes())
     reference_state.seed_self_rumors()
-    vector_state = NetworkState(graph.nodes())
+    vector_state = VectorState(graph.nodes())
     vector_state.seed_self_rumors()
-    vector_state = VectorState.from_network_state(vector_state)
     kwargs = {"latencies_known": latencies_known}
     return (
         Engine(graph, factory, state=scalar_state, **kwargs),
@@ -149,7 +148,7 @@ def test_slow_fast_list_breaks_lockstep_loudly():
     graph.add_edge("a", "b", 5)
     make = {"a": ["b"], "b": []}
     factory = lambda node: LDTGProtocol(1, fast_neighbors=make[node])  # noqa: E731
-    state = VectorState.from_network_state(NetworkState(graph.nodes()))
+    state = VectorState(graph.nodes())
     engine = VectorEngine(graph, factory, state=state)
     with pytest.raises(SimulationError, match="lockstep broken at round 4"):
         engine.run()

@@ -1,12 +1,12 @@
 """Differential legs for a caller-built vector rumor state.
 
-The vector engine stores rumor knowledge in one
-:class:`~repro.sim.vector.VectorState`: a single ``n x words`` bitset
+Every engine stores rumor knowledge in one
+:class:`~repro.sim.state.VectorState`: a single ``n x words`` bitset
 matrix whose layout label is the constant ``dense``.  Every leg here
-builds that state itself (``VectorState.from_network_state``) and hands
-it to the engine, instead of letting the backend convert a scalar state,
-and checks the label it carries.  The state is a *representation*
-choice, so it must be bit-identical to the scalar
+builds that state itself, seeds it directly and hands it to the engine,
+and checks the label it carries; the mirror it is compared against is
+the set-backed :class:`~repro.testing.reference.ReferenceNetworkState`.
+The array round must be bit-identical to the scalar
 :class:`~repro.sim.engine.Engine`: same completion rounds, same per-node
 knowledge, same metrics, for every oblivious protocol, under crash
 schedules and responder caps.  This suite pins that with a hypothesis
@@ -40,9 +40,10 @@ from repro.protocols.rr_broadcast import rr_broadcast_factory
 from repro.protocols.spanner import DirectedSpanner
 from repro.sim.engine import Engine
 from repro.sim.runner import broadcast_complete, run_until_complete
-from repro.sim.state import NetworkState
-from repro.sim.vector import VectorEngine, VectorState
+from repro.sim.state import VectorState
+from repro.sim.vector import VectorEngine
 from repro.testing import (
+    ReferenceNetworkState,
     assert_engines_agree,
     connected_latency_graphs,
     crash_schedules,
@@ -69,31 +70,20 @@ PROTOCOLS = {
 
 
 def broadcast_setup(graph):
+    """The source rumor and two builders of the seeded start state: the
+    caller-built :class:`VectorState` and its set-backed mirror."""
     source = graph.nodes()[0]
     rumor = ("rumor", source)
 
-    def make_state():
-        state = NetworkState(graph.nodes())
-        state.add_rumor(source, rumor)
-        return state
+    def seeded(state_cls):
+        def make_state():
+            state = state_cls(graph.nodes())
+            state.add_rumor(source, rumor)
+            return state
 
-    return rumor, make_state
+        return make_state
 
-
-def layout_state(base, layout):
-    """A bitset copy of ``base`` that carries the label ``layout``."""
-    state = VectorState.from_network_state(base)
-    assert state.layout == layout
-    return state
-
-
-def forced_layout(make_base, layout):
-    """A state builder yielding ``make_base()`` as a labelled bitset."""
-
-    def make_state():
-        return layout_state(make_base(), layout)
-
-    return make_state
+    return rumor, seeded(VectorState), seeded(ReferenceNetworkState)
 
 
 class TestLayoutMatrix:
@@ -106,7 +96,8 @@ class TestLayoutMatrix:
     def test_layouts_bit_identical_to_scalar(
         self, layout, variant, graph, seed, config
     ):
-        rumor, make_base = broadcast_setup(graph)
+        rumor, make_state, make_mirror = broadcast_setup(graph)
+        assert make_state().layout == layout
         build = PROTOCOLS[variant](rumor)
 
         def make_factory():
@@ -116,8 +107,8 @@ class TestLayoutMatrix:
         report = run_differential(
             graph,
             make_factory=make_factory,
-            make_state=forced_layout(make_base, layout),
-            make_reference_state=make_base,
+            make_state=make_state,
+            make_reference_state=make_mirror,
             predicate=broadcast_complete(rumor),
             fresh_snapshots=config["fresh_snapshots"],
             max_incoming_per_round=config["max_incoming_per_round"],
@@ -138,21 +129,22 @@ class TestLayoutMatrix:
         # so the rumor never crosses edge 2-3.  Every engine must agree on
         # that non-completion and on the metrics.
         graph = LatencyGraph(nodes=[0, 1, 2, 3], edges=[(0, 2, 6), (2, 3, 5), (3, 1, 4)])
-        rumor, make_base = broadcast_setup(graph)
+        rumor, make_state, make_mirror = broadcast_setup(graph)
+        assert make_state().layout in LAYOUT_LEGS
 
         def make_factory():
             make_rng = per_node_rng_factory(seed)
             return lambda node: PushPullProtocol(make_rng(node))
 
-        candidates = [{"engine_cls": Engine, "make_state": make_base}] + [
-            {"backend": "vector", "make_state": forced_layout(make_base, layout)}
-            for layout in LAYOUT_LEGS
+        candidates = [
+            {"engine_cls": Engine, "make_state": make_state},
+            {"backend": "vector", "make_state": make_state},
         ]
         for candidate in candidates:
             report = run_differential(
                 graph,
                 make_factory=make_factory,
-                make_reference_state=make_base,
+                make_reference_state=make_mirror,
                 predicate=broadcast_complete(rumor),
                 max_incoming_per_round=1,
                 max_rounds=300,
@@ -169,7 +161,8 @@ class TestLayoutMatrix:
     )
     @settings(max_examples=10, deadline=None)
     def test_crash_schedules_agree(self, layout, graph, seed, data):
-        rumor, make_base = broadcast_setup(graph)
+        rumor, make_state, make_mirror = broadcast_setup(graph)
+        assert make_state().layout == layout
         source = graph.nodes()[0]
         crashes = data.draw(crash_schedules(graph.nodes(), protect=[source]))
 
@@ -180,8 +173,8 @@ class TestLayoutMatrix:
         report = run_differential(
             graph,
             make_factory=make_factory,
-            make_state=forced_layout(make_base, layout),
-            make_reference_state=make_base,
+            make_state=make_state,
+            make_reference_state=make_mirror,
             predicate=lambda engine: engine.round >= 25,
             make_failure_model=lambda: crashes,  # stateless: sharable
             backend="vector",
@@ -220,10 +213,10 @@ class TestRRBroadcastVector:
 
     @pytest.mark.parametrize("layout", LAYOUT_LEGS)
     def test_every_layout_matches_scalar(self, layout):
-        seeded = NetworkState(self.GRAPH.nodes())
+        seeded = VectorState(self.GRAPH.nodes())
         seeded.seed_self_rumors()
-        forced = layout_state(seeded, layout)
-        assert self._run("vector", state=forced) == self._run("scalar")
+        assert seeded.layout == layout
+        assert self._run("vector", state=seeded) == self._run("scalar")
 
 
 def _bucketed_trace(backend, layout=None) -> str:
@@ -238,7 +231,7 @@ def _bucketed_trace(backend, layout=None) -> str:
     )
     source = graph.nodes()[0]
     rumor = ("rumor", source)
-    state = NetworkState(graph.nodes())
+    state = VectorState(graph.nodes())
     state.add_rumor(source, rumor)
     make_rng = per_node_rng_factory(5)
 
@@ -247,12 +240,8 @@ def _bucketed_trace(backend, layout=None) -> str:
 
     recorder = Recorder.in_memory()
     if backend == "vector":
-        engine = VectorEngine(
-            graph,
-            factory,
-            state=layout_state(state, layout),
-            recorder=recorder,
-        )
+        assert state.layout == layout
+        engine = VectorEngine(graph, factory, state=state, recorder=recorder)
     else:
         engine = Engine(graph, factory, state=state, recorder=recorder)
     run_until_complete(engine, broadcast_complete(rumor), "layout-golden")
